@@ -11,19 +11,12 @@ from .control import (
     ControlOutput,
     Controller,
     Gains,
-    allocate_4dof,
-    allocate_5dof,
-    allocate_6dof,
     attitude_error,
     attitude_torque,
-    reduced_map_4dof,
-    reduced_map_5dof,
-    controller_step,
     default_gains,
     desired_attitude_4dof,
     desired_attitude_5dof,
     position_accel,
-    thrust_4dof,
 )
 from .config import StructureConfig, parse_config, serialize_config
 from .dynamics import RigidState, SimParams, accelerations, step
@@ -53,10 +46,7 @@ from .structure import (
     StructureModel,
     actuation_ellipsoid,
     assemble,
-    design_matrix,
-    f_frame,
     numerical_rank,
-    structure_inertia,
 )
 from .trajectory import (
     TrajectorySample,

@@ -124,7 +124,10 @@ class StructureConfig:
 
     def to_sim_params(self) -> SimParams:
         s = self.sim
-        return SimParams(dt=s.dt_s, gravity=s.gravity_mps2, duration=s.duration_s)
+        try:
+            return SimParams(dt=s.dt_s, gravity=s.gravity_mps2, duration=s.duration_s)
+        except ValueError as exc:
+            raise ConfigError(f"sim: {exc}") from None
 
     def to_trajectory(self) -> Callable[[float], TrajectorySample]:
         tr = self.trajectory
@@ -354,11 +357,11 @@ def override_sim(config: StructureConfig, duration: float | None = None,
     """Copy of ``config`` with command-line sim overrides applied."""
     sim = config.sim
     if duration is not None:
-        if duration <= 0.0:
-            raise ConfigError(f"duration must be positive, got {duration}")
+        if not 0.0 < duration < np.inf:
+            raise ConfigError(f"duration must be positive and finite, got {duration}")
         sim = replace(sim, duration_s=duration)
     if dt is not None:
-        if dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {dt}")
         sim = replace(sim, dt_s=dt)
     return replace(config, sim=sim)

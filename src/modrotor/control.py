@@ -1,19 +1,24 @@
-"""Rank-specific geometric controllers with minimum-norm thrust allocation.
+"""Rank-matched geometric controllers sharing one minimum-norm allocation.
 
 Position tracking uses a PD law with gravity and acceleration feed-forward.
 Attitude errors are measured on the thrust frame rather than the body frame,
 so the controller always spends thrust along the structure's strongest force
-direction. The allocation stage depends on how many force directions the
-structure can span:
+direction. The controllers for 4, 5 and 6 controllable DOF differ in only
+two ways: how the desired attitude is built, and which rows of the
+thrust-frame wrench (force along the thrust frame's x, y, z axes, then body
+torque) the rotors must realize:
 
-* one direction (4 controllable DOF): thrust magnitude along the strong
-  axis plus full torque, like a conventional quadrotor but tilted;
-* two directions (5 DOF): force components in the strong plane plus full
-  torque, which frees the pitch angle to be commanded independently;
-* three directions (6 DOF): full wrench, position and attitude decoupled.
+* one force direction (4 DOF): z force plus full torque, like a
+  conventional quadrotor but tilted;
+* two directions (5 DOF): z and x force plus full torque, which frees the
+  pitch angle to be commanded independently;
+* three directions (6 DOF): the full wrench, position and attitude
+  decoupled.
 
-Each mode solves its reduced thrust map with a Moore-Penrose pseudoinverse,
-giving the exact minimum-norm thrusts, then clamps to the motor range.
+:class:`Controller` builds the 6 x 4n thrust-frame map once, keeps the rows
+of its mode and stores that reduced map with its Moore-Penrose
+pseudoinverse. Each step is then one product giving the exact minimum-norm
+thrusts, clamped to the motor range.
 """
 
 from __future__ import annotations
@@ -33,7 +38,15 @@ from .trajectory import TrajectorySample
 _PINV_RCOND = 1e-10
 # Commanded accelerations below this cannot define a thrust direction.
 _EPS_THRUST = 1e-6
+# Thrust directions closer than this to the heading cannot define a frame.
 _EPS_CROSS = 1e-6
+# Thrust-frame wrench rows each mode commands, keyed by force-block rank:
+# 0-2 are force along the thrust frame's x, y, z axes, 3-5 body torque.
+_MODE_ROWS = {
+    1: ("4dof", (2, 3, 4, 5)),
+    2: ("5dof", (2, 0, 3, 4, 5)),
+    3: ("6dof", (0, 1, 2, 3, 4, 5)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +92,8 @@ class ControlOutput:
 
     u: clamped rotor thrusts, N
     u_raw: minimum-norm thrusts before clamping
-    desired_wrench: the commanded body wrench that ``u_raw`` realizes
+    desired_wrench: the commanded body wrench that ``u_raw`` realizes; force
+        components the mode does not command are zero
     saturated: True when any rotor had to be clamped
     desired_attitude: the commanded world attitude of the thrust frame
     mode: "4dof", "5dof" or "6dof"
@@ -160,16 +174,6 @@ def desired_attitude_4dof(a_r: np.ndarray, yaw_d: float, eps_thrust: float = _EP
     return np.column_stack([x_d, y_d, z_d])
 
 
-def thrust_4dof(
-    a_r: np.ndarray,
-    r_ws: np.ndarray,
-    r_sf: np.ndarray,
-    total_mass: float,
-) -> float:
-    """Scalar thrust: desired force projected on the current strong axis."""
-    return float(total_mass * a_r @ (r_ws @ r_sf @ E3))
-
-
 def desired_attitude_5dof(
     a_r: np.ndarray,
     yaw_d: float,
@@ -197,150 +201,16 @@ def desired_attitude_5dof(
     return np.column_stack([x_d, y_d, z_d])
 
 
-def _pinv(m: np.ndarray) -> np.ndarray:
-    return np.linalg.pinv(m, rcond=_PINV_RCOND)
-
-
-def _clamp(u_raw: np.ndarray, f_max: np.ndarray) -> tuple[np.ndarray, bool]:
-    u = np.clip(u_raw, 0.0, f_max)
-    return u, bool(np.any(np.abs(u - u_raw) > 1e-12))
-
-
-def reduced_map_4dof(structure: StructureModel) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced 4 x 4n map for single-force-direction structures.
-
-    The first row holds +-1 per rotor depending on whether its force axis
-    points along or against the strong axis; the remaining rows are the
-    torque block.
-    """
-    if structure.rank_f != 1:
-        raise AllocationError(f"4-DOF allocation needs a rank-1 force block, got {structure.rank_f}")
-    z_f = structure.r_sf @ E3
-    dots = structure.force_map.T @ z_f
-    if np.any(np.abs(dots) < _EPS_CROSS):
-        raise AllocationError("a rotor force axis is orthogonal to the strong axis")
-    axis_signs = np.sign(dots)
-    a4 = np.vstack([axis_signs, structure.torque_map])
-    if numerical_rank(a4) < 4:
-        raise AllocationError("reduced 4-DOF map is row-rank-deficient")
-    return a4, axis_signs
-
-
-def reduced_map_5dof(structure: StructureModel) -> tuple[np.ndarray, bool]:
-    """Reduced 5 x 4n map for planar-force structures.
-
-    Force rows are expressed in thrust-frame coordinates with the unusable
-    lateral row removed: normally the y-row, leaving (z, x) force rows over
-    the torque block. When that variant is rank-deficient the x-row is
-    dropped instead, leaving (z, y); the second return value reports this
-    fallback so callers command the matching force component.
-    """
-    if structure.rank_f != 2:
-        raise AllocationError(f"5-DOF allocation needs a rank-2 force block, got {structure.rank_f}")
-    rows_f = structure.r_sf.T @ structure.force_map
-    a5 = np.vstack([rows_f[2], rows_f[0], structure.torque_map])
-    if numerical_rank(a5) == 5:
-        return a5, False
-    a5_fallback = np.vstack([rows_f[2], rows_f[1], structure.torque_map])
-    if numerical_rank(a5_fallback) == 5:
-        return a5_fallback, True
-    raise AllocationError("both 5-DOF row-removal variants are rank-deficient")
-
-
-def allocate_4dof(
-    f: float,
-    torque: np.ndarray,
-    structure: StructureModel,
-    desired_attitude: np.ndarray | None = None,
-    _cache: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ControlOutput:
-    """Minimum-norm thrusts realizing scalar thrust ``f`` and body torque."""
-    a4, _ = reduced_map_4dof(structure) if _cache is None else (_cache[0], None)
-    pinv = _pinv(a4) if _cache is None else _cache[1]
-    u_raw = pinv @ np.concatenate([[f], torque])
-    u, saturated = _clamp(u_raw, structure.f_max)
-    wrench = Wrench(force=f * (structure.r_sf @ E3), torque=torque)
-    return ControlOutput(
-        u=u,
-        u_raw=u_raw,
-        desired_wrench=wrench,
-        saturated=saturated,
-        desired_attitude=np.eye(3) if desired_attitude is None else desired_attitude,
-        mode="4dof",
-    )
-
-
-def allocate_5dof(
-    f_z: float,
-    f_x: float,
-    torque: np.ndarray,
-    structure: StructureModel,
-    f_y: float = 0.0,
-    desired_attitude: np.ndarray | None = None,
-    _cache: tuple[np.ndarray, bool, np.ndarray] | None = None,
-) -> ControlOutput:
-    """Minimum-norm thrusts for force components in the strong plane plus torque.
-
-    ``f_z`` and ``f_x`` are the force commands along the thrust frame's z-
-    and x-axes. ``f_y`` is only consumed when the fallback row removal is in
-    effect (degenerate designs whose second force direction is the y-axis).
-    """
-    if _cache is None:
-        a5, fallback = reduced_map_5dof(structure)
-        pinv = _pinv(a5)
-    else:
-        a5, fallback, pinv = _cache
-    lateral = f_y if fallback else f_x
-    u_raw = pinv @ np.concatenate([[f_z, lateral], torque])
-    u, saturated = _clamp(u_raw, structure.f_max)
-    lateral_axis = structure.r_sf @ (E1 if not fallback else np.array([0.0, 1.0, 0.0]))
-    wrench = Wrench(force=f_z * (structure.r_sf @ E3) + lateral * lateral_axis, torque=torque)
-    return ControlOutput(
-        u=u,
-        u_raw=u_raw,
-        desired_wrench=wrench,
-        saturated=saturated,
-        desired_attitude=np.eye(3) if desired_attitude is None else desired_attitude,
-        mode="5dof",
-    )
-
-
-def allocate_6dof(
-    a_r: np.ndarray,
-    a_rot: np.ndarray,
-    state: RigidState,
-    structure: StructureModel,
-    desired_attitude: np.ndarray | None = None,
-    _cache: np.ndarray | None = None,
-) -> ControlOutput:
-    """Minimum-norm thrusts for a fully actuated structure.
-
-    ``a_r`` must already include the gravity feed-forward; it is rotated
-    into the body frame and scaled by mass, while ``a_rot`` is scaled by the
-    inertia tensor with the gyroscopic term added back.
-    """
-    if numerical_rank(structure.thrust_map) < 6:
-        raise AllocationError("6-DOF allocation needs a full-rank thrust map")
-    pinv = _pinv(structure.thrust_map) if _cache is None else _cache
-    force = structure.total_mass * (state.r_ws.T @ a_r)
-    torque = structure.inertia @ a_rot + cross3(state.omega, structure.inertia @ state.omega)
-    u_raw = pinv @ np.concatenate([force, torque])
-    u, saturated = _clamp(u_raw, structure.f_max)
-    return ControlOutput(
-        u=u,
-        u_raw=u_raw,
-        desired_wrench=Wrench(force=force, torque=torque),
-        saturated=saturated,
-        desired_attitude=np.eye(3) if desired_attitude is None else desired_attitude,
-        mode="6dof",
-    )
 
 
 class Controller:
     """Closed-loop controller bound to one structure.
 
-    Holds only the gains and the structure's precomputed reduced maps, so an
-    instance is cheap to call every step and safe to share read-only.
+    The mode follows the structure's force-block rank. ``reduced_map`` holds
+    the rows ``rows`` of the thrust-frame map [r_sf^T A_f; A_tau] that the
+    mode commands, and ``pinv`` its pseudoinverse; both are fixed at
+    construction, so an instance is cheap to call every step and safe to
+    share read-only.
     """
 
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
@@ -348,57 +218,44 @@ class Controller:
         self.structure = structure
         self.gains = gains if gains is not None else default_gains()
         self.gravity = gravity
-        self.mode = {1: "4dof", 2: "5dof", 3: "6dof"}.get(structure.rank_f)
-        if self.mode is None:
+        if structure.rank_f not in _MODE_ROWS:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")
-        if self.mode == "4dof":
-            a4, _ = reduced_map_4dof(structure)
-            self._cache4 = (a4, _pinv(a4))
-        elif self.mode == "5dof":
-            a5, fallback = reduced_map_5dof(structure)
-            self._cache5 = (a5, fallback, _pinv(a5))
-        else:
-            if numerical_rank(structure.thrust_map) < 6:
-                raise AllocationError("6-DOF control needs a full-rank thrust map")
-            self._cache6 = _pinv(structure.thrust_map)
+        self.mode, rows = _MODE_ROWS[structure.rank_f]
+        self.rows = np.array(rows)
+        thrust_frame_map = np.vstack([structure.r_sf.T @ structure.force_map, structure.torque_map])
+        self.reduced_map = thrust_frame_map[self.rows]
+        if numerical_rank(self.reduced_map) < self.rows.size:
+            raise AllocationError(
+                f"{self.mode} control needs the {self.rows.size} commanded wrench rows "
+                "to be independent; the reduced thrust map is rank-deficient"
+            )
+        self.pinv = np.linalg.pinv(self.reduced_map, rcond=_PINV_RCOND)
+        # Thrust-frame force components the mode commands.
+        self._force_mask = np.isin(np.arange(3), self.rows).astype(float)
 
     def step(self, state: RigidState, sample: TrajectorySample) -> ControlOutput:
         structure = self.structure
         a_r = position_accel(state, sample, self.gains, self.gravity)
-
         if self.mode == "4dof":
             r_wf_d = desired_attitude_4dof(a_r, sample.yaw_d)
-            err = attitude_error(state.r_ws, structure.r_sf, r_wf_d, state.omega, sample.omega_d)
-            torque = attitude_torque(err, self.gains, structure.inertia, state.omega)
-            f = thrust_4dof(a_r, state.r_ws, structure.r_sf, structure.total_mass)
-            # Rotors are unidirectional; a transiently negative command is cut.
-            return allocate_4dof(max(f, 0.0), torque, structure,
-                                 desired_attitude=r_wf_d, _cache=self._cache4)
-
-        if self.mode == "5dof":
+        elif self.mode == "5dof":
             r_wf_d = desired_attitude_5dof(a_r, sample.yaw_d, sample.pitch_d)
-            err = attitude_error(state.r_ws, structure.r_sf, r_wf_d, state.omega, sample.omega_d)
-            torque = attitude_torque(err, self.gains, structure.inertia, state.omega)
-            axes_w = state.r_ws @ structure.r_sf
-            f_z = structure.total_mass * float(a_r @ axes_w[:, 2])
-            f_x = structure.total_mass * float(a_r @ axes_w[:, 0])
-            f_y = structure.total_mass * float(a_r @ axes_w[:, 1])
-            return allocate_5dof(f_z, f_x, torque, structure, f_y=f_y,
-                                 desired_attitude=r_wf_d, _cache=self._cache5)
-
-        r_wf_d = sample.r_wf_d
+        else:
+            r_wf_d = sample.r_wf_d
         err = attitude_error(state.r_ws, structure.r_sf, r_wf_d, state.omega, sample.omega_d)
-        a_rot = attitude_accel(err, self.gains)
-        return allocate_6dof(a_r, a_rot, state, structure,
-                             desired_attitude=r_wf_d, _cache=self._cache6)
+        torque = attitude_torque(err, self.gains, structure.inertia, state.omega)
+        force = structure.total_mass * ((state.r_ws @ structure.r_sf).T @ a_r) * self._force_mask
+        if self.mode == "4dof":
+            # Rotors are unidirectional; a transiently negative command is cut.
+            force[2] = max(force[2], 0.0)
 
-
-def controller_step(
-    structure: StructureModel,
-    state: RigidState,
-    sample: TrajectorySample,
-    gains: Gains | None = None,
-    gravity: float = GRAVITY,
-) -> ControlOutput:
-    """One controller evaluation; dispatches on the structure's force rank."""
-    return Controller(structure, gains, gravity).step(state, sample)
+        u_raw = self.pinv @ np.concatenate([force, torque])[self.rows]
+        u = np.clip(u_raw, 0.0, structure.f_max)
+        return ControlOutput(
+            u=u,
+            u_raw=u_raw,
+            desired_wrench=Wrench(force=structure.r_sf @ force, torque=torque),
+            saturated=bool(np.any(np.abs(u - u_raw) > 1e-12)),
+            desired_attitude=r_wf_d,
+            mode=self.mode,
+        )

@@ -63,10 +63,13 @@ class SimParams:
     duration: float = 10.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.duration < self.dt:
-            raise ValueError("duration must cover at least one step")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.duration < np.inf:
+            raise ValueError(
+                f"duration must be finite and cover at least one step, "
+                f"got {self.duration} with dt {self.dt}"
+            )
 
 
 def accelerations(
@@ -79,9 +82,14 @@ def accelerations(
     u = np.asarray(u, dtype=float)
     if u.shape != (4 * structure.n,):
         raise ValueError(f"u must have {4 * structure.n} entries, got shape {u.shape}")
-    r_ddot = state.r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
+    return _newton_euler(structure, state.r_ws, state.omega, u, gravity)
+
+
+def _newton_euler(structure, r_ws, omega, u, gravity):
+    """Linear (world) and angular (body) acceleration at attitude ``r_ws``."""
+    r_ddot = r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
     torque = structure.torque_map @ u
-    omega_dot = structure.inertia_inv @ (torque - cross3(state.omega, structure.inertia @ state.omega))
+    omega_dot = structure.inertia_inv @ (torque - cross3(omega, structure.inertia @ omega))
     return r_ddot, omega_dot
 
 
@@ -96,9 +104,7 @@ def _derivative(structure, r_ws0, v, phi, omega, u, gravity):
         # Rotation-increment kinematics: the correction terms keep the
         # update fourth-order accurate for finite increments.
         phi_dot = omega + 0.5 * cross3(phi, omega) + (1.0 / 12.0) * cross3(phi, cross3(phi, omega))
-    r_ddot = r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
-    torque = structure.torque_map @ u
-    omega_dot = structure.inertia_inv @ (torque - cross3(omega, structure.inertia @ omega))
+    r_ddot, omega_dot = _newton_euler(structure, r_ws, omega, u, gravity)
     return v, r_ddot, phi_dot, omega_dot
 
 

@@ -272,22 +272,6 @@ def assemble(placements, rank_tol: float = 1e-9) -> StructureModel:
     )
 
 
-def design_matrix(structure: StructureModel) -> np.ndarray:
-    """The 6 x 4n thrust-to-wrench map computed at assembly time."""
-    return structure.thrust_map
-
-
-def f_frame(structure: StructureModel, rel_tol: float = 1e-9) -> np.ndarray:
-    """Recompute the thrust-frame rotation for ``structure``."""
-    first_rotor = structure.module_rotations[0] @ structure.placements[0].module.propellers[0].orientation
-    return _thrust_frame(structure.force_map, structure.rank_f, first_rotor, rel_tol)
-
-
-def structure_inertia(structure: StructureModel) -> np.ndarray:
-    """Total inertia tensor about the center of mass, kg*m^2."""
-    return structure.inertia
-
-
 def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and axes of the force block.
 

@@ -11,7 +11,7 @@ thrust frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -135,7 +135,7 @@ class _Phase:
     v_out: np.ndarray  # equals v_in on straight segments
 
 
-@lru_cache(maxsize=None)
+@cache
 def _rect_schedule(speed: float, altitude: float) -> tuple:
     """Phase table for one counterclockwise lap, starting mid bottom edge."""
     if speed <= 0.0:

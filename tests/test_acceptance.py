@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from modrotor import (
+    Controller,
     Gains,
     RigidState,
     SimParams,
-    reduced_map_4dof,
-    reduced_map_5dof,
     build_r_module,
     check_balanced,
-    controller_step,
     helix,
     hover,
     initial_state_from_sample,
@@ -28,7 +26,6 @@ from modrotor import (
     run_closed_loop,
     step,
 )
-from modrotor.control import _pinv
 from modrotor.so3 import E3, exp_map, rot_y, rot_z, rotation_angle
 from modrotor.trajectory import HELIX_PERIOD, rectangle_period
 
@@ -106,7 +103,7 @@ def test_criterion_3_thrust_frame_exactness(fixtures):
     )
 
 
-def test_criterion_4_design_matrix_oracle(fixtures):
+def test_criterion_4_thrust_map_oracle(fixtures):
     rng = np.random.default_rng(104)
     worst = 0.0
     for structure in fixtures.values():
@@ -124,20 +121,23 @@ def test_criterion_5_allocation_consistency_and_minimality(fixtures):
     def min_norm_oracle(m, b):
         return m.T @ np.linalg.solve(m @ m.T, b)
 
+    # Each case runs on the reduced map and pseudoinverse its controller
+    # allocates with; commands are drawn in that map's row order.
     worst_res, worst_norm = 0.0, 0.0
-    cases = []
-    a4, _ = reduced_map_4dof(fixtures["tilt10"])
-    cases.append((a4, lambda: np.concatenate([[rng.uniform(0, 5)], rng.uniform(-0.05, 0.05, 3)])))
-    a5, _ = reduced_map_5dof(fixtures["pitch_pair"])
-    cases.append((a5, lambda: np.concatenate([rng.uniform([-2, -2], [6, 2]), rng.uniform(-0.05, 0.05, 3)])))
-    a6 = fixtures["quad_tilt"].thrust_map
-    cases.append((a6, lambda: np.concatenate([rng.uniform(-3, 6, 3), rng.uniform(-0.05, 0.05, 3)])))
+    cases = [
+        (Controller(fixtures["tilt10"]),
+         lambda: np.concatenate([[rng.uniform(0, 5)], rng.uniform(-0.05, 0.05, 3)])),
+        (Controller(fixtures["pitch_pair"]),
+         lambda: np.concatenate([rng.uniform([-2, -2], [6, 2]), rng.uniform(-0.05, 0.05, 3)])),
+        (Controller(fixtures["quad_tilt"]),
+         lambda: np.concatenate([rng.uniform(-3, 6, 3), rng.uniform(-0.05, 0.05, 3)])),
+    ]
 
-    for matrix, draw in cases:
-        pinv = _pinv(matrix)
+    for ctrl, draw in cases:
+        matrix = ctrl.reduced_map
         for _ in range(100):
             b = draw()
-            u = pinv @ b
+            u = ctrl.pinv @ b
             worst_res = max(worst_res, np.max(np.abs(matrix @ u - b)))
             worst_norm = max(worst_norm, np.linalg.norm(u) - np.linalg.norm(min_norm_oracle(matrix, b)))
     ok = worst_res < 1e-9 and worst_norm < 1e-9

@@ -157,3 +157,26 @@ def test_simulate_runtime_failure_exit_code(capsys, tmp_path):
     )
     assert code == EXIT_RUNTIME
     assert "t=" in err
+
+
+@pytest.mark.parametrize(
+    "flags, sim_section, field",
+    [
+        (["--duration", "0.0001"], "", "duration"),
+        (["--duration", "nan"], "", "duration"),
+        (["--duration", "inf"], "", "duration"),
+        (["--dt", "inf"], "", "dt"),
+        (["--dt", "nan"], "", "dt"),
+        ([], "[sim]\ndt_s = 0.01\nduration_s = 0.001\n", "duration"),
+    ],
+)
+def test_simulate_rejects_unusable_sim_params(flags, sim_section, field, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[module.1]\n" + sim_section)
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        ["simulate", "--config", str(cfg), "--out", str(out_csv)] + flags, capsys
+    )
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error:") and field in err
+    assert not out_csv.exists()

@@ -1,28 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from modrotor import (
     AllocationError,
+    AssemblyError,
     ControlDegeneracyError,
     Controller,
     Gains,
     RigidState,
-    allocate_4dof,
-    allocate_5dof,
-    allocate_6dof,
     attitude_error,
     attitude_torque,
-    reduced_map_4dof,
-    reduced_map_5dof,
-    controller_step,
     default_gains,
     desired_attitude_4dof,
     desired_attitude_5dof,
-    hover,
     position_accel,
-    thrust_4dof,
 )
 from modrotor.control import attitude_accel
+from modrotor.structure import _thrust_frame
 from modrotor.so3 import E1, E3, is_rotation, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
 
@@ -41,9 +37,17 @@ def level_state(r=(0, 0, 0), v=(0, 0, 0), r_ws=None, omega=(0, 0, 0)):
     )
 
 
-def still_sample(r=(0, 0, 0), yaw=0.0, pitch=0.0):
+def still_sample(r=(0, 0, 0), yaw=0.0, pitch=0.0, a_r=(0, 0, G)):
+    """Sample at rest whose commanded acceleration from a state at ``r``
+    with zero velocity is exactly ``a_r``."""
+    a_d = np.array(a_r, float) - G * E3
     return TrajectorySample(t=0.0, r_d=np.array(r, float), v_d=np.zeros(3),
-                            a_d=np.zeros(3), yaw_d=yaw, pitch_d=pitch)
+                            a_d=a_d, yaw_d=yaw, pitch_d=pitch)
+
+
+def strong_axis_thrust(structure, out):
+    """Commanded force along the thrust frame's z-axis."""
+    return float((structure.r_sf.T @ out.desired_wrench.force)[2])
 
 
 class TestPositionAccel:
@@ -130,65 +134,73 @@ class TestDesiredAttitude4:
 
 class TestThrust4:
     def test_hover_aligned(self, flat_structure):
-        f = thrust_4dof(G * E3, np.eye(3), flat_structure.r_sf, flat_structure.total_mass)
-        assert abs(f - flat_structure.total_mass * G) < 1e-12
+        out = Controller(flat_structure).step(level_state(), still_sample())
+        assert abs(strong_axis_thrust(flat_structure, out) - flat_structure.total_mass * G) < 1e-12
 
     def test_orthogonal_acceleration_gives_zero(self, flat_structure):
-        f = thrust_4dof(np.array([1.0, 0, 0]), np.eye(3), flat_structure.r_sf,
-                        flat_structure.total_mass)
-        assert abs(f) < 1e-15
+        sample = still_sample(yaw=np.pi / 2, a_r=(1.0, 0.0, 0.0))
+        out = Controller(flat_structure).step(level_state(), sample)
+        assert abs(strong_axis_thrust(flat_structure, out)) < 1e-15
 
     def test_counter_tilted_module_full_projection(self, tilt10_structure):
         # Body tilted opposite the rotor tilt: strong axis is vertical.
-        f = thrust_4dof(G * E3, tilt10_structure.r_sf.T, tilt10_structure.r_sf,
-                        tilt10_structure.total_mass)
+        state = level_state(r_ws=tilt10_structure.r_sf.T)
+        out = Controller(tilt10_structure).step(state, still_sample())
+        f = strong_axis_thrust(tilt10_structure, out)
         assert abs(f - tilt10_structure.total_mass * G) < 1e-12
 
 
 class TestBuildA4:
     def test_flat_signs_all_positive(self, flat_structure):
-        a4, axis_signs = reduced_map_4dof(flat_structure)
-        np.testing.assert_array_equal(axis_signs, np.ones(4))
-        assert a4.shape == (4, 4)
-        np.testing.assert_allclose(a4[1:], flat_structure.torque_map, atol=0)
+        ctrl = Controller(flat_structure)
+        np.testing.assert_array_equal(ctrl.rows, [2, 3, 4, 5])
+        assert ctrl.reduced_map.shape == (4, 4)
+        np.testing.assert_allclose(ctrl.reduced_map[0], np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(ctrl.reduced_map[1:], flat_structure.torque_map, atol=0)
 
     def test_tilt10_signs_all_positive(self, tilt10_structure):
-        _, axis_signs = reduced_map_4dof(tilt10_structure)
-        np.testing.assert_array_equal(axis_signs, np.ones(4))
+        # The strong-axis row of a tilted module is its all-ones thrust row.
+        np.testing.assert_allclose(
+            Controller(tilt10_structure).reduced_map[0], np.ones(4), atol=1e-15
+        )
 
-    def test_flipped_axis_sign(self):
-        # A rotor force axis opposing the strong axis gets a -1 entry.
-        dots = np.array([1.0, 1.0, -1.0, 1.0])
-        np.testing.assert_array_equal(np.sign(dots), [1, 1, -1, 1])
+    def test_flipped_axis_sign(self, flat_structure):
+        # A rank-1 force block whose rotors do not all push the same way
+        # never reaches the controller: the thrust frame rejects it.
+        flipped = np.array(flat_structure.force_map)
+        flipped[:, 2] *= -1.0
+        with pytest.raises(AssemblyError):
+            _thrust_frame(flipped, 1, np.eye(3))
 
-    def test_wrong_rank_rejected(self, pitch_pair_structure):
+    def test_wrong_rank_rejected(self, flat_structure):
+        # All six rows of a single module's map cannot be realized.
         with pytest.raises(AllocationError):
-            reduced_map_4dof(pitch_pair_structure)
+            Controller(replace(flat_structure, rank_f=3))
 
 
 class TestAllocate4:
     def test_uniform_split(self, flat_structure):
-        out = allocate_4dof(4.0, np.zeros(3), flat_structure)
+        sample = still_sample(a_r=(0.0, 0.0, 4.0 / flat_structure.total_mass))
+        out = Controller(flat_structure).step(level_state(), sample)
         np.testing.assert_allclose(out.u, np.ones(4), atol=1e-12)
         assert not out.saturated
         assert out.mode == "4dof"
 
     def test_pure_spin_torque_alternates(self, flat_structure):
-        out = allocate_4dof(0.0, np.array([0.0, 0.0, 1e-3]), flat_structure)
-        u = out.u_raw
+        u = Controller(flat_structure).pinv @ np.array([0.0, 0.0, 0.0, 1e-3])
         assert u[0] > 0 and u[2] > 0 and u[1] < 0 and u[3] < 0
 
     def test_consistency_and_minimality(self, tilt10_structure):
         rng = np.random.default_rng(31)
-        a4, _ = reduced_map_4dof(tilt10_structure)
+        ctrl = Controller(tilt10_structure)
         for _ in range(50):
             b = np.concatenate([[rng.uniform(0, 5)], rng.uniform(-0.02, 0.02, 3)])
-            out = allocate_4dof(b[0], b[1:], tilt10_structure)
-            np.testing.assert_allclose(a4 @ out.u_raw, b, atol=1e-9)
-            assert np.linalg.norm(out.u_raw) <= np.linalg.norm(min_norm_oracle(a4, b)) + 1e-9
+            u = ctrl.pinv @ b
+            np.testing.assert_allclose(ctrl.reduced_map @ u, b, atol=1e-9)
+            assert np.linalg.norm(u) <= np.linalg.norm(min_norm_oracle(ctrl.reduced_map, b)) + 1e-9
 
     def test_saturation_flag(self, flat_structure):
-        out = allocate_4dof(100.0, np.zeros(3), flat_structure)
+        out = Controller(flat_structure).step(level_state(), still_sample(r=(0, 0, 100.0)))
         assert out.saturated
         assert np.all(out.u <= flat_structure.f_max + 1e-15)
 
@@ -224,14 +236,12 @@ class TestAllocate5:
     def test_symmetric_hover_split(self, pitch_pair_structure):
         # Eight rotors tilted 30 degrees sharing a pure strong-axis force.
         nm_g = pitch_pair_structure.total_mass * G
-        out = allocate_5dof(nm_g, 0.0, np.zeros(3), pitch_pair_structure)
+        u = Controller(pitch_pair_structure).pinv @ np.array([nm_g, 0.0, 0.0, 0.0, 0.0])
         expected = nm_g / (8.0 * np.cos(np.pi / 6))
-        np.testing.assert_allclose(out.u_raw, np.full(8, expected), atol=1e-12)
-        assert not out.saturated
+        np.testing.assert_allclose(u, np.full(8, expected), atol=1e-12)
 
     def test_lateral_force_antisymmetric(self, pitch_pair_structure):
-        out = allocate_5dof(0.0, 1.0, np.zeros(3), pitch_pair_structure)
-        u = out.u_raw
+        u = Controller(pitch_pair_structure).pinv @ np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         # Modules tilt opposite ways, so net lateral force needs opposing
         # thrust sums; strong-axis force stays zero.
         assert abs(np.sum(u[:4]) + np.sum(u[4:])) < 1e-12
@@ -239,40 +249,28 @@ class TestAllocate5:
 
     def test_consistency_and_minimality(self, pitch_pair_structure):
         rng = np.random.default_rng(33)
-        a5, fallback = reduced_map_5dof(pitch_pair_structure)
-        assert not fallback
+        ctrl = Controller(pitch_pair_structure)
+        np.testing.assert_array_equal(ctrl.rows, [2, 0, 3, 4, 5])
         for _ in range(50):
             b = np.concatenate([rng.uniform([0, -1], [6, 1]), rng.uniform(-0.02, 0.02, 3)])
-            out = allocate_5dof(b[0], b[1], b[2:], pitch_pair_structure)
-            np.testing.assert_allclose(a5 @ out.u_raw, b, atol=1e-9)
-            assert np.linalg.norm(out.u_raw) <= np.linalg.norm(min_norm_oracle(a5, b)) + 1e-9
+            u = ctrl.pinv @ b
+            np.testing.assert_allclose(ctrl.reduced_map @ u, b, atol=1e-9)
+            assert np.linalg.norm(u) <= np.linalg.norm(min_norm_oracle(ctrl.reduced_map, b)) + 1e-9
 
     def test_wrong_rank_rejected(self, flat_structure):
+        # A single module has no force along the thrust frame's x-axis.
         with pytest.raises(AllocationError):
-            allocate_5dof(1.0, 0.0, np.zeros(3), flat_structure)
-
-    def test_fallback_row_removal_consumes_f_y(self, pitch_pair_structure):
-        # The alternate row removal swaps the lateral command from the x- to
-        # the y-component. Exercised through the cache since no shared-tilt
-        # assembly produces a deficient primary variant.
-        rng = np.random.default_rng(34)
-        fake = rng.normal(size=(5, 8))
-        from modrotor.control import _pinv
-        cache = (fake, True, _pinv(fake))
-        out = allocate_5dof(1.0, 123.0, np.zeros(3), pitch_pair_structure,
-                            f_y=0.25, _cache=cache)
-        np.testing.assert_allclose(
-            fake @ out.u_raw, [1.0, 0.25, 0.0, 0.0, 0.0], atol=1e-9
-        )
+            Controller(replace(flat_structure, rank_f=2))
 
 
 class TestAllocate6:
     def test_hover_equilibrium(self, quad_tilt_structure):
-        state = level_state()
-        out = allocate_6dof(G * E3, np.zeros(3), state, quad_tilt_structure)
+        state = level_state(r_ws=quad_tilt_structure.r_sf.T)
+        out = Controller(quad_tilt_structure).step(state, still_sample())
         wrench = quad_tilt_structure.thrust_map @ out.u_raw
         np.testing.assert_allclose(
-            wrench[:3], quad_tilt_structure.total_mass * G * E3, atol=1e-9
+            wrench[:3], quad_tilt_structure.total_mass * G * quad_tilt_structure.r_sf @ E3,
+            atol=1e-9,
         )
         np.testing.assert_allclose(wrench[3:], np.zeros(3), atol=1e-9)
         assert np.all(out.u_raw > 0)
@@ -280,32 +278,34 @@ class TestAllocate6:
     def test_lateral_acceleration_realized(self, quad_tilt_structure):
         from modrotor import accelerations
         a_cmd = np.array([0.8, -0.4, G + 0.3])
-        state = level_state()
-        out = allocate_6dof(a_cmd, np.zeros(3), state, quad_tilt_structure)
+        state = level_state(r_ws=quad_tilt_structure.r_sf.T)
+        out = Controller(quad_tilt_structure).step(state, still_sample(a_r=a_cmd))
         assert not out.saturated
         rdd, wdd = accelerations(quad_tilt_structure, state, out.u_raw, G)
         np.testing.assert_allclose(rdd, a_cmd - G * E3, atol=1e-9)
         np.testing.assert_allclose(wdd, np.zeros(3), atol=1e-9)
 
     def test_torque_command_does_not_disturb_force(self, quad_tilt_structure):
-        state = level_state()
-        base = allocate_6dof(G * E3, np.zeros(3), state, quad_tilt_structure)
-        spun = allocate_6dof(G * E3, np.array([0, 0, 2.0]), state, quad_tilt_structure)
-        f_base = (quad_tilt_structure.thrust_map @ base.u_raw)[:3]
-        f_spun = (quad_tilt_structure.thrust_map @ spun.u_raw)[:3]
+        pinv = Controller(quad_tilt_structure).pinv
+        nm_g = quad_tilt_structure.total_mass * G
+        tau_cmd = quad_tilt_structure.inertia @ [0, 0, 2.0]
+        base = pinv @ np.array([0.0, 0.0, nm_g, 0.0, 0.0, 0.0])
+        spun = pinv @ np.concatenate([[0.0, 0.0, nm_g], tau_cmd])
+        f_base = (quad_tilt_structure.thrust_map @ base)[:3]
+        f_spun = (quad_tilt_structure.thrust_map @ spun)[:3]
         np.testing.assert_allclose(f_base, f_spun, atol=1e-9)
-        tau = (quad_tilt_structure.thrust_map @ spun.u_raw)[3:]
-        np.testing.assert_allclose(tau, quad_tilt_structure.inertia @ [0, 0, 2.0], atol=1e-9)
+        tau = (quad_tilt_structure.thrust_map @ spun)[3:]
+        np.testing.assert_allclose(tau, tau_cmd, atol=1e-9)
 
     def test_rank_deficient_rejected(self, pitch_pair_structure):
         with pytest.raises(AllocationError):
-            allocate_6dof(G * E3, np.zeros(3), level_state(), pitch_pair_structure)
+            Controller(replace(pitch_pair_structure, rank_f=3))
 
 
 class TestControllerStep:
     def test_flat_hover_uniform_quarter_weight(self, flat_structure):
         state = level_state(r=(0, 0, 0.7))
-        out = controller_step(flat_structure, state, still_sample(r=(0, 0, 0.7)))
+        out = Controller(flat_structure).step(state, still_sample(r=(0, 0, 0.7)))
         np.testing.assert_allclose(
             out.u, np.full(4, flat_structure.total_mass * G / 4.0), atol=1e-12
         )
@@ -316,15 +316,16 @@ class TestControllerStep:
         for name, structure in all_structures.items():
             state = level_state(r=(0, 0, 0.7), r_ws=structure.r_sf.T)
             sample = still_sample(r=(0, 0, 0.7))
-            out = controller_step(structure, state, sample)
-            assert out.mode == expected[name]
+            ctrl = Controller(structure)
+            assert ctrl.mode == expected[name]
+            assert ctrl.step(state, sample).mode == expected[name]
 
     def test_six_dof_tracks_explicit_attitude(self, quad_tilt_structure):
         sample = TrajectorySample(
             t=0.0, r_d=np.array([0, 0, 0.7]), v_d=np.zeros(3), a_d=np.zeros(3),
             r_wf_d=rot_z(0.3),
         )
-        out = controller_step(quad_tilt_structure, level_state(r=(0, 0, 0.7)), sample)
+        out = Controller(quad_tilt_structure).step(level_state(r=(0, 0, 0.7)), sample)
         np.testing.assert_array_equal(out.desired_attitude, rot_z(0.3))
 
     def test_negative_thrust_clamped_in_4dof(self, flat_structure):
@@ -332,19 +333,31 @@ class TestControllerStep:
         sample = TrajectorySample(
             t=0.0, r_d=np.array([0, 0, -100.0]), v_d=np.zeros(3), a_d=np.zeros(3),
         )
-        out = controller_step(flat_structure, level_state(), sample)
+        out = Controller(flat_structure).step(level_state(), sample)
         f_realized = out.desired_wrench.force
         assert np.linalg.norm(f_realized) < 1e-12
 
-    def test_controller_instance_matches_free_function(self, pitch_pair_structure):
+    def test_reused_controller_matches_fresh_one(self, pitch_pair_structure):
+        # A step leaves no state behind: a controller that has already run
+        # answers the next state exactly as a freshly built one does.
         gains = default_gains()
         ctrl = Controller(pitch_pair_structure, gains)
-        state = level_state(r=(0.05, -0.02, 0.68), v=(0.1, 0, -0.05))
         sample = still_sample(r=(0, 0, 0.7), pitch=np.deg2rad(-5))
+        ctrl.step(level_state(r=(0.3, 0.1, 0.5), v=(0, 0.2, 0)), sample)
+        state = level_state(r=(0.05, -0.02, 0.68), v=(0.1, 0, -0.05))
         a = ctrl.step(state, sample)
-        b = controller_step(pitch_pair_structure, state, sample, gains)
+        b = Controller(pitch_pair_structure, gains).step(state, sample)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.desired_attitude, b.desired_attitude)
+
+    def test_desired_wrench_is_realized_by_u_raw(self, all_structures):
+        # The commanded body wrench has no component outside the mode's rows,
+        # so the unclamped thrusts realize all of it.
+        for structure in all_structures.values():
+            state = level_state(r=(0.05, -0.02, 0.68), v=(0.1, 0, -0.05), r_ws=structure.r_sf.T)
+            out = Controller(structure).step(state, still_sample(r=(0, 0, 0.7), yaw=0.2))
+            wrench = np.concatenate([out.desired_wrench.force, out.desired_wrench.torque])
+            np.testing.assert_allclose(structure.thrust_map @ out.u_raw, wrench, atol=1e-12)
 
 
 def test_gains_validation():

@@ -152,3 +152,6 @@ def test_state_and_params_validation(flat_structure):
         SimParams(dt=0.0)
     with pytest.raises(ValueError):
         SimParams(dt=0.1, duration=0.05)
+    for bad in ({"dt": np.nan}, {"dt": np.inf}, {"duration": np.nan}, {"duration": np.inf}):
+        with pytest.raises(ValueError):
+            SimParams(**bad)

@@ -7,13 +7,10 @@ from modrotor import (
     actuation_ellipsoid,
     assemble,
     build_r_module,
-    design_matrix,
-    f_frame,
     module_wrench,
     numerical_rank,
-    structure_inertia,
 )
-from modrotor.structure import ellipsoid_xz_polygon
+from modrotor.structure import _thrust_frame, ellipsoid_xz_polygon
 from modrotor.so3 import E3, rot_y
 
 
@@ -32,8 +29,8 @@ def brute_force_wrench(structure, u):
     return np.concatenate([force, torque])
 
 
-def test_single_flat_module_design_matrix(flat_structure):
-    a = design_matrix(flat_structure)
+def test_single_flat_module_thrust_map(flat_structure):
+    a = flat_structure.thrust_map
     assert a.shape == (6, 4)
     for k in range(4):
         np.testing.assert_allclose(a[:3, k], E3, atol=0)
@@ -63,7 +60,7 @@ def test_quad_tilt_rank_and_frame(quad_tilt_structure):
     assert np.linalg.norm(quad_tilt_structure.r_sf - np.eye(3)) < 1e-9
 
 
-def test_design_matrix_matches_brute_force(all_structures):
+def test_thrust_map_matches_brute_force(all_structures):
     rng = np.random.default_rng(21)
     for structure in all_structures.values():
         for _ in range(100):
@@ -96,22 +93,27 @@ def test_strong_axis_maximizes_force_gain(all_structures):
         assert np.linalg.norm(structure.force_map.T @ z_f) >= best_sampled - 1e-6
 
 
-def test_f_frame_invariant_under_module_permutation():
+def test_r_sf_invariant_under_module_permutation():
     m_plus = build_r_module(beta=np.pi / 6)
     m_minus = build_r_module(beta=-np.pi / 6)
     s1 = assemble([ModulePlacement(m_plus, (0, 0)), ModulePlacement(m_minus, (1, 0))])
     s2 = assemble([ModulePlacement(m_minus, (1, 0)), ModulePlacement(m_plus, (0, 0))])
-    np.testing.assert_allclose(f_frame(s1), f_frame(s2), atol=1e-12)
+    np.testing.assert_allclose(s1.r_sf, s2.r_sf, atol=1e-12)
 
 
-def test_f_frame_recompute_matches_assembly(all_structures):
+def test_r_sf_is_thrust_frame_of_force_map(all_structures):
     for structure in all_structures.values():
-        np.testing.assert_allclose(f_frame(structure), structure.r_sf, atol=0)
+        first_rotor = (structure.module_rotations[0]
+                       @ structure.placements[0].module.propellers[0].orientation)
+        np.testing.assert_allclose(
+            _thrust_frame(structure.force_map, structure.rank_f, first_rotor),
+            structure.r_sf, atol=0,
+        )
 
 
 def test_single_module_inertia_passthrough(flat_structure):
     np.testing.assert_allclose(
-        structure_inertia(flat_structure),
+        flat_structure.inertia,
         flat_structure.placements[0].module.inertia,
         atol=0,
     )
@@ -120,14 +122,14 @@ def test_single_module_inertia_passthrough(flat_structure):
 def test_two_module_inertia_parallel_axis(pitch_pair_structure):
     # Hand values for two 0.135 kg modules 0.12 m apart along x:
     # Ixx stacks, Iyy and Izz gain 2 m (l/2)^2 = 9.72e-4.
-    i_s = structure_inertia(pitch_pair_structure)
+    i_s = pitch_pair_structure.inertia
     np.testing.assert_allclose(i_s[0, 0], 4.05e-4, rtol=1e-12)
     np.testing.assert_allclose(i_s[1, 1], 1.377e-3, rtol=1e-12)
     np.testing.assert_allclose(i_s[2, 2], 1.62e-3, rtol=1e-12)
 
 
 def test_square_block_inertia_diagonal(quad_tilt_structure):
-    i_s = structure_inertia(quad_tilt_structure)
+    i_s = quad_tilt_structure.inertia
     np.testing.assert_allclose(i_s, np.diag(np.diag(i_s)), atol=1e-12)
 
 
