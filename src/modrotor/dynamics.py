@@ -11,23 +11,35 @@ and rotation follows Euler's equation
 
     omega_dot = I_S^-1 (A_tau @ u - omega x I_S omega).
 
-Steps use a fourth-order Runge-Kutta scheme where the attitude advances
-through the exponential map of an accumulated rotation increment, so R_WS
-never leaves the rotation group by more than roundoff; it is polar
-re-orthonormalized once per step. Thrust is held constant across a step.
+Steps use a fourth-order Runge-Kutta scheme of the Munthe-Kaas (RKMK) type:
+the attitude advances through the exponential map of an accumulated
+rotation increment phi, so R_WS never leaves the rotation group by more
+than roundoff; it is polar re-orthonormalized once per step. Thrust is held
+constant across a step, so the body force and torque are computed once per
+step with one matrix product.
+
+The step is a flat kernel: the four stages, the Rodrigues rotation, the
+final update and the polar pass run on Python floats, which avoids the
+per-call cost of numpy on 3-vectors and 3x3 matrices. Float arithmetic
+overflows to inf and NaN without warnings, and the kernel checks its result
+for finiteness, raising IntegrationError. Only that checked result skips
+``RigidState`` validation; states built by callers are always validated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError
-from .so3 import E3, cross3, exp_map
+from .so3 import rodrigues
 from .structure import StructureModel
 
 GRAVITY = 9.81  # m/s^2
+_TWELFTH = 1.0 / 12.0
+_STATE_SHAPES = {"r": (3,), "v": (3,), "r_ws": (3, 3), "omega": (3,)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +57,21 @@ class RigidState:
     omega: np.ndarray
 
     def __post_init__(self):
-        for name in ("r", "v", "r_ws", "omega"):
+        for name, shape in _STATE_SHAPES.items():
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"state field {name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"state field {name} has non-finite entries")
             object.__setattr__(self, name, arr)
-        if self.r_ws.shape != (3, 3):
-            raise ValueError("r_ws must be 3x3")
+
+    @classmethod
+    def _checked(cls, r, v, r_ws, omega) -> RigidState:
+        """A state from fresh, finite float64 arrays of the right shapes,
+        which the caller has already checked; skips ``__post_init__``."""
+        state = object.__new__(cls)
+        state.__dict__.update(r=r, v=v, r_ws=r_ws, omega=omega)
+        return state
 
 
 @dataclass(frozen=True)
@@ -82,30 +102,88 @@ def accelerations(
     u = np.asarray(u, dtype=float)
     if u.shape != (4 * structure.n,):
         raise ValueError(f"u must have {4 * structure.n} entries, got shape {u.shape}")
-    return _newton_euler(structure, state.r_ws, state.omega, u, gravity)
+    k = _derivative(_flat_state(state), *_step_model(structure, state, u, gravity))
+    return np.array(k[3:6]), np.array(k[9:12])
 
 
-def _newton_euler(structure, r_ws, omega, u, gravity):
-    """Linear (world) and angular (body) acceleration at attitude ``r_ws``."""
-    r_ddot = r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
-    torque = structure.torque_map @ u
-    omega_dot = structure.inertia_inv @ (torque - cross3(omega, structure.inertia @ omega))
-    return r_ddot, omega_dot
+def _flat_state(state):
+    """The 12 floats (r, v, phi, omega) a step starts from; phi is zero."""
+    return (*state.r.tolist(), *state.v.tolist(), 0.0, 0.0, 0.0, *state.omega.tolist())
 
 
-def _derivative(structure, r_ws0, v, phi, omega, u, gravity):
-    """Time derivative of (r, v, phi, omega); phi is the in-step rotation
-    increment so the attitude is r_ws0 @ exp_map(phi)."""
-    if phi[0] == 0.0 and phi[1] == 0.0 and phi[2] == 0.0:
-        r_ws = r_ws0
-        phi_dot = omega
+def _step_model(structure, state, u, gravity):
+    """The floats a step holds fixed: attitude at the step start, body force
+    per unit mass, body torque, inertia and its inverse (row-major), gravity."""
+    # Overflowing thrusts become non-finite values that step reports as
+    # IntegrationError, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        wrench = structure.thrust_map.dot(u).tolist()
+    mass = structure.total_mass
+    return (
+        state.r_ws.ravel().tolist(),
+        (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
+        wrench[3:],
+        structure.inertia.ravel().tolist(),
+        structure.inertia_inv.ravel().tolist(),
+        float(gravity),
+    )
+
+
+def _derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
+    """Newton-Euler derivative of the in-step state y = (r, v, phi, omega).
+
+    phi is the in-step rotation increment, so the attitude is
+    r_ws0 @ exp_map(phi). Takes and returns 12 floats.
+    """
+    _, _, _, vx, vy, vz, px, py, pz, wx, wy, wz = y
+    fx, fy, fz = force
+    if px == 0.0 and py == 0.0 and pz == 0.0:
+        dpx, dpy, dpz = wx, wy, wz
     else:
-        r_ws = r_ws0 @ exp_map(phi)
+        # Body force rotated by exp_map(phi), ahead of r_ws0 below.
+        e0, e1, e2, e3, e4, e5, e6, e7, e8 = rodrigues(px, py, pz)
+        fx, fy, fz = (
+            e0 * fx + e1 * fy + e2 * fz,
+            e3 * fx + e4 * fy + e5 * fz,
+            e6 * fx + e7 * fy + e8 * fz,
+        )
         # Rotation-increment kinematics: the correction terms keep the
         # update fourth-order accurate for finite increments.
-        phi_dot = omega + 0.5 * cross3(phi, omega) + (1.0 / 12.0) * cross3(phi, cross3(phi, omega))
-    r_ddot, omega_dot = _newton_euler(structure, r_ws, omega, u, gravity)
-    return v, r_ddot, phi_dot, omega_dot
+        cx, cy, cz = py * wz - pz * wy, pz * wx - px * wz, px * wy - py * wx
+        dpx = wx + 0.5 * cx + _TWELFTH * (py * cz - pz * cy)
+        dpy = wy + 0.5 * cy + _TWELFTH * (pz * cx - px * cz)
+        dpz = wz + 0.5 * cz + _TWELFTH * (px * cy - py * cx)
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r_ws0
+    ax = r0 * fx + r1 * fy + r2 * fz
+    ay = r3 * fx + r4 * fy + r5 * fz
+    az = r6 * fx + r7 * fy + r8 * fz - gravity
+    # Euler's equation: I_S^-1 (torque - omega x I_S omega).
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = inertia
+    hx = i0 * wx + i1 * wy + i2 * wz
+    hy = i3 * wx + i4 * wy + i5 * wz
+    hz = i6 * wx + i7 * wy + i8 * wz
+    tx, ty, tz = torque
+    gx = tx - (wy * hz - wz * hy)
+    gy = ty - (wz * hx - wx * hz)
+    gz = tz - (wx * hy - wy * hx)
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = inertia_inv
+    return (
+        vx, vy, vz, ax, ay, az, dpx, dpy, dpz,
+        j0 * gx + j1 * gy + j2 * gz,
+        j3 * gx + j4 * gy + j5 * gz,
+        j6 * gx + j7 * gy + j8 * gz,
+    )
+
+
+def _matmul3(a, b):
+    """Product of two 3x3 matrices given as row-major 9-sequences."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
 
 
 def step(
@@ -116,50 +194,43 @@ def step(
     gravity: float = GRAVITY,
 ) -> RigidState:
     """Advance one step of length ``dt`` with thrusts held constant."""
-    u = np.asarray(u, dtype=float)
-    r0, v0, omega0 = state.r, state.v, state.omega
-    zero = np.zeros(3)
+    model = _step_model(structure, state, np.asarray(u, dtype=float), gravity)
+    dt = float(dt)
+    y0 = _flat_state(state)
 
-    # Overflow is reported as IntegrationError below, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _derivative(structure, state.r_ws, v0, zero, omega0, u, gravity)
-        k2 = _derivative(
-            structure, state.r_ws,
-            v0 + 0.5 * dt * k1[1], 0.5 * dt * k1[2], omega0 + 0.5 * dt * k1[3], u, gravity,
-        )
-        k3 = _derivative(
-            structure, state.r_ws,
-            v0 + 0.5 * dt * k2[1], 0.5 * dt * k2[2], omega0 + 0.5 * dt * k2[3], u, gravity,
-        )
-        k4 = _derivative(
-            structure, state.r_ws,
-            v0 + dt * k3[1], dt * k3[2], omega0 + dt * k3[3], u, gravity,
-        )
-
-        sixth = dt / 6.0
-        r1 = r0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v1 = v0 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        phi = sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        omega1 = omega0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-    if not (
-        np.all(np.isfinite(r1))
-        and np.all(np.isfinite(v1))
-        and np.all(np.isfinite(phi))
-        and np.all(np.isfinite(omega1))
-    ):
+    half = 0.5 * dt
+    k1 = _derivative(y0, *model)
+    k2 = _derivative([a + half * b for a, b in zip(y0, k1)], *model)
+    k3 = _derivative([a + half * b for a, b in zip(y0, k2)], *model)
+    k4 = _derivative([a + dt * b for a, b in zip(y0, k3)], *model)
+    sixth = dt / 6.0
+    y1 = [
+        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
+    ]
+    if not all(map(math.isfinite, y1)):
         raise IntegrationError(
-            f"integration produced non-finite values (|v|={np.linalg.norm(v0):.3e}, "
-            f"|omega|={np.linalg.norm(omega0):.3e}, dt={dt})"
+            f"integration produced non-finite values (|v|={math.hypot(*y0[3:6]):.3e}, "
+            f"|omega|={math.hypot(*y0[9:]):.3e}, dt={dt})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_ws1 = state.r_ws @ exp_map(phi)
-        # One symmetric orthogonalization pass; the exponential update
-        # drifts by roundoff only, so this keeps R on the rotation group
-        # indefinitely.
-        r_ws1 = r_ws1 @ (1.5 * np.eye(3) - 0.5 * (r_ws1.T @ r_ws1))
-    if not np.all(np.isfinite(r_ws1)):
+
+    phi = y1[6:9]
+    r_ws1 = _matmul3(model[0], rodrigues(*phi))
+    # One symmetric orthogonalization pass, r_ws1 (1.5 I - 0.5 r_ws1^T r_ws1);
+    # the exponential update drifts by roundoff only, so this keeps R on the
+    # rotation group indefinitely.
+    transposed = r_ws1[0::3] + r_ws1[1::3] + r_ws1[2::3]
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = _matmul3(transposed, r_ws1)
+    r_ws1 = _matmul3(r_ws1, (
+        1.5 - 0.5 * g0, -0.5 * g1, -0.5 * g2,
+        -0.5 * g3, 1.5 - 0.5 * g4, -0.5 * g5,
+        -0.5 * g6, -0.5 * g7, 1.5 - 0.5 * g8,
+    ))
+    if not all(map(math.isfinite, r_ws1)):
         raise IntegrationError(
-            f"attitude update overflowed (|phi|={np.linalg.norm(phi):.3e}, dt={dt})"
+            f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, dt={dt})"
         )
-    return RigidState(r=r1, v=v1, r_ws=r_ws1, omega=omega1)
+    return RigidState._checked(
+        r=np.array(y1[0:3]), v=np.array(y1[3:6]), r_ws=np.array(r_ws1).reshape(3, 3),
+        omega=np.array(y1[9:12]),
+    )

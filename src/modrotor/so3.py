@@ -7,6 +7,8 @@ stays directly readable against the dynamics and control expressions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -83,14 +85,35 @@ def vee(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+def rodrigues(x: float, y: float, z: float) -> tuple[float, ...]:
+    """Row-major entries of the rotation exp(hat(v)) for v = (x, y, z).
+
+    Closed form I + a K + b K^2 with K = hat(v), a = sin(t)/t and
+    b = (1 - cos t)/t^2 for the angle t = |v|; K^2 = v v^T - t^2 I. Works
+    on Python floats, so a non-finite v gives NaN entries rather than an
+    exception or a warning.
+    """
+    xx, yy, zz = x * x, y * y, z * z
+    angle = math.sqrt(xx + yy + zz)
+    if angle < _TAYLOR_ANGLE:
+        a, b = 1.0, 0.5
+    elif angle < math.inf:
+        a, b = math.sin(angle) / angle, (1.0 - math.cos(angle)) / (angle * angle)
+    else:
+        a = b = math.nan
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return (
+        1.0 - b * (yy + zz), bxy - az, bxz + ay,
+        bxy + az, 1.0 - b * (xx + zz), byz - ax,
+        bxz - ay, byz + ax, 1.0 - b * (xx + yy),
+    )
+
+
 def exp_map(v: np.ndarray) -> np.ndarray:
     """Rodrigues rotation for the rotation vector v (axis times angle)."""
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    k = hat(v)
-    if angle < _TAYLOR_ANGLE:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    return np.eye(3) + (np.sin(angle) / angle) * k + ((1.0 - np.cos(angle)) / angle**2) * (k @ k)
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array(rodrigues(x, y, z)).reshape(3, 3)
 
 
 def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:

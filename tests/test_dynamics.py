@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,13 +143,130 @@ def test_attitude_stays_on_rotation_group(flat_structure):
 
 def test_non_finite_state_raises(flat_structure):
     state = level_state(v=(1e308, 0, 0))
-    with pytest.raises(IntegrationError):
-        step(flat_structure, state, np.zeros(4), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"\|v\|=1\.000e\+308"):
+            step(flat_structure, state, np.zeros(4), 10.0)
+
+
+@pytest.mark.parametrize(
+    "state, u, dt, message",
+    [
+        (level_state(omega=(0.6e200, 0, 0.8e200)), np.zeros(4), 1e-3, r"\|omega\|=1\.000e\+200"),
+        (level_state(), np.array([1e300, 0.0, 0.0, 0.0]), 10.0, "non-finite"),
+        (RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=1e200 * np.eye(3), omega=np.zeros(3)),
+         np.zeros(4), 1e-3, "attitude update overflowed"),
+    ],
+    ids=["omega", "u", "r_ws"],
+)
+def test_divergence_raises_integration_error_only(flat_structure, state, u, dt, message):
+    # Overflow must surface as IntegrationError with a finite magnitude in
+    # its message: no ValueError or OverflowError from float math and no
+    # numpy warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=message):
+            step(flat_structure, state, u, dt)
+
+
+def test_step_returns_fresh_float_arrays(quad_tilt_structure):
+    state = level_state(v=(1.0, 0.0, 0.0), omega=(0.3, 0.2, 1.0))
+    nxt = step(quad_tilt_structure, state, np.ones(16), 1e-3)
+    fields = {"r": (3,), "v": (3,), "r_ws": (3, 3), "omega": (3,)}
+    for name, shape in fields.items():
+        arr = getattr(nxt, name)
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.shape == shape
+        assert not any(np.shares_memory(arr, getattr(state, other)) for other in fields)
+        assert not any(np.shares_memory(arr, getattr(nxt, other)) for other in fields if other != name)
+
+
+# The numpy RKMK step that the flat kernel replaced, kept as the oracle for
+# the float-level kernel: same stages, same Rodrigues formula, same polar pass.
+
+
+def _oracle_cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def _oracle_exp_map(v):
+    angle = np.linalg.norm(v)
+    k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    if angle < 1e-8:
+        return np.eye(3) + k + 0.5 * (k @ k)
+    return np.eye(3) + (np.sin(angle) / angle) * k + ((1.0 - np.cos(angle)) / angle**2) * (k @ k)
+
+
+def _oracle_newton_euler(structure, r_ws, omega, u, gravity):
+    r_ddot = r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
+    torque = structure.torque_map @ u
+    omega_dot = structure.inertia_inv @ (torque - _oracle_cross(omega, structure.inertia @ omega))
+    return r_ddot, omega_dot
+
+
+def _oracle_derivative(structure, r_ws0, v, phi, omega, u, gravity):
+    if phi[0] == 0.0 and phi[1] == 0.0 and phi[2] == 0.0:
+        r_ws, phi_dot = r_ws0, omega
+    else:
+        r_ws = r_ws0 @ _oracle_exp_map(phi)
+        phi_dot = (omega + 0.5 * _oracle_cross(phi, omega)
+                   + (1.0 / 12.0) * _oracle_cross(phi, _oracle_cross(phi, omega)))
+    r_ddot, omega_dot = _oracle_newton_euler(structure, r_ws, omega, u, gravity)
+    return v, r_ddot, phi_dot, omega_dot
+
+
+def _oracle_step(structure, state, u, dt, gravity=9.81):
+    r0, v0, omega0 = state.r, state.v, state.omega
+    k1 = _oracle_derivative(structure, state.r_ws, v0, np.zeros(3), omega0, u, gravity)
+    k2 = _oracle_derivative(structure, state.r_ws, v0 + 0.5 * dt * k1[1], 0.5 * dt * k1[2],
+                            omega0 + 0.5 * dt * k1[3], u, gravity)
+    k3 = _oracle_derivative(structure, state.r_ws, v0 + 0.5 * dt * k2[1], 0.5 * dt * k2[2],
+                            omega0 + 0.5 * dt * k2[3], u, gravity)
+    k4 = _oracle_derivative(structure, state.r_ws, v0 + dt * k3[1], dt * k3[2],
+                            omega0 + dt * k3[3], u, gravity)
+    sixth = dt / 6.0
+    r1, v1, phi, omega1 = (
+        base + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+        for i, base in enumerate((r0, v0, 0.0, omega0))
+    )
+    r_ws1 = state.r_ws @ _oracle_exp_map(phi)
+    r_ws1 = r_ws1 @ (1.5 * np.eye(3) - 0.5 * (r_ws1.T @ r_ws1))
+    return r1, v1, r_ws1, omega1
+
+
+def test_step_matches_numpy_oracle(all_structures):
+    # 4 fixtures x 160 random states, thrusts, steps and gravities.
+    rng = np.random.default_rng(20)
+    for structure in all_structures.values():
+        for _ in range(160):
+            state = RigidState(
+                r=rng.normal(size=3), v=rng.normal(size=3),
+                r_ws=exp_map(rng.normal(size=3) * 2.0), omega=rng.normal(size=3) * 2.0,
+            )
+            u = rng.uniform(0.0, 1.0, size=4 * structure.n) * structure.f_max
+            dt = float(rng.choice([1e-3, 5e-3, 2e-2]))
+            gravity = float(rng.uniform(9.0, 10.0))
+            got = step(structure, state, u, dt, gravity)
+            for name, want in zip(("r", "v", "r_ws", "omega"),
+                                  _oracle_step(structure, state, u, dt, gravity)):
+                np.testing.assert_allclose(getattr(got, name), want, rtol=0, atol=1e-13,
+                                           err_msg=name)
+
+            r_ddot, omega_dot = accelerations(structure, state, u, gravity)
+            want_r_ddot, want_omega_dot = _oracle_newton_euler(
+                structure, state.r_ws, state.omega, u, gravity)
+            np.testing.assert_allclose(r_ddot, want_r_ddot, rtol=1e-14, atol=1e-13)
+            np.testing.assert_allclose(omega_dot, want_omega_dot, rtol=1e-14, atol=1e-13)
 
 
 def test_state_and_params_validation(flat_structure):
     with pytest.raises(ValueError):
         RigidState(r=[np.nan, 0, 0], v=np.zeros(3), r_ws=np.eye(3), omega=np.zeros(3))
+    for bad in ({"r": np.zeros(4)}, {"v": np.zeros((3, 1))}, {"r_ws": np.eye(4)},
+                {"omega": np.zeros(2)}, {"r_ws": np.full((3, 3), np.inf)}):
+        fields = dict(r=np.zeros(3), v=np.zeros(3), r_ws=np.eye(3), omega=np.zeros(3))
+        fields.update(bad)
+        with pytest.raises(ValueError):
+            RigidState(**fields)
     with pytest.raises(ValueError):
         SimParams(dt=0.0)
     with pytest.raises(ValueError):
