@@ -105,20 +105,17 @@ def write_run_csv(result: RunResult, structure: StructureModel, out_path: str) -
         + [f"u{k + 1:02d}_n" for k in range(n_u)]
         + ["saturated"]
     )
+    columns = (result.t, result.pos, result.pos_des, result.euler_f, result.pos_err, result.u,
+               result.saturated)
+    t, pos, pos_des, euler, pos_err, u, saturated = (c.tolist() for c in columns)
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for k in range(result.t.size):
-            row = (
-                [_fmt(result.t[k])]
-                + [_fmt(v) for v in result.pos[k]]
-                + [_fmt(v) for v in result.pos_des[k]]
-                + [_fmt(v) for v in result.euler_f[k]]
-                + [_fmt(result.pos_err[k])]
-                + [_fmt(v) for v in result.u[k]]
-                + [int(result.saturated[k])]
+        for k in range(len(t)):
+            writer.writerow(
+                [_fmt(t[k]), *map(_fmt, pos[k]), *map(_fmt, pos_des[k]), *map(_fmt, euler[k]),
+                 _fmt(pos_err[k]), *map(_fmt, u[k]), int(saturated[k])]
             )
-            writer.writerow(row)
 
 
 def cmd_simulate(config: StructureConfig, out_path: str) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .so3 import rodrigues
+from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
 GRAVITY = 9.81  # m/s^2
@@ -175,17 +175,6 @@ def _derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
     )
 
 
-def _matmul3(a, b):
-    """Product of two 3x3 matrices given as row-major 9-sequences."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-    )
-
-
 def step(
     structure: StructureModel,
     state: RigidState,
@@ -215,13 +204,13 @@ def step(
         )
 
     phi = y1[6:9]
-    r_ws1 = _matmul3(model[0], rodrigues(*phi))
+    r_ws1 = matmul3(model[0], rodrigues(*phi))
     # One symmetric orthogonalization pass, r_ws1 (1.5 I - 0.5 r_ws1^T r_ws1);
     # the exponential update drifts by roundoff only, so this keeps R on the
     # rotation group indefinitely.
     transposed = r_ws1[0::3] + r_ws1[1::3] + r_ws1[2::3]
-    g0, g1, g2, g3, g4, g5, g6, g7, g8 = _matmul3(transposed, r_ws1)
-    r_ws1 = _matmul3(r_ws1, (
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = matmul3(transposed, r_ws1)
+    r_ws1 = matmul3(r_ws1, (
         1.5 - 0.5 * g0, -0.5 * g1, -0.5 * g2,
         -0.5 * g3, 1.5 - 0.5 * g4, -0.5 * g5,
         -0.5 * g6, -0.5 * g7, 1.5 - 0.5 * g8,

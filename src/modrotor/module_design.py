@@ -30,6 +30,14 @@ class Wrench:
         if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
             raise ValueError("wrench entries must be finite")
 
+    @classmethod
+    def _checked(cls, force, torque) -> Wrench:
+        """A wrench from fresh, finite float64 arrays of shape (3,), which
+        the caller has already checked; skips ``__post_init__``."""
+        wrench = object.__new__(cls)
+        wrench.__dict__.update(force=force, torque=torque)
+        return wrench
+
 
 @dataclass(frozen=True, eq=False)
 class PropellerSpec:

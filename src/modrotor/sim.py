@@ -9,6 +9,7 @@ saturation flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,9 @@ from .trajectory import TrajectorySample
 
 def euler_zyx(r: np.ndarray) -> tuple[float, float, float]:
     """(yaw, pitch, roll) of a rotation matrix, z-y-x convention."""
-    pitch = -np.arcsin(np.clip(r[2, 0], -1.0, 1.0))
-    yaw = np.arctan2(r[1, 0], r[0, 0])
-    roll = np.arctan2(r[2, 1], r[2, 2])
-    return float(yaw), float(pitch), float(roll)
+    (r00, _, _), (r10, _, _), (r20, r21, r22) = r.tolist()
+    pitch = -math.asin(min(max(r20, -1.0), 1.0))
+    return math.atan2(r10, r00), pitch, math.atan2(r21, r22)
 
 
 def initial_state_from_sample(structure: StructureModel, sample: TrajectorySample) -> RigidState:
@@ -101,7 +101,7 @@ def run_closed_loop(
             pos[k] = state.r
             pos_des[k] = sample.r_d
             euler[k] = euler_zyx(r_wf)
-            pos_err[k] = np.linalg.norm(sample.r_d - state.r)
+            pos_err[k] = math.dist(sample.r_d.tolist(), state.r.tolist())
             att_err[k] = rotation_angle(r_wf, out.desired_attitude)
             u_arr[k] = out.u
             sat[k] = out.saturated

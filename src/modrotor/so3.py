@@ -51,17 +51,6 @@ def rot_axis_angle(axis: str, angle: float) -> np.ndarray:
         raise ValueError(f"unknown axis {axis!r}, expected 'x', 'y' or 'z'") from None
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors; avoids np.cross call overhead in hot loops."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of v, so that hat(v) @ w == cross(v, w)."""
     return np.array(
@@ -110,6 +99,17 @@ def rodrigues(x: float, y: float, z: float) -> tuple[float, ...]:
     )
 
 
+def matmul3(a, b) -> tuple[float, ...]:
+    """Product of two 3x3 matrices given as row-major 9-sequences of floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
 def exp_map(v: np.ndarray) -> np.ndarray:
     """Rodrigues rotation for the rotation vector v (axis times angle)."""
     x, y, z = np.asarray(v, dtype=float).tolist()
@@ -139,5 +139,12 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:
     """Geodesic angle in radians between two rotations (rb defaults to identity)."""
-    m = ra if rb is None else ra.T @ rb
-    return float(np.arccos(np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0)))
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = ra.tolist()
+    if rb is None:
+        trace = a0 + a4 + a8
+    else:
+        # trace(ra^T rb), summed column by column like the matrix product.
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = rb.tolist()
+        trace = ((a0 * b0 + a3 * b3 + a6 * b6) + (a1 * b1 + a4 * b4 + a7 * b7)
+                 + (a2 * b2 + a5 * b5 + a8 * b8))
+    return math.acos(min(max((trace - 1.0) / 2.0, -1.0), 1.0))

@@ -1,9 +1,12 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from modrotor import parse_config, run_closed_loop
+from modrotor.config import override_sim
+from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main, write_run_csv
 from conftest import CONFIG_DIR
 
 
@@ -133,6 +136,48 @@ def test_simulate_deterministic_output(capsys, tmp_path):
         )
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_run_csv(result, structure, out_path):
+    """The CSV writer that formats each numpy element; the reference for
+    ``write_run_csv``."""
+    fmt = "{:.17g}".format
+    header = (
+        ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m",
+         "yaw_rad", "pitch_rad", "roll_rad", "pos_err_m"]
+        + [f"u{k + 1:02d}_n" for k in range(4 * structure.n)]
+        + ["saturated"]
+    )
+    with open(out_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for k in range(result.t.size):
+            writer.writerow(
+                [fmt(result.t[k])]
+                + [fmt(v) for v in result.pos[k]]
+                + [fmt(v) for v in result.pos_des[k]]
+                + [fmt(v) for v in result.euler_f[k]]
+                + [fmt(result.pos_err[k])]
+                + [fmt(v) for v in result.u[k]]
+                + [int(result.saturated[k])]
+            )
+
+
+def test_run_csv_matches_reference_writer(tmp_path):
+    for name in ("experiment1", "experiment2", "experiment3"):
+        config = override_sim(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()),
+                              duration=0.2)
+        structure = config.to_structure()
+        result = run_closed_loop(structure, config.to_trajectory(), config.to_gains(),
+                                 config.to_sim_params())
+        # No fixture saturates this early, so a copy with alternating flags
+        # writes both flag values.
+        alternating = replace(result, saturated=np.arange(result.t.size) % 2 == 0)
+        for run in (result, alternating):
+            write_run_csv(run, structure, str(tmp_path / "got.csv"))
+            _reference_run_csv(run, structure, tmp_path / "want.csv")
+            got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
+            assert got == want, name
 
 
 def test_simulate_rejects_bad_duration(capsys, tmp_path):

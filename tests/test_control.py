@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from modrotor import (
 )
 from modrotor.control import attitude_accel
 from modrotor.structure import _thrust_frame
-from modrotor.so3 import E1, E3, is_rotation, rot_y, rot_z
+from modrotor.so3 import E1, E3, exp_map, is_rotation, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
 
 G = 9.81
@@ -374,3 +375,108 @@ def test_attitude_accel_signs():
     gains = Gains(k_pos=1, k_vel=1, k_rot=4.0, k_ang=2.0)
     err = AttitudeError(e_rot=np.array([0.1, 0, 0]), e_omega=np.array([0, 0.2, 0]))
     np.testing.assert_allclose(attitude_accel(err, gains), [-0.4, -0.4, 0.0], atol=1e-15)
+
+
+def _oracle_cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _oracle_frame(a_r, second, first_is_x):
+    """Thrust-frame target of the numpy controller: z (4 DOF) or x (5 DOF)
+    fixed, the other axis projected; raises where that controller raised."""
+    norm = np.linalg.norm(a_r)
+    if norm <= 1e-6:
+        raise ControlDegeneracyError("desired acceleration too small")
+    z_c = a_r / norm
+    cross = _oracle_cross(z_c, second)
+    if np.linalg.norm(cross) <= 1e-6:
+        raise ControlDegeneracyError("aligned")
+    y_d = cross / np.linalg.norm(cross)
+    if first_is_x:
+        return np.column_stack([second, y_d, _oracle_cross(second, y_d)])
+    return np.column_stack([_oracle_cross(y_d, z_c), y_d, z_c])
+
+
+def _oracle_step(ctrl, state, sample):
+    """The numpy ``Controller.step`` that the float kernel replaced:
+    (u_raw, u, saturated, desired attitude, body force, torque)."""
+    structure, gains = ctrl.structure, ctrl.gains
+    a_r = (gains.k_pos @ (sample.r_d - state.r) + gains.k_vel @ (sample.v_d - state.v)
+           + ctrl.gravity * E3 + sample.a_d)
+    if ctrl.mode == "4dof":
+        heading = np.array([np.cos(sample.yaw_d), np.sin(sample.yaw_d), 0.0])
+        r_wf_d = _oracle_frame(a_r, heading, first_is_x=False)
+    elif ctrl.mode == "5dof":
+        r_wf_d = _oracle_frame(a_r, rot_z(sample.yaw_d) @ rot_y(sample.pitch_d) @ E1,
+                               first_is_x=True)
+    else:
+        r_wf_d = sample.r_wf_d
+    r_wf = state.r_ws @ structure.r_sf
+    skew = r_wf_d.T @ r_wf - r_wf.T @ r_wf_d
+    e_rot = 0.5 * np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
+    e_omega = state.omega - r_wf.T @ r_wf_d @ sample.omega_d
+    alpha = -gains.k_rot @ e_rot - gains.k_ang @ e_omega
+    inertia, omega = structure.inertia, state.omega
+    torque = inertia @ alpha + _oracle_cross(omega, inertia @ omega)
+    mask = np.isin(np.arange(3), ctrl.rows).astype(float)
+    force = structure.total_mass * (r_wf.T @ a_r) * mask
+    if ctrl.mode == "4dof":
+        force[2] = max(force[2], 0.0)
+    u_raw = ctrl.pinv @ np.concatenate([force, torque])[ctrl.rows]
+    u = np.clip(u_raw, 0.0, structure.f_max)
+    saturated = bool(np.any(np.abs(u - u_raw) > 1e-12))
+    return u_raw, u, saturated, r_wf_d, structure.r_sf @ force, torque
+
+
+def test_step_matches_numpy_oracle(all_structures):
+    # 4 fixtures (4, 4, 5 and 6 DOF) x 160 random states and samples.
+    rng = np.random.default_rng(44)
+    thrust_cut = 0
+    for structure in all_structures.values():
+        saturated = 0
+        gains = Gains(k_pos=rng.uniform(2.0, 20.0, 3), k_vel=rng.uniform(1.0, 10.0, 3),
+                      k_rot=rng.uniform(50.0, 300.0, 3), k_ang=rng.uniform(5.0, 30.0, 3))
+        ctrl = Controller(structure, gains, float(rng.uniform(9.0, 10.0)))
+        for _ in range(160):
+            # Small errors keep the rotors in range; large ones saturate. A
+            # tumbled body can point its thrust away from the command.
+            scale = float(rng.choice([0.01, 0.3]))
+            tilt = 2.0 if rng.random() < 0.25 else scale
+            state = RigidState(r=rng.normal(size=3) * scale, v=rng.normal(size=3) * scale,
+                               r_ws=exp_map(rng.normal(size=3) * tilt) @ structure.r_sf.T,
+                               omega=rng.normal(size=3) * scale)
+            sample = TrajectorySample(
+                t=0.0, r_d=rng.normal(size=3) * scale, v_d=rng.normal(size=3) * scale,
+                a_d=rng.normal(size=3) * scale, yaw_d=float(rng.uniform(-np.pi, np.pi) * scale),
+                pitch_d=float(rng.uniform(-0.5, 0.5)) * scale,
+                r_wf_d=exp_map(rng.normal(size=3) * scale), omega_d=rng.normal(size=3) * scale,
+            )
+            u_raw, u, sat, r_wf_d, force, torque = _oracle_step(ctrl, state, sample)
+            out = ctrl.step(state, sample)
+            for name, got, want in (("u_raw", out.u_raw, u_raw), ("u", out.u, u),
+                                    ("desired_attitude", out.desired_attitude, r_wf_d),
+                                    ("force", out.desired_wrench.force, force),
+                                    ("torque", out.desired_wrench.torque, torque)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+            assert out.saturated == sat
+            assert out.mode == ctrl.mode
+            saturated += sat
+            thrust_cut += ctrl.mode == "4dof" and not force.any()
+        assert 20 <= saturated <= 140, saturated
+    assert thrust_cut >= 10, thrust_cut
+
+
+def test_non_finite_command_raises_degeneracy_error(all_structures):
+    # An overflowing gyroscopic torque and an acceleration whose magnitude
+    # overflows: a named ControlDegeneracyError, with no numpy warning.
+    sample = still_sample(r=(0, 0, 0.7))
+    for structure in all_structures.values():
+        ctrl = Controller(structure)
+        for fields, what in (({"omega": (1e200, 2e200, 0.0)}, "wrench"),
+                             ({"r": (0.0, 0.0, -1e307)}, "acceleration")):
+            state = level_state(r_ws=structure.r_sf.T, **fields)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ControlDegeneracyError, match=what):
+                    ctrl.step(state, sample)

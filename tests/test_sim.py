@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from modrotor import (
     run_closed_loop,
 )
 from modrotor.sim import euler_zyx
-from modrotor.so3 import rot_x, rot_y, rot_z
+from modrotor.so3 import exp_map, rot_x, rot_y, rot_z, rotation_angle
 from modrotor.trajectory import helix
 
 
@@ -22,6 +24,40 @@ def test_euler_zyx_roundtrip():
         r = rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
         got = euler_zyx(r)
         np.testing.assert_allclose(got, [yaw, pitch, roll], atol=1e-12)
+
+
+def test_recording_matches_numpy_oracle():
+    # The numpy recording functions the float ones replaced, on random
+    # rotations and on the clamp edges just outside [-1, 1].
+    def oracle_euler(r):
+        return (np.arctan2(r[1, 0], r[0, 0]), -np.arcsin(np.clip(r[2, 0], -1.0, 1.0)),
+                np.arctan2(r[2, 1], r[2, 2]))
+
+    def oracle_angle(ra, rb=None):
+        m = ra if rb is None else ra.T @ rb
+        return np.arccos(np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0))
+
+    rng = np.random.default_rng(42)
+    above_one = np.nextafter(1.0, 2.0)  # 1 + 2.2e-16
+    pairs = [(exp_map(rng.normal(size=3) * 2.0), exp_map(rng.normal(size=3) * 2.0))
+             for _ in range(300)]
+    edges = []
+    for sign in (1.0, -1.0):
+        r = np.eye(3)
+        r[2, 0] = sign * above_one
+        edges.append(r)
+    trace_edge = np.diag([above_one, above_one, 1.0])  # trace 3 + 4.4e-16
+    assert (np.trace(trace_edge) - 1.0) / 2.0 > 1.0
+    for ra, rb in pairs + [(r, None) for r in edges] + [(trace_edge, None),
+                                                        (np.eye(3), trace_edge)]:
+        np.testing.assert_allclose(euler_zyx(ra), oracle_euler(ra), rtol=0, atol=1e-15)
+        assert all(type(x) is float for x in euler_zyx(ra))
+        for args in ((ra,), (ra, rb)):
+            got = rotation_angle(*args)
+            assert type(got) is float
+            assert abs(got - oracle_angle(*args)) <= 1e-13
+    assert euler_zyx(edges[0])[1] == -np.pi / 2 and euler_zyx(edges[1])[1] == np.pi / 2
+    assert rotation_angle(trace_edge) == 0.0 and rotation_angle(np.eye(3), trace_edge) == 0.0
 
 
 def test_initial_state_aligns_thrust_frame(tilt10_structure):
@@ -59,6 +95,22 @@ def test_run_aborts_with_timestep_on_failure(flat_structure):
             flat_structure, traj, gains=bad,
             params=SimParams(dt=10.0, duration=1000.0),
         )
+
+
+def test_non_finite_command_aborts_with_timestep(all_structures):
+    # The controller's ControlDegeneracyError for an overflowing wrench or
+    # acceleration reaches the caller as SimulationError naming the step.
+    for structure in all_structures.values():
+        start = initial_state_from_sample(structure, hover((0.0, 0.0, 0.7))(0.0))
+        for fields in ({"omega": np.array([1e200, 2e200, 0.0])},
+                       {"r": np.array([0.0, 0.0, -1e307])}):
+            state0 = RigidState(**{"r": start.r, "v": start.v, "r_ws": start.r_ws,
+                                   "omega": start.omega, **fields})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationError, match="t=0.000000"):
+                    run_closed_loop(structure, hover((0.0, 0.0, 0.7)), state0=state0,
+                                    params=SimParams(dt=0.01, duration=0.05))
 
 
 def test_deterministic_across_runs(pitch_pair_structure):
