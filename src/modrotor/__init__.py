@@ -6,18 +6,7 @@ and simulate closed-loop trajectory tracking with controllers matched to 4,
 5 or 6 controllable degrees of freedom.
 """
 
-from .control import (
-    AttitudeError,
-    ControlOutput,
-    Controller,
-    Gains,
-    attitude_error,
-    attitude_torque,
-    default_gains,
-    desired_attitude_4dof,
-    desired_attitude_5dof,
-    position_accel,
-)
+from .control import ControlOutput, Controller, Gains, default_gains
 from .config import StructureConfig, parse_config, serialize_config
 from .dynamics import RigidState, SimParams, accelerations, step
 from .errors import (

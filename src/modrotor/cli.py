@@ -18,7 +18,7 @@ from .errors import ConfigError, ModrotorError, SimulationError
 from .module_design import check_balanced
 from .sim import RunResult, run_closed_loop
 from .structure import StructureModel, actuation_ellipsoid, ellipsoid_xz_polygon, numerical_rank
-from .so3 import rotation_angle, vee
+from .so3 import rotation_angle
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,7 +42,7 @@ def _frame_summary(r_sf: np.ndarray) -> str:
     if angle < 1e-9:
         return "identity"
     skew = 0.5 * (r_sf - r_sf.T)
-    axis = vee(skew, tol=np.inf)
+    axis = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
     norm = np.linalg.norm(axis)
     if norm > 1e-12:
         axis = axis / norm

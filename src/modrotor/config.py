@@ -354,14 +354,14 @@ def serialize_config(config: StructureConfig) -> str:
 
 def override_sim(config: StructureConfig, duration: float | None = None,
                  dt: float | None = None) -> StructureConfig:
-    """Copy of ``config`` with command-line sim overrides applied."""
+    """Copy of ``config`` with command-line sim overrides applied.
+
+    The values are not checked here: ``to_sim_params`` rejects an unusable
+    step or duration as a ConfigError naming the field.
+    """
     sim = config.sim
     if duration is not None:
-        if not 0.0 < duration < np.inf:
-            raise ConfigError(f"duration must be positive and finite, got {duration}")
         sim = replace(sim, duration_s=duration)
     if dt is not None:
-        if not 0.0 < dt < np.inf:
-            raise ConfigError(f"dt must be positive and finite, got {dt}")
         sim = replace(sim, dt_s=dt)
     return replace(config, sim=sim)

@@ -20,14 +20,13 @@ of its mode and stores that reduced map with its Moore-Penrose
 pseudoinverse. Each step is then one product giving the exact minimum-norm
 thrusts, clamped to the motor range.
 
-:meth:`Controller.step` is a flat kernel: the control law runs on Python
-floats, which avoids the per-call cost of numpy on 3-vectors and 3x3
-matrices, and only the allocation product and clamp use numpy. Each formula
-is one float helper; the public functions :func:`position_accel`,
-:func:`attitude_error`, :func:`attitude_torque` and the desired-attitude
-builders are thin array wrappers over the same helpers. Float arithmetic
-overflows to inf and NaN without warnings, so the step checks the commanded
-acceleration and wrench for finiteness and raises ControlDegeneracyError.
+:meth:`Controller.step` is the one entry to the control law and a flat
+kernel: the law runs on Python floats, which avoids the per-call cost of
+numpy on 3-vectors and 3x3 matrices, and only the allocation product and
+clamp use numpy. Float arithmetic overflows to inf and NaN without
+warnings, so the step checks the yaw and pitch commands it reads and the
+commanded acceleration and wrench for finiteness and raises
+ControlDegeneracyError.
 """
 
 from __future__ import annotations
@@ -90,14 +89,6 @@ def default_gains() -> Gains:
 
 
 @dataclass(frozen=True, eq=False)
-class AttitudeError:
-    """Rotation error e_rot and angular-velocity error e_omega (rad, rad/s)."""
-
-    e_rot: np.ndarray
-    e_omega: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ControlOutput:
     """Result of one controller evaluation.
 
@@ -116,11 +107,6 @@ class ControlOutput:
     saturated: bool
     desired_attitude: np.ndarray
     mode: str
-
-
-def _floats(x) -> list[float]:
-    """Row-major Python floats of an array-like."""
-    return np.asarray(x, dtype=float).ravel().tolist()
 
 
 def _diag(gain: np.ndarray) -> tuple[float, float, float]:
@@ -153,12 +139,18 @@ def _unit_cross(a, b, message: str):
     return (cx / norm, cy / norm, cz / norm)
 
 
-def _thrust_direction(a, eps_thrust: float):
+def _thrust_direction(a):
     ax, ay, az = a
     norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm <= eps_thrust:
+    if norm <= _EPS_THRUST:
         raise ControlDegeneracyError("desired acceleration too small to define a thrust direction")
     return (ax / norm, ay / norm, az / norm)
+
+
+def _finite_angle(name: str, angle: float) -> float:
+    if not math.isfinite(angle):
+        raise ControlDegeneracyError(f"commanded {name} is not finite: {angle}")
+    return angle
 
 
 def _columns(x, y, z) -> tuple[float, ...]:
@@ -166,16 +158,20 @@ def _columns(x, y, z) -> tuple[float, ...]:
     return (x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2])
 
 
-def _attitude_4dof(a, yaw: float, eps_thrust: float):
-    z = _thrust_direction(a, eps_thrust)
+def _attitude_4dof(a, yaw: float):
+    """Thrust-frame target whose z-axis carries the acceleration a; the
+    x-axis is the yaw heading projected onto the plane normal to it."""
+    z = _thrust_direction(a)
     heading = (math.cos(yaw), math.sin(yaw), 0.0)
     y = _unit_cross(z, heading, "thrust direction aligned with the yaw heading")
     return _columns(_cross(y, z), y, z)
 
 
-def _attitude_5dof(a, yaw: float, pitch: float, eps_thrust: float):
-    z_c = _thrust_direction(a, eps_thrust)
-    # rot_z(yaw) @ rot_y(pitch) @ e1, entry by entry.
+def _attitude_5dof(a, yaw: float, pitch: float):
+    """Thrust-frame target that pins the commanded yaw and pitch exactly:
+    the x-axis is rot_z(yaw) @ rot_y(pitch) @ e1, entry by entry, and the
+    thrust direction is projected into the remaining free plane."""
+    z_c = _thrust_direction(a)
     cos_pitch = math.cos(pitch)
     x = (math.cos(yaw) * cos_pitch, math.sin(yaw) * cos_pitch, -math.sin(pitch))
     y = _unit_cross(z_c, x, "thrust direction aligned with the commanded x-axis")
@@ -223,83 +219,6 @@ def _attitude_torque(alpha, inertia, omega):
         i3 * ax + i4 * ay + i5 * az + (wz * hx - wx * hz),
         i6 * ax + i7 * ay + i8 * az + (wx * hy - wy * hx),
     )
-
-
-def position_accel(
-    state: RigidState,
-    sample: TrajectorySample,
-    gains: Gains,
-    gravity: float = GRAVITY,
-) -> np.ndarray:
-    """Desired acceleration: PD on position/velocity error plus gravity and
-    trajectory acceleration feed-forward."""
-    return np.array(_position_accel(
-        state.r.tolist(), state.v.tolist(), sample.r_d.tolist(), sample.v_d.tolist(),
-        sample.a_d.tolist(), _diag(gains.k_pos), _diag(gains.k_vel), float(gravity),
-    ))
-
-
-def attitude_error(
-    r_ws: np.ndarray,
-    r_sf: np.ndarray,
-    r_wf_d: np.ndarray,
-    omega: np.ndarray,
-    omega_d: np.ndarray,
-) -> AttitudeError:
-    """Rotation and rate error of the thrust frame against its target.
-
-    The rotation error is the vee of the antisymmetric part of the relative
-    rotation; the rate error transports the desired angular velocity into
-    the current frame before comparing.
-    """
-    e_rot, e_omega = _attitude_error(
-        _floats(r_wf_d), matmul3(_floats(r_ws), _floats(r_sf)), _floats(omega), _floats(omega_d)
-    )
-    return AttitudeError(e_rot=np.array(e_rot), e_omega=np.array(e_omega))
-
-
-def attitude_accel(err: AttitudeError, gains: Gains) -> np.ndarray:
-    """Angular acceleration command from the attitude error."""
-    return np.array(_attitude_accel(
-        _floats(err.e_rot), _floats(err.e_omega), _diag(gains.k_rot), _diag(gains.k_ang)
-    ))
-
-
-def attitude_torque(
-    err: AttitudeError,
-    gains: Gains,
-    inertia: np.ndarray,
-    omega: np.ndarray,
-) -> np.ndarray:
-    """Body torque tracking the attitude error, with gyroscopic feed-forward."""
-    alpha = attitude_accel(err, gains).tolist()
-    return np.array(_attitude_torque(alpha, _floats(inertia), _floats(omega)))
-
-
-def desired_attitude_4dof(a_r: np.ndarray, yaw_d: float, eps_thrust: float = _EPS_THRUST) -> np.ndarray:
-    """Thrust-frame target whose z-axis carries the desired acceleration.
-
-    The x-axis is the yaw heading projected onto the plane normal to the
-    thrust direction, as in the usual geometric quadrotor controller.
-    """
-    return np.array(_attitude_4dof(_floats(a_r), float(yaw_d), eps_thrust)).reshape(3, 3)
-
-
-def desired_attitude_5dof(
-    a_r: np.ndarray,
-    yaw_d: float,
-    pitch_d: float,
-    eps_thrust: float = _EPS_THRUST,
-) -> np.ndarray:
-    """Thrust-frame target that pins the commanded yaw and pitch exactly.
-
-    The x-axis is set directly from the yaw and pitch commands; the thrust
-    direction is then projected into the remaining free plane. The first
-    column of the result equals rot_z(yaw) @ rot_y(pitch) @ e1 bit-exact,
-    which is what makes the pitch angle independently commandable.
-    """
-    attitude = _attitude_5dof(_floats(a_r), float(yaw_d), float(pitch_d), eps_thrust)
-    return np.array(attitude).reshape(3, 3)
 
 
 class Controller:
@@ -354,9 +273,11 @@ class Controller:
                 f"a = ({ax:.3e}, {ay:.3e}, {az:.3e}) m/s^2"
             )
         if self.mode == "4dof":
-            r_wf_d = _attitude_4dof(a, sample.yaw_d, _EPS_THRUST)
+            r_wf_d = _attitude_4dof(a, _finite_angle("yaw_d", sample.yaw_d))
         elif self.mode == "5dof":
-            r_wf_d = _attitude_5dof(a, sample.yaw_d, sample.pitch_d, _EPS_THRUST)
+            r_wf_d = _attitude_5dof(
+                a, _finite_angle("yaw_d", sample.yaw_d), _finite_angle("pitch_d", sample.pitch_d)
+            )
         else:
             r_wf_d = sample.r_wf_d.ravel().tolist()
         r_wf = matmul3(state.r_ws.ravel().tolist(), self._r_sf)

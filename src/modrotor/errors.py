@@ -14,7 +14,9 @@ class AllocationError(ModrotorError):
 
 
 class ControlDegeneracyError(ModrotorError):
-    """Desired-attitude construction hit a degenerate input (vanishing thrust or alignment)."""
+    """The control law cannot act on its input: the desired acceleration is
+    too small or too aligned to define an attitude, or a yaw or pitch command,
+    the commanded acceleration or the commanded wrench is not finite."""
 
 
 class IntegrationError(ModrotorError):

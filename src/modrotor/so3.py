@@ -38,46 +38,11 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-_ROT = {"x": rot_x, "y": rot_y, "z": rot_z}
-
-
-def rot_axis_angle(axis: str, angle: float) -> np.ndarray:
-    """Rotation about a principal axis named "x", "y" or "z"."""
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
-    try:
-        return _ROT[axis](angle)
-    except KeyError:
-        raise ValueError(f"unknown axis {axis!r}, expected 'x', 'y' or 'z'") from None
-
-
-def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of v, so that hat(v) @ w == cross(v, w)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
-def vee(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vector of a skew-symmetric matrix; inverse of :func:`hat`.
-
-    Raises ValueError when ``m`` is not skew-symmetric within ``tol``, which
-    signals a malformed attitude-error matrix upstream.
-    """
-    m = np.asarray(m, dtype=float)
-    if np.linalg.norm(m + m.T) >= tol:
-        raise ValueError("matrix is not skew-symmetric; cannot apply vee map")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def rodrigues(x: float, y: float, z: float) -> tuple[float, ...]:
-    """Row-major entries of the rotation exp(hat(v)) for v = (x, y, z).
+    """Row-major entries of the rotation exp(K) for v = (x, y, z), where K is
+    the skew matrix with K w = v x w.
 
-    Closed form I + a K + b K^2 with K = hat(v), a = sin(t)/t and
+    Closed form I + a K + b K^2 with a = sin(t)/t and
     b = (1 - cos t)/t^2 for the angle t = |v|; K^2 = v v^T - t^2 I. Works
     on Python floats, so a non-finite v gives NaN entries rather than an
     exception or a warning.
@@ -125,16 +90,6 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
         np.linalg.norm(r @ r.T - np.eye(3)) < tol
         and abs(np.linalg.det(r) - 1.0) < tol
     )
-
-
-def orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius sense (polar projection)."""
-    u, _, vt = np.linalg.svd(r)
-    out = u @ vt
-    if np.linalg.det(out) < 0.0:
-        u[:, -1] = -u[:, -1]
-        out = u @ vt
-    return out
 
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:

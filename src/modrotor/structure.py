@@ -19,6 +19,10 @@ from .errors import AssemblyError
 from .module_design import ModuleSpec
 from .so3 import E1, E2, E3, rot_z
 
+# Relative singular-value cutoff for rank decisions and for grouping tied
+# singular values when choosing the thrust frame.
+_RANK_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class ModulePlacement:
@@ -64,7 +68,6 @@ class StructureModel:
     force_sigmas: np.ndarray
     module_offsets: np.ndarray
     module_rotations: np.ndarray
-    prop_positions: np.ndarray
     f_max: np.ndarray
     inertia_inv: np.ndarray
 
@@ -81,8 +84,8 @@ class StructureModel:
         return self.thrust_map[3:]
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Count singular values above rel_tol times the largest one.
+def numerical_rank(m: np.ndarray) -> int:
+    """Count singular values above _RANK_TOL times the largest one.
 
     A zero matrix has rank 0, which flags a degenerate design upstream.
     """
@@ -90,12 +93,12 @@ def numerical_rank(m: np.ndarray, rel_tol: float = 1e-9) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > _RANK_TOL * s[0]))
 
 
-def _singular_clusters(s: np.ndarray, rank: int, rel_tol: float) -> list[list[int]]:
-    """Group the first ``rank`` singular values that are equal within rel_tol."""
-    gap = rel_tol * s[0]
+def _singular_clusters(s: np.ndarray, rank: int) -> list[list[int]]:
+    """Group the first ``rank`` singular values that are equal within _RANK_TOL."""
+    gap = _RANK_TOL * s[0]
     clusters: list[list[int]] = [[0]]
     for i in range(1, rank):
         if s[clusters[-1][0]] - s[i] <= gap:
@@ -126,14 +129,13 @@ def _orient_sign(vec: np.ndarray, preferred: list[np.ndarray]) -> np.ndarray:
     return vec
 
 
-def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.ndarray,
-                  rel_tol: float = 1e-9) -> np.ndarray:
+def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.ndarray) -> np.ndarray:
     """Rotation from the thrust frame to {S}.
 
     Rank 1: every rotor pushes along one axis, so the frame is the shared
     rotor rotation of the first module (all force axes must agree). Rank 2
     or 3: the z-axis is the left singular direction of the largest singular
-    value and the x-axis the next one. Ties within rel_tol are resolved by
+    value and the x-axis the next one. Ties within _RANK_TOL are resolved by
     picking, inside the tied subspace, the direction closest to the body
     z-axis (for z) or x-axis (for x). Signs align z with the total thrust
     under uniform input and x with the body x-axis where possible.
@@ -154,7 +156,7 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
         return frame
 
     u, s, _ = np.linalg.svd(force_map)
-    clusters = _singular_clusters(s, rank, rel_tol)
+    clusters = _singular_clusters(s, rank)
     uniform_thrust = force_map @ np.ones(force_map.shape[1])
 
     top = u[:, clusters[0]]
@@ -187,7 +189,7 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
     return np.column_stack([x_axis, y_axis, z_axis])
 
 
-def assemble(placements, rank_tol: float = 1e-9) -> StructureModel:
+def assemble(placements) -> StructureModel:
     """Assemble placed modules into a rigid structure model.
 
     Computes the mass-weighted center, total inertia with parallel-axis
@@ -227,7 +229,6 @@ def assemble(placements, rank_tol: float = 1e-9) -> StructureModel:
 
     n = len(placements)
     a = np.zeros((6, 4 * n))
-    prop_positions = np.zeros((4 * n, 3))
     f_max = np.zeros(4 * n)
     inertia = np.zeros((3, 3))
     for i, pl in enumerate(placements):
@@ -242,18 +243,17 @@ def assemble(placements, rank_tol: float = 1e-9) -> StructureModel:
             axis = r_m @ prop.axis
             a[:3, k] = axis
             a[3:, k] = np.cross(p, axis) + prop.spin * prop.drag_ratio * axis
-            prop_positions[k] = p
             f_max[k] = prop.f_max
 
-    if numerical_rank(a[3:], rank_tol) != 3:
+    if numerical_rank(a[3:]) != 3:
         raise AssemblyError("torque block is rank-deficient; module geometry is degenerate")
 
     sigmas = np.linalg.svd(a[:3], compute_uv=False)
-    rank_f = numerical_rank(a[:3], rank_tol)
+    rank_f = numerical_rank(a[:3])
     first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
-    r_sf = _thrust_frame(a[:3], rank_f, first_rotor, rank_tol)
+    r_sf = _thrust_frame(a[:3], rank_f, first_rotor)
 
-    for arr in (a, prop_positions, f_max, inertia, offsets, rotations, com, sigmas, r_sf):
+    for arr in (a, f_max, inertia, offsets, rotations, com, sigmas, r_sf):
         arr.setflags(write=False)
     return StructureModel(
         placements=placements,
@@ -266,7 +266,6 @@ def assemble(placements, rank_tol: float = 1e-9) -> StructureModel:
         force_sigmas=sigmas,
         module_offsets=offsets,
         module_rotations=rotations,
-        prop_positions=prop_positions,
         f_max=f_max,
         inertia_inv=np.linalg.inv(inertia),
     )

@@ -83,7 +83,7 @@ def test_criterion_2_rank_detection(fixtures):
     ok = True
     details = []
     for name, structure in fixtures.items():
-        mine = numerical_rank(structure.thrust_map, rel_tol=1e-9)
+        mine = numerical_rank(structure.thrust_map)
         sigma_max = np.linalg.svd(structure.thrust_map, compute_uv=False)[0]
         oracle = np.linalg.matrix_rank(structure.thrust_map, tol=1e-9 * sigma_max)
         ok &= mine == expected[name] == oracle

@@ -11,16 +11,10 @@ from modrotor import (
     Controller,
     Gains,
     RigidState,
-    attitude_error,
-    attitude_torque,
     default_gains,
-    desired_attitude_4dof,
-    desired_attitude_5dof,
-    position_accel,
 )
-from modrotor.control import attitude_accel
 from modrotor.structure import _thrust_frame
-from modrotor.so3 import E1, E3, exp_map, is_rotation, rot_y, rot_z
+from modrotor.so3 import E1, E3, exp_map, is_rotation, rot_x, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
 
 G = 9.81
@@ -51,86 +45,120 @@ def strong_axis_thrust(structure, out):
     return float((structure.r_sf.T @ out.desired_wrench.force)[2])
 
 
+def commanded_accel(structure, state, sample, gains=None):
+    """Acceleration the 6-DOF controller commands, read off its body force."""
+    out = Controller(structure, gains, G).step(state, sample)
+    return state.r_ws @ out.desired_wrench.force / structure.total_mass
+
+
+def commanded_torque(structure, r_wf, r_wf_d, omega=(0, 0, 0), omega_d=(0, 0, 0), gains=None):
+    """Torque the 6-DOF controller commands with its thrust frame at world
+    attitude ``r_wf`` and the target ``r_wf_d``, at the position target."""
+    state = level_state(r_ws=r_wf @ structure.r_sf.T, omega=omega)
+    sample = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
+                              r_wf_d=r_wf_d, omega_d=np.array(omega_d, float))
+    return Controller(structure, gains, G).step(state, sample).desired_wrench.torque
+
+
+def desired_attitude(structure, a_r, yaw=0.0, pitch=0.0):
+    """Thrust-frame target a 4- or 5-DOF controller builds for the
+    commanded acceleration ``a_r`` from a level state at rest."""
+    sample = still_sample(yaw=yaw, pitch=pitch, a_r=a_r)
+    return Controller(structure, gravity=G).step(level_state(), sample).desired_attitude
+
+
 class TestPositionAccel:
-    def test_hover_feed_forward_only(self):
-        a = position_accel(level_state(), still_sample(), default_gains(), G)
-        np.testing.assert_allclose(a, G * E3, atol=0)
+    def test_hover_feed_forward_only(self, quad_tilt_structure):
+        a = commanded_accel(quad_tilt_structure, level_state(), still_sample(), default_gains())
+        np.testing.assert_allclose(a, G * E3, rtol=1e-15, atol=1e-15)
 
-    def test_single_axis_error(self):
+    def test_single_axis_error(self, quad_tilt_structure):
         gains = Gains(k_pos=2.0, k_vel=1.0, k_rot=1.0, k_ang=1.0)
-        a = position_accel(level_state(), still_sample(r=(1, 0, 0)), gains, G)
-        np.testing.assert_allclose(a, [2.0, 0.0, G], atol=0)
+        a = commanded_accel(quad_tilt_structure, level_state(), still_sample(r=(1, 0, 0)), gains)
+        np.testing.assert_allclose(a, [2.0, 0.0, G], rtol=1e-15, atol=1e-15)
 
-    def test_velocity_term(self):
+    def test_velocity_term(self, quad_tilt_structure):
         gains = Gains(k_pos=2.0, k_vel=3.0, k_rot=1.0, k_ang=1.0)
-        a = position_accel(level_state(v=(0, 1, 0)), still_sample(), gains, G)
-        np.testing.assert_allclose(a, [0.0, -3.0, G], atol=0)
+        a = commanded_accel(quad_tilt_structure, level_state(v=(0, 1, 0)), still_sample(), gains)
+        np.testing.assert_allclose(a, [0.0, -3.0, G], rtol=1e-15, atol=1e-15)
 
 
 class TestAttitudeError:
-    def test_aligned_is_zero(self, tilt10_structure):
-        r_sf = tilt10_structure.r_sf
-        err = attitude_error(r_sf.T, r_sf, np.eye(3), np.zeros(3), np.zeros(3))
-        np.testing.assert_allclose(err.e_rot, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(err.e_omega, np.zeros(3), atol=0)
+    # With no rate, no rate error and gain k_rot, the 6-DOF torque is
+    # -k_rot * I @ e_rot, so it carries the rotation error.
+    def test_aligned_is_zero(self, quad_tilt_structure):
+        for r_wf in (np.eye(3), rot_z(0.3) @ rot_y(-0.2)):
+            tau = commanded_torque(quad_tilt_structure, r_wf, r_wf)
+            np.testing.assert_allclose(tau, np.zeros(3), atol=1e-15)
 
-    def test_yaw_offset_error(self):
+    def test_yaw_offset_error(self, quad_tilt_structure):
         # Frame rotated from target by rot_z(theta): error is sin(theta) e3.
+        gains = Gains(k_pos=1, k_vel=1, k_rot=5.0, k_ang=1.0)
+        inertia = quad_tilt_structure.inertia
         for theta in (0.1, 0.5, -0.3):
-            err = attitude_error(rot_z(theta), np.eye(3), np.eye(3), np.zeros(3), np.zeros(3))
-            np.testing.assert_allclose(err.e_rot, [0, 0, np.sin(theta)], atol=1e-12)
+            tau = commanded_torque(quad_tilt_structure, rot_z(theta), np.eye(3), gains=gains)
+            np.testing.assert_allclose(tau, -5.0 * inertia @ [0, 0, np.sin(theta)],
+                                       rtol=1e-12, atol=1e-15)
 
-    def test_omega_transport(self):
-        omega_d = np.array([0.0, 0.0, 0.4])
-        err = attitude_error(np.eye(3), np.eye(3), rot_z(0.7), np.array([0.0, 0.0, 0.4]), omega_d)
-        np.testing.assert_allclose(err.e_omega, np.zeros(3), atol=1e-15)
+    def test_omega_transport(self, quad_tilt_structure):
+        # The desired rate enters rotated into the current frame by
+        # R_wf^T R_d: from zero rate, it adds k_ang * I @ R_wf^T R_d omega_d.
+        gains = Gains(k_pos=1, k_vel=1, k_rot=1.0, k_ang=3.0)
+        r_wf_d, omega_d = rot_z(0.7), np.array([0.4, -0.3, 0.1])
+        still = commanded_torque(quad_tilt_structure, np.eye(3), r_wf_d, gains=gains)
+        moving = commanded_torque(quad_tilt_structure, np.eye(3), r_wf_d, omega_d=omega_d,
+                                  gains=gains)
+        np.testing.assert_allclose(moving - still,
+                                   3.0 * quad_tilt_structure.inertia @ r_wf_d @ omega_d,
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestAttitudeTorque:
-    def test_zero_error_zero_torque(self):
-        err = attitude_error(np.eye(3), np.eye(3), np.eye(3), np.zeros(3), np.zeros(3))
-        tau = attitude_torque(err, default_gains(), np.diag([1, 2, 3.0]), np.zeros(3))
-        np.testing.assert_allclose(tau, np.zeros(3), atol=0)
+    def test_zero_error_zero_torque(self, quad_tilt_structure):
+        tau = commanded_torque(quad_tilt_structure, np.eye(3), np.eye(3))
+        np.testing.assert_array_equal(tau, np.zeros(3))
 
-    def test_single_axis_gain(self):
-        from modrotor.control import AttitudeError
-        err = AttitudeError(e_rot=0.1 * E3, e_omega=np.zeros(3))
+    def test_single_axis_gain(self, quad_tilt_structure):
+        # A rotation error of 0.1 about z alone: -k_rot * 0.1 * I_zz on z.
         gains = Gains(k_pos=1, k_vel=1, k_rot=5.0, k_ang=1.0)
-        i_s = np.diag([1.0, 1.0, 2.0])
-        tau = attitude_torque(err, gains, i_s, np.zeros(3))
-        np.testing.assert_allclose(tau, [0, 0, -0.5 * 2.0], atol=1e-15)
+        tau = commanded_torque(quad_tilt_structure, rot_z(np.arcsin(0.1)), np.eye(3), gains=gains)
+        i_zz = quad_tilt_structure.inertia[2, 2]
+        np.testing.assert_allclose(tau, [0, 0, -0.5 * i_zz], rtol=1e-12, atol=1e-15)
 
-    def test_gyroscopic_feed_forward(self):
-        from modrotor.control import AttitudeError
-        err = AttitudeError(e_rot=np.zeros(3), e_omega=np.zeros(3))
-        i_s = np.diag([1.0, 2.0, 3.0])
+    def test_gyroscopic_feed_forward(self, quad_tilt_structure):
+        # Aligned and at the desired rate: only omega x I omega remains.
+        i_s = quad_tilt_structure.inertia
         omega = np.array([0.3, -0.2, 0.5])
-        tau = attitude_torque(err, default_gains(), i_s, omega)
-        np.testing.assert_allclose(tau, np.cross(omega, i_s @ omega), atol=1e-15)
+        tau = commanded_torque(quad_tilt_structure, np.eye(3), np.eye(3), omega, omega)
+        np.testing.assert_allclose(tau, np.cross(omega, i_s @ omega), rtol=1e-12, atol=1e-15)
 
 
 class TestDesiredAttitude4:
-    def test_hover_identity(self):
-        np.testing.assert_allclose(desired_attitude_4dof(G * E3, 0.0), np.eye(3), atol=1e-15)
+    def test_hover_identity(self, flat_structure, tilt10_structure):
+        for structure in (flat_structure, tilt10_structure):
+            np.testing.assert_allclose(desired_attitude(structure, G * E3), np.eye(3), atol=1e-15)
 
-    def test_hover_with_yaw(self):
-        np.testing.assert_allclose(
-            desired_attitude_4dof(G * E3, np.pi / 2), rot_z(np.pi / 2), atol=1e-15
-        )
+    def test_hover_with_yaw(self, flat_structure, tilt10_structure):
+        for structure in (flat_structure, tilt10_structure):
+            np.testing.assert_allclose(
+                desired_attitude(structure, G * E3, yaw=np.pi / 2), rot_z(np.pi / 2), atol=1e-15
+            )
 
-    def test_lateral_acceleration_tilts_thrust_axis(self):
+    def test_lateral_acceleration_tilts_thrust_axis(self, flat_structure, tilt10_structure):
         a_r = np.array([1.0, 0.0, G])
-        r = desired_attitude_4dof(a_r, 0.0)
-        assert is_rotation(r, tol=1e-12)
-        np.testing.assert_allclose(r @ E3, a_r / np.linalg.norm(a_r), atol=1e-12)
-        # Zero yaw keeps the x-axis in the xz-plane.
-        assert abs((r @ E1)[1]) < 1e-12
+        for structure in (flat_structure, tilt10_structure):
+            r = desired_attitude(structure, a_r)
+            assert is_rotation(r, tol=1e-12)
+            np.testing.assert_allclose(r @ E3, a_r / np.linalg.norm(a_r), atol=1e-12)
+            # Zero yaw keeps the x-axis in the xz-plane.
+            assert abs((r @ E1)[1]) < 1e-12
 
-    def test_degenerate_inputs_raise(self):
-        with pytest.raises(ControlDegeneracyError):
-            desired_attitude_4dof(np.zeros(3), 0.0)
-        with pytest.raises(ControlDegeneracyError):
-            desired_attitude_4dof(np.array([1.0, 0.0, 0.0]), 0.0)  # thrust along heading
+    def test_degenerate_inputs_raise(self, flat_structure, tilt10_structure):
+        for structure in (flat_structure, tilt10_structure):
+            with pytest.raises(ControlDegeneracyError, match="too small"):
+                desired_attitude(structure, np.zeros(3))
+            with pytest.raises(ControlDegeneracyError, match="heading"):
+                desired_attitude(structure, np.array([1.0, 0.0, 0.0]))  # thrust along heading
 
 
 class TestThrust4:
@@ -207,30 +235,32 @@ class TestAllocate4:
 
 
 class TestDesiredAttitude5:
-    def test_hover_identity(self):
-        np.testing.assert_allclose(desired_attitude_5dof(G * E3, 0.0, 0.0), np.eye(3), atol=1e-15)
+    def test_hover_identity(self, pitch_pair_structure):
+        np.testing.assert_allclose(desired_attitude(pitch_pair_structure, G * E3), np.eye(3),
+                                   atol=1e-15)
 
-    def test_pitch_command_is_exact(self):
+    def test_pitch_command_is_exact(self, pitch_pair_structure):
         # The x column must be exactly the commanded yaw/pitch heading.
         for yaw, pitch in [(0.0, np.deg2rad(-5)), (0.4, 0.3), (-1.0, -0.6)]:
-            r = desired_attitude_5dof(G * E3, yaw, pitch)
+            r = desired_attitude(pitch_pair_structure, G * E3, yaw, pitch)
             np.testing.assert_array_equal(r[:, 0], rot_z(yaw) @ rot_y(pitch) @ E1)
 
-    def test_minus_five_degree_column(self):
-        r = desired_attitude_5dof(G * E3, 0.0, np.deg2rad(-5.0))
+    def test_minus_five_degree_column(self, pitch_pair_structure):
+        r = desired_attitude(pitch_pair_structure, G * E3, pitch=np.deg2rad(-5.0))
         expected = [np.cos(np.deg2rad(-5.0)), 0.0, -np.sin(np.deg2rad(-5.0))]
         np.testing.assert_allclose(r[:, 0], expected, atol=1e-15)
 
-    def test_orthonormal_for_random_inputs(self):
+    def test_orthonormal_for_random_inputs(self, pitch_pair_structure):
         rng = np.random.default_rng(32)
         for _ in range(50):
             a_r = rng.normal(size=3) + [0, 0, 12.0]
-            r = desired_attitude_5dof(a_r, rng.uniform(-np.pi, np.pi), rng.uniform(-0.5, 0.5))
+            r = desired_attitude(pitch_pair_structure, a_r, rng.uniform(-np.pi, np.pi),
+                                 rng.uniform(-0.5, 0.5))
             assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-12
 
-    def test_degenerate_alignment_raises(self):
-        with pytest.raises(ControlDegeneracyError):
-            desired_attitude_5dof(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
+    def test_degenerate_alignment_raises(self, pitch_pair_structure):
+        with pytest.raises(ControlDegeneracyError, match="x-axis"):
+            desired_attitude(pitch_pair_structure, np.array([1.0, 0.0, 0.0]))
 
 
 class TestAllocate5:
@@ -370,11 +400,16 @@ def test_gains_validation():
     np.testing.assert_array_equal(np.diag(g.k_pos), [1.0, 2.0, 3.0])
 
 
-def test_attitude_accel_signs():
-    from modrotor.control import AttitudeError
+def test_attitude_accel_signs(quad_tilt_structure):
+    # e_rot = (0.1, 0, 0) and e_omega = (0.05, 0.2, 0) give the angular
+    # acceleration (-0.5, -0.4, 0), which the torque carries through I.
     gains = Gains(k_pos=1, k_vel=1, k_rot=4.0, k_ang=2.0)
-    err = AttitudeError(e_rot=np.array([0.1, 0, 0]), e_omega=np.array([0, 0.2, 0]))
-    np.testing.assert_allclose(attitude_accel(err, gains), [-0.4, -0.4, 0.0], atol=1e-15)
+    i_s = quad_tilt_structure.inertia
+    omega = np.array([0.05, 0.2, 0.0])
+    tau = commanded_torque(quad_tilt_structure, rot_x(np.arcsin(0.1)), np.eye(3), omega,
+                           gains=gains)
+    np.testing.assert_allclose(tau, i_s @ [-0.5, -0.4, 0.0] + np.cross(omega, i_s @ omega),
+                               rtol=1e-12, atol=1e-15)
 
 
 def _oracle_cross(a, b):
@@ -468,14 +503,22 @@ def test_step_matches_numpy_oracle(all_structures):
 
 
 def test_non_finite_command_raises_degeneracy_error(all_structures):
-    # An overflowing gyroscopic torque and an acceleration whose magnitude
-    # overflows: a named ControlDegeneracyError, with no numpy warning.
-    sample = still_sample(r=(0, 0, 0.7))
+    # An overflowing gyroscopic torque, an acceleration whose magnitude
+    # overflows, and a non-finite yaw or pitch command where the mode reads
+    # it (yaw in 4 and 5 DOF, pitch in 5 DOF): a named
+    # ControlDegeneracyError, with no numpy warning.
+    target = still_sample(r=(0, 0, 0.7))
     for structure in all_structures.values():
         ctrl = Controller(structure)
-        for fields, what in (({"omega": (1e200, 2e200, 0.0)}, "wrench"),
-                             ({"r": (0.0, 0.0, -1e307)}, "acceleration")):
-            state = level_state(r_ws=structure.r_sf.T, **fields)
+        cases = [({"omega": (1e200, 2e200, 0.0)}, {}, "wrench"),
+                 ({"r": (0.0, 0.0, -1e307)}, {}, "acceleration")]
+        if ctrl.mode != "6dof":
+            cases += [({}, {"yaw_d": np.inf}, "yaw_d"), ({}, {"yaw_d": np.nan}, "yaw_d")]
+        if ctrl.mode == "5dof":
+            cases += [({}, {"pitch_d": -np.inf}, "pitch_d"), ({}, {"pitch_d": np.nan}, "pitch_d")]
+        for state_fields, sample_fields, what in cases:
+            state = level_state(r_ws=structure.r_sf.T, **state_fields)
+            sample = replace(target, **sample_fields)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ControlDegeneracyError, match=what):

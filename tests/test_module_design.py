@@ -12,7 +12,7 @@ from modrotor.module_design import (
     module_wrench,
     propeller_orientation,
 )
-from modrotor.so3 import E3, rot_axis_angle, rot_x
+from modrotor.so3 import E3, rot_x, rot_y
 
 
 def test_propeller_orientation_identity():
@@ -21,7 +21,7 @@ def test_propeller_orientation_identity():
 
 def test_propeller_orientation_pitch_only_matches_y_rotation():
     np.testing.assert_array_equal(
-        propeller_orientation(0.0, np.pi / 18), rot_axis_angle("y", np.pi / 18)
+        propeller_orientation(0.0, np.pi / 18), rot_y(np.pi / 18)
     )
 
 
@@ -78,7 +78,7 @@ def test_flat_module_balance_is_exact():
 def test_thirty_degree_module_orientations():
     m = build_r_module(beta=np.pi / 6)
     for p in m.propellers:
-        np.testing.assert_array_equal(p.orientation, rot_axis_angle("y", np.pi / 6))
+        np.testing.assert_array_equal(p.orientation, rot_y(np.pi / 6))
 
 
 def test_random_shared_tilt_modules_balanced():

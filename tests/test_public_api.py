@@ -1,0 +1,79 @@
+"""The names real callers take from modrotor must exist.
+
+The README's Python example and the benchmark scripts in bench/ are the
+package's callers outside the test suite. Their imports are read with
+``ast`` (nothing is executed) and each name is resolved against the
+package, so removing something they use fails here.
+"""
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _callers() -> dict[str, str]:
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "bench").glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for k, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        sources[f"README.md[python {k + 1}]"] = block
+    return sources
+
+
+def _used_names(source: str) -> list[str]:
+    """Dotted paths a source takes from modrotor: every name in a
+    ``from modrotor... import`` and every attribute read off a name it binds
+    that way or by ``import modrotor``."""
+    tree = ast.parse(source)
+    bound: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "modrotor":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "modrotor":
+                    bound[alias.asname or alias.name] = alias.name
+    used = list(bound.values())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            used.append(f"{bound[node.value.id]}.{node.attr}")
+    return used
+
+
+def _resolves(dotted: str) -> bool:
+    """True when ``dotted`` names a module, or an attribute chain off one;
+    a submodule not yet imported is imported, as ``from ... import`` does."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, attr in enumerate(parts[1:], start=2):
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        elif isinstance(obj, types.ModuleType):
+            try:
+                obj = importlib.import_module(".".join(parts[:depth]))
+            except ModuleNotFoundError:
+                return False
+        else:
+            return False
+    return True
+
+
+def test_callers_are_found():
+    sources = _callers()
+    assert any(name.startswith("README.md") for name in sources)
+    assert "bench/flights.py" in sources
+    assert all(_used_names(sources[name]) for name in ("bench/flights.py", "bench/harness.py"))
+
+
+@pytest.mark.parametrize("caller", sorted(_callers()))
+def test_every_name_a_caller_imports_resolves(caller):
+    missing = [name for name in _used_names(_callers()[caller]) if not _resolves(name)]
+    assert not missing, f"{caller} uses names modrotor does not define: {missing}"
