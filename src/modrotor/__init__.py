@@ -7,7 +7,7 @@ and simulate closed-loop trajectory tracking with controllers matched to 4,
 """
 
 from .control import ControlOutput, Controller, Gains, default_gains
-from .config import StructureConfig, parse_config, serialize_config
+from .config import StructureConfig, parse_config
 from .dynamics import RigidState, SimParams, accelerations, step
 from .errors import (
     AllocationError,
@@ -26,7 +26,6 @@ from .module_design import (
     build_r_module,
     check_balanced,
     cuboid_inertia,
-    module_wrench,
     propeller_orientation,
 )
 from .sim import RunResult, initial_state_from_sample, run_closed_loop

@@ -246,23 +246,3 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
         is_balanced=bool(balanced),
     )
 
-
-def module_wrench(module: ModuleSpec, u: np.ndarray) -> Wrench:
-    """Force and torque in the module frame for the thrust vector ``u`` (N).
-
-    Torque combines the moment of each thrust about the module center and
-    the spin-signed drag torque along each rotor axis.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (4,):
-        raise ValueError(f"u must have 4 entries, got shape {u.shape}")
-    for j, (thrust, prop) in enumerate(zip(u, module.propellers)):
-        if thrust < 0.0 or thrust > prop.f_max:
-            raise ValueError(f"thrust u[{j}]={thrust} outside [0, {prop.f_max}]")
-    force = np.zeros(3)
-    torque = np.zeros(3)
-    for thrust, prop in zip(u, module.propellers):
-        f_vec = thrust * prop.axis
-        force += f_vec
-        torque += np.cross(prop.position, f_vec) + thrust * prop.spin * prop.drag_ratio * prop.axis
-    return Wrench(force=force, torque=torque)

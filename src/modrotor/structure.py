@@ -55,19 +55,16 @@ class StructureModel:
     center of mass; ``force_map`` and ``torque_map`` are views of its top
     and bottom row blocks. ``r_sf`` rotates the thrust frame into {S};
     ``force_sigmas`` holds the singular values of the force block in
-    descending order. ``com`` is the center of mass in grid coordinates, m.
+    descending order.
     """
 
     placements: tuple[ModulePlacement, ...]
     total_mass: float
-    com: np.ndarray
     inertia: np.ndarray
     thrust_map: np.ndarray
     rank_f: int
     r_sf: np.ndarray
     force_sigmas: np.ndarray
-    module_offsets: np.ndarray
-    module_rotations: np.ndarray
     f_max: np.ndarray
     inertia_inv: np.ndarray
 
@@ -253,19 +250,16 @@ def assemble(placements) -> StructureModel:
     first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
     r_sf = _thrust_frame(a[:3], rank_f, first_rotor)
 
-    for arr in (a, f_max, inertia, offsets, rotations, com, sigmas, r_sf):
+    for arr in (a, f_max, inertia, sigmas, r_sf):
         arr.setflags(write=False)
     return StructureModel(
         placements=placements,
         total_mass=total_mass,
-        com=com,
         inertia=inertia,
         thrust_map=a,
         rank_f=rank_f,
         r_sf=r_sf,
         force_sigmas=sigmas,
-        module_offsets=offsets,
-        module_rotations=rotations,
         f_max=f_max,
         inertia_inv=np.linalg.inv(inertia),
     )

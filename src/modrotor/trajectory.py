@@ -10,6 +10,7 @@ thrust frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -58,6 +59,11 @@ class TrajectorySample:
         object.__setattr__(self, "v_d", np.asarray(self.v_d, dtype=float))
         object.__setattr__(self, "a_d", np.asarray(self.a_d, dtype=float))
         if self.r_wf_d is None:
+            for name in ("yaw_d", "pitch_d"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(
+                        f"{name} must be finite to build r_wf_d, got {getattr(self, name)!r}"
+                    )
             object.__setattr__(self, "r_wf_d", rot_z(self.yaw_d) @ rot_y(self.pitch_d))
         if self.omega_d is None:
             object.__setattr__(self, "omega_d", np.zeros(3))
@@ -142,7 +148,10 @@ def _rect_schedule(speed: float, altitude: float) -> tuple:
         raise ValueError("speed must be positive")
     shrink = speed * RECT_BLEND  # straight length consumed by each corner
     if RECT_WIDTH - shrink <= 0.0:
-        raise ValueError("speed too high for the corner blend time")
+        raise ValueError(
+            f"speed {speed!r} too high for the corner blend time; "
+            f"it must be below {RECT_WIDTH / RECT_BLEND:g}"
+        )
     half_l, half_w = RECT_LENGTH / 2.0, RECT_WIDTH / 2.0
     dirs = [
         np.array([1.0, 0.0, 0.0]),

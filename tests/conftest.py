@@ -7,7 +7,8 @@ import pytest
 
 from modrotor import ModulePlacement, assemble, build_r_module
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def make_flat():

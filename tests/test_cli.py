@@ -225,3 +225,16 @@ def test_simulate_rejects_unusable_sim_params(flags, sim_section, field, capsys,
     assert code == EXIT_VALIDATION
     assert err.startswith("error:") and field in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("kind", ["rectangle", "rectangle_fixed"])
+def test_simulate_rejects_rectangle_speed_too_high(kind, capsys, tmp_path):
+    # The rounded corners need the speed below 1.2 m/s; a faster lap is a
+    # config error, reported before any CSV is written.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[module.1]\n\n[trajectory]\nkind = {kind}\nspeed_mps = 5\n")
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out_csv)], capsys)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: trajectory: speed_mps")
+    assert not out_csv.exists()

@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from modrotor import ConfigError, parse_config, serialize_config
-from modrotor.config import StructureConfig
-from conftest import CONFIG_DIR
+from modrotor import ConfigError, parse_config
+from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
+                             TrajectoryConfig)
+from conftest import CONFIG_DIR, ROOT
 
 MINIMAL = "[module.1]\n"
 
@@ -78,42 +82,92 @@ def test_missing_modules_rejected():
         parse_config("[gains]\nk_pos = 5\n")
 
 
-def test_roundtrip_identity():
-    text = """
-[module.1]
-beta_deg = 10
-f_max_n = 1.25
+# A non-default value for every key of every section.
+EVERY_KEY = {
+    "module.1": {
+        "mass_kg": 0.2, "base_m": 0.15, "height_m": 0.05, "alpha_deg": -20.0,
+        "beta_deg": 15.0, "k_f": 1.5, "k_m": 0.01, "f_max_n": 3.0, "grid_col": -1,
+        "grid_row": 2, "yaw_quarter_turns": 3, "inertia_diag_kgm2": (0.001, 0.002, 0.003),
+    },
+    "gains": {"k_pos": 7.5, "k_vel": 3.0, "k_rot": 150.0, "k_ang": 10.0},
+    "sim": {"dt_s": 0.002, "gravity_mps2": 9.8, "duration_s": 4.0},
+    "trajectory": {
+        "kind": "rectangle", "pitch_hold_deg": -5.0, "speed_mps": 0.3, "altitude_m": 0.9,
+        "hover_x_m": 0.1, "hover_y_m": -0.2, "hover_z_m": 1.1, "hover_yaw_deg": 45.0,
+    },
+}
 
-[module.2]
-alpha_deg = -30
-grid_col = 1
-yaw_quarter_turns = 2
-inertia_diag_kgm2 = 0.0002, 0.0002, 0.0003
 
-[gains]
-k_pos = 7.5
+def _ini_value(value) -> str:
+    return ", ".join(map(repr, value)) if isinstance(value, tuple) else str(value)
 
-[sim]
-dt_s = 0.002
 
-[trajectory]
-kind = rectangle
-pitch_hold_deg = -5
-"""
+def test_every_key_lands_in_its_field():
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {_ini_value(v)}\n" for key, v in keys.items())
+        for name, keys in EVERY_KEY.items()
+    )
     cfg = parse_config(text)
-    assert parse_config(serialize_config(cfg)) == cfg
+    default = parse_config(MINIMAL)
+    parsed = {"module.1": cfg.modules[0], "gains": cfg.gains, "sim": cfg.sim,
+              "trajectory": cfg.trajectory}
+    defaults = {"module.1": ModuleConfig(), "gains": GainsConfig(), "sim": SimConfig(),
+                "trajectory": TrajectoryConfig()}
+    assert sum(map(len, EVERY_KEY.values())) == 27
+    for name, keys in EVERY_KEY.items():
+        assert set(keys) == {f.name for f in dataclasses.fields(defaults[name])}, name
+        for key, value in keys.items():
+            assert getattr(parsed[name], key) == value, (name, key)
+            assert getattr(defaults[name], key) != value, (name, key)
+    assert len(default.modules) == 1
+    for name, section in (("module.1", default.modules[0]), ("gains", default.gains),
+                          ("sim", default.sim), ("trajectory", default.trajectory)):
+        for f in dataclasses.fields(section):
+            assert getattr(section, f.name) == getattr(defaults[name], f.name), (name, f.name)
 
 
-def test_roundtrip_all_fixture_configs():
-    for path in sorted(CONFIG_DIR.glob("*.cfg")):
-        cfg = parse_config(path.read_text())
-        assert parse_config(serialize_config(cfg)) == cfg, path.name
+def test_duplicate_module_number_names_both_sections():
+    with pytest.raises(ConfigError, match=r"\[module\.1\] and \[module\.01\]"):
+        parse_config("[module.1]\n\n[module.01]\ngrid_col = 1\n")
+
+
+def test_module_number_must_be_ascii_digits():
+    # Other Unicode digits either broke int() or named a module twice.
+    for name in ("module.\u00b2", "module.\u0661"):
+        with pytest.raises(ConfigError, match="module sections must be"):
+            parse_config(f"[{name}]\n")
+
+
+def test_readme_config_example_names_every_field():
+    # The documented key list, commented-out keys included, is exactly the
+    # fields of the config dataclasses, and the example parses.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Configuration format\n.*?```\n(.*?)```", readme, re.S).group(1)
+    parse_config(block)
+    documented: dict[str, list[str]] = {}
+    for line in block.splitlines():
+        header = re.match(r"\[([\w.]+)\]", line)
+        if header:
+            section = documented.setdefault(header.group(1), [])
+        key = re.match(r"#?\s*(\w+)\s*=", line)
+        if key:
+            section.append(key.group(1))
+    classes = {"module.1": ModuleConfig, "gains": GainsConfig, "sim": SimConfig,
+               "trajectory": TrajectoryConfig}
+    assert documented == {name: [f.name for f in dataclasses.fields(cls)]
+                          for name, cls in classes.items()}
 
 
 def test_inertia_override_applied():
     cfg = parse_config("[module.1]\ninertia_diag_kgm2 = 0.001, 0.002, 0.003\n")
     structure = cfg.to_structure()
     np.testing.assert_allclose(np.diag(structure.inertia), [0.001, 0.002, 0.003], atol=0)
+
+
+def test_inertia_triple_must_be_finite():
+    for bad in ("nan", "inf"):
+        with pytest.raises(ConfigError, match="module.1: inertia_diag_kgm2"):
+            parse_config(f"[module.1]\ninertia_diag_kgm2 = 0.001, {bad}, 0.003\n")
 
 
 def test_trajectory_kinds_build():

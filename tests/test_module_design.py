@@ -9,9 +9,9 @@ from modrotor.module_design import (
     build_r_module,
     check_balanced,
     cuboid_inertia,
-    module_wrench,
     propeller_orientation,
 )
+from modrotor.structure import ModulePlacement, assemble
 from modrotor.so3 import E3, rot_x, rot_y
 
 
@@ -106,36 +106,33 @@ def test_perturbed_orientation_breaks_balance():
     assert np.max(np.abs(report.torque_from_drag)) > 1e-3
 
 
+def module_wrench(module, u):
+    """Force and torque of one module for rotor thrusts ``u``: the thrust
+    map of the module assembled alone, whose frame is the module's own."""
+    return assemble([ModulePlacement(module)]).thrust_map @ np.asarray(u, dtype=float)
+
+
 def test_module_wrench_zero_input():
     w = module_wrench(build_r_module(), np.zeros(4))
-    np.testing.assert_array_equal(w.force, np.zeros(3))
-    np.testing.assert_array_equal(w.torque, np.zeros(3))
+    np.testing.assert_array_equal(w, np.zeros(6))
 
 
 def test_module_wrench_uniform_flat():
     w = module_wrench(build_r_module(), np.ones(4))
-    np.testing.assert_allclose(w.force, 4.0 * E3, atol=0)
-    np.testing.assert_allclose(w.torque, np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(w[:3], 4.0 * E3, atol=0)
+    np.testing.assert_allclose(w[3:], np.zeros(3), atol=1e-15)
 
 
 def test_module_wrench_alternating_pairs_spin_torque():
     # Opposite rotor pairs give the same lift but mirrored drag torque:
     # spins (+, -, +, -) so [1,0,1,0] picks +2 k_m/k_f and [0,1,0,1] -2.
     m = build_r_module()
-    w13 = module_wrench(m, np.array([1.0, 0.0, 1.0, 0.0]))
-    w24 = module_wrench(m, np.array([0.0, 1.0, 0.0, 1.0]))
-    np.testing.assert_allclose(w13.force, 2.0 * E3, atol=1e-15)
-    np.testing.assert_allclose(w24.force, 2.0 * E3, atol=1e-15)
-    np.testing.assert_allclose(w13.torque, [0.0, 0.0, 0.012], atol=1e-15)
-    np.testing.assert_allclose(w24.torque, [0.0, 0.0, -0.012], atol=1e-15)
-
-
-def test_module_wrench_rejects_out_of_range_thrust():
-    m = build_r_module()
-    with pytest.raises(ValueError):
-        module_wrench(m, np.array([-0.1, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        module_wrench(m, np.array([0.0, 3.0, 0.0, 0.0]))
+    w13 = module_wrench(m, [1.0, 0.0, 1.0, 0.0])
+    w24 = module_wrench(m, [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_allclose(w13[:3], 2.0 * E3, atol=1e-15)
+    np.testing.assert_allclose(w24[:3], 2.0 * E3, atol=1e-15)
+    np.testing.assert_allclose(w13[3:], [0.0, 0.0, 0.012], atol=1e-15)
+    np.testing.assert_allclose(w24[3:], [0.0, 0.0, -0.012], atol=1e-15)
 
 
 def test_module_wrench_linear_in_thrust():
@@ -145,9 +142,9 @@ def test_module_wrench_linear_in_thrust():
         u1, u2 = rng.uniform(0, 0.5, size=(2, 4))
         a, b = rng.uniform(0, 1.5, size=2)
         combined = module_wrench(m, a * u1 + b * u2)
-        w1, w2 = module_wrench(m, u1), module_wrench(m, u2)
-        np.testing.assert_allclose(combined.force, a * w1.force + b * w2.force, atol=1e-12)
-        np.testing.assert_allclose(combined.torque, a * w1.torque + b * w2.torque, atol=1e-12)
+        np.testing.assert_allclose(
+            combined, a * module_wrench(m, u1) + b * module_wrench(m, u2), atol=1e-12
+        )
 
 
 def test_module_wrench_uniform_force_along_tilt_axis():
@@ -156,7 +153,7 @@ def test_module_wrench_uniform_force_along_tilt_axis():
         alpha, beta = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
         m = build_r_module(alpha=alpha, beta=beta)
         w = module_wrench(m, np.ones(4))
-        assert np.linalg.norm(np.cross(w.force, m.tilt @ E3)) < 1e-12
+        assert np.linalg.norm(np.cross(w[:3], m.tilt @ E3)) < 1e-12
 
 
 def test_module_spec_validation():

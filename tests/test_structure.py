@@ -7,25 +7,44 @@ from modrotor import (
     actuation_ellipsoid,
     assemble,
     build_r_module,
-    module_wrench,
     numerical_rank,
 )
 from modrotor.structure import _thrust_frame, ellipsoid_xz_polygon
-from modrotor.so3 import E3, rot_y
+from modrotor.so3 import E3, rot_y, rot_z
+
+
+def placement_frames(placements):
+    """Rotation of each module into the structure frame and its offset from
+    the center of mass, rebuilt from the placements alone: the structure
+    frame is the first module's, and the grid pitch is the base length."""
+    base = placements[0].module.base
+    masses = np.array([pl.module.mass for pl in placements])
+    grid = np.array([[col * base, row * base, 0.0] for col, row in
+                     (pl.grid_offset for pl in placements)])
+    com = masses @ grid / masses.sum()
+    grid_to_s = rot_z(placements[0].yaw_quarter_turns * np.pi / 2.0).T
+    rotations = [grid_to_s @ rot_z(pl.yaw_quarter_turns * np.pi / 2.0) for pl in placements]
+    offsets = (grid - com) @ grid_to_s.T
+    return rotations, offsets
 
 
 def brute_force_wrench(structure, u):
-    """Independent aggregation: per-module wrenches rotated and shifted into
-    the structure frame, summed."""
+    """Independent aggregation: each module's wrench about its own center,
+    summed rotor by rotor in the module frame, then rotated and shifted into
+    the structure frame and summed."""
+    rotations, offsets = placement_frames(structure.placements)
     force = np.zeros(3)
     torque = np.zeros(3)
     for i, pl in enumerate(structure.placements):
-        w = module_wrench(pl.module, u[4 * i: 4 * i + 4])
-        r_m = structure.module_rotations[i]
-        d = structure.module_offsets[i]
-        f_s = r_m @ w.force
+        f_m = np.zeros(3)
+        tau_m = np.zeros(3)
+        for thrust, prop in zip(u[4 * i: 4 * i + 4], pl.module.propellers):
+            f_vec = thrust * prop.axis
+            f_m += f_vec
+            tau_m += np.cross(prop.position, f_vec) + thrust * prop.spin * prop.drag_ratio * prop.axis
+        f_s = rotations[i] @ f_m
         force += f_s
-        torque += r_m @ w.torque + np.cross(d, f_s)
+        torque += rotations[i] @ tau_m + np.cross(offsets[i], f_s)
     return np.concatenate([force, torque])
 
 
@@ -103,8 +122,8 @@ def test_r_sf_invariant_under_module_permutation():
 
 def test_r_sf_is_thrust_frame_of_force_map(all_structures):
     for structure in all_structures.values():
-        first_rotor = (structure.module_rotations[0]
-                       @ structure.placements[0].module.propellers[0].orientation)
+        rotations, _ = placement_frames(structure.placements)
+        first_rotor = rotations[0] @ structure.placements[0].module.propellers[0].orientation
         np.testing.assert_allclose(
             _thrust_frame(structure.force_map, structure.rank_f, first_rotor),
             structure.r_sf, atol=0,
@@ -163,10 +182,21 @@ def test_ellipsoid_projection_extents(pitch_pair_structure):
 
 
 def test_com_is_mass_weighted_center(pitch_pair_structure):
-    np.testing.assert_allclose(pitch_pair_structure.com, [0.06, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(
-        pitch_pair_structure.module_offsets, [[-0.06, 0, 0], [0.06, 0, 0]], atol=1e-15
-    )
+    # Uniform thrust on one balanced module adds no torque about the
+    # module's center, so the torque rows show the moment arm from the
+    # center of mass: d x F with the modules at -0.06 and +0.06 m along x.
+    for i, d in enumerate(([-0.06, 0.0, 0.0], [0.06, 0.0, 0.0])):
+        u = np.zeros(8)
+        u[4 * i: 4 * i + 4] = 1.0
+        w = pitch_pair_structure.thrust_map @ u
+        np.testing.assert_allclose(w[3:], np.cross(d, w[:3]), atol=1e-15)
+    # A double-mass module at x = 0.12 pulls the center to x = 0.08.
+    s = assemble([ModulePlacement(build_r_module()),
+                  ModulePlacement(build_r_module(mass=0.27), (1, 0))])
+    np.testing.assert_allclose(s.torque_map @ np.repeat([1.0, 0.0], 4), [0.0, 0.32, 0.0],
+                               atol=1e-15)
+    np.testing.assert_allclose(s.torque_map @ np.repeat([0.0, 1.0], 4), [0.0, -0.16, 0.0],
+                               atol=1e-15)
 
 
 def test_assemble_rejects_collisions_and_empty():
@@ -189,7 +219,8 @@ def test_yawed_first_module_defines_structure_frame():
     # With the first module yawed a quarter turn, the structure frame follows
     # it, so a pitch tilt shows up rolled in the body frame.
     s = assemble([ModulePlacement(build_r_module(beta=np.pi / 18), yaw_quarter_turns=1)])
-    np.testing.assert_allclose(s.module_rotations[0], np.eye(3), atol=1e-15)
+    unyawed = assemble([ModulePlacement(build_r_module(beta=np.pi / 18))])
+    np.testing.assert_allclose(s.thrust_map, unyawed.thrust_map, atol=1e-15)
     assert np.linalg.norm(s.r_sf - rot_y(np.pi / 18)) < 1e-12
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,17 @@ def test_sample_default_attitude_from_yaw_pitch():
     s = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
                          yaw_d=0.4, pitch_d=-0.1)
     np.testing.assert_allclose(s.r_wf_d, rot_z(0.4) @ rot_y(-0.1), atol=0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["yaw_d", "pitch_d"])
+def test_sample_rejects_non_finite_angle_for_default_attitude(field, value):
+    zeros = {"t": 0.0, "r_d": np.zeros(3), "v_d": np.zeros(3), "a_d": np.zeros(3)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=field):
+            TrajectorySample(**zeros, **{field: value})
+        # With the attitude given, the sample keeps the angle for the
+        # controller to reject where its mode reads it.
+        s = TrajectorySample(**zeros, r_wf_d=np.eye(3), **{field: value})
+    assert getattr(s, field) is value
