@@ -221,6 +221,13 @@ def parse_config(text: str) -> StructureConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"syntax error: {exc}") from exc
+    # configparser merges [DEFAULT] keys into every section, where they
+    # would set fields the file never names there.
+    if parser.defaults():
+        raise ConfigError(
+            f"[DEFAULT]: default keys are not supported, got {sorted(parser.defaults())}; "
+            "set each key in its own section"
+        )
 
     module_sections: dict[int, str] = {}
     for name in parser.sections():

@@ -21,11 +21,14 @@ pseudoinverse. Each step is then one product giving the exact minimum-norm
 thrusts, clamped to the motor range.
 
 :meth:`Controller.step` is the one entry to the control law and a flat
-kernel: the law runs on Python floats, which avoids the per-call cost of
-numpy on 3-vectors and 3x3 matrices, and only the allocation product and
-clamp use numpy. Float arithmetic overflows to inf and NaN without
-warnings, so the step checks the yaw and pitch commands it reads and the
-commanded acceleration and wrench for finiteness and raises
+kernel: it reads the state's floats and the sample's float tuples, runs the
+law on Python floats, which avoids the per-call cost of numpy on 3-vectors
+and 3x3 matrices, and uses numpy only for the allocation product; the clamp
+and the saturation test run on the resulting floats. The output keeps the
+thrusts, the wrench and the attitude as floats and builds its arrays and
+its ``Wrench`` only when they are read. Float arithmetic overflows to inf
+and NaN without warnings, so the step checks the yaw and pitch commands it
+reads and the commanded acceleration and wrench for finiteness and raises
 ControlDegeneracyError.
 """
 
@@ -33,12 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 
 import numpy as np
 
 from .dynamics import GRAVITY, RigidState
 from .errors import AllocationError, ControlDegeneracyError
+from .lazy import lazy_fields
 from .module_design import Wrench
 from .so3 import matmul3
 from .structure import StructureModel, numerical_rank
@@ -88,6 +92,11 @@ def default_gains() -> Gains:
     return Gains(k_pos=12.0, k_vel=6.0, k_rot=200.0, k_ang=20.0)
 
 
+@lazy_fields(
+    u=lambda out: np.array(out._u),
+    desired_wrench=lambda out: Wrench._checked(np.array(out._force), np.array(out._torque)),
+    desired_attitude=lambda out: np.array(out._attitude).reshape(3, 3),
+)
 @dataclass(frozen=True, eq=False)
 class ControlOutput:
     """Result of one controller evaluation.
@@ -99,6 +108,10 @@ class ControlOutput:
     saturated: True when any rotor had to be clamped
     desired_attitude: the commanded world attitude of the thrust frame
     mode: "4dof", "5dof" or "6dof"
+
+    :meth:`Controller.step` keeps the thrusts, the wrench and the attitude as
+    floats and builds the ``u`` array, the ``Wrench`` and the attitude
+    matrix only when they are read.
     """
 
     u: np.ndarray
@@ -107,6 +120,15 @@ class ControlOutput:
     saturated: bool
     desired_attitude: np.ndarray
     mode: str
+
+    @classmethod
+    def _from_floats(cls, u, u_raw, force, torque, saturated, attitude, mode) -> ControlOutput:
+        """An output from the thrust list, the wrench 3-tuples and the
+        row-major attitude, which the caller has already checked."""
+        out = object.__new__(cls)
+        out.__dict__.update(u_raw=u_raw, saturated=saturated, mode=mode, _u=u, _force=force,
+                            _torque=torque, _attitude=attitude)
+        return out
 
 
 def _diag(gain: np.ndarray) -> tuple[float, float, float]:
@@ -257,14 +279,15 @@ class Controller:
             _diag(k) for k in (self.gains.k_pos, self.gains.k_vel, self.gains.k_rot, self.gains.k_ang)
         )
         self._r_sf = tuple(structure.r_sf.ravel().tolist())
-        self._inertia = tuple(structure.inertia.ravel().tolist())
-        self._mass = float(structure.total_mass)
+        self._mass, self._inertia, _ = structure._rigid_body
+        self._f_max = tuple(structure.f_max.tolist())
 
     def step(self, state: RigidState, sample: TrajectorySample) -> ControlOutput:
-        omega = state.omega.tolist()
+        flat = state._flat
+        omega = flat[15:18]
         a = _position_accel(
-            state.r.tolist(), state.v.tolist(), sample.r_d.tolist(), sample.v_d.tolist(),
-            sample.a_d.tolist(), self._k_pos, self._k_vel, self.gravity,
+            flat[0:3], flat[3:6], sample.r_d, sample.v_d, sample.a_d, self._k_pos, self._k_vel,
+            self.gravity,
         )
         ax, ay, az = a
         if not math.isfinite(ax * ax + ay * ay + az * az):
@@ -279,9 +302,9 @@ class Controller:
                 a, _finite_angle("yaw_d", sample.yaw_d), _finite_angle("pitch_d", sample.pitch_d)
             )
         else:
-            r_wf_d = sample.r_wf_d.ravel().tolist()
-        r_wf = matmul3(state.r_ws.ravel().tolist(), self._r_sf)
-        e_rot, e_omega = _attitude_error(r_wf_d, r_wf, omega, sample.omega_d.tolist())
+            r_wf_d = sample._attitude
+        r_wf = matmul3(flat[6:15], self._r_sf)
+        e_rot, e_omega = _attitude_error(r_wf_d, r_wf, omega, sample.omega_d)
         torque = _attitude_torque(
             _attitude_accel(e_rot, e_omega, self._k_rot, self._k_ang), self._inertia, omega
         )
@@ -305,14 +328,8 @@ class Controller:
             )
 
         u_raw = self.pinv.dot(self._select_rows((fx, fy, fz, *torque)))
-        u = np.clip(u_raw, 0.0, self.structure.f_max)
-        return ControlOutput(
-            u=u,
-            u_raw=u_raw,
-            desired_wrench=Wrench._checked(np.array(force), np.array(torque)),
-            saturated=bool((abs(u - u_raw) > 1e-12).any()),
-            desired_attitude=(
-                sample.r_wf_d if self.mode == "6dof" else np.array(r_wf_d).reshape(3, 3)
-            ),
-            mode=self.mode,
-        )
+        raw = u_raw.tolist()
+        # np.clip(u_raw, 0, f_max) entry by entry, -0.0 included.
+        u = [0.0 if x <= 0.0 else (high if x > high else x) for x, high in zip(raw, self._f_max)]
+        saturated = u != raw and max(map(abs, map(sub, u, raw))) > 1e-12
+        return ControlOutput._from_floats(u, u_raw, force, torque, saturated, r_wf_d, self.mode)

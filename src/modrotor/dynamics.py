@@ -20,10 +20,13 @@ step with one matrix product.
 
 The step is a flat kernel: the four stages, the Rodrigues rotation, the
 final update and the polar pass run on Python floats, which avoids the
-per-call cost of numpy on 3-vectors and 3x3 matrices. Float arithmetic
-overflows to inf and NaN without warnings, and the kernel checks its result
-for finiteness, raising IntegrationError. Only that checked result skips
-``RigidState`` validation; states built by callers are always validated.
+per-call cost of numpy on 3-vectors and 3x3 matrices. It reads the state's
+18 floats and the structure's mass and inertia floats, converted once per
+structure, and returns a state that holds only its floats; that state
+builds its arrays when they are read. Float arithmetic overflows to inf and
+NaN without warnings, and the kernel checks its result for finiteness,
+raising IntegrationError. Only that checked result skips ``RigidState``
+validation; states built by callers are always validated.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
+from .lazy import lazy_fields, read_only
 from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
@@ -42,6 +46,12 @@ _TWELFTH = 1.0 / 12.0
 _STATE_SHAPES = {"r": (3,), "v": (3,), "r_ws": (3, 3), "omega": (3,)}
 
 
+@lazy_fields(
+    r=lambda state: read_only(state._flat[0:3]),
+    v=lambda state: read_only(state._flat[3:6]),
+    r_ws=lambda state: read_only(state._flat[6:15], (3, 3)),
+    omega=lambda state: read_only(state._flat[15:18]),
+)
 @dataclass(frozen=True, eq=False)
 class RigidState:
     """Pose and twist of the structure.
@@ -49,6 +59,11 @@ class RigidState:
     r, v: world-frame position (m) and velocity (m/s)
     r_ws: rotation from the structure frame to the world frame
     omega: body-frame angular velocity, rad/s
+
+    Every state also holds its 18 floats (r, v, r_ws row-major, omega),
+    which is what the controller and the integrator read, and its arrays
+    are read-only copies of them. A state that :func:`step` returns holds
+    only the floats and builds each array on first read.
     """
 
     r: np.ndarray
@@ -58,19 +73,21 @@ class RigidState:
 
     def __post_init__(self):
         for name, shape in _STATE_SHAPES.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = read_only(getattr(self, name))
             if arr.shape != shape:
                 raise ValueError(f"state field {name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"state field {name} has non-finite entries")
             object.__setattr__(self, name, arr)
+        self.__dict__["_flat"] = (*self.r.tolist(), *self.v.tolist(), *self.r_ws.ravel().tolist(),
+                                  *self.omega.tolist())
 
     @classmethod
-    def _checked(cls, r, v, r_ws, omega) -> RigidState:
-        """A state from fresh, finite float64 arrays of the right shapes,
-        which the caller has already checked; skips ``__post_init__``."""
+    def _from_floats(cls, flat: tuple) -> RigidState:
+        """A state from its 18 floats, which the caller has already checked
+        for finiteness; skips ``__post_init__``."""
         state = object.__new__(cls)
-        state.__dict__.update(r=r, v=v, r_ws=r_ws, omega=omega)
+        state.__dict__["_flat"] = flat
         return state
 
 
@@ -102,13 +119,14 @@ def accelerations(
     u = np.asarray(u, dtype=float)
     if u.shape != (4 * structure.n,):
         raise ValueError(f"u must have {4 * structure.n} entries, got shape {u.shape}")
-    k = _derivative(_flat_state(state), *_step_model(structure, state, u, gravity))
+    k = _derivative(_start(state), *_step_model(structure, state, u, gravity))
     return np.array(k[3:6]), np.array(k[9:12])
 
 
-def _flat_state(state):
+def _start(state):
     """The 12 floats (r, v, phi, omega) a step starts from; phi is zero."""
-    return (*state.r.tolist(), *state.v.tolist(), 0.0, 0.0, 0.0, *state.omega.tolist())
+    flat = state._flat
+    return (*flat[0:6], 0.0, 0.0, 0.0, *flat[15:18])
 
 
 def _step_model(structure, state, u, gravity):
@@ -118,13 +136,13 @@ def _step_model(structure, state, u, gravity):
     # IntegrationError, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         wrench = structure.thrust_map.dot(u).tolist()
-    mass = structure.total_mass
+    mass, inertia, inertia_inv = structure._rigid_body
     return (
-        state.r_ws.ravel().tolist(),
+        state._flat[6:15],
         (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
         wrench[3:],
-        structure.inertia.ravel().tolist(),
-        structure.inertia_inv.ravel().tolist(),
+        inertia,
+        inertia_inv,
         float(gravity),
     )
 
@@ -183,9 +201,9 @@ def step(
     gravity: float = GRAVITY,
 ) -> RigidState:
     """Advance one step of length ``dt`` with thrusts held constant."""
-    model = _step_model(structure, state, np.asarray(u, dtype=float), gravity)
+    model = _step_model(structure, state, u, gravity)
     dt = float(dt)
-    y0 = _flat_state(state)
+    y0 = _start(state)
 
     half = 0.5 * dt
     k1 = _derivative(y0, *model)
@@ -219,7 +237,4 @@ def step(
         raise IntegrationError(
             f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, dt={dt})"
         )
-    return RigidState._checked(
-        r=np.array(y1[0:3]), v=np.array(y1[3:6]), r_ws=np.array(r_ws1).reshape(3, 3),
-        omega=np.array(y1[9:12]),
-    )
+    return RigidState._from_floats((*y1[0:6], *r_ws1, *y1[9:12]))

@@ -1,0 +1,52 @@
+"""Dataclass fields built on first read.
+
+The closed loop passes states, samples and controller outputs between
+layers as Python floats. Their array fields are for callers that read them,
+so an instance made by a kernel may leave them out and build each one from
+its floats when it is first read.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class _LazyField:
+    """Non-data descriptor: an instance that holds the field in its
+    ``__dict__`` never reaches it; for one that does not, the first read
+    builds the value and stores it there."""
+
+    def __init__(self, name: str, build):
+        self.name = name
+        self.build = build
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
+def lazy_fields(**builders):
+    """Class decorator, placed above ``@dataclass``: each keyword names a
+    field that instances may leave out, and the function that builds its
+    value from the instance on first read. Instances made by the dataclass
+    constructor hold every field and are unaffected."""
+
+    def decorate(cls):
+        for name, build in builders.items():
+            setattr(cls, name, _LazyField(name, build))
+        return cls
+
+    return decorate
+
+
+def read_only(values, shape=None) -> np.ndarray:
+    """A new float array of ``values``, optionally reshaped, that cannot be
+    written to: it shows floats its owner keeps and the kernels read, so a
+    write to it would not reach them."""
+    arr = np.array(values, dtype=float)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    arr.flags.writeable = False
+    return arr

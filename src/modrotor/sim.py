@@ -5,6 +5,12 @@ with zero-order-hold thrusts, recording one row per step for reporting and
 regression: time, actual and desired position, the thrust-frame attitude as
 yaw/pitch/roll, the position error norm, all rotor thrusts and the
 saturation flag.
+
+The loop passes Python floats between the layers: trajectory samples carry
+float tuples, and the controller's output and the integrator's state keep
+their floats and build their arrays only when a caller reads them. Each
+step's record is computed from those floats and written as one row of
+preallocated numpy storage.
 """
 
 from __future__ import annotations
@@ -17,15 +23,20 @@ import numpy as np
 from .control import Controller, Gains
 from .dynamics import RigidState, SimParams, step
 from .errors import ModrotorError, SimulationError
-from .so3 import rotation_angle
+from .so3 import angle_between
 from .structure import StructureModel
 from .trajectory import TrajectorySample
 
 
 def euler_zyx(r: np.ndarray) -> tuple[float, float, float]:
     """(yaw, pitch, roll) of a rotation matrix, z-y-x convention."""
-    (r00, _, _), (r10, _, _), (r20, r21, r22) = r.tolist()
-    pitch = -math.asin(min(max(r20, -1.0), 1.0))
+    return _euler_zyx(r.ravel().tolist())
+
+
+def _euler_zyx(r) -> tuple[float, float, float]:
+    """``euler_zyx`` of a rotation given as a row-major 9-sequence of floats."""
+    r00, _, _, r10, _, _, r20, r21, r22 = r
+    pitch = -math.asin(-1.0 if r20 < -1.0 else (1.0 if r20 > 1.0 else r20))
     return math.atan2(r10, r00), pitch, math.atan2(r21, r22)
 
 
@@ -82,34 +93,34 @@ def run_closed_loop(
 
     steps = int(round(params.duration / params.dt))
     n_u = 4 * structure.n
-    t_arr = np.empty(steps)
-    pos = np.empty((steps, 3))
-    pos_des = np.empty((steps, 3))
-    euler = np.empty((steps, 3))
-    pos_err = np.empty(steps)
-    att_err = np.empty(steps)
-    u_arr = np.empty((steps, n_u))
+    # One row per step: t, pos, pos_des, yaw/pitch/roll, pos_err, att_err, u.
+    rows = np.empty((steps, 12 + n_u))
     sat = np.zeros(steps, dtype=bool)
+    r_sf = structure.r_sf
+    dt, gravity = params.dt, params.gravity
 
     for k in range(steps):
-        t = k * params.dt
+        t = k * dt
         sample = trajectory(t)
         try:
             out = controller.step(state, sample)
-            r_wf = state.r_ws @ structure.r_sf
-            t_arr[k] = t
-            pos[k] = state.r
-            pos_des[k] = sample.r_d
-            euler[k] = euler_zyx(r_wf)
-            pos_err[k] = math.dist(sample.r_d.tolist(), state.r.tolist())
-            att_err[k] = rotation_angle(r_wf, out.desired_attitude)
-            u_arr[k] = out.u
+            flat, r_d = state._flat, sample.r_d
+            r = flat[0:3]
+            # numpy's product, not so3.matmul3: its BLAS kernel rounds
+            # near-cancelling entries differently, and the CSV records them.
+            r_wf = np.array(flat[6:15]).reshape(3, 3).dot(r_sf).ravel().tolist()
+            # A list, not a tuple: a two-module row has 20 entries, and
+            # CPython 3.11 parks spent 20-item tuples on a free list it never
+            # draws from (0.4 MB more peak memory).
+            rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r),
+                       angle_between(r_wf, out._attitude), *out._u]
             sat[k] = out.saturated
-            state = step(structure, state, out.u, params.dt, params.gravity)
+            state = step(structure, state, out._u, dt, gravity)
         except ModrotorError as exc:
             raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
 
     return RunResult(
-        t=t_arr, pos=pos, pos_des=pos_des, euler_f=euler, pos_err=pos_err,
-        att_err=att_err, u=u_arr, saturated=sat, final_state=state,
+        t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
+        pos_err=rows[:, 10], att_err=rows[:, 11], u=rows[:, 12:], saturated=sat,
+        final_state=state,
     )

@@ -28,14 +28,24 @@ def rot_x(angle: float) -> np.ndarray:
 
 def rot_y(angle: float) -> np.ndarray:
     """Right-handed rotation about the y-axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return np.array(rot_y_flat(angle)).reshape(3, 3)
 
 
 def rot_z(angle: float) -> np.ndarray:
     """Right-handed rotation about the z-axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array(rot_z_flat(angle)).reshape(3, 3)
+
+
+def rot_y_flat(angle: float) -> tuple[float, ...]:
+    """Row-major entries of rot_y(angle), as floats."""
+    c, s = math.cos(angle), math.sin(angle)
+    return (c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
+
+
+def rot_z_flat(angle: float) -> tuple[float, ...]:
+    """Row-major entries of rot_z(angle), as floats."""
+    c, s = math.cos(angle), math.sin(angle)
+    return (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
 
 
 def rodrigues(x: float, y: float, z: float) -> tuple[float, ...]:
@@ -94,12 +104,22 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:
     """Geodesic angle in radians between two rotations (rb defaults to identity)."""
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = ra.tolist()
     if rb is None:
-        trace = a0 + a4 + a8
-    else:
-        # trace(ra^T rb), summed column by column like the matrix product.
-        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = rb.tolist()
-        trace = ((a0 * b0 + a3 * b3 + a6 * b6) + (a1 * b1 + a4 * b4 + a7 * b7)
-                 + (a2 * b2 + a5 * b5 + a8 * b8))
-    return math.acos(min(max((trace - 1.0) / 2.0, -1.0), 1.0))
+        (a0, _, _), (_, a4, _), (_, _, a8) = ra.tolist()
+        return _angle_of_trace(a0 + a4 + a8)
+    return angle_between(ra.ravel().tolist(), rb.ravel().tolist())
+
+
+def angle_between(a, b) -> float:
+    """Geodesic angle in radians between two rotations given as row-major
+    9-sequences of floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    # trace(a^T b), summed column by column like the matrix product.
+    return _angle_of_trace((a0 * b0 + a3 * b3 + a6 * b6) + (a1 * b1 + a4 * b4 + a7 * b7)
+                           + (a2 * b2 + a5 * b5 + a8 * b8))
+
+
+def _angle_of_trace(trace: float) -> float:
+    c = (trace - 1.0) / 2.0
+    return math.acos(-1.0 if c < -1.0 else (1.0 if c > 1.0 else c))

@@ -12,6 +12,7 @@ controllers, with the z-axis along the strongest force direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,13 @@ class StructureModel:
     @property
     def n(self) -> int:
         return len(self.placements)
+
+    @cached_property
+    def _rigid_body(self) -> tuple:
+        """Total mass, inertia and its inverse (row-major float tuples), as
+        every control and dynamics step reads them; converted once."""
+        return (float(self.total_mass), tuple(self.inertia.ravel().tolist()),
+                tuple(self.inertia_inv.ravel().tolist()))
 
     @property
     def force_map(self) -> np.ndarray:
@@ -250,7 +258,8 @@ def assemble(placements) -> StructureModel:
     first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
     r_sf = _thrust_frame(a[:3], rank_f, first_rotor)
 
-    for arr in (a, f_max, inertia, sigmas, r_sf):
+    inertia_inv = np.linalg.inv(inertia)
+    for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv):
         arr.setflags(write=False)
     return StructureModel(
         placements=placements,
@@ -261,7 +270,7 @@ def assemble(placements) -> StructureModel:
         r_sf=r_sf,
         force_sigmas=sigmas,
         f_max=f_max,
-        inertia_inv=np.linalg.inv(inertia),
+        inertia_inv=inertia_inv,
     )
 
 

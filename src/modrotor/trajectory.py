@@ -6,18 +6,25 @@ controller mode can consume it: single-axis structures track position and
 yaw, planar ones additionally hold the pitch angle, fully actuated ones
 track the attitude matrix directly. ``omega_d`` is expressed in the desired
 thrust frame.
+
+The trajectories compute with ``math`` on Python floats, and a sample
+carries its vectors as float 3-tuples, which is what the controller reads.
+The attitude is kept as floats too; the ``r_wf_d`` array is built only when
+something reads it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .so3 import rot_y, rot_z
+from .lazy import lazy_fields, read_only
+from .so3 import matmul3, rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
 # shared period so the path closes on itself.
@@ -35,38 +42,75 @@ RECT_SPEED = 0.25
 RECT_BLEND = 0.5  # s spent rounding each corner
 
 
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _vec3(name: str, value) -> tuple[float, float, float]:
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (3,):
+        raise ValueError(f"{name} must have 3 entries, got shape {arr.shape}")
+    x, y, z = arr.tolist()
+    return (x, y, z)
+
+
+def _yaw_pitch_attitude(yaw: float, pitch: float) -> tuple[float, ...]:
+    """Row-major rot_z(yaw) @ rot_y(pitch); a ValueError names a non-finite angle."""
+    for name, angle in (("yaw_d", yaw), ("pitch_d", pitch)):
+        if not math.isfinite(angle):
+            raise ValueError(f"{name} must be finite to build r_wf_d, got {angle!r}")
+    return matmul3(rot_z_flat(yaw), rot_y_flat(pitch))
+
+
+@lazy_fields(r_wf_d=lambda sample: read_only(sample._attitude, (3, 3)))
 @dataclass(frozen=True, eq=False)
 class TrajectorySample:
     """Reference state at time t.
 
-    r_d, v_d, a_d: desired position and its first two derivatives
+    r_d, v_d, a_d: desired position and its first two derivatives, float
+        3-tuples
     yaw_d, pitch_d: commanded heading and pitch, rad
-    r_wf_d: full desired attitude of the thrust frame
-    omega_d: desired angular velocity in the desired frame, rad/s
+    r_wf_d: full desired attitude of the thrust frame, a 3x3 array; without
+        one, rot_z(yaw_d) @ rot_y(pitch_d)
+    omega_d: desired angular velocity in the desired frame, rad/s, a float
+        3-tuple; None means zero
+
+    The constructor turns the vectors into float tuples. A sample keeps its
+    attitude as row-major floats, which the controller reads, and ``r_wf_d``
+    is a read-only copy of them: the caller's array, copied, or one built on
+    first read.
     """
 
     t: float
-    r_d: np.ndarray
-    v_d: np.ndarray
-    a_d: np.ndarray
+    r_d: tuple
+    v_d: tuple
+    a_d: tuple
     yaw_d: float = 0.0
     pitch_d: float = 0.0
-    r_wf_d: np.ndarray = None
-    omega_d: np.ndarray = None
+    r_wf_d: np.ndarray | None = None
+    omega_d: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "r_d", np.asarray(self.r_d, dtype=float))
-        object.__setattr__(self, "v_d", np.asarray(self.v_d, dtype=float))
-        object.__setattr__(self, "a_d", np.asarray(self.a_d, dtype=float))
+        for name in ("r_d", "v_d", "a_d"):
+            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
+        omega_d = _ZERO3 if self.omega_d is None else _vec3("omega_d", self.omega_d)
+        object.__setattr__(self, "omega_d", omega_d)
         if self.r_wf_d is None:
-            for name in ("yaw_d", "pitch_d"):
-                if not math.isfinite(getattr(self, name)):
-                    raise ValueError(
-                        f"{name} must be finite to build r_wf_d, got {getattr(self, name)!r}"
-                    )
-            object.__setattr__(self, "r_wf_d", rot_z(self.yaw_d) @ rot_y(self.pitch_d))
-        if self.omega_d is None:
-            object.__setattr__(self, "omega_d", np.zeros(3))
+            self.__dict__["_attitude"] = _yaw_pitch_attitude(self.yaw_d, self.pitch_d)
+            del self.__dict__["r_wf_d"]
+        else:
+            r_wf_d = read_only(self.r_wf_d)
+            object.__setattr__(self, "r_wf_d", r_wf_d)
+            self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
+
+    @classmethod
+    def _from_floats(cls, t, r_d, v_d, a_d, yaw_d, pitch_d, attitude,
+                     omega_d=_ZERO3) -> TrajectorySample:
+        """A sample from float 3-tuples and the row-major attitude, which
+        the trajectory has already checked; skips ``__post_init__``."""
+        sample = object.__new__(cls)
+        sample.__dict__.update(t=t, r_d=r_d, v_d=v_d, a_d=a_d, yaw_d=yaw_d, pitch_d=pitch_d,
+                               omega_d=omega_d, _attitude=attitude)
+        return sample
 
 
 def _check_time(t: float) -> float:
@@ -77,43 +121,44 @@ def _check_time(t: float) -> float:
 
 def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:
     """Constant reference at ``r0`` with heading ``yaw0``."""
-    r0 = np.asarray(r0, dtype=float)
+    r_d = _vec3("r0", r0)
+    attitude = _yaw_pitch_attitude(yaw0, 0.0)
 
     def sample(t: float) -> TrajectorySample:
         _check_time(t)
-        return TrajectorySample(
-            t=t, r_d=r0.copy(), v_d=np.zeros(3), a_d=np.zeros(3), yaw_d=yaw0,
-        )
+        return TrajectorySample._from_floats(t, r_d, _ZERO3, _ZERO3, yaw0, 0.0, attitude)
 
     return sample
+
+
+_HELIX_OMEGA = 2.0 * math.pi / HELIX_PERIOD
+_HELIX_Z_MID = 0.5 * (HELIX_Z_LOW + HELIX_Z_HIGH)
+_HELIX_Z_AMP = 0.5 * (HELIX_Z_HIGH - HELIX_Z_LOW)
 
 
 def helix(t: float) -> TrajectorySample:
     """Climbing-and-descending circle with continuously rotating heading."""
     _check_time(t)
-    omega = 2.0 * np.pi / HELIX_PERIOD
-    z_mid = 0.5 * (HELIX_Z_LOW + HELIX_Z_HIGH)
-    z_amp = 0.5 * (HELIX_Z_HIGH - HELIX_Z_LOW)
-    c, s = np.cos(omega * t), np.sin(omega * t)
-    r_d = np.array([
+    omega = _HELIX_OMEGA
+    yaw = omega * t
+    c, s = math.cos(yaw), math.sin(yaw)
+    r_d = (
         HELIX_CENTER[0] + HELIX_RADIUS * c,
         HELIX_CENTER[1] + HELIX_RADIUS * s,
-        z_mid - z_amp * c,
-    ])
-    v_d = np.array([
+        _HELIX_Z_MID - _HELIX_Z_AMP * c,
+    )
+    v_d = (
         -HELIX_RADIUS * omega * s,
         HELIX_RADIUS * omega * c,
-        z_amp * omega * s,
-    ])
-    a_d = np.array([
+        _HELIX_Z_AMP * omega * s,
+    )
+    a_d = (
         -HELIX_RADIUS * omega**2 * c,
         -HELIX_RADIUS * omega**2 * s,
-        z_amp * omega**2 * c,
-    ])
-    yaw = omega * t
-    return TrajectorySample(
-        t=t, r_d=r_d, v_d=v_d, a_d=a_d, yaw_d=yaw,
-        r_wf_d=rot_z(yaw), omega_d=np.array([0.0, 0.0, omega]),
+        _HELIX_Z_AMP * omega**2 * c,
+    )
+    return TrajectorySample._from_floats(
+        t, r_d, v_d, a_d, yaw, 0.0, (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, omega),
     )
 
 
@@ -134,16 +179,24 @@ def _smoothstep_deriv(x: float) -> float:
 
 @dataclass(frozen=True)
 class _Phase:
+    """One straight run or corner blend; vectors are float 3-tuples."""
+
     start: float
     duration: float
-    p0: np.ndarray
-    v_in: np.ndarray
-    v_out: np.ndarray  # equals v_in on straight segments
+    p0: tuple
+    v_in: tuple
+    dv: tuple | None  # v_out - v_in on a corner blend, None on a straight
+
+
+def _axpy(a: float, x, y) -> tuple[float, float, float]:
+    """y + a x, entry by entry."""
+    return (y[0] + a * x[0], y[1] + a * x[1], y[2] + a * x[2])
 
 
 @cache
 def _rect_schedule(speed: float, altitude: float) -> tuple:
-    """Phase table for one counterclockwise lap, starting mid bottom edge."""
+    """Phase table for one counterclockwise lap, starting mid bottom edge:
+    the phases, their start times and the lap time."""
     if speed <= 0.0:
         raise ValueError("speed must be positive")
     shrink = speed * RECT_BLEND  # straight length consumed by each corner
@@ -153,49 +206,44 @@ def _rect_schedule(speed: float, altitude: float) -> tuple:
             f"it must be below {RECT_WIDTH / RECT_BLEND:g}"
         )
     half_l, half_w = RECT_LENGTH / 2.0, RECT_WIDTH / 2.0
-    dirs = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([-1.0, 0.0, 0.0]),
-        np.array([0.0, -1.0, 0.0]),
-    ]
+    dirs = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    velocities = [(speed * x, speed * y, speed * z) for x, y, z in dirs]
     lengths = [RECT_LENGTH, RECT_WIDTH, RECT_LENGTH, RECT_WIDTH]
     phases = []
     t = 0.0
     # First straight starts half-way along the bottom edge.
-    p = np.array([0.0, -half_w, altitude])
+    p = (0.0, -half_w, altitude)
     first_run = half_l - shrink / 2.0
     rest = [first_run] + [lengths[i] - shrink for i in (1, 2, 3)] + [first_run]
     for leg in range(4):
         run = rest[leg]
-        v = speed * dirs[leg]
-        phases.append(_Phase(t, run / speed, p.copy(), v, v))
-        p = p + run * dirs[leg]
+        v, v_next = velocities[leg], velocities[(leg + 1) % 4]
+        phases.append(_Phase(t, run / speed, p, v, None))
+        p = _axpy(run, dirs[leg], p)
         t += run / speed
-        v_next = speed * dirs[(leg + 1) % 4]
-        phases.append(_Phase(t, RECT_BLEND, p.copy(), v, v_next))
-        p = p + 0.5 * RECT_BLEND * (v + v_next)
+        phases.append(_Phase(t, RECT_BLEND, p, v, tuple(b - a for a, b in zip(v, v_next))))
+        p = _axpy(0.5 * RECT_BLEND, tuple(a + b for a, b in zip(v, v_next)), p)
         t += RECT_BLEND
-    v = speed * dirs[0]
-    phases.append(_Phase(t, rest[4] / speed, p.copy(), v, v))
+    phases.append(_Phase(t, rest[4] / speed, p, velocities[0], None))
     t += rest[4] / speed
-    starts = np.array([ph.start for ph in phases])
-    return phases, starts, t
+    return tuple(phases), tuple(ph.start for ph in phases), t
 
 
 def _rect_point(t: float, speed: float, altitude: float):
     phases, starts, period = _rect_schedule(speed, altitude)
     tau = t % period
-    idx = int(np.searchsorted(starts, tau, side="right") - 1)
-    ph = phases[idx]
+    ph = phases[bisect_right(starts, tau) - 1]
     dt = tau - ph.start
-    dv = ph.v_out - ph.v_in
-    if not dv.any():
-        return ph.p0 + dt * ph.v_in, ph.v_in.copy(), np.zeros(3)
+    if ph.dv is None:
+        return _axpy(dt, ph.v_in, ph.p0), ph.v_in, _ZERO3
     x = dt / ph.duration
-    r = ph.p0 + dt * ph.v_in + dv * ph.duration * _smoothstep_int(x)
-    v = ph.v_in + dv * _smoothstep(x)
-    a = dv * _smoothstep_deriv(x) / ph.duration
+    duration, (dx, dy, dz) = ph.duration, ph.dv
+    r_lin = _axpy(dt, ph.v_in, ph.p0)
+    s_int, s, s_deriv = _smoothstep_int(x), _smoothstep(x), _smoothstep_deriv(x)
+    r = (r_lin[0] + dx * duration * s_int, r_lin[1] + dy * duration * s_int,
+         r_lin[2] + dz * duration * s_int)
+    v = _axpy(s, ph.dv, ph.v_in)
+    a = (dx * s_deriv / duration, dy * s_deriv / duration, dz * s_deriv / duration)
     return r, v, a
 
 
@@ -212,11 +260,13 @@ def rectangle(
     rectangle bounds.
     """
     _check_time(t)
+    if not math.isfinite(pitch_hold):
+        raise ValueError(f"pitch_hold must be finite, got {pitch_hold!r}")
     r_d, v_d, a_d = _rect_point(t, speed, altitude)
-    return TrajectorySample(
-        t=t, r_d=r_d, v_d=v_d, a_d=a_d, yaw_d=0.0, pitch_d=pitch_hold,
-        r_wf_d=rot_y(pitch_hold),
-    )
+    return TrajectorySample._from_floats(t, r_d, v_d, a_d, 0.0, pitch_hold, rot_y_flat(pitch_hold))
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def rectangle_fixed_attitude(
@@ -227,10 +277,7 @@ def rectangle_fixed_attitude(
     """The same circuit with a level attitude target for full actuation."""
     _check_time(t)
     r_d, v_d, a_d = _rect_point(t, speed, altitude)
-    return TrajectorySample(
-        t=t, r_d=r_d, v_d=v_d, a_d=a_d, yaw_d=0.0, pitch_d=0.0,
-        r_wf_d=np.eye(3),
-    )
+    return TrajectorySample._from_floats(t, r_d, v_d, a_d, 0.0, 0.0, _IDENTITY)
 
 
 def rectangle_period(speed: float = RECT_SPEED) -> float:

@@ -12,7 +12,6 @@ import pytest
 
 from modrotor import (
     Controller,
-    Gains,
     RigidState,
     SimParams,
     build_r_module,
@@ -26,7 +25,7 @@ from modrotor import (
     run_closed_loop,
     step,
 )
-from modrotor.so3 import E3, exp_map, rot_y, rot_z, rotation_angle
+from modrotor.so3 import E3, exp_map, rot_y, rotation_angle
 from modrotor.trajectory import HELIX_PERIOD, rectangle_period
 
 from conftest import make_flat, make_pitch_pair, make_quad_tilt, make_tilt10

@@ -61,6 +61,15 @@ def test_check_bad_config_exits_validation(tmp_path, capsys):
     assert "mass_kg" in err
 
 
+@pytest.mark.parametrize("rest", ["[module.1]\n", "[module.1]\n\n[gains]\nk_pos = 12\n"])
+def test_check_default_section_exits_validation(rest, tmp_path, capsys):
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\nbeta_deg = 10\n\n" + rest)
+    code, out, err = run_cli(["check", "--config", str(path)], capsys)
+    assert code == EXIT_VALIDATION
+    assert "[DEFAULT]" in err and "beta_deg" in err and not out
+
+
 def test_check_missing_file_exits_validation(capsys):
     code, _, err = run_cli(["check", "--config", "/nonexistent/x.cfg"], capsys)
     assert code == EXIT_VALIDATION

@@ -59,6 +59,14 @@ def test_unknown_section_rejected():
         parse_config("[module.1]\n\n[modules]\n")
 
 
+@pytest.mark.parametrize("rest", ["[module.1]\n", "[module.1]\n\n[gains]\nk_pos = 12\n"])
+def test_default_section_keys_rejected(rest):
+    # configparser would merge these into every section: without [gains]
+    # the key tilted every module, with it [gains] named a key it never set.
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\].*beta_deg"):
+        parse_config("[DEFAULT]\nbeta_deg = 10\n\n" + rest)
+
+
 def test_bad_values_name_the_field():
     with pytest.raises(ConfigError, match="mass_kg"):
         parse_config("[module.1]\nmass_kg = heavy\n")

@@ -502,6 +502,21 @@ def test_step_matches_numpy_oracle(all_structures):
     assert thrust_cut >= 10, thrust_cut
 
 
+@pytest.mark.parametrize("excess, saturated", [(2e-12, True), (5e-13, False), (0.0, False)])
+def test_saturation_flag_follows_clamp_distance(pitch_pair_structure, excess, saturated):
+    # A rotor is saturated when clamping moves it by more than 1e-12 N: cap
+    # the largest minimum-norm thrust just below itself and read the flag.
+    state, sample = level_state(r=(0, 0, 0.69)), still_sample(r=(0, 0, 0.7))
+    u_raw = Controller(pitch_pair_structure).step(state, sample).u_raw
+    top = int(np.argmax(u_raw))
+    f_max = pitch_pair_structure.f_max.copy()
+    f_max[top] = u_raw[top] - excess
+    out = Controller(replace(pitch_pair_structure, f_max=f_max)).step(state, sample)
+    np.testing.assert_array_equal(out.u_raw, u_raw)
+    assert out.u[top] == min(u_raw[top], f_max[top])
+    assert out.saturated is saturated
+
+
 def test_non_finite_command_raises_degeneracy_error(all_structures):
     # An overflowing gyroscopic torque, an acceleration whose magnitude
     # overflows, and a non-finite yaw or pitch command where the mode reads

@@ -178,6 +178,19 @@ def test_step_returns_fresh_float_arrays(quad_tilt_structure):
         assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.shape == shape
         assert not any(np.shares_memory(arr, getattr(state, other)) for other in fields)
         assert not any(np.shares_memory(arr, getattr(nxt, other)) for other in fields if other != name)
+        assert not arr.flags.writeable
+
+
+def test_state_holds_read_only_copies_of_its_arrays():
+    # The kernels read the floats a state takes at construction, so a later
+    # write to the caller's array or to the state's own must not pass silently.
+    r = np.array([0.1, 0.2, 0.3])
+    state = RigidState(r=r, v=np.zeros(3), r_ws=np.eye(3), omega=np.zeros(3))
+    r[0] = 5.0
+    assert state.r[0] == 0.1
+    for name in ("r", "v", "r_ws", "omega"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(state, name)[0] = 1.0
 
 
 # The numpy RKMK step that the flat kernel replaced, kept as the oracle for

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -5,16 +6,20 @@ import numpy as np
 import pytest
 
 from modrotor import (
+    Controller,
     RigidState,
     SimParams,
     SimulationError,
     hover,
     initial_state_from_sample,
+    parse_config,
     run_closed_loop,
+    step,
 )
 from modrotor.sim import euler_zyx
 from modrotor.so3 import exp_map, rot_x, rot_y, rot_z, rotation_angle
 from modrotor.trajectory import helix
+from conftest import CONFIG_DIR
 
 
 def test_euler_zyx_roundtrip():
@@ -129,3 +134,34 @@ def test_deterministic_across_runs(pitch_pair_structure):
     b = run_closed_loop(pitch_pair_structure, traj, **kw)
     np.testing.assert_array_equal(a.pos, b.pos)
     np.testing.assert_array_equal(a.u, b.u)
+
+
+@pytest.mark.parametrize("name", ["experiment1", "experiment2", "experiment3"])
+def test_run_matches_hand_loop_of_public_calls(name):
+    # run_closed_loop hands floats between the layers; a loop of the public
+    # calls that reads the public array fields must give the same run bit
+    # for bit. Two seconds take experiment3 past its first saturated step.
+    config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+    structure, trajectory, gains = config.to_structure(), config.to_trajectory(), config.to_gains()
+    params = replace(config.to_sim_params(), duration=2.0)
+    result = run_closed_loop(structure, trajectory, gains, params)
+
+    controller = Controller(structure, gains, params.gravity)
+    state = initial_state_from_sample(structure, trajectory(0.0))
+    records = []
+    for k in range(result.t.size):
+        t = k * params.dt
+        sample = trajectory(t)
+        out = controller.step(state, sample)
+        r_wf = state.r_ws @ structure.r_sf
+        records.append((t, *state.r, *sample.r_d, *euler_zyx(r_wf), math.dist(sample.r_d, state.r),
+                        rotation_angle(r_wf, out.desired_attitude), *out.u, out.saturated))
+        state = step(structure, state, out.u, params.dt, params.gravity)
+
+    expected = np.array(records)
+    got = np.column_stack([result.t, result.pos, result.pos_des, result.euler_f, result.pos_err,
+                           result.att_err, result.u, result.saturated])
+    assert got.tobytes() == expected.tobytes()
+    for field in ("r", "v", "r_ws", "omega"):
+        assert getattr(result.final_state, field).tobytes() == getattr(state, field).tobytes()
+    assert result.saturated.any() == (name == "experiment3")

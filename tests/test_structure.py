@@ -130,6 +130,14 @@ def test_r_sf_is_thrust_frame_of_force_map(all_structures):
         )
 
 
+def test_structure_arrays_are_read_only(all_structures):
+    # Controllers and the integrator convert these to floats once per
+    # structure, so a later write to one must not pass silently.
+    for structure in all_structures.values():
+        for name in ("thrust_map", "f_max", "inertia", "inertia_inv", "force_sigmas", "r_sf"):
+            assert not getattr(structure, name).flags.writeable, name
+
+
 def test_single_module_inertia_passthrough(flat_structure):
     np.testing.assert_allclose(
         flat_structure.inertia,

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from modrotor.so3 import rot_y, rot_z
 from modrotor.trajectory import (
     HELIX_PERIOD,
     TrajectorySample,
@@ -20,9 +21,10 @@ def finite_difference_check(traj, times, tol=1e-5, h=1e-4):
         if t < h:
             continue
         s = traj(t)
-        before, after = traj(t - h), traj(t + h)
-        v_fd = (after.r_d - before.r_d) / (2 * h)
-        a_fd = (after.r_d - 2 * s.r_d + before.r_d) / h**2
+        # Samples carry float tuples; difference them as arrays.
+        r, before, after = (np.asarray(x.r_d) for x in (s, traj(t - h), traj(t + h)))
+        v_fd = (after - before) / (2 * h)
+        a_fd = (after - 2 * r + before) / h**2
         np.testing.assert_allclose(s.v_d, v_fd, atol=tol)
         np.testing.assert_allclose(s.a_d, a_fd, atol=tol)
 
@@ -139,10 +141,21 @@ def test_negative_time_rejected():
 
 
 def test_sample_default_attitude_from_yaw_pitch():
-    from modrotor.so3 import rot_y, rot_z
     s = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
                          yaw_d=0.4, pitch_d=-0.1)
     np.testing.assert_allclose(s.r_wf_d, rot_z(0.4) @ rot_y(-0.1), atol=0)
+
+
+def test_sample_attitude_is_a_read_only_copy():
+    # The controller reads the attitude floats a sample takes at
+    # construction; its r_wf_d must not be writable, given or built.
+    given = rot_z(0.3)
+    s = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3), r_wf_d=given)
+    given[0, 0] = 5.0
+    np.testing.assert_array_equal(s.r_wf_d, rot_z(0.3))
+    for sample in (s, helix(1.0), rectangle(1.0), hover((0, 0, 1))(0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            sample.r_wf_d[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -157,3 +170,91 @@ def test_sample_rejects_non_finite_angle_for_default_attitude(field, value):
         # controller to reject where its mode reads it.
         s = TrajectorySample(**zeros, r_wf_d=np.eye(3), **{field: value})
     assert getattr(s, field) is value
+
+
+# ---------------------------------------------------------------- numpy oracle
+# The numpy formulas the float trajectories replaced, kept as the reference.
+
+
+def _oracle_helix(t):
+    omega = 2.0 * np.pi / HELIX_PERIOD
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    r_d = np.array([-0.5 + 0.45 * c, 0.0 + 0.45 * s, 0.7 - 0.25 * c])
+    v_d = np.array([-0.45 * omega * s, 0.45 * omega * c, 0.25 * omega * s])
+    a_d = np.array([-0.45 * omega**2 * c, -0.45 * omega**2 * s, 0.25 * omega**2 * c])
+    return r_d, v_d, a_d, omega * t, np.array([0.0, 0.0, omega])
+
+
+def _oracle_schedule(speed, altitude=0.7, length=0.8, width=0.6, blend=0.5):
+    """(start, duration, p0, v_in, v_out) per phase, and the lap time."""
+    shrink = speed * blend
+    dirs = [np.array(d) for d in ([1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0])]
+    lengths = [length, width, length, width]
+    first_run = length / 2.0 - shrink / 2.0
+    rest = [first_run] + [lengths[i] - shrink for i in (1, 2, 3)] + [first_run]
+    phases, t, p = [], 0.0, np.array([0.0, -width / 2.0, altitude])
+    for leg in range(4):
+        v, v_next = speed * dirs[leg], speed * dirs[(leg + 1) % 4]
+        phases.append((t, rest[leg] / speed, p.copy(), v, v))
+        p = p + rest[leg] * dirs[leg]
+        t += rest[leg] / speed
+        phases.append((t, blend, p.copy(), v, v_next))
+        p = p + 0.5 * blend * (v + v_next)
+        t += blend
+    phases.append((t, rest[4] / speed, p.copy(), speed * dirs[0], speed * dirs[0]))
+    return phases, t + rest[4] / speed
+
+
+def _oracle_rect_point(t, speed):
+    phases, period = _oracle_schedule(speed)
+    tau = t % period
+    starts = np.array([ph[0] for ph in phases])
+    start, duration, p0, v_in, v_out = phases[int(np.searchsorted(starts, tau, side="right") - 1)]
+    dt, dv = tau - start, v_out - v_in
+    if not dv.any():
+        return p0 + dt * v_in, v_in.copy(), np.zeros(3)
+    x = dt / duration
+    s_int = x**4 * (2.5 + x * (-3.0 + x))
+    s = x**3 * (10.0 + x * (-15.0 + 6.0 * x))
+    s_deriv = 30.0 * x**2 * (1.0 - x) ** 2
+    return p0 + dt * v_in + dv * duration * s_int, v_in + dv * s, dv * s_deriv / duration
+
+
+def _times_over_two_laps(period, starts):
+    """A grid over two laps, every phase start and lap wrap one ulp either side."""
+    edges = [lap * period + start for lap in (0, 1, 2) for start in starts]
+    near = [np.nextafter(e, side) for e in edges for side in (-np.inf, np.inf)] + edges
+    return [float(t) for t in np.concatenate([np.linspace(0.0, 2 * period, 801), near])
+            if t >= 0.0]
+
+
+def _assert_sample_matches(s, r_d, v_d, a_d, yaw_d, pitch_d):
+    for got, want in ((s.r_d, r_d), (s.v_d, v_d), (s.a_d, a_d)):
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert abs(s.yaw_d - yaw_d) <= 1e-15 and s.pitch_d == pitch_d
+    np.testing.assert_array_equal(s.r_wf_d, rot_z(s.yaw_d) @ rot_y(s.pitch_d))
+
+
+def test_helix_matches_numpy_oracle():
+    times = _times_over_two_laps(HELIX_PERIOD, [0.0])
+    for t in times:
+        r_d, v_d, a_d, yaw, omega_d = _oracle_helix(t)
+        s = helix(t)
+        _assert_sample_matches(s, r_d, v_d, a_d, yaw, 0.0)
+        np.testing.assert_allclose(s.omega_d, omega_d, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("speed", [0.25, 1.0])
+@pytest.mark.parametrize("pitch_deg", [-5.0, 0.0])
+def test_rectangle_matches_numpy_oracle(speed, pitch_deg):
+    hold = np.deg2rad(pitch_deg)
+    phases, period = _oracle_schedule(speed)
+    assert rectangle_period(speed) == period
+    for t in _times_over_two_laps(period, [ph[0] for ph in phases]):
+        r_d, v_d, a_d = _oracle_rect_point(t, speed)
+        _assert_sample_matches(rectangle(t, pitch_hold=hold, speed=speed), r_d, v_d, a_d,
+                               0.0, hold)
+        level = rectangle_fixed_attitude(t, speed=speed)
+        _assert_sample_matches(level, r_d, v_d, a_d, 0.0, 0.0)
+        np.testing.assert_array_equal(level.r_wf_d, np.eye(3))
