@@ -41,7 +41,6 @@ from .trajectory import (
     helix,
     hover,
     rectangle,
-    rectangle_fixed_attitude,
     rectangle_period,
 )
 

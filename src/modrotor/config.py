@@ -25,16 +25,9 @@ from .dynamics import SimParams
 from .errors import ConfigError
 from .module_design import build_r_module
 from .structure import ModulePlacement, StructureModel, assemble
-from .trajectory import (
-    RECT_ALTITUDE,
-    RECT_SPEED,
-    TrajectorySample,
-    helix,
-    hover,
-    rectangle,
-    rectangle_fixed_attitude,
-)
+from .trajectory import RECT_ALTITUDE, RECT_SPEED, TrajectorySample, helix, hover, rectangle
 
+# "rectangle_fixed" is the level rectangle: pitch_hold_deg does not apply.
 _TRAJECTORY_KINDS = ("hover", "helix", "rectangle", "rectangle_fixed")
 
 
@@ -56,17 +49,17 @@ class ModuleConfig:
 
 @dataclass(frozen=True)
 class GainsConfig:
-    k_pos: float = 12.0
-    k_vel: float = 6.0
-    k_rot: float = 200.0
-    k_ang: float = 20.0
+    k_pos: float = Gains.k_pos
+    k_vel: float = Gains.k_vel
+    k_rot: float = Gains.k_rot
+    k_ang: float = Gains.k_ang
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt_s: float = 0.001
-    gravity_mps2: float = 9.81
-    duration_s: float = 10.0
+    dt_s: float = SimParams.dt
+    gravity_mps2: float = SimParams.gravity
+    duration_s: float = SimParams.duration
 
 
 @dataclass(frozen=True)
@@ -131,17 +124,13 @@ class StructureConfig:
             )
         if tr.kind == "helix":
             return helix
-        if tr.kind == "rectangle":
-            trajectory = partial(
-                rectangle,
-                pitch_hold=float(np.deg2rad(tr.pitch_hold_deg)),
-                speed=tr.speed_mps,
-                altitude=tr.altitude_m,
-            )
-        else:
-            trajectory = partial(
-                rectangle_fixed_attitude, speed=tr.speed_mps, altitude=tr.altitude_m
-            )
+        pitch_hold = tr.pitch_hold_deg if tr.kind == "rectangle" else 0.0
+        trajectory = partial(
+            rectangle,
+            pitch_hold=float(np.deg2rad(pitch_hold)),
+            speed=tr.speed_mps,
+            altitude=tr.altitude_m,
+        )
         # The first sample builds the lap schedule, which rejects a speed
         # too high for the rounded corners.
         try:

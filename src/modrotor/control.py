@@ -4,16 +4,18 @@ Position tracking uses a PD law with gravity and acceleration feed-forward.
 Attitude errors are measured on the thrust frame rather than the body frame,
 so the controller always spends thrust along the structure's strongest force
 direction. The controllers for 4, 5 and 6 controllable DOF differ in only
-two ways: how the desired attitude is built, and which rows of the
-thrust-frame wrench (force along the thrust frame's x, y, z axes, then body
-torque) the rotors must realize:
+two ways: how much of the sample's one attitude target R_d they honour, and
+which rows of the thrust-frame wrench (force along the thrust frame's x, y,
+z axes, then body torque) the rotors must realize:
 
 * one force direction (4 DOF): z force plus full torque, like a
-  conventional quadrotor but tilted;
-* two directions (5 DOF): z and x force plus full torque, which frees the
-  pitch angle to be commanded independently;
+  conventional quadrotor but tilted; the desired x-axis follows the heading
+  of R_d e1, its horizontal part;
+* two directions (5 DOF): z and x force plus full torque; the desired
+  x-axis is R_d e1 itself, which in the z-y-x convention carries yaw and
+  pitch, so the pitch is commanded independently;
 * three directions (6 DOF): the full wrench, position and attitude
-  decoupled.
+  decoupled; the desired attitude is R_d.
 
 :class:`Controller` builds the 6 x 4n thrust-frame map once, keeps the rows
 of its mode and stores that reduced map with its Moore-Penrose
@@ -27,9 +29,9 @@ and 3x3 matrices, and uses numpy only for the allocation product; the clamp
 and the saturation test run on the resulting floats. The output keeps the
 thrusts, the wrench and the attitude as floats and builds its arrays and
 its ``Wrench`` only when they are read. Float arithmetic overflows to inf
-and NaN without warnings, so the step checks the yaw and pitch commands it
-reads and the commanded acceleration and wrench for finiteness and raises
-ControlDegeneracyError.
+and NaN without warnings, so the step checks the commanded acceleration and
+wrench for finiteness and raises ControlDegeneracyError; the sample's
+attitude is a finite rotation already.
 """
 
 from __future__ import annotations
@@ -54,23 +56,21 @@ _PINV_RCOND = 1e-10
 _EPS_THRUST = 1e-6
 # Thrust directions closer than this to the heading cannot define a frame.
 _EPS_CROSS = 1e-6
-# Thrust-frame wrench rows each mode commands, keyed by force-block rank:
-# 0-2 are force along the thrust frame's x, y, z axes, 3-5 body torque.
-_MODE_ROWS = {
-    1: ("4dof", (2, 3, 4, 5)),
-    2: ("5dof", (2, 0, 3, 4, 5)),
-    3: ("6dof", (0, 1, 2, 3, 4, 5)),
-}
 
 
 @dataclass(frozen=True, eq=False)
 class Gains:
-    """Diagonal PD gains: k_pos/k_vel on position, k_rot/k_ang on attitude."""
+    """Diagonal PD gains: k_pos/k_vel on position, k_rot/k_ang on attitude.
 
-    k_pos: np.ndarray
-    k_vel: np.ndarray
-    k_rot: np.ndarray
-    k_ang: np.ndarray
+    Each takes a scalar, three diagonal entries or a diagonal 3x3 matrix. The
+    defaults are tuned so every supported structure converges well inside
+    the underactuated position-through-attitude cascade.
+    """
+
+    k_pos: np.ndarray = 12.0
+    k_vel: np.ndarray = 6.0
+    k_rot: np.ndarray = 200.0
+    k_ang: np.ndarray = 20.0
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
@@ -87,14 +87,13 @@ class Gains:
 
 
 def default_gains() -> Gains:
-    """Gains tuned so every supported structure converges well inside the
-    underactuated position-through-attitude cascade."""
-    return Gains(k_pos=12.0, k_vel=6.0, k_rot=200.0, k_ang=20.0)
+    """The default gains, ``Gains()``."""
+    return Gains()
 
 
 @lazy_fields(
     u=lambda out: np.array(out._u),
-    desired_wrench=lambda out: Wrench._checked(np.array(out._force), np.array(out._torque)),
+    desired_wrench=lambda out: Wrench(out._force, out._torque),
     desired_attitude=lambda out: np.array(out._attitude).reshape(3, 3),
 )
 @dataclass(frozen=True, eq=False)
@@ -169,35 +168,43 @@ def _thrust_direction(a):
     return (ax / norm, ay / norm, az / norm)
 
 
-def _finite_angle(name: str, angle: float) -> float:
-    if not math.isfinite(angle):
-        raise ControlDegeneracyError(f"commanded {name} is not finite: {angle}")
-    return angle
-
-
 def _columns(x, y, z) -> tuple[float, ...]:
     """Row-major entries of the matrix with columns x, y, z."""
     return (x[0], y[0], z[0], x[1], y[1], z[1], x[2], y[2], z[2])
 
 
-def _attitude_4dof(a, yaw: float):
-    """Thrust-frame target whose z-axis carries the acceleration a; the
-    x-axis is the yaw heading projected onto the plane normal to it."""
+# Each mode's desired attitude from the commanded acceleration a and the
+# sample's row-major attitude target, whose entries 0, 3, 6 are its x-axis.
+def _attitude_4dof(a, target):
+    """The z-axis carries a; the x-axis is the target's heading, the
+    horizontal part of its x-axis, projected onto the plane normal to a."""
     z = _thrust_direction(a)
-    heading = (math.cos(yaw), math.sin(yaw), 0.0)
-    y = _unit_cross(z, heading, "thrust direction aligned with the yaw heading")
+    y = _unit_cross(z, (target[0], target[3], 0.0), "thrust direction aligned with the heading")
     return _columns(_cross(y, z), y, z)
 
 
-def _attitude_5dof(a, yaw: float, pitch: float):
-    """Thrust-frame target that pins the commanded yaw and pitch exactly:
-    the x-axis is rot_z(yaw) @ rot_y(pitch) @ e1, entry by entry, and the
+def _attitude_5dof(a, target):
+    """The x-axis is the target's, so its yaw and pitch hold exactly; the
     thrust direction is projected into the remaining free plane."""
     z_c = _thrust_direction(a)
-    cos_pitch = math.cos(pitch)
-    x = (math.cos(yaw) * cos_pitch, math.sin(yaw) * cos_pitch, -math.sin(pitch))
+    x = (target[0], target[3], target[6])
     y = _unit_cross(z_c, x, "thrust direction aligned with the commanded x-axis")
     return _columns(x, y, _cross(x, y))
+
+
+def _attitude_6dof(a, target):
+    """The target as is."""
+    return target
+
+
+# Per force-block rank: the mode, the thrust-frame wrench rows it commands
+# (0-2 force along the thrust frame's x, y, z axes, 3-5 body torque) and its
+# desired attitude.
+_MODE_ROWS = {
+    1: ("4dof", (2, 3, 4, 5), _attitude_4dof),
+    2: ("5dof", (2, 0, 3, 4, 5), _attitude_5dof),
+    3: ("6dof", (0, 1, 2, 3, 4, 5), _attitude_6dof),
+}
 
 
 def _attitude_error(r_wf_d, r_wf, omega, omega_d):
@@ -246,7 +253,8 @@ def _attitude_torque(alpha, inertia, omega):
 class Controller:
     """Closed-loop controller bound to one structure.
 
-    The mode follows the structure's force-block rank. ``reduced_map`` holds
+    The mode follows the structure's force-block rank and fixes the
+    desired attitude's construction. ``reduced_map`` holds
     the rows ``rows`` of the thrust-frame map [r_sf^T A_f; A_tau] that the
     mode commands, and ``pinv`` its pseudoinverse; both are fixed at
     construction, together with the floats the step reads (gain diagonals,
@@ -261,7 +269,7 @@ class Controller:
         self.gravity = float(gravity)
         if structure.rank_f not in _MODE_ROWS:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")
-        self.mode, rows = _MODE_ROWS[structure.rank_f]
+        self.mode, rows, self._desired_attitude = _MODE_ROWS[structure.rank_f]
         self.rows = np.array(rows)
         thrust_frame_map = np.vstack([structure.r_sf.T @ structure.force_map, structure.torque_map])
         self.reduced_map = thrust_frame_map[self.rows]
@@ -295,14 +303,7 @@ class Controller:
                 "commanded acceleration has no finite magnitude: "
                 f"a = ({ax:.3e}, {ay:.3e}, {az:.3e}) m/s^2"
             )
-        if self.mode == "4dof":
-            r_wf_d = _attitude_4dof(a, _finite_angle("yaw_d", sample.yaw_d))
-        elif self.mode == "5dof":
-            r_wf_d = _attitude_5dof(
-                a, _finite_angle("yaw_d", sample.yaw_d), _finite_angle("pitch_d", sample.pitch_d)
-            )
-        else:
-            r_wf_d = sample._attitude
+        r_wf_d = self._desired_attitude(a, sample._attitude)
         r_wf = matmul3(flat[6:15], self._r_sf)
         e_rot, e_omega = _attitude_error(r_wf_d, r_wf, omega, sample.omega_d)
         torque = _attitude_torque(

@@ -15,8 +15,8 @@ class AllocationError(ModrotorError):
 
 class ControlDegeneracyError(ModrotorError):
     """The control law cannot act on its input: the desired acceleration is
-    too small or too aligned to define an attitude, or a yaw or pitch command,
-    the commanded acceleration or the commanded wrench is not finite."""
+    too small or too aligned with the attitude target to define an attitude,
+    or the commanded acceleration or the commanded wrench is not finite."""
 
 
 class IntegrationError(ModrotorError):

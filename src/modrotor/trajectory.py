@@ -1,11 +1,11 @@
 """Parametric reference trajectories with analytic derivatives.
 
 Each trajectory maps time to a sample carrying position, velocity and
-acceleration plus the desired yaw, pitch and full attitude so that any
-controller mode can consume it: single-axis structures track position and
-yaw, planar ones additionally hold the pitch angle, fully actuated ones
-track the attitude matrix directly. ``omega_d`` is expressed in the desired
-thrust frame.
+acceleration plus one attitude target, the desired thrust-frame attitude
+``r_wf_d``, so that any controller mode can consume it: single-axis
+structures track position and the heading of its x-axis, planar ones
+track that whole x-axis (yaw and pitch), and fully actuated ones track the
+attitude itself. ``omega_d`` is expressed in the desired thrust frame.
 
 The trajectories compute with ``math`` on Python floats, and a sample
 carries its vectors as float 3-tuples, which is what the controller reads.
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .lazy import lazy_fields, read_only
-from .so3 import matmul3, rot_y_flat, rot_z_flat
+from .so3 import is_rotation, rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
 # shared period so the path closes on itself.
@@ -53,14 +53,6 @@ def _vec3(name: str, value) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def _yaw_pitch_attitude(yaw: float, pitch: float) -> tuple[float, ...]:
-    """Row-major rot_z(yaw) @ rot_y(pitch); a ValueError names a non-finite angle."""
-    for name, angle in (("yaw_d", yaw), ("pitch_d", pitch)):
-        if not math.isfinite(angle):
-            raise ValueError(f"{name} must be finite to build r_wf_d, got {angle!r}")
-    return matmul3(rot_z_flat(yaw), rot_y_flat(pitch))
-
-
 @lazy_fields(r_wf_d=lambda sample: read_only(sample._attitude, (3, 3)))
 @dataclass(frozen=True, eq=False)
 class TrajectorySample:
@@ -68,15 +60,15 @@ class TrajectorySample:
 
     r_d, v_d, a_d: desired position and its first two derivatives, float
         3-tuples
-    yaw_d, pitch_d: commanded heading and pitch, rad
-    r_wf_d: full desired attitude of the thrust frame, a 3x3 array; without
-        one, rot_z(yaw_d) @ rot_y(pitch_d)
+    r_wf_d: desired world attitude of the thrust frame, a 3x3 rotation;
+        the identity by default
     omega_d: desired angular velocity in the desired frame, rad/s, a float
         3-tuple; None means zero
 
-    The constructor turns the vectors into float tuples. A sample keeps its
-    attitude as row-major floats, which the controller reads, and ``r_wf_d``
-    is a read-only copy of them: the caller's array, copied, or one built on
+    The constructor turns the vectors into float tuples and rejects an
+    ``r_wf_d`` that is not a finite rotation. A sample keeps its attitude as
+    row-major floats, which the controller reads, and ``r_wf_d`` is a
+    read-only copy of them: the caller's array, copied, or one built on
     first read.
     """
 
@@ -84,9 +76,7 @@ class TrajectorySample:
     r_d: tuple
     v_d: tuple
     a_d: tuple
-    yaw_d: float = 0.0
-    pitch_d: float = 0.0
-    r_wf_d: np.ndarray | None = None
+    r_wf_d: np.ndarray = field(default_factory=lambda: np.eye(3))
     omega_d: tuple | None = None
 
     def __post_init__(self):
@@ -94,39 +84,39 @@ class TrajectorySample:
             object.__setattr__(self, name, _vec3(name, getattr(self, name)))
         omega_d = _ZERO3 if self.omega_d is None else _vec3("omega_d", self.omega_d)
         object.__setattr__(self, "omega_d", omega_d)
-        if self.r_wf_d is None:
-            self.__dict__["_attitude"] = _yaw_pitch_attitude(self.yaw_d, self.pitch_d)
-            del self.__dict__["r_wf_d"]
-        else:
-            r_wf_d = read_only(self.r_wf_d)
-            object.__setattr__(self, "r_wf_d", r_wf_d)
-            self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
+        r_wf_d = read_only(self.r_wf_d)
+        if not is_rotation(r_wf_d):
+            raise ValueError(
+                f"r_wf_d must be a finite 3x3 rotation matrix, got {r_wf_d.tolist()}"
+            )
+        object.__setattr__(self, "r_wf_d", r_wf_d)
+        self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
 
     @classmethod
-    def _from_floats(cls, t, r_d, v_d, a_d, yaw_d, pitch_d, attitude,
-                     omega_d=_ZERO3) -> TrajectorySample:
+    def _from_floats(cls, t, r_d, v_d, a_d, attitude, omega_d=_ZERO3) -> TrajectorySample:
         """A sample from float 3-tuples and the row-major attitude, which
         the trajectory has already checked; skips ``__post_init__``."""
         sample = object.__new__(cls)
-        sample.__dict__.update(t=t, r_d=r_d, v_d=v_d, a_d=a_d, yaw_d=yaw_d, pitch_d=pitch_d,
-                               omega_d=omega_d, _attitude=attitude)
+        sample.__dict__.update(t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=omega_d,
+                               _attitude=attitude)
         return sample
 
 
-def _check_time(t: float) -> float:
-    if t < 0.0:
-        raise ValueError(f"trajectory time must be non-negative, got {t}")
-    return float(t)
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"trajectory time must be finite and non-negative, got {t}")
 
 
 def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:
-    """Constant reference at ``r0`` with heading ``yaw0``."""
+    """Constant reference at ``r0`` with the attitude rot_z(yaw0)."""
     r_d = _vec3("r0", r0)
-    attitude = _yaw_pitch_attitude(yaw0, 0.0)
+    if not math.isfinite(yaw0):
+        raise ValueError(f"yaw0 must be finite, got {yaw0!r}")
+    attitude = rot_z_flat(yaw0)
 
     def sample(t: float) -> TrajectorySample:
         _check_time(t)
-        return TrajectorySample._from_floats(t, r_d, _ZERO3, _ZERO3, yaw0, 0.0, attitude)
+        return TrajectorySample._from_floats(t, r_d, _ZERO3, _ZERO3, attitude)
 
     return sample
 
@@ -158,7 +148,7 @@ def helix(t: float) -> TrajectorySample:
         _HELIX_Z_AMP * omega**2 * c,
     )
     return TrajectorySample._from_floats(
-        t, r_d, v_d, a_d, yaw, 0.0, (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, omega),
+        t, r_d, v_d, a_d, (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, omega)
     )
 
 
@@ -253,7 +243,8 @@ def rectangle(
     speed: float = RECT_SPEED,
     altitude: float = RECT_ALTITUDE,
 ) -> TrajectorySample:
-    """Counterclockwise rectangular circuit at a fixed pitch command.
+    """Counterclockwise rectangular circuit holding the attitude
+    rot_y(pitch_hold); the default is level.
 
     Corners are rounded with quintic velocity blends so the acceleration
     stays bounded; the extreme x and y coordinates still touch the exact
@@ -263,21 +254,7 @@ def rectangle(
     if not math.isfinite(pitch_hold):
         raise ValueError(f"pitch_hold must be finite, got {pitch_hold!r}")
     r_d, v_d, a_d = _rect_point(t, speed, altitude)
-    return TrajectorySample._from_floats(t, r_d, v_d, a_d, 0.0, pitch_hold, rot_y_flat(pitch_hold))
-
-
-_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def rectangle_fixed_attitude(
-    t: float,
-    speed: float = RECT_SPEED,
-    altitude: float = RECT_ALTITUDE,
-) -> TrajectorySample:
-    """The same circuit with a level attitude target for full actuation."""
-    _check_time(t)
-    r_d, v_d, a_d = _rect_point(t, speed, altitude)
-    return TrajectorySample._from_floats(t, r_d, v_d, a_d, 0.0, 0.0, _IDENTITY)
+    return TrajectorySample._from_floats(t, r_d, v_d, a_d, rot_y_flat(pitch_hold))
 
 
 def rectangle_period(speed: float = RECT_SPEED) -> float:

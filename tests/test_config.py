@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from modrotor import ConfigError, parse_config
+from modrotor import ConfigError, Gains, SimParams, default_gains, parse_config, rectangle
 from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
                              TrajectoryConfig)
 from conftest import CONFIG_DIR, ROOT
@@ -188,6 +188,27 @@ def test_trajectory_kinds_build():
         cfg = parse_config(f"[module.1]\n\n[trajectory]\nkind = {kind}\n{extra}\n")
         sample = cfg.to_trajectory()(2.0)
         assert np.all(np.isfinite(sample.r_d))
+
+
+def test_rectangle_fixed_is_the_level_rectangle():
+    # The pitch hold does not apply to the level rectangle.
+    cfg = parse_config("[module.1]\n\n[trajectory]\nkind = rectangle_fixed\n"
+                       "pitch_hold_deg = -5\nspeed_mps = 0.2\n")
+    trajectory = cfg.to_trajectory()
+    for t in (0.0, 2.0, 7.5):
+        got, want = trajectory(t), rectangle(t, speed=0.2)
+        assert (got.r_d, got.v_d, got.a_d) == (want.r_d, want.v_d, want.a_d)
+        np.testing.assert_array_equal(got.r_wf_d, np.eye(3))
+
+
+def test_omitted_sections_take_the_library_defaults():
+    cfg = parse_config("[module.1]\n")
+    gains, want = cfg.to_gains(), default_gains()
+    for f in dataclasses.fields(Gains):
+        np.testing.assert_array_equal(getattr(gains, f.name), getattr(want, f.name), f.name)
+    params, want = cfg.to_sim_params(), SimParams()
+    for f in dataclasses.fields(SimParams):
+        assert getattr(params, f.name) == getattr(want, f.name), f.name
 
 
 def test_config_dataclass_equality_is_by_value():

@@ -33,11 +33,12 @@ def level_state(r=(0, 0, 0), v=(0, 0, 0), r_ws=None, omega=(0, 0, 0)):
 
 
 def still_sample(r=(0, 0, 0), yaw=0.0, pitch=0.0, a_r=(0, 0, G)):
-    """Sample at rest whose commanded acceleration from a state at ``r``
-    with zero velocity is exactly ``a_r``."""
+    """Sample at rest with the attitude target rot_z(yaw) @ rot_y(pitch),
+    whose commanded acceleration from a state at ``r`` with zero velocity
+    is exactly ``a_r``."""
     a_d = np.array(a_r, float) - G * E3
     return TrajectorySample(t=0.0, r_d=np.array(r, float), v_d=np.zeros(3),
-                            a_d=a_d, yaw_d=yaw, pitch_d=pitch)
+                            a_d=a_d, r_wf_d=rot_z(yaw) @ rot_y(pitch))
 
 
 def strong_axis_thrust(structure, out):
@@ -153,12 +154,26 @@ class TestDesiredAttitude4:
             # Zero yaw keeps the x-axis in the xz-plane.
             assert abs((r @ E1)[1]) < 1e-12
 
+    def test_heading_ignores_pitch(self, flat_structure, tilt10_structure):
+        # A pitched target has the heading of its yaw alone: the desired
+        # frame is the one for the level target, whose y-axis is normal to
+        # that heading.
+        a_r = np.array([1.0, 0.5, G])
+        for structure in (flat_structure, tilt10_structure):
+            for yaw, pitch in [(0.0, 0.4), (0.7, -0.6), (-2.0, 1.2)]:
+                level = desired_attitude(structure, a_r, yaw)
+                pitched = desired_attitude(structure, a_r, yaw, pitch)
+                np.testing.assert_allclose(pitched, level, rtol=0, atol=1e-15)
+                assert abs(pitched[:, 1] @ [np.cos(yaw), np.sin(yaw), 0.0]) < 1e-15
+
     def test_degenerate_inputs_raise(self, flat_structure, tilt10_structure):
         for structure in (flat_structure, tilt10_structure):
             with pytest.raises(ControlDegeneracyError, match="too small"):
                 desired_attitude(structure, np.zeros(3))
             with pytest.raises(ControlDegeneracyError, match="heading"):
                 desired_attitude(structure, np.array([1.0, 0.0, 0.0]))  # thrust along heading
+            with pytest.raises(ControlDegeneracyError, match="heading"):
+                desired_attitude(structure, G * E3, pitch=np.pi / 2)  # no horizontal heading
 
 
 class TestThrust4:
@@ -240,10 +255,11 @@ class TestDesiredAttitude5:
                                    atol=1e-15)
 
     def test_pitch_command_is_exact(self, pitch_pair_structure):
-        # The x column must be exactly the commanded yaw/pitch heading.
+        # The x column must be exactly the target's x-axis, which carries
+        # its yaw and pitch.
         for yaw, pitch in [(0.0, np.deg2rad(-5)), (0.4, 0.3), (-1.0, -0.6)]:
             r = desired_attitude(pitch_pair_structure, G * E3, yaw, pitch)
-            np.testing.assert_array_equal(r[:, 0], rot_z(yaw) @ rot_y(pitch) @ E1)
+            np.testing.assert_array_equal(r[:, 0], (rot_z(yaw) @ rot_y(pitch))[:, 0])
 
     def test_minus_five_degree_column(self, pitch_pair_structure):
         r = desired_attitude(pitch_pair_structure, G * E3, pitch=np.deg2rad(-5.0))
@@ -439,12 +455,12 @@ def _oracle_step(ctrl, state, sample):
     structure, gains = ctrl.structure, ctrl.gains
     a_r = (gains.k_pos @ (sample.r_d - state.r) + gains.k_vel @ (sample.v_d - state.v)
            + ctrl.gravity * E3 + sample.a_d)
+    x_d = sample.r_wf_d[:, 0]
     if ctrl.mode == "4dof":
-        heading = np.array([np.cos(sample.yaw_d), np.sin(sample.yaw_d), 0.0])
+        heading = np.array([x_d[0], x_d[1], 0.0])
         r_wf_d = _oracle_frame(a_r, heading, first_is_x=False)
     elif ctrl.mode == "5dof":
-        r_wf_d = _oracle_frame(a_r, rot_z(sample.yaw_d) @ rot_y(sample.pitch_d) @ E1,
-                               first_is_x=True)
+        r_wf_d = _oracle_frame(a_r, x_d, first_is_x=True)
     else:
         r_wf_d = sample.r_wf_d
     r_wf = state.r_ws @ structure.r_sf
@@ -481,11 +497,12 @@ def test_step_matches_numpy_oracle(all_structures):
             state = RigidState(r=rng.normal(size=3) * scale, v=rng.normal(size=3) * scale,
                                r_ws=exp_map(rng.normal(size=3) * tilt) @ structure.r_sf.T,
                                omega=rng.normal(size=3) * scale)
+            # A target with yaw, pitch and roll: 4 DOF honour its heading,
+            # 5 DOF its x-axis and 6 DOF all of it.
             sample = TrajectorySample(
                 t=0.0, r_d=rng.normal(size=3) * scale, v_d=rng.normal(size=3) * scale,
-                a_d=rng.normal(size=3) * scale, yaw_d=float(rng.uniform(-np.pi, np.pi) * scale),
-                pitch_d=float(rng.uniform(-0.5, 0.5)) * scale,
-                r_wf_d=exp_map(rng.normal(size=3) * scale), omega_d=rng.normal(size=3) * scale,
+                a_d=rng.normal(size=3) * scale, r_wf_d=exp_map(rng.normal(size=3) * scale),
+                omega_d=rng.normal(size=3) * scale,
             )
             u_raw, u, sat, r_wf_d, force, torque = _oracle_step(ctrl, state, sample)
             out = ctrl.step(state, sample)
@@ -518,22 +535,14 @@ def test_saturation_flag_follows_clamp_distance(pitch_pair_structure, excess, sa
 
 
 def test_non_finite_command_raises_degeneracy_error(all_structures):
-    # An overflowing gyroscopic torque, an acceleration whose magnitude
-    # overflows, and a non-finite yaw or pitch command where the mode reads
-    # it (yaw in 4 and 5 DOF, pitch in 5 DOF): a named
-    # ControlDegeneracyError, with no numpy warning.
-    target = still_sample(r=(0, 0, 0.7))
+    # An overflowing gyroscopic torque and an acceleration whose magnitude
+    # overflows: a named ControlDegeneracyError, with no numpy warning.
+    sample = still_sample(r=(0, 0, 0.7))
     for structure in all_structures.values():
         ctrl = Controller(structure)
-        cases = [({"omega": (1e200, 2e200, 0.0)}, {}, "wrench"),
-                 ({"r": (0.0, 0.0, -1e307)}, {}, "acceleration")]
-        if ctrl.mode != "6dof":
-            cases += [({}, {"yaw_d": np.inf}, "yaw_d"), ({}, {"yaw_d": np.nan}, "yaw_d")]
-        if ctrl.mode == "5dof":
-            cases += [({}, {"pitch_d": -np.inf}, "pitch_d"), ({}, {"pitch_d": np.nan}, "pitch_d")]
-        for state_fields, sample_fields, what in cases:
+        for state_fields, what in [({"omega": (1e200, 2e200, 0.0)}, "wrench"),
+                                   ({"r": (0.0, 0.0, -1e307)}, "acceleration")]:
             state = level_state(r_ws=structure.r_sf.T, **state_fields)
-            sample = replace(target, **sample_fields)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ControlDegeneracyError, match=what):

@@ -1,0 +1,41 @@
+"""No module in src/ or tests/ imports a name it never reads.
+
+The project depends on no linter, so each file is read with ``ast``: every
+name an import binds must be read somewhere in the same file. A package's
+``__init__.py`` imports names to export them and is exempt, as are
+``from __future__`` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
+                 if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"line N: name"`` for each imported name the source never reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os\nimport os.path\n"
+              "from math import pi as half_turn, tau\nprint(tau)\n")
+    assert unused_imports(source) == ["line 2: os", "line 4: half_turn"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from modrotor.trajectory import (
     helix,
     hover,
     rectangle,
-    rectangle_fixed_attitude,
     rectangle_period,
 )
 
@@ -29,10 +29,15 @@ def finite_difference_check(traj, times, tol=1e-5, h=1e-4):
         np.testing.assert_allclose(s.a_d, a_fd, atol=tol)
 
 
+def _yaw(sample):
+    """Heading of the sample's attitude target, z-y-x convention."""
+    return np.arctan2(sample.r_wf_d[1, 0], sample.r_wf_d[0, 0])
+
+
 def test_helix_start_point():
     s = helix(0.0)
     np.testing.assert_allclose(s.r_d, [-0.05, 0.0, 0.45], atol=1e-15)
-    assert s.yaw_d == 0.0
+    np.testing.assert_array_equal(s.r_wf_d, np.eye(3))
 
 
 def test_helix_radius_constant():
@@ -54,7 +59,7 @@ def test_helix_yaw_rate_matches_omega_d():
     s = helix(3.0)
     np.testing.assert_allclose(s.omega_d, [0, 0, 2 * np.pi / 14], atol=1e-15)
     h = 1e-5
-    yaw_rate = (helix(3.0 + h).yaw_d - helix(3.0 - h).yaw_d) / (2 * h)
+    yaw_rate = (_yaw(helix(3.0 + h)) - _yaw(helix(3.0 - h))) / (2 * h)
     assert abs(yaw_rate - 2 * np.pi / 14) < 1e-8
 
 
@@ -74,11 +79,7 @@ def test_rectangle_extents_exact():
 def test_rectangle_pitch_hold_constant():
     hold = np.deg2rad(-5.0)
     for t in np.linspace(0, 20, 50):
-        s = rectangle(t, pitch_hold=hold)
-        assert s.pitch_d == hold
-        assert s.yaw_d == 0.0
-    for t in np.linspace(0, 20, 50):
-        assert rectangle(t, pitch_hold=0.0).pitch_d == 0.0
+        np.testing.assert_array_equal(rectangle(t, pitch_hold=hold).r_wf_d, rot_y(hold))
 
 
 def test_rectangle_period_is_perimeter_over_speed():
@@ -105,8 +106,9 @@ def test_rectangle_velocity_integrates_to_position():
 
 
 def test_rectangle_fixed_attitude_is_identity():
+    # The default pitch hold is level; config kind "rectangle_fixed" flies it.
     for t in np.linspace(0, 25, 60):
-        s = rectangle_fixed_attitude(t)
+        s = rectangle(t)
         np.testing.assert_array_equal(s.r_wf_d, np.eye(3))
         np.testing.assert_array_equal(s.omega_d, np.zeros(3))
 
@@ -118,12 +120,12 @@ def test_hover_is_constant():
         np.testing.assert_array_equal(s.r_d, [1.0, -2.0, 0.7])
         np.testing.assert_array_equal(s.v_d, np.zeros(3))
         np.testing.assert_array_equal(s.a_d, np.zeros(3))
-        assert s.yaw_d == 0.3
+        np.testing.assert_array_equal(s.r_wf_d, rot_z(0.3))
     finite_difference_check(traj, [0.5, 10.0])
 
 
 def test_all_trajectories_finite_over_ten_minutes():
-    trajs = [helix, rectangle, rectangle_fixed_attitude, hover((0, 0, 1))]
+    trajs = [helix, rectangle, partial(rectangle, pitch_hold=-0.1), hover((0, 0, 1))]
     for traj in trajs:
         for t in np.linspace(0.0, 600.0, 601):
             s = traj(t)
@@ -133,6 +135,11 @@ def test_all_trajectories_finite_over_ten_minutes():
             assert np.all(np.isfinite(s.r_wf_d))
 
 
+TRAJECTORIES = {"helix": helix, "rectangle": rectangle,
+                "rectangle_pitched": partial(rectangle, pitch_hold=-0.1),
+                "hover": hover((0, 0, 1), yaw0=0.3)}
+
+
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         helix(-0.1)
@@ -140,10 +147,25 @@ def test_negative_time_rejected():
         rectangle(-1.0)
 
 
-def test_sample_default_attitude_from_yaw_pitch():
-    s = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
-                         yaw_d=0.4, pitch_d=-0.1)
-    np.testing.assert_allclose(s.r_wf_d, rot_z(0.4) @ rot_y(-0.1), atol=0)
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_non_finite_time_rejected(name, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-negative"):
+            TRAJECTORIES[name](t)
+
+
+def test_hover_rejects_non_finite_yaw():
+    for yaw0 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="yaw0"):
+            hover((0, 0, 1), yaw0=yaw0)
+
+
+def test_sample_default_attitude_is_identity():
+    s = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3))
+    np.testing.assert_array_equal(s.r_wf_d, np.eye(3))
+    assert s._attitude == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_sample_attitude_is_a_read_only_copy():
@@ -158,18 +180,17 @@ def test_sample_attitude_is_a_read_only_copy():
             sample.r_wf_d[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("field", ["yaw_d", "pitch_d"])
-def test_sample_rejects_non_finite_angle_for_default_attitude(field, value):
-    zeros = {"t": 0.0, "r_d": np.zeros(3), "v_d": np.zeros(3), "a_d": np.zeros(3)}
+@pytest.mark.parametrize("r_wf_d", [np.eye(2), 2.0 * np.eye(3), np.full((3, 3), np.nan),
+                                    np.diag([1.0, 1.0, -1.0])],
+                         ids=["2x2", "scaled", "nan", "reflection"])
+def test_sample_rejects_non_rotation_attitude(r_wf_d):
+    # The 5-DOF controller takes the target's x-axis as is, so it must be a
+    # unit column of a proper rotation.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=field):
-            TrajectorySample(**zeros, **{field: value})
-        # With the attitude given, the sample keeps the angle for the
-        # controller to reject where its mode reads it.
-        s = TrajectorySample(**zeros, r_wf_d=np.eye(3), **{field: value})
-    assert getattr(s, field) is value
+        with pytest.raises(ValueError, match="r_wf_d"):
+            TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
+                             r_wf_d=r_wf_d)
 
 
 # ---------------------------------------------------------------- numpy oracle
@@ -228,12 +249,11 @@ def _times_over_two_laps(period, starts):
             if t >= 0.0]
 
 
-def _assert_sample_matches(s, r_d, v_d, a_d, yaw_d, pitch_d):
+def _assert_sample_matches(s, r_d, v_d, a_d, r_wf_d):
     for got, want in ((s.r_d, r_d), (s.v_d, v_d), (s.a_d, a_d)):
         assert type(got) is tuple and all(type(x) is float for x in got)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-    assert abs(s.yaw_d - yaw_d) <= 1e-15 and s.pitch_d == pitch_d
-    np.testing.assert_array_equal(s.r_wf_d, rot_z(s.yaw_d) @ rot_y(s.pitch_d))
+    np.testing.assert_allclose(s.r_wf_d, r_wf_d, rtol=0, atol=1e-15)
 
 
 def test_helix_matches_numpy_oracle():
@@ -241,7 +261,7 @@ def test_helix_matches_numpy_oracle():
     for t in times:
         r_d, v_d, a_d, yaw, omega_d = _oracle_helix(t)
         s = helix(t)
-        _assert_sample_matches(s, r_d, v_d, a_d, yaw, 0.0)
+        _assert_sample_matches(s, r_d, v_d, a_d, rot_z(yaw))
         np.testing.assert_allclose(s.omega_d, omega_d, rtol=0, atol=1e-15)
 
 
@@ -254,7 +274,4 @@ def test_rectangle_matches_numpy_oracle(speed, pitch_deg):
     for t in _times_over_two_laps(period, [ph[0] for ph in phases]):
         r_d, v_d, a_d = _oracle_rect_point(t, speed)
         _assert_sample_matches(rectangle(t, pitch_hold=hold, speed=speed), r_d, v_d, a_d,
-                               0.0, hold)
-        level = rectangle_fixed_attitude(t, speed=speed)
-        _assert_sample_matches(level, r_d, v_d, a_d, 0.0, 0.0)
-        np.testing.assert_array_equal(level.r_wf_d, np.eye(3))
+                               rot_y(hold))
