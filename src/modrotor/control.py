@@ -74,14 +74,18 @@ class Gains:
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            if np.isscalar(getattr(self, name)) or mat.ndim == 0:
-                mat = float(mat) * np.eye(3)
-            elif mat.shape == (3,):
-                mat = np.diag(mat)
-            if mat.shape != (3, 3) or np.any(mat != np.diag(np.diag(mat))):
+            mat = np.array(getattr(self, name), dtype=float)
+            if mat.shape in ((), (3,)):
+                diag, mat = mat, np.zeros((3, 3))
+                mat.flat[::4] = diag
+            if mat.shape != (3, 3):
                 raise ValueError(f"{name} must be a diagonal 3x3 matrix")
-            if np.any(np.diag(mat) <= 0.0):
+            entries = mat.ravel().tolist()
+            if not all(map(math.isfinite, entries)):
+                raise ValueError(f"{name} must be finite, got {mat.tolist()}")
+            if any(entries[1:4] + entries[5:8]):
+                raise ValueError(f"{name} must be a diagonal 3x3 matrix")
+            if min(entries[::4]) <= 0.0:
                 raise ValueError(f"{name} diagonal entries must be positive")
             object.__setattr__(self, name, mat)
 

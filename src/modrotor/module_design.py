@@ -10,6 +10,7 @@ balanced by construction and are the building block used everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +70,6 @@ class PropellerSpec:
         """Torque per unit thrust about the rotor axis, m."""
         return self.k_m / self.k_f
 
-    @property
-    def axis(self) -> np.ndarray:
-        """Thrust direction in the module frame."""
-        return self.orientation @ E3
-
 
 @dataclass(frozen=True, eq=False)
 class ModuleSpec:
@@ -101,10 +97,8 @@ class ModuleSpec:
         object.__setattr__(self, "propellers", props)
         if len(props) != 4:
             raise ValueError(f"a module needs exactly 4 propellers, got {len(props)}")
-        if not (
-            np.allclose(props[0].position, -props[2].position, rtol=0.0, atol=1e-12)
-            and np.allclose(props[1].position, -props[3].position, rtol=0.0, atol=1e-12)
-        ):
+        p1, p2, p3, p4 = (p.position.tolist() for p in props)
+        if not all(abs(a + b) <= 1e-12 for a, b in zip(p1 + p2, p3 + p4, strict=True)):
             raise ValueError("propellers must sit in mirrored pairs: p1 = -p3, p2 = -p4")
         if [p.spin for p in props] != [1, -1, 1, -1]:
             raise ValueError("propeller spins must alternate +1, -1, +1, -1")
@@ -211,24 +205,26 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
 
     A module is balanced when both torque residuals vanish and the summed
     thrust is parallel to the declared tilt axis. Unbalanced modules report
-    is_balanced=False rather than raising.
+    is_balanced=False rather than raising. One batched pass over the
+    module: the four rotor positions and axes are stacked and crossed at
+    once, and the parallel-axis test runs on floats.
     """
-    axes = [p.axis for p in module.propellers]
-    torque_from_forces = np.sum([np.cross(p.position, a) for p, a in zip(module.propellers, axes)], axis=0)
-    torque_from_drag = np.sum([p.spin * a for p, a in zip(module.propellers, axes)], axis=0)
-    force_sum = np.sum(axes, axis=0)
+    props = module.propellers
+    axes = np.array([p.orientation for p in props]) @ E3
+    torque_from_forces = np.cross(np.array([p.position for p in props]), axes).sum(axis=0)
+    torque_from_drag = (np.array([[p.spin] for p in props]) * axes).sum(axis=0)
+    force_sum = axes.sum(axis=0)
     gain = float(np.linalg.norm(force_sum))
     axis = force_sum / gain if gain > tol else np.zeros(3)
-    target = module.tilt @ E3
+    ax, ay, az = axis.tolist()
+    tx, ty, tz = module.tilt[:, 2].tolist()
     parallel = (
         gain > tol
-        and np.linalg.norm(np.cross(axis, target)) < tol
-        and float(axis @ target) > 0.0
+        and math.hypot(ay * tz - az * ty, az * tx - ax * tz, ax * ty - ay * tx) < tol
+        and ax * tx + ay * ty + az * tz > 0.0
     )
-    balanced = (
-        np.max(np.abs(torque_from_forces)) < tol
-        and np.max(np.abs(torque_from_drag)) < tol
-        and parallel
+    balanced = parallel and all(
+        abs(x) < tol for x in torque_from_forces.tolist() + torque_from_drag.tolist()
     )
     return BalanceReport(
         torque_from_forces=torque_from_forces,

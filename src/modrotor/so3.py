@@ -92,14 +92,24 @@ def exp_map(v: np.ndarray) -> np.ndarray:
 
 
 def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when r is orthonormal with determinant +1 within tol."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
+    """True when r is a finite 3x3 matrix, orthonormal with determinant +1
+    within tol: ||r r^T - I||_F < tol and |det r - 1| < tol. False for
+    anything else, including input that is not a 3x3 array of numbers."""
+    try:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rows = np.asarray(r, dtype=float).tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
+            return False
+    except (TypeError, ValueError):  # not a 3x3 array of numbers
         return False
-    return (
-        np.linalg.norm(r @ r.T - np.eye(3)) < tol
-        and abs(np.linalg.det(r) - 1.0) < tol
-    )
+    # r r^T - I is symmetric: three diagonal and three off-diagonal entries.
+    d0 = a0 * a0 + a1 * a1 + a2 * a2 - 1.0
+    d4 = a3 * a3 + a4 * a4 + a5 * a5 - 1.0
+    d8 = a6 * a6 + a7 * a7 + a8 * a8 - 1.0
+    o1 = a0 * a3 + a1 * a4 + a2 * a5
+    o2 = a0 * a6 + a1 * a7 + a2 * a8
+    o5 = a3 * a6 + a4 * a7 + a5 * a8
+    det = a0 * (a4 * a8 - a5 * a7) - a1 * (a3 * a8 - a5 * a6) + a2 * (a3 * a7 - a4 * a6)
+    return math.hypot(d0, d4, d8, o1, o1, o2, o2, o5, o5) < tol and abs(det - 1.0) < tol
 
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:

@@ -94,8 +94,11 @@ def numerical_rank(m: np.ndarray) -> int:
 
     A zero matrix has rank 0, which flags a degenerate design upstream.
     """
-    m = np.asarray(m, dtype=float)
-    s = np.linalg.svd(m, compute_uv=False)
+    return _rank_of(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False))
+
+
+def _rank_of(s: np.ndarray) -> int:
+    """numerical_rank of a matrix from its singular values ``s``, descending."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > _RANK_TOL * s[0]))
@@ -199,7 +202,10 @@ def assemble(placements) -> StructureModel:
 
     Computes the mass-weighted center, total inertia with parallel-axis
     terms, the 6 x 4n thrust map about the center of mass, the numerical
-    rank of its force block, and the thrust frame rotation.
+    rank of its force block, and the thrust frame rotation. The rotor
+    geometry is one batched pass over the structure: each module's rotor
+    positions and axes are rotated as one stack, and all 4n torque columns
+    come from one cross product.
     """
     placements = tuple(placements)
     if not placements:
@@ -232,29 +238,27 @@ def assemble(placements) -> StructureModel:
         [r_grid_to_s @ rot_z(pl.yaw_quarter_turns * np.pi / 2.0) for pl in placements]
     )
 
-    n = len(placements)
-    a = np.zeros((6, 4 * n))
-    f_max = np.zeros(4 * n)
     inertia = np.zeros((3, 3))
-    for i, pl in enumerate(placements):
-        r_m = rotations[i]
-        d = offsets[i]
+    positions, axes = [], []
+    for pl, r_m, d in zip(placements, rotations, offsets):
         inertia += r_m @ pl.module.inertia @ r_m.T + pl.module.mass * (
             (d @ d) * np.eye(3) - np.outer(d, d)
         )
-        for j, prop in enumerate(pl.module.propellers):
-            k = 4 * i + j
-            p = d + r_m @ prop.position
-            axis = r_m @ prop.axis
-            a[:3, k] = axis
-            a[3:, k] = np.cross(p, axis) + prop.spin * prop.drag_ratio * axis
-            f_max[k] = prop.f_max
+        positions.append(np.array([p.position for p in pl.module.propellers]) @ r_m.T + d)
+        axes.append(np.array([p.orientation for p in pl.module.propellers]) @ E3 @ r_m.T)
+    props = [p for pl in placements for p in pl.module.propellers]
+    positions, axes = np.concatenate(positions), np.concatenate(axes)
+    drag = np.array([p.spin * p.drag_ratio for p in props])
+    a = np.empty((6, len(props)))
+    a[:3] = axes.T
+    a[3:] = (np.cross(positions, axes) + drag[:, None] * axes).T
+    f_max = np.array([p.f_max for p in props])
 
     if numerical_rank(a[3:]) != 3:
         raise AssemblyError("torque block is rank-deficient; module geometry is degenerate")
 
     sigmas = np.linalg.svd(a[:3], compute_uv=False)
-    rank_f = numerical_rank(a[:3])
+    rank_f = _rank_of(sigmas)
     first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
     r_sf = _thrust_frame(a[:3], rank_f, first_rotor)
 

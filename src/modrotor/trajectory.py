@@ -65,11 +65,11 @@ class TrajectorySample:
     omega_d: desired angular velocity in the desired frame, rad/s, a float
         3-tuple; None means zero
 
-    The constructor turns the vectors into float tuples and rejects an
-    ``r_wf_d`` that is not a finite rotation. A sample keeps its attitude as
-    row-major floats, which the controller reads, and ``r_wf_d`` is a
-    read-only copy of them: the caller's array, copied, or one built on
-    first read.
+    The constructor turns the vectors into float tuples and rejects a
+    non-finite ``t`` and an ``r_wf_d`` that is not a finite rotation. A
+    sample keeps its attitude as row-major floats, which the controller
+    reads, and ``r_wf_d`` is a read-only copy of them: the caller's array,
+    copied, or one built on first read.
     """
 
     t: float
@@ -84,11 +84,12 @@ class TrajectorySample:
             object.__setattr__(self, name, _vec3(name, getattr(self, name)))
         omega_d = _ZERO3 if self.omega_d is None else _vec3("omega_d", self.omega_d)
         object.__setattr__(self, "omega_d", omega_d)
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t!r}")
+        if not is_rotation(self.r_wf_d):
+            shown = self.r_wf_d.tolist() if isinstance(self.r_wf_d, np.ndarray) else self.r_wf_d
+            raise ValueError(f"r_wf_d must be a finite 3x3 rotation matrix, got {shown}")
         r_wf_d = read_only(self.r_wf_d)
-        if not is_rotation(r_wf_d):
-            raise ValueError(
-                f"r_wf_d must be a finite 3x3 rotation matrix, got {r_wf_d.tolist()}"
-            )
         object.__setattr__(self, "r_wf_d", r_wf_d)
         self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
 

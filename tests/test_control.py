@@ -416,6 +416,17 @@ def test_gains_validation():
     np.testing.assert_array_equal(np.diag(g.k_pos), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", ["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["k_pos", "k_vel", "k_rot", "k_ang"])
+def test_gains_reject_non_finite(name, value, form):
+    gain = {"scalar": value, "vector": np.array([1.0, value, 2.0]),
+            "matrix": np.diag([2.0, 1.0, value])}[form]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Gains(**{name: gain})
+
+
 def test_attitude_accel_signs(quad_tilt_structure):
     # e_rot = (0.1, 0, 0) and e_omega = (0.05, 0.2, 0) give the angular
     # acceleration (-0.5, -0.4, 0), which the torque carries through I.

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -169,3 +170,19 @@ def test_module_spec_validation():
         PropellerSpec(position=np.zeros(3), orientation=np.eye(3), spin=2)
     with pytest.raises(ValueError):
         PropellerSpec(position=np.zeros(3), orientation=np.eye(3), spin=1, k_f=0.0)
+
+
+@pytest.mark.parametrize("offset, mirrored", [(0.0, True), (5e-13, True), (5e-12, False),
+                                               (1e-6, False)])
+def test_mirrored_pairs_within_1e12(offset, mirrored):
+    # p1 = -p3 and p2 = -p4 must hold to 1e-12 m in every coordinate.
+    m = build_r_module()
+    props = list(m.propellers)
+    props[2] = dataclasses.replace(props[2], position=props[2].position + [0.0, offset, 0.0])
+    make = partial(ModuleSpec, mass=m.mass, inertia=m.inertia, base=m.base, height=m.height,
+                   propellers=tuple(props), tilt=m.tilt)
+    if mirrored:
+        make()
+    else:
+        with pytest.raises(ValueError, match="mirrored pairs"):
+            make()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from modrotor.so3 import E1, E2, E3, exp_map, is_rotation, rot_x, rot_y, rot_z, rotation_angle
 
@@ -57,3 +58,31 @@ def test_rotation_angle():
     assert rotation_angle(np.eye(3)) == 0.0
     assert abs(rotation_angle(rot_y(0.3)) - 0.3) < 1e-12
     assert abs(rotation_angle(rot_y(0.2), rot_y(0.5)) - 0.3) < 1e-12
+
+
+def _oracle_is_rotation(r, tol=1e-9):
+    return bool(np.linalg.norm(r @ r.T - np.eye(3)) < tol and abs(np.linalg.det(r) - 1.0) < tol)
+
+
+def test_is_rotation_matches_numpy_oracle():
+    # Perturbations of Frobenius norm 1e-12..1e-10 stay well inside the 1e-9
+    # tolerance and those of 1e-8..1e-6 mostly well outside, so the float
+    # and numpy arithmetic cannot disagree through rounding at the edge.
+    rng = np.random.default_rng(11)
+    results = []
+    for scale in np.concatenate([np.logspace(-12, -10, 60), np.logspace(-8, -6, 60)]):
+        noise = rng.normal(size=(3, 3))
+        r = exp_map(rng.normal(size=3) * 2.0) + scale * noise / np.linalg.norm(noise)
+        results.append(is_rotation(r))
+        assert results[-1] == _oracle_is_rotation(r), scale
+    assert all(results[:60]) and not any(results[60:])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [
+    np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.diag([1.0, 1.0, -np.inf]),
+    np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.eye(2), [[1, 0], [0, 1, 0]], "eye",
+    np.eye(3)[:, :, None], np.eye(3).ravel(),
+], ids=["nan", "inf", "-inf", "reflection", "2I", "2x2", "ragged", "string", "3x3x1", "9"])
+def test_is_rotation_rejects_non_rotations(r):
+    assert is_rotation(r) is False

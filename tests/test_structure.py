@@ -39,9 +39,10 @@ def brute_force_wrench(structure, u):
         f_m = np.zeros(3)
         tau_m = np.zeros(3)
         for thrust, prop in zip(u[4 * i: 4 * i + 4], pl.module.propellers):
-            f_vec = thrust * prop.axis
+            axis = prop.orientation @ E3
+            f_vec = thrust * axis
             f_m += f_vec
-            tau_m += np.cross(prop.position, f_vec) + thrust * prop.spin * prop.drag_ratio * prop.axis
+            tau_m += np.cross(prop.position, f_vec) + thrust * prop.spin * prop.drag_ratio * axis
         f_s = rotations[i] @ f_m
         force += f_s
         torque += rotations[i] @ tau_m + np.cross(offsets[i], f_s)

@@ -181,16 +181,24 @@ def test_sample_attitude_is_a_read_only_copy():
 
 
 @pytest.mark.parametrize("r_wf_d", [np.eye(2), 2.0 * np.eye(3), np.full((3, 3), np.nan),
-                                    np.diag([1.0, 1.0, -1.0])],
-                         ids=["2x2", "scaled", "nan", "reflection"])
+                                    np.diag([1.0, 1.0, -1.0]), [[1, 0], [0, 1, 0]], "eye"],
+                         ids=["2x2", "scaled", "nan", "reflection", "ragged", "string"])
 def test_sample_rejects_non_rotation_attitude(r_wf_d):
     # The 5-DOF controller takes the target's x-axis as is, so it must be a
     # unit column of a proper rotation.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="r_wf_d"):
+        with pytest.raises(ValueError, match="r_wf_d must be a finite 3x3 rotation matrix"):
             TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
                              r_wf_d=r_wf_d)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_sample_rejects_non_finite_time(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t must be finite"):
+            TrajectorySample(t=t, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3))
 
 
 # ---------------------------------------------------------------- numpy oracle
