@@ -46,8 +46,8 @@ from .dynamics import GRAVITY, RigidState
 from .errors import AllocationError, ControlDegeneracyError
 from .lazy import lazy_fields
 from .module_design import Wrench
-from .so3 import matmul3
-from .structure import StructureModel, numerical_rank
+from .so3 import cross3, matmul3
+from .structure import StructureModel, _rank_of
 from .trajectory import TrajectorySample
 
 # Relative singular-value cutoff when forming pseudoinverses.
@@ -135,7 +135,8 @@ class ControlOutput:
 
 
 def _diag(gain: np.ndarray) -> tuple[float, float, float]:
-    return tuple(np.diag(gain).tolist())
+    """The diagonal of a 3x3 gain matrix, as floats."""
+    return tuple(gain.ravel().tolist()[::4])
 
 
 def _position_accel(r, v, r_d, v_d, a_d, k_pos, k_vel, gravity):
@@ -148,16 +149,10 @@ def _position_accel(r, v, r_d, v_d, a_d, k_pos, k_vel, gravity):
     )
 
 
-def _cross(a, b):
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
 def _unit_cross(a, b, message: str):
     """Unit vector along a x b; raises ControlDegeneracyError(message) when
     a and b are too close to parallel to define it."""
-    cx, cy, cz = _cross(a, b)
+    cx, cy, cz = cross3(a, b)
     norm = math.sqrt(cx * cx + cy * cy + cz * cz)
     if norm <= _EPS_CROSS:
         raise ControlDegeneracyError(message)
@@ -184,7 +179,7 @@ def _attitude_4dof(a, target):
     horizontal part of its x-axis, projected onto the plane normal to a."""
     z = _thrust_direction(a)
     y = _unit_cross(z, (target[0], target[3], 0.0), "thrust direction aligned with the heading")
-    return _columns(_cross(y, z), y, z)
+    return _columns(cross3(y, z), y, z)
 
 
 def _attitude_5dof(a, target):
@@ -193,7 +188,7 @@ def _attitude_5dof(a, target):
     z_c = _thrust_direction(a)
     x = (target[0], target[3], target[6])
     y = _unit_cross(z_c, x, "thrust direction aligned with the commanded x-axis")
-    return _columns(x, y, _cross(x, y))
+    return _columns(x, y, cross3(x, y))
 
 
 def _attitude_6dof(a, target):
@@ -263,7 +258,9 @@ class Controller:
     mode commands, and ``pinv`` its pseudoinverse; both are fixed at
     construction, together with the floats the step reads (gain diagonals,
     r_sf, inertia, mass), so an instance is cheap to call every step and
-    safe to share read-only.
+    safe to share read-only. Construction takes one SVD of the reduced map:
+    its singular values give the rank test, and ``pinv`` is numpy's
+    ``pinv(reduced_map, rcond=_PINV_RCOND)`` formed from the same factors.
     """
 
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
@@ -277,12 +274,18 @@ class Controller:
         self.rows = np.array(rows)
         thrust_frame_map = np.vstack([structure.r_sf.T @ structure.force_map, structure.torque_map])
         self.reduced_map = thrust_frame_map[self.rows]
-        if numerical_rank(self.reduced_map) < self.rows.size:
+        u, s, vt = np.linalg.svd(self.reduced_map, full_matrices=False)
+        if _rank_of(s) < self.rows.size:
             raise AllocationError(
                 f"{self.mode} control needs the {self.rows.size} commanded wrench rows "
                 "to be independent; the reduced thrust map is rank-deficient"
             )
-        self.pinv = np.linalg.pinv(self.reduced_map, rcond=_PINV_RCOND)
+        # np.linalg.pinv(reduced_map, rcond=_PINV_RCOND) from the same SVD,
+        # with numpy's own formula, so the result has the same bits.
+        large = s > _PINV_RCOND * s.max()
+        s = np.divide(1, s, where=large, out=s)
+        s[~large] = 0
+        self.pinv = np.matmul(vt.T, np.multiply(s[:, None], u.T))
         self._select_rows = itemgetter(*rows)
         # The floats each step reads; the force mask is 1.0 on the
         # thrust-frame force components the mode commands.

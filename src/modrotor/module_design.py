@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import E3, is_rotation, rot_x, rot_y
+from .so3 import E3, cross3, is_rotation, rot_x, rot_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +42,10 @@ class PropellerSpec:
     k_f / k_m: thrust and drag coefficients; only the ratio k_m/k_f enters
         the torque model
     f_max: thrust ceiling, N
+
+    ``position`` must be a finite 3-vector and ``orientation`` a rotation;
+    ``k_f`` and ``f_max`` must be positive and ``k_m`` non-negative, all
+    finite. A bad field raises ValueError naming it.
     """
 
     position: np.ndarray
@@ -52,16 +56,13 @@ class PropellerSpec:
     f_max: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "position", _finite_array(self.position, (3,), "position"))
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
         if self.spin not in (1, -1):
             raise ValueError(f"spin must be +1 or -1, got {self.spin}")
-        if self.k_f <= 0.0:
-            raise ValueError("k_f must be positive")
-        if self.k_m < 0.0:
-            raise ValueError("k_m must be non-negative")
-        if self.f_max <= 0.0:
-            raise ValueError("f_max must be positive")
+        _check_scalar("k_f", self.k_f)
+        _check_scalar("k_m", self.k_m, allow_zero=True)
+        _check_scalar("f_max", self.f_max)
         if not is_rotation(self.orientation):
             raise ValueError("propeller orientation is not a rotation matrix")
 
@@ -76,9 +77,15 @@ class ModuleSpec:
     """A cuboid quadrotor module.
 
     The four propellers are numbered counterclockwise starting front-right,
-    with opposite rotors mirrored through the center (p1 = -p3, p2 = -p4)
-    and alternating spin signs. ``tilt`` is the declared common rotor
-    rotation whose z-column is the design thrust axis.
+    with opposite rotors mirrored through the center (p1 = -p3, p2 = -p4,
+    each coordinate within 1e-12 m) and alternating spin signs. ``tilt`` is
+    the declared common rotor rotation whose z-column is the design thrust
+    axis. ``mass``, ``base`` and ``height`` must be positive and finite.
+    ``inertia`` must be a finite 3x3 matrix, symmetric within 1e-12 in the
+    Frobenius norm of I - I^T, and positive definite: every pivot of the
+    LDL^T factorisation of its lower triangle must be positive (Sylvester's
+    criterion, tested without forming the determinants). The checks run on
+    floats; each failure is a ValueError naming the field.
     """
 
     mass: float
@@ -89,10 +96,10 @@ class ModuleSpec:
     tilt: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
+        for name in ("mass", "base", "height"):
+            _check_scalar(name, getattr(self, name))
+        object.__setattr__(self, "inertia", _finite_array(self.inertia, (3, 3), "inertia"))
         object.__setattr__(self, "tilt", np.asarray(self.tilt, dtype=float))
-        if self.mass <= 0.0 or self.base <= 0.0 or self.height <= 0.0:
-            raise ValueError("mass, base and height must be positive")
         props = tuple(self.propellers)
         object.__setattr__(self, "propellers", props)
         if len(props) != 4:
@@ -102,12 +109,49 @@ class ModuleSpec:
             raise ValueError("propellers must sit in mirrored pairs: p1 = -p3, p2 = -p4")
         if [p.spin for p in props] != [1, -1, 1, -1]:
             raise ValueError("propeller spins must alternate +1, -1, +1, -1")
-        if np.linalg.norm(self.inertia - self.inertia.T) >= 1e-12:
+        (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = self.inertia.tolist()
+        if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
             raise ValueError("inertia tensor must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):
+        if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
             raise ValueError("inertia tensor must be positive definite")
         if not is_rotation(self.tilt):
             raise ValueError("declared tilt is not a rotation matrix")
+
+
+def _check_scalar(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and
+    positive (or zero, with ``allow_zero``); NaN fails both comparisons."""
+    above_floor = value >= 0.0 if allow_zero else value > 0.0
+    if not (above_floor and value < math.inf):
+        raise ValueError(f"{name} must be {'non-negative' if allow_zero else 'positive'} "
+                         f"and finite, got {value!r}")
+
+
+def _finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries; otherwise
+    ValueError naming ``name``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        arr = None
+    if arr is None or arr.shape != shape or not all(map(math.isfinite, arr.ravel().tolist())):
+        got = value.tolist() if isinstance(value, np.ndarray) else value
+        raise ValueError(f"{name} must be a finite array of shape {shape}, got {got!r}")
+    return arr
+
+
+def _ldl_pivots_positive(i0, i3, i4, i6, i7, i8) -> bool:
+    """True when the three pivots of the LDL^T factorisation of the
+    symmetric matrix with lower triangle (i0; i3, i4; i6, i7, i8) are all
+    positive, which is when that matrix is positive definite."""
+    if not i0 > 0.0:
+        return False
+    l3, l6 = i3 / i0, i6 / i0
+    d4 = i4 - l3 * i3
+    if not d4 > 0.0:
+        return False
+    l7 = i7 - l6 * i3
+    return i8 - l6 * i6 - l7 * l7 / d4 > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +210,7 @@ def build_r_module(
     counterclockwise from front-right, all with the same orientation. Inertia
     defaults to the solid-cuboid model but can be overridden.
     """
-    if mass <= 0.0 or base <= 0.0 or height <= 0.0:
-        raise ValueError("mass, base and height must be positive")
-    if k_f <= 0.0 or f_max <= 0.0:
-        raise ValueError("k_f and f_max must be positive")
+    _check_scalar("base", base)  # before the rotor positions are built from it
     d = base / 4.0
     positions = [
         np.array([d, -d, 0.0]),
@@ -205,32 +246,41 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
 
     A module is balanced when both torque residuals vanish and the summed
     thrust is parallel to the declared tilt axis. Unbalanced modules report
-    is_balanced=False rather than raising. One batched pass over the
-    module: the four rotor positions and axes are stacked and crossed at
-    once, and the parallel-axis test runs on floats.
+    is_balanced=False rather than raising. The four rotor axes come from one
+    stacked product; the moments p x a, the sums over the rotors and the
+    parallel-axis test then run on floats, in the order of numpy's cross
+    product and row sums, so the residuals carry the same bits as the numpy
+    forms.
     """
     props = module.propellers
-    axes = np.array([p.orientation for p in props]) @ E3
-    torque_from_forces = np.cross(np.array([p.position for p in props]), axes).sum(axis=0)
-    torque_from_drag = (np.array([[p.spin] for p in props]) * axes).sum(axis=0)
-    force_sum = axes.sum(axis=0)
-    gain = float(np.linalg.norm(force_sum))
+    axes = (np.array([p.orientation for p in props]) @ E3).tolist()
+    moments = [cross3(p.position.tolist(), a) for p, a in zip(props, axes)]
+    drags = [[x * p.spin for x in a] for p, a in zip(props, axes)]
+    force_sum = np.array(_sum_rows(axes))
+    gain = math.sqrt(force_sum.dot(force_sum))  # np.linalg.norm's own formula
     axis = force_sum / gain if gain > tol else np.zeros(3)
-    ax, ay, az = axis.tolist()
-    tx, ty, tz = module.tilt[:, 2].tolist()
+    ax, ay, az = unit = axis.tolist()
+    tx, ty, tz = target = module.tilt[:, 2].tolist()
     parallel = (
         gain > tol
-        and math.hypot(ay * tz - az * ty, az * tx - ax * tz, ax * ty - ay * tx) < tol
+        and math.hypot(*cross3(unit, target)) < tol
         and ax * tx + ay * ty + az * tz > 0.0
     )
-    balanced = parallel and all(
-        abs(x) < tol for x in torque_from_forces.tolist() + torque_from_drag.tolist()
-    )
+    torque_from_forces, torque_from_drag = _sum_rows(moments), _sum_rows(drags)
+    balanced = parallel and all(abs(x) < tol for x in torque_from_forces + torque_from_drag)
     return BalanceReport(
-        torque_from_forces=torque_from_forces,
-        torque_from_drag=torque_from_drag,
+        torque_from_forces=np.array(torque_from_forces),
+        torque_from_drag=np.array(torque_from_drag),
         total_force_axis=axis,
         thrust_gain=gain,
         is_balanced=bool(balanced),
     )
 
+
+def _sum_rows(rows) -> tuple[float, float, float]:
+    """Column sums of 3-float rows, added first row to last like numpy's
+    ``sum(axis=0)``: the first row starts the sum, so a -0.0 survives."""
+    (x, y, z), *rest = rows
+    for r0, r1, r2 in rest:
+        x, y, z = x + r0, y + r1, z + r2
+    return (x, y, z)

@@ -85,6 +85,14 @@ def matmul3(a, b) -> tuple[float, ...]:
     )
 
 
+def cross3(a, b) -> tuple[float, float, float]:
+    """a x b on 3-float sequences, entry for entry numpy's cross product
+    arithmetic (a1 b2 - a2 b1, ...), so the results carry the same bits."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def exp_map(v: np.ndarray) -> np.ndarray:
     """Rodrigues rotation for the rotation vector v (axis times angle)."""
     x, y, z = np.asarray(v, dtype=float).tolist()

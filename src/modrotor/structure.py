@@ -11,18 +11,21 @@ controllers, with the z-axis along the strongest force direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AssemblyError
 from .module_design import ModuleSpec
-from .so3 import E1, E2, E3, rot_z
+from .so3 import E1, E2, E3, cross3, rot_z
 
 # Relative singular-value cutoff for rank decisions and for grouping tied
 # singular values when choosing the thrust frame.
 _RANK_TOL = 1e-9
+# rot_z of 0, 1, 2 and 3 quarter turns, indexed by ModulePlacement.yaw_quarter_turns.
+_QUARTER_TURNS = np.array([rot_z(k * np.pi / 2.0) for k in range(4)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +42,12 @@ class ModulePlacement:
 
     def __post_init__(self):
         col, row = self.grid_offset
-        if int(col) != col or int(row) != row:
-            raise ValueError("grid_offset entries must be integers")
+        try:  # NaN and inf fail isfinite before int() would raise on them
+            whole = math.isfinite(col) and math.isfinite(row) and int(col) == col and int(row) == row
+        except TypeError:  # not numbers
+            whole = False
+        if not whole:
+            raise ValueError(f"grid_offset entries must be finite integers, got {self.grid_offset!r}")
         object.__setattr__(self, "grid_offset", (int(col), int(row)))
         if self.yaw_quarter_turns not in (0, 1, 2, 3):
             raise ValueError("yaw_quarter_turns must be 0, 1, 2 or 3")
@@ -56,7 +63,7 @@ class StructureModel:
     center of mass; ``force_map`` and ``torque_map`` are views of its top
     and bottom row blocks. ``r_sf`` rotates the thrust frame into {S};
     ``force_sigmas`` holds the singular values of the force block in
-    descending order.
+    descending order, from numpy's values-only SVD.
     """
 
     placements: tuple[ModulePlacement, ...]
@@ -68,6 +75,9 @@ class StructureModel:
     force_sigmas: np.ndarray
     f_max: np.ndarray
     inertia_inv: np.ndarray
+    # (u, s) of the force block's full SVD, read by actuation_ellipsoid. Its
+    # s may differ from force_sigmas in the last bits.
+    _force_svd: tuple = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -99,9 +109,11 @@ def numerical_rank(m: np.ndarray) -> int:
 
 def _rank_of(s: np.ndarray) -> int:
     """numerical_rank of a matrix from its singular values ``s``, descending."""
-    if s.size == 0 or s[0] == 0.0:
+    values = s.tolist()
+    if not values or values[0] == 0.0:
         return 0
-    return int(np.sum(s > _RANK_TOL * s[0]))
+    cutoff = _RANK_TOL * values[0]
+    return sum(x > cutoff for x in values)
 
 
 def _singular_clusters(s: np.ndarray, rank: int) -> list[list[int]]:
@@ -137,7 +149,8 @@ def _orient_sign(vec: np.ndarray, preferred: list[np.ndarray]) -> np.ndarray:
     return vec
 
 
-def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.ndarray) -> np.ndarray:
+def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.ndarray,
+                  svd: tuple | None = None) -> np.ndarray:
     """Rotation from the thrust frame to {S}.
 
     Rank 1: every rotor pushes along one axis, so the frame is the shared
@@ -146,7 +159,8 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
     value and the x-axis the next one. Ties within _RANK_TOL are resolved by
     picking, inside the tied subspace, the direction closest to the body
     z-axis (for z) or x-axis (for x). Signs align z with the total thrust
-    under uniform input and x with the body x-axis where possible.
+    under uniform input and x with the body x-axis where possible. ``svd``
+    is ``np.linalg.svd(force_map)`` when the caller has computed it already.
     """
     if rank == 0:
         raise AssemblyError("force map is zero; structure cannot produce thrust")
@@ -163,7 +177,7 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
             raise AssemblyError("first module rotor rotation disagrees with the common force axis")
         return frame
 
-    u, s, _ = np.linalg.svd(force_map)
+    u, s, _ = np.linalg.svd(force_map) if svd is None else svd
     clusters = _singular_clusters(s, rank)
     uniform_thrust = force_map @ np.ones(force_map.shape[1])
 
@@ -193,7 +207,7 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
         x_axis = _orient_sign(x_axis, [E1, E2, E3])
     x_axis = x_axis - z_axis * (z_axis @ x_axis)
     x_axis = x_axis / np.linalg.norm(x_axis)
-    y_axis = np.cross(z_axis, x_axis)
+    y_axis = np.array(cross3(z_axis.tolist(), x_axis.tolist()))
     return np.column_stack([x_axis, y_axis, z_axis])
 
 
@@ -202,10 +216,15 @@ def assemble(placements) -> StructureModel:
 
     Computes the mass-weighted center, total inertia with parallel-axis
     terms, the 6 x 4n thrust map about the center of mass, the numerical
-    rank of its force block, and the thrust frame rotation. The rotor
-    geometry is one batched pass over the structure: each module's rotor
-    positions and axes are rotated as one stack, and all 4n torque columns
-    come from one cross product.
+    rank of its force block, and the thrust frame rotation. Each product
+    is one stacked pass over all modules: the module inertias, the 4n rotor
+    positions and the 4n rotor axes are rotated by one batched ``matmul``
+    each, and the torque columns p x a take numpy's cross-product arithmetic
+    on whole rows. Three SVDs: the torque block's singular values (its rank
+    must be 3), the force block's singular values (``force_sigmas`` and
+    ``rank_f``) and the force block's full SVD, which the thrust frame and
+    :func:`actuation_ellipsoid` both read. Every output has the bits of the
+    per-module loop it replaces.
     """
     placements = tuple(placements)
     if not placements:
@@ -232,26 +251,35 @@ def assemble(placements) -> StructureModel:
     com = masses @ grid_pos / total_mass
 
     # The structure frame is the first module's frame; rotate grid data into it.
-    r_grid_to_s = rot_z(placements[0].yaw_quarter_turns * np.pi / 2.0).T
+    r_grid_to_s = _QUARTER_TURNS[placements[0].yaw_quarter_turns].T
     offsets = (grid_pos - com) @ r_grid_to_s.T
-    rotations = np.array(
-        [r_grid_to_s @ rot_z(pl.yaw_quarter_turns * np.pi / 2.0) for pl in placements]
-    )
+    rotations = r_grid_to_s @ _QUARTER_TURNS[[pl.yaw_quarter_turns for pl in placements]]
+    rotations_t = rotations.transpose(0, 2, 1)
 
-    inertia = np.zeros((3, 3))
-    positions, axes = [], []
-    for pl, r_m, d in zip(placements, rotations, offsets):
-        inertia += r_m @ pl.module.inertia @ r_m.T + pl.module.mass * (
-            (d @ d) * np.eye(3) - np.outer(d, d)
-        )
-        positions.append(np.array([p.position for p in pl.module.propellers]) @ r_m.T + d)
-        axes.append(np.array([p.orientation for p in pl.module.propellers]) @ E3 @ r_m.T)
+    # Inertia: rotated module tensors plus the parallel-axis terms
+    # m (|d|^2 I - d d^T), with |d|^2 as a stacked dot product, summed over
+    # the modules in order.
+    inertias = np.array([pl.module.inertia for pl in placements])
+    dd = offsets[:, None, :] @ offsets[:, :, None]
+    outer = offsets[:, :, None] * offsets[:, None, :]
+    terms = rotations @ inertias @ rotations_t + masses[:, None, None] * (dd * np.eye(3) - outer)
+    inertia = terms.sum(axis=0)
+
+    # Rotor geometry: positions and axes of all 4n rotors in {S}, one stacked
+    # product each; columns are rotors, rows coordinates.
     props = [p for pl in placements for p in pl.module.propellers]
-    positions, axes = np.concatenate(positions), np.concatenate(axes)
-    drag = np.array([p.spin * p.drag_ratio for p in props])
+    n = len(placements)
+    local_pos = np.array([p.position for p in props]).reshape(n, 4, 3)
+    local_axes = (np.array([p.orientation for p in props]) @ E3).reshape(n, 4, 3)
+    px, py, pz = (local_pos @ rotations_t + offsets[:, None, :]).reshape(-1, 3).T
     a = np.empty((6, len(props)))
-    a[:3] = axes.T
-    a[3:] = (np.cross(positions, axes) + drag[:, None] * axes).T
+    a[:3] = (local_axes @ rotations_t).reshape(-1, 3).T
+    ax, ay, az = a[:3]
+    drag = np.array([p.spin * p.drag_ratio for p in props])
+    # p x a + drag a, with the float cross product of np.cross.
+    a[3] = py * az - pz * ay + drag * ax
+    a[4] = pz * ax - px * az + drag * ay
+    a[5] = px * ay - py * ax + drag * az
     f_max = np.array([p.f_max for p in props])
 
     if numerical_rank(a[3:]) != 3:
@@ -259,11 +287,14 @@ def assemble(placements) -> StructureModel:
 
     sigmas = np.linalg.svd(a[:3], compute_uv=False)
     rank_f = _rank_of(sigmas)
+    # The full SVD may round the singular values differently from the
+    # values-only one above, so force_sigmas keeps the latter.
+    u, s, _ = force_svd = np.linalg.svd(a[:3])
     first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
-    r_sf = _thrust_frame(a[:3], rank_f, first_rotor)
+    r_sf = _thrust_frame(a[:3], rank_f, first_rotor, svd=force_svd)
 
     inertia_inv = np.linalg.inv(inertia)
-    for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv):
+    for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv, u, s):
         arr.setflags(write=False)
     return StructureModel(
         placements=placements,
@@ -275,6 +306,7 @@ def assemble(placements) -> StructureModel:
         force_sigmas=sigmas,
         f_max=f_max,
         inertia_inv=inertia_inv,
+        _force_svd=(u, s),
     )
 
 
@@ -284,9 +316,12 @@ def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarr
     Returns (sigmas, axes) with sigmas descending and axes as columns, sign
     normalized so each axis's largest component is positive. The image of
     the unit thrust ball under the force map is the ellipsoid with semi-axis
-    sigmas[i] along axes[:, i].
+    sigmas[i] along axes[:, i]. Both come from the force block's full SVD,
+    which :func:`assemble` computed once for the thrust frame; this call
+    makes none of its own.
     """
-    u, s, _ = np.linalg.svd(structure.force_map)
+    u, s = structure._force_svd
+    u, s = u.copy(), s.copy()
     for i in range(3):
         lead = np.argmax(np.abs(u[:, i]))
         if u[lead, i] < 0.0:

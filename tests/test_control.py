@@ -11,6 +11,8 @@ from modrotor import (
     Controller,
     Gains,
     RigidState,
+    actuation_ellipsoid,
+    assemble,
     default_gains,
 )
 from modrotor.structure import _thrust_frame
@@ -558,3 +560,30 @@ def test_non_finite_command_raises_degeneracy_error(all_structures):
                 warnings.simplefilter("error")
                 with pytest.raises(ControlDegeneracyError, match=what):
                     ctrl.step(state, sample)
+
+
+def test_design_path_makes_at_most_four_svds(all_structures, monkeypatch):
+    # assemble takes the torque block's singular values, the force block's
+    # (values only, for force_sigmas) and the force block's full SVD, which
+    # the thrust frame and actuation_ellipsoid share; Controller takes its
+    # rank test and its pseudoinverse from one more.
+    calls = []
+
+    def counted(name):
+        call = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return call(a, *args, **kwargs)
+        return wrapper
+
+    # np.linalg.pinv runs one SVD through its own module's name, so a pinv
+    # call counts as one SVD.
+    monkeypatch.setattr(np.linalg, "svd", counted("svd"))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv"))
+    for name, structure in all_structures.items():
+        calls.clear()
+        rebuilt = assemble(structure.placements)
+        actuation_ellipsoid(rebuilt)
+        Controller(rebuilt)
+        assert len(calls) <= 4, f"{name}: {len(calls)} SVDs: {calls}"

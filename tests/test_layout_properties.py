@@ -1,11 +1,15 @@
 """Seeded property checks of the controller's allocation over random layouts.
 
-Layouts dock 1-4 shared-tilt modules on adjacent grid cells, each tilted by
-an angle from TILT_DEG about its pitch axis and yawed by a random quarter
-turn. Every layout must get the controller mode its force rank calls for,
-and that controller's reduced map must be solved exactly and with minimum
-norm by its stored pseudoinverse. The same layouts pin ``assemble`` and
-``check_balanced`` bit for bit to per-rotor reference loops.
+Two draws of layouts dock shared-tilt modules on adjacent grid cells, each
+module yawed by a random quarter turn. The first docks 1-4 default modules,
+each tilted by an angle from TILT_DEG about its pitch axis. The second
+spans the design sweep's 1-6 modules and varies every module input the
+stacked assembly reads: roll and pitch tilts, mass, inertia diagonal and
+drag coefficient. Every layout must get the controller mode its force rank
+calls for, and that controller's reduced map must be solved exactly and
+with minimum norm by its stored pseudoinverse. The same layouts pin
+``assemble`` and ``check_balanced`` bit for bit to per-rotor reference
+loops.
 """
 
 import dataclasses
@@ -13,25 +17,32 @@ import dataclasses
 import numpy as np
 import pytest
 
-from modrotor import Controller, ModulePlacement, assemble, build_r_module, check_balanced
+from modrotor import (Controller, ModulePlacement, actuation_ellipsoid, assemble, build_r_module,
+                      check_balanced)
+from modrotor.control import _PINV_RCOND
 from modrotor.module_design import ModuleSpec
 from modrotor.so3 import E3, rot_x, rot_z
 from modrotor.structure import _thrust_frame, numerical_rank
 
 TILT_DEG = (-30.0, -10.0, 0.0, 10.0, 30.0)
 LAYOUTS = 300
+VARIED_LAYOUTS = 120
 _NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _MODE_OF_RANK = {1: "4dof", 2: "5dof", 3: "6dof"}
 
 
-def draw_structure(rng):
-    n = int(rng.integers(1, 5))
+def _draw_cells(rng, n):
     cells = [(0, 0)]
     while len(cells) < n:
         col, row = cells[rng.integers(len(cells))]
         d_col, d_row = _NEIGHBOURS[rng.integers(len(_NEIGHBOURS))]
         if (col + d_col, row + d_row) not in cells:
             cells.append((col + d_col, row + d_row))
+    return cells
+
+
+def draw_structure(rng):
+    cells = _draw_cells(rng, int(rng.integers(1, 5)))
     return assemble(
         ModulePlacement(
             build_r_module(beta=np.deg2rad(TILT_DEG[rng.integers(len(TILT_DEG))])),
@@ -42,10 +53,39 @@ def draw_structure(rng):
     )
 
 
+def _draw_tilt(rng):
+    # Zero, or 0.1-0.6 rad either way: tilts near zero but not zero would make
+    # the force block ill-conditioned, and the 1e-9 allocation tolerances
+    # would then measure the conditioning rather than the allocation.
+    return float(rng.choice([0.0, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.6)]))
+
+
+def draw_varied_structure(rng, n):
+    return assemble(
+        ModulePlacement(
+            build_r_module(mass=rng.uniform(0.08, 0.3), alpha=_draw_tilt(rng),
+                           beta=_draw_tilt(rng), k_m=rng.uniform(0.002, 0.02),
+                           inertia=np.diag(rng.uniform(5e-5, 5e-4, size=3))),
+            cell,
+            int(rng.integers(4)),
+        )
+        for cell in _draw_cells(rng, n)
+    )
+
+
 @pytest.fixture(scope="module")
 def layouts():
     rng = np.random.default_rng(2021)
-    return [draw_structure(rng) for _ in range(LAYOUTS)]
+    grid = [draw_structure(rng) for _ in range(LAYOUTS)]
+    # 1-6 modules, each size equally often, like the design sweep.
+    rng = np.random.default_rng(2025)
+    return grid + [draw_varied_structure(rng, 1 + i % 6) for i in range(VARIED_LAYOUTS)]
+
+
+def test_varied_layouts_span_sizes_and_modes(layouts):
+    varied = layouts[LAYOUTS:]
+    assert {s.n for s in varied} == set(range(1, 7))
+    assert {s.rank_f for s in varied} == {1, 2, 3}
 
 
 def test_layouts_cover_every_mode(layouts):
@@ -71,6 +111,14 @@ def test_allocation_exact_and_minimum_norm(layouts):
             oracle = m.T @ np.linalg.solve(m @ m.T, b)
             np.testing.assert_allclose(m @ u, b, atol=1e-9)
             np.testing.assert_allclose(u, oracle, atol=1e-9)
+
+
+def test_thrust_frame_is_rotation_and_modules_balanced(layouts):
+    for structure in layouts:
+        r_sf = structure.r_sf
+        assert np.linalg.norm(r_sf.T @ r_sf - np.eye(3)) < 1e-12
+        assert abs(np.linalg.det(r_sf) - 1.0) < 1e-12
+        assert all(check_balanced(pl.module).is_balanced for pl in structure.placements)
 
 
 def test_planar_force_has_no_thrust_frame_y_component(layouts):
@@ -210,3 +258,18 @@ def test_check_balanced_matches_per_rotor_oracle(layouts, all_structures):
             _assert_same_bits(getattr(report, name), want, f"module {idx}: {name}")
         outcomes.add(report.is_balanced)
     assert outcomes == {True, False}
+
+
+def test_shared_svd_matches_fresh_numpy(layouts, all_structures):
+    # actuation_ellipsoid and Controller.pinv read SVDs that assemble and
+    # Controller take once; they must equal numpy's own calls bit for bit.
+    for idx, structure in enumerate(list(layouts) + list(all_structures.values())):
+        sigmas, axes = actuation_ellipsoid(structure)
+        u, s, _ = np.linalg.svd(structure.force_map)
+        lead = np.argmax(np.abs(u), axis=0)
+        u = np.where(u[lead, range(3)] < 0.0, -u, u)
+        _assert_same_bits(sigmas, s, f"structure {idx}: ellipsoid sigmas")
+        _assert_same_bits(axes, u, f"structure {idx}: ellipsoid axes")
+        ctrl = Controller(structure)
+        _assert_same_bits(ctrl.pinv, np.linalg.pinv(ctrl.reduced_map, rcond=_PINV_RCOND),
+                          f"structure {idx}: pinv")

@@ -186,3 +186,74 @@ def test_mirrored_pairs_within_1e12(offset, mirrored):
     else:
         with pytest.raises(ValueError, match="mirrored pairs"):
             make()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mass", float("nan")), ("mass", float("inf")), ("mass", -0.1),
+    ("base", float("nan")), ("height", float("inf")),
+    ("k_f", float("nan")), ("k_f", 0.0),
+    ("k_m", float("nan")), ("k_m", float("inf")), ("k_m", -0.001),
+    ("f_max", float("nan")), ("f_max", float("inf")), ("f_max", 0.0),
+])
+def test_build_r_module_names_bad_field(field, value):
+    # Each bad scalar is a ValueError naming its field, before any numpy
+    # call can fail on it (LinAlgError) or warn (RuntimeWarning is an error
+    # in this suite).
+    with pytest.raises(ValueError, match=rf"^{field} must be (positive|non-negative) and finite"):
+        build_r_module(**{field: value})
+
+
+def test_zero_drag_coefficient_accepted():
+    assert build_r_module(k_m=0.0).propellers[0].drag_ratio == 0.0
+
+
+@pytest.mark.parametrize("position", [
+    [0.03, 0.03], [0.03, 0.03, 0.0, 0.0], [0.03, float("nan"), 0.0], [float("inf"), 0.0, 0.0],
+    [[0.03], [0.03, 0.0]], "abc", [[0.03, 0.03, 0.0]],
+])
+def test_propeller_position_must_be_finite_3_vector(position):
+    with pytest.raises(ValueError, match=r"^position must be a finite array of shape \(3,\)"):
+        PropellerSpec(position=position, orientation=np.eye(3), spin=1)
+
+
+def _with_inertia(module, inertia):
+    return ModuleSpec(mass=module.mass, inertia=inertia, base=module.base,
+                      height=module.height, propellers=module.propellers, tilt=module.tilt)
+
+
+@pytest.mark.parametrize("inertia, message", [
+    (np.eye(2), r"^inertia must be a finite array of shape \(3, 3\)"),
+    (np.diag([1.0, float("nan"), 1.0]), r"^inertia must be a finite array"),
+    (np.diag([1.0, float("inf"), 1.0]), r"^inertia must be a finite array"),
+    ([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "symmetric"),
+    (np.diag([1.0, 1.0, 0.0]), "positive definite"),
+    (np.diag([1.0, -1.0, 1.0]), "positive definite"),
+    # Positive diagonal, yet indefinite: eigenvalues 3, -1 and 1.
+    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "positive definite"),
+    ([[1.0, 0.0, 0.9], [0.0, 1.0, 0.9], [0.9, 0.9, 1.0]], "positive definite"),
+])
+def test_module_inertia_validation(inertia, message):
+    with pytest.raises(ValueError, match=message):
+        _with_inertia(build_r_module(), inertia)
+
+
+def test_positive_definite_rule_matches_eigenvalues():
+    # The LDL^T pivot test accepts exactly the symmetric matrices whose
+    # eigenvalues are all positive, away from the boundary.
+    rng = np.random.default_rng(31)
+    module = build_r_module()
+    outcomes = set()
+    for _ in range(400):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        evals = rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.integers(-4, 1)
+        evals[np.abs(evals) < 1e-6] = 1e-3
+        inertia = q @ np.diag(evals) @ q.T
+        inertia = (inertia + inertia.T) / 2.0
+        definite = bool(np.all(np.linalg.eigvalsh(inertia) > 0.0))
+        outcomes.add(definite)
+        if definite:
+            _with_inertia(module, inertia)
+        else:
+            with pytest.raises(ValueError, match="positive definite"):
+                _with_inertia(module, inertia)
+    assert outcomes == {True, False}

@@ -270,3 +270,14 @@ def test_thrust_frame_degenerate_inputs():
     cols = np.column_stack([E3, E3, E3, E3])
     with pytest.raises(AssemblyError, match="disagrees"):
         _thrust_frame(cols, 1, rot_y(0.4))
+
+
+@pytest.mark.parametrize("grid_offset", [(float("inf"), 0), (float("nan"), 0),
+                                         (0, float("-inf")), (1.5, 0), ("1", 0)])
+def test_grid_offset_must_be_finite_integers(grid_offset):
+    with pytest.raises(ValueError, match=r"^grid_offset entries must be finite integers"):
+        ModulePlacement(build_r_module(), grid_offset)
+
+
+def test_grid_offset_accepts_integral_floats():
+    assert ModulePlacement(build_r_module(), (2.0, -1.0)).grid_offset == (2, -1)
