@@ -82,19 +82,25 @@ class StructureConfig:
     trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
 
     def to_structure(self) -> StructureModel:
+        """The assembled structure; a module the library rejects, such as one
+        whose inertia overflows, raises ConfigError("module.N: ...") with N
+        its position among the modules ordered by section number."""
         placements = []
-        for m in self.modules:
-            module = build_r_module(
-                mass=m.mass_kg,
-                base=m.base_m,
-                height=m.height_m,
-                alpha=np.deg2rad(m.alpha_deg),
-                beta=np.deg2rad(m.beta_deg),
-                k_f=m.k_f,
-                k_m=m.k_m,
-                f_max=m.f_max_n,
-                inertia=np.diag(m.inertia_diag_kgm2) if m.inertia_diag_kgm2 else None,
-            )
+        for n, m in enumerate(self.modules, start=1):
+            try:
+                module = build_r_module(
+                    mass=m.mass_kg,
+                    base=m.base_m,
+                    height=m.height_m,
+                    alpha=np.deg2rad(m.alpha_deg),
+                    beta=np.deg2rad(m.beta_deg),
+                    k_f=m.k_f,
+                    k_m=m.k_m,
+                    f_max=m.f_max_n,
+                    inertia=np.diag(m.inertia_diag_kgm2) if m.inertia_diag_kgm2 else None,
+                )
+            except ValueError as exc:
+                raise ConfigError(f"module.{n}: {exc}") from None
             placements.append(
                 ModulePlacement(
                     module=module,

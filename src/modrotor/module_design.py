@@ -174,8 +174,10 @@ class BalanceReport:
 
 def cuboid_inertia(mass: float, base: float, height: float) -> np.ndarray:
     """Inertia tensor of a solid cuboid with square base, about its center."""
-    ixx = mass * (base**2 + height**2) / 12.0
-    izz = mass * (2.0 * base**2) / 12.0
+    # Products, not powers: a float power raises OverflowError where a
+    # product overflows to inf, which ModuleSpec then rejects by name.
+    ixx = mass * (base * base + height * height) / 12.0
+    izz = mass * (2.0 * (base * base)) / 12.0
     return np.diag([ixx, ixx, izz])
 
 

@@ -86,16 +86,25 @@ def run_closed_loop(
     params: SimParams | None = None,
     state0: RigidState | None = None,
 ) -> RunResult:
-    """Track ``trajectory`` (a callable of time) for the configured duration."""
+    """Track ``trajectory`` (a callable of time) for the configured duration.
+
+    A duration of more steps than numpy can store raises SimulationError
+    before the first step.
+    """
     params = params if params is not None else SimParams()
     controller = Controller(structure, gains, params.gravity)
     state = state0 if state0 is not None else initial_state_from_sample(structure, trajectory(0.0))
 
-    steps = int(round(params.duration / params.dt))
     n_u = 4 * structure.n
-    # One row per step: t, pos, pos_des, yaw/pitch/roll, pos_err, att_err, u.
-    rows = np.empty((steps, 12 + n_u))
-    sat = np.zeros(steps, dtype=bool)
+    try:
+        steps = int(round(params.duration / params.dt))
+        # One row per step: t, pos, pos_des, yaw/pitch/roll, pos_err, att_err, u.
+        rows = np.empty((steps, 12 + n_u))
+        sat = np.zeros(steps, dtype=bool)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise SimulationError(
+            f"cannot store {params.duration / params.dt:.3g} steps of dt={params.dt} s: {exc}"
+        ) from None
     r_sf = structure.r_sf
     dt, gravity = params.dt, params.gravity
 

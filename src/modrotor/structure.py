@@ -116,33 +116,22 @@ def _rank_of(s: np.ndarray) -> int:
     return sum(x > cutoff for x in values)
 
 
-def _singular_clusters(s: np.ndarray, rank: int) -> list[list[int]]:
-    """Group the first ``rank`` singular values that are equal within _RANK_TOL."""
-    gap = _RANK_TOL * s[0]
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, rank):
-        if s[clusters[-1][0]] - s[i] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
-def _pick_in_subspace(basis: np.ndarray, preferred: list[np.ndarray]) -> np.ndarray:
-    """Unit vector in the span of ``basis`` columns closest to the first
-    usable preferred direction; falls back to the first basis vector."""
-    for target in preferred:
-        proj = basis @ (basis.T @ target)
-        norm = np.linalg.norm(proj)
-        if norm > 1e-9:
-            return proj / norm
-    return basis[:, 0]
-
-
-def _orient_sign(vec: np.ndarray, preferred: list[np.ndarray]) -> np.ndarray:
-    """Flip ``vec`` so its projection on the first non-orthogonal preferred
-    direction is non-negative."""
-    for target in preferred:
+def _unit_in(block: np.ndarray, preferred, signs, drop: np.ndarray | None = None) -> np.ndarray:
+    """Unit vector in the span of the orthonormal ``block`` columns, less
+    the unit axis ``drop``, nearest the first usable ``preferred``
+    direction; a single column is taken as it is. Signed toward the first
+    direction in ``signs`` that it is not orthogonal to."""
+    vec = block[:, 0]
+    if block.shape[1] > 1:
+        for target in preferred:
+            proj = block @ (block.T @ target)
+            if drop is not None:
+                proj = proj - drop * (drop @ proj)
+            norm = np.linalg.norm(proj)
+            if norm > 1e-9:
+                vec = proj / norm
+                break
+    for target in signs:
         dot = float(vec @ target)
         if abs(dot) > 1e-12:
             return vec if dot >= 0.0 else -vec
@@ -155,12 +144,15 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
 
     Rank 1: every rotor pushes along one axis, so the frame is the shared
     rotor rotation of the first module (all force axes must agree). Rank 2
-    or 3: the z-axis is the left singular direction of the largest singular
-    value and the x-axis the next one. Ties within _RANK_TOL are resolved by
-    picking, inside the tied subspace, the direction closest to the body
-    z-axis (for z) or x-axis (for x). Signs align z with the total thrust
-    under uniform input and x with the body x-axis where possible. ``svd``
-    is ``np.linalg.svd(force_map)`` when the caller has computed it already.
+    or 3 follow one rule, ties included; singular values within _RANK_TOL
+    of a group's first one form a tied group. z is the unit vector in the
+    top group's left singular directions nearest the body z-axis, else the
+    total thrust under uniform input, else the body x-axis, and is signed
+    toward that thrust. x is the unit vector nearest the body x-, y-, then
+    z-axis in the rest of the top group, or in the next group when the top
+    value is untied, signed toward the first of those axes it is not
+    orthogonal to. A group of one direction is taken as it is. ``svd`` is
+    ``np.linalg.svd(force_map)`` when the caller has computed it already.
     """
     if rank == 0:
         raise AssemblyError("force map is zero; structure cannot produce thrust")
@@ -178,33 +170,14 @@ def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.nda
         return frame
 
     u, s, _ = np.linalg.svd(force_map) if svd is None else svd
-    clusters = _singular_clusters(s, rank)
+    # Tied groups are prefixes of the descending values, so counts name them.
+    values = s[:rank].tolist()
+    gap = _RANK_TOL * values[0]
+    top = sum(values[0] - x <= gap for x in values)
     uniform_thrust = force_map @ np.ones(force_map.shape[1])
-
-    top = u[:, clusters[0]]
-    if top.shape[1] == 1:
-        z_axis = _orient_sign(top[:, 0], [uniform_thrust, E3, E1])
-    else:
-        z_axis = _pick_in_subspace(top, [E3, uniform_thrust])
-        z_axis = _orient_sign(z_axis, [uniform_thrust, E3, E1])
-
-    # Directions still available for the x-axis: the remainder of the top
-    # cluster, then the next cluster down.
-    if top.shape[1] > 1:
-        residual = top - np.outer(z_axis, z_axis @ top)
-        q, r = np.linalg.qr(residual)
-        keep = np.abs(np.diag(r)) > 1e-9
-        x_basis = q[:, keep]
-    elif len(clusters) > 1:
-        x_basis = u[:, clusters[1]]
-    else:
-        raise AssemblyError("no second force direction available for the thrust frame")
-
-    if x_basis.shape[1] == 1:
-        x_axis = _orient_sign(x_basis[:, 0], [E1, E2, E3])
-    else:
-        x_axis = _pick_in_subspace(x_basis, [E1, E2, E3])
-        x_axis = _orient_sign(x_axis, [E1, E2, E3])
+    z_axis = _unit_in(u[:, list(range(top))], [E3, uniform_thrust, E1], [uniform_thrust, E3, E1])
+    group = range(top) if top > 1 else range(1, 1 + sum(values[1] - x <= gap for x in values[1:]))
+    x_axis = _unit_in(u[:, list(group)], [E1, E2, E3], [E1, E2, E3], z_axis if top > 1 else None)
     x_axis = x_axis - z_axis * (z_axis @ x_axis)
     x_axis = x_axis / np.linalg.norm(x_axis)
     y_axis = np.array(cross3(z_axis.tolist(), x_axis.tolist()))

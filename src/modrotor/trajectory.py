@@ -50,6 +50,8 @@ def _vec3(name: str, value) -> tuple[float, float, float]:
     if arr.shape != (3,):
         raise ValueError(f"{name} must have 3 entries, got shape {arr.shape}")
     x, y, z = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"{name} must be finite, got {(x, y, z)!r}")
     return (x, y, z)
 
 
@@ -65,11 +67,11 @@ class TrajectorySample:
     omega_d: desired angular velocity in the desired frame, rad/s, a float
         3-tuple; None means zero
 
-    The constructor turns the vectors into float tuples and rejects a
-    non-finite ``t`` and an ``r_wf_d`` that is not a finite rotation. A
-    sample keeps its attitude as row-major floats, which the controller
-    reads, and ``r_wf_d`` is a read-only copy of them: the caller's array,
-    copied, or one built on first read.
+    The constructor turns the vectors into float tuples and rejects, naming
+    the field, a non-finite vector or ``t`` and an ``r_wf_d`` that is not a
+    finite rotation. A sample keeps its attitude as row-major floats, which
+    the controller reads, and ``r_wf_d`` is a read-only copy of them: the
+    caller's array, copied, or one built on first read.
     """
 
     t: float

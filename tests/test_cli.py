@@ -1,11 +1,13 @@
+import configparser
 import csv
-from dataclasses import replace
+import io
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from modrotor import parse_config, run_closed_loop
-from modrotor.config import override_sim
+from modrotor.config import _SECTIONS, ModuleConfig, override_sim
 from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main, write_run_csv
 from conftest import CONFIG_DIR
 
@@ -55,10 +57,34 @@ def test_every_fixture_config_passes_check(capsys):
 
 def test_check_bad_config_exits_validation(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[module.1]\nmass_kg = -1\n")
-    code, _, err = run_cli(["check", "--config", str(bad)], capsys)
-    assert code == EXIT_VALIDATION
-    assert "mass_kg" in err
+    # A value the parser rejects, modules whose inertia overflows to inf or
+    # underflows to singular, and a drag-free flat module whose torque block
+    # has rank 2.
+    for text, message in [
+        ("[module.1]\nmass_kg = -1\n", "mass_kg"),
+        ("[module.1]\nbase_m = 1e200\n", "error: module.1: inertia must be a finite array"),
+        ("[module.1]\n[module.2]\ngrid_col = 1\nbase_m = 1e-300\n",
+         "error: module.2: inertia tensor must be positive definite"),
+        ("[module.1]\nk_m = 0\n", "torque block is rank-deficient"),
+    ]:
+        bad.write_text(text)
+        code, _, err = run_cli(["check", "--config", str(bad)], capsys)
+        assert code == EXIT_VALIDATION, text
+        assert message in err, text
+
+
+@pytest.mark.parametrize("text, dof", [
+    ("[module.1]\nbeta_deg = 45\n[module.2]\nbeta_deg = -45\ngrid_col = 1\n", 5),
+    # Rounded so that the three singular values tie in their last bits.
+    ((CONFIG_DIR / "experiment3.cfg").read_text().replace("30", "54.7356103172453"), 6),
+], ids=["pair_45", "block_atan_sqrt2"])
+def test_check_tied_layout_reports_its_frame(text, dof, tmp_path, capsys):
+    cfg = tmp_path / "tied.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["check", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK, err
+    assert f"controllable DOF: {dof}" in out
+    assert "F-frame: identity" in out
 
 
 @pytest.mark.parametrize("rest", ["[module.1]\n", "[module.1]\n\n[gains]\nk_pos = 12\n"])
@@ -236,6 +262,23 @@ def test_simulate_rejects_unusable_sim_params(flags, sim_section, field, capsys,
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("flags, sim_section", [
+    (["--dt", "1e-300"], ""),
+    ([], "[sim]\ndt_s = 1e-300\n"),
+    (["--duration", "1e300", "--dt", "1e-300"], ""),
+])
+def test_simulate_names_a_step_count_it_cannot_store(flags, sim_section, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[module.1]\n" + sim_section)
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        ["simulate", "--config", str(cfg), "--out", str(out_csv)] + flags, capsys
+    )
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: cannot store") and "steps of dt=1e-300 s" in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("kind", ["rectangle", "rectangle_fixed"])
 def test_simulate_rejects_rectangle_speed_too_high(kind, capsys, tmp_path):
     # The rounded corners need the speed below 1.2 m/s; a faster lap is a
@@ -247,3 +290,59 @@ def test_simulate_rejects_rectangle_speed_too_high(kind, capsys, tmp_path):
     assert code == EXIT_VALIDATION
     assert err.startswith("error: trajectory: speed_mps")
     assert not out_csv.exists()
+
+
+# ---------------------------------------------------------------- exit-code contract
+# Values every config key takes in turn: zero, negative, tiny and huge, plus
+# the ends of the key's declared range. The step counts stay below 1e4 or
+# above 1e200, so no variant makes numpy allocate a real run of that size.
+_EXTREMES = ("0", "-1", "1e-300", "1e300")
+_RANGE_ENDS = {"alpha_deg": ("-90", "90"), "beta_deg": ("-90", "90"), "yaw_quarter_turns": ("3",),
+               "kind": ("hover", "helix", "rectangle", "rectangle_fixed")}
+_SIMULATED_SECTIONS = ("gains", "sim", "trajectory")
+
+
+def _contract_variants():
+    """(name, config text, simulate too) for each key of each fixture config
+    set to each value; a module key goes to one seeded module section."""
+    rng = np.random.default_rng(11)
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        original = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        original.read_string(path.read_text())
+        modules = [s for s in original.sections() if s.startswith("module.")]
+        targets = [(modules[rng.integers(len(modules))], f.name) for f in fields(ModuleConfig)]
+        targets += [(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)]
+        for section, key in targets:
+            for value in _EXTREMES + _RANGE_ENDS.get(key, ()):
+                parser = configparser.ConfigParser(interpolation=None)
+                parser.read_dict(original)
+                if not parser.has_section(section):
+                    parser.add_section(section)
+                parser[section][key] = (", ".join([value] * 3) if key == "inertia_diag_kgm2"
+                                        else value)
+                text = io.StringIO()
+                parser.write(text)
+                yield (f"{path.name} [{section}] {key} = {value}", text.getvalue(),
+                       section in _SIMULATED_SECTIONS)
+
+
+def test_no_config_value_escapes_the_exit_codes(capsys, tmp_path):
+    # Whatever a config says, check and a short simulate return 0, 2 or 3
+    # and raise nothing.
+    cfg, out_csv = tmp_path / "variant.cfg", tmp_path / "run.csv"
+    failures = []
+    for name, text, simulate in _contract_variants():
+        cfg.write_text(text)
+        commands = [["check", "--config", str(cfg)]]
+        if simulate:
+            commands.append(["simulate", "--config", str(cfg), "--out", str(out_csv),
+                             "--duration", "0.01"])
+        for args in commands:
+            try:
+                code = main(args)
+            except Exception as exc:  # noqa: BLE001 - any escape breaks the contract
+                code = f"{type(exc).__name__}: {exc}"
+            capsys.readouterr()
+            if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME):
+                failures.append(f"{args[0]} {name}: {code}")
+    assert not failures, "\n".join(failures)

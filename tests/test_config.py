@@ -78,6 +78,12 @@ def test_bad_values_name_the_field():
         parse_config("[module.1]\nyaw_quarter_turns = 5\n")
     with pytest.raises(ConfigError, match="kind"):
         parse_config("[module.1]\n\n[trajectory]\nkind = spiral\n")
+    with pytest.raises(ConfigError, match="grid_col must be an integer, got '1.5'"):
+        parse_config("[module.1]\ngrid_col = 1.5\n")
+    with pytest.raises(ConfigError, match="mass_kg must be finite"):
+        parse_config("[module.1]\nmass_kg = nan\n")
+    with pytest.raises(ConfigError, match="inertia_diag_kgm2 must be three numbers"):
+        parse_config("[module.1]\ninertia_diag_kgm2 = 1e-4, heavy, 2e-4\n")
 
 
 def test_syntax_error_reports_line():

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from modrotor import (
     AssemblyError,
     ModulePlacement,
+    SimParams,
     actuation_ellipsoid,
     assemble,
     build_r_module,
     numerical_rank,
+    rectangle,
+    run_closed_loop,
 )
 from modrotor.structure import _thrust_frame, ellipsoid_xz_polygon
 from modrotor.so3 import E3, rot_y, rot_z
@@ -281,3 +286,46 @@ def test_grid_offset_must_be_finite_integers(grid_offset):
 
 def test_grid_offset_accepts_integral_floats():
     assert ModulePlacement(build_r_module(), (2.0, -1.0)).grid_offset == (2, -1)
+
+
+def _tilted_block(tilt):
+    # The experiment3 layout: pitch tilts on one diagonal, roll on the other.
+    return [ModulePlacement(build_r_module(beta=tilt), (0, 0)),
+            ModulePlacement(build_r_module(beta=-tilt), (1, 1)),
+            ModulePlacement(build_r_module(alpha=tilt), (1, 0)),
+            ModulePlacement(build_r_module(alpha=-tilt), (0, 1))]
+
+
+# (name, placements, rank, size of the top tied group, r_sf). The +-45
+# degree pair ties sigma_x with sigma_z; at atan(sqrt 2) the block ties all
+# three. Flatter blocks tie x with y below z. Steeper ones tie them above
+# z, so z leans on the body x-axis (E3 and the uniform thrust have no part
+# in that group) and x on the body y-axis.
+_PERMUTED = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+TIED_LAYOUTS = [
+    ("pair_45", [ModulePlacement(build_r_module(beta=np.pi / 4), (0, 0)),
+                 ModulePlacement(build_r_module(beta=-np.pi / 4), (1, 0))], 2, 2, np.eye(3)),
+    ("block_atan_sqrt2", _tilted_block(math.atan(math.sqrt(2.0))), 3, 3, np.eye(3)),
+    ("block_45", _tilted_block(np.deg2rad(45.0)), 3, 1, np.eye(3)),
+    ("block_50", _tilted_block(np.deg2rad(50.0)), 3, 1, np.eye(3)),
+    ("block_60", _tilted_block(np.deg2rad(60.0)), 3, 2, _PERMUTED),
+    ("block_70", _tilted_block(np.deg2rad(70.0)), 3, 2, _PERMUTED),
+]
+
+
+@pytest.mark.parametrize("name, placements, rank, top, r_sf", TIED_LAYOUTS,
+                         ids=[case[0] for case in TIED_LAYOUTS])
+def test_tied_singular_values_give_the_one_rule_frame(name, placements, rank, top, r_sf):
+    structure = assemble(placements)
+    s = structure.force_sigmas
+    assert structure.rank_f == rank
+    assert np.sum(s[0] - s <= 1e-9 * s[0]) == top
+    np.testing.assert_allclose(structure.r_sf, r_sf, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, placements", [case[:2] for case in TIED_LAYOUTS[:2]],
+                         ids=[case[0] for case in TIED_LAYOUTS[:2]])
+def test_tied_layouts_fly_the_level_rectangle(name, placements):
+    res = run_closed_loop(assemble(placements), rectangle,
+                          params=SimParams(dt=0.001, duration=10.0))
+    assert res.rms_pos_err(t_min=3.0) < 0.01

@@ -193,6 +193,17 @@ def test_sample_rejects_non_rotation_attitude(r_wf_d):
                              r_wf_d=r_wf_d)
 
 
+@pytest.mark.parametrize("name", ["r_d", "v_d", "a_d", "omega_d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_rejects_non_finite_vectors(name, bad):
+    vectors = dict(r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3), omega_d=np.zeros(3))
+    vectors[name] = (bad, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrajectorySample(t=0.0, **vectors)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_sample_rejects_non_finite_time(t):
     with warnings.catch_warnings():
