@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import StructureConfig, override_sim, parse_config
-from .errors import ConfigError, ModrotorError, SimulationError
+from .errors import ModrotorError, SimulationError
 from .module_design import check_balanced
 from .sim import RunResult, run_closed_loop
 from .structure import StructureModel, actuation_ellipsoid, ellipsoid_xz_polygon, numerical_rank
@@ -29,8 +29,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _fixed(value: float, sign: str = "") -> str:
+    """``value`` to 9 decimals; a value that rounds to zero prints unsigned."""
+    text = f"{value:{sign}.9f}"
+    return text if text != "-0.000000000" else f"{0.0:{sign}.9f}"
+
+
 def _fmt_vec(v) -> str:
-    return "[" + " ".join(f"{x: .9f}" for x in v) + "]"
+    return "[" + " ".join(_fixed(x, " ") for x in v) + "]"
 
 
 def _load_config(path: str) -> StructureConfig:
@@ -84,7 +90,7 @@ def cmd_ellipsoid(config: StructureConfig, out_path: str | None) -> int:
     sigmas, axes = actuation_ellipsoid(structure)
     print(f"force singular values: {_fmt_vec(sigmas)}")
     for i in range(3):
-        print(f"axis {i + 1}: sigma={sigmas[i]:.9f} direction={_fmt_vec(axes[:, i])}")
+        print(f"axis {i + 1}: sigma={_fixed(sigmas[i])} direction={_fmt_vec(axes[:, i])}")
     if out_path is not None:
         polygon = ellipsoid_xz_polygon(structure)
         with open(out_path, "w", newline="") as handle:
@@ -161,8 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: argparse set-up costs about a quarter of a ``check`` call.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_config(args.config)
         if args.command == "check":
@@ -171,13 +181,10 @@ def main(argv=None) -> int:
             return cmd_ellipsoid(config, args.out)
         config = override_sim(config, args.duration, args.dt)
         return cmd_simulate(config, args.out)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ModrotorError as exc:
+    except (ModrotorError, OSError) as exc:  # ConfigError is a ModrotorError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

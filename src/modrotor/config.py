@@ -84,7 +84,7 @@ class StructureConfig:
     def to_structure(self) -> StructureModel:
         """The assembled structure; a module the library rejects, such as one
         whose inertia overflows, raises ConfigError("module.N: ...") with N
-        its position among the modules ordered by section number."""
+        its position in ``modules``, which in parsed text is its section."""
         placements = []
         for n, m in enumerate(self.modules, start=1):
             try:
@@ -241,9 +241,14 @@ def parse_config(text: str) -> StructureConfig:
 
     if not module_sections:
         raise ConfigError("config defines no [module.N] section")
+    # Numbered without gaps, a module's section number is its position,
+    # which is how the library's messages count modules.
     cells: dict[tuple[int, int], int] = {}
     modules = []
-    for idx in sorted(module_sections):
+    for idx in range(1, len(module_sections) + 1):
+        if idx not in module_sections:
+            raise ConfigError(f"[module.{idx}] is missing; module sections are numbered "
+                              "[module.1], [module.2], ... without gaps")
         m = _parse_section(ModuleConfig, parser[module_sections[idx]], f"module.{idx}")
         cell = (m.grid_col, m.grid_row)
         if cell in cells:

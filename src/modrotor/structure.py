@@ -63,7 +63,8 @@ class StructureModel:
     center of mass; ``force_map`` and ``torque_map`` are views of its top
     and bottom row blocks. ``r_sf`` rotates the thrust frame into {S};
     ``force_sigmas`` holds the singular values of the force block in
-    descending order, from numpy's values-only SVD.
+    descending order. ``rank_f``, ``force_sigmas``, ``r_sf`` and
+    :func:`actuation_ellipsoid` all read the force block's one full SVD.
     """
 
     placements: tuple[ModulePlacement, ...]
@@ -75,9 +76,8 @@ class StructureModel:
     force_sigmas: np.ndarray
     f_max: np.ndarray
     inertia_inv: np.ndarray
-    # (u, s) of the force block's full SVD, read by actuation_ellipsoid. Its
-    # s may differ from force_sigmas in the last bits.
-    _force_svd: tuple = field(repr=False)
+    # Left singular vectors of the force block, read by actuation_ellipsoid.
+    _force_axes: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -138,44 +138,37 @@ def _unit_in(block: np.ndarray, preferred, signs, drop: np.ndarray | None = None
     return vec
 
 
-def _thrust_frame(force_map: np.ndarray, rank: int, first_rotor_rotation: np.ndarray,
-                  svd: tuple | None = None) -> np.ndarray:
-    """Rotation from the thrust frame to {S}.
+def _thrust_frame(force_map: np.ndarray, rank: int, svd: tuple) -> np.ndarray:
+    """Rotation from the thrust frame to {S}, from ``svd``, the ``(u, s)``
+    of ``np.linalg.svd(force_map)``.
 
-    Rank 1: every rotor pushes along one axis, so the frame is the shared
-    rotor rotation of the first module (all force axes must agree). Rank 2
-    or 3 follow one rule, ties included; singular values within _RANK_TOL
-    of a group's first one form a tied group. z is the unit vector in the
-    top group's left singular directions nearest the body z-axis, else the
-    total thrust under uniform input, else the body x-axis, and is signed
-    toward that thrust. x is the unit vector nearest the body x-, y-, then
-    z-axis in the rest of the top group, or in the next group when the top
-    value is untied, signed toward the first of those axes it is not
-    orthogonal to. A group of one direction is taken as it is. ``svd`` is
-    ``np.linalg.svd(force_map)`` when the caller has computed it already.
+    One rule at every rank, ties included; singular values within
+    _RANK_TOL of a group's first one form a tied group, counted over all
+    three. z is the unit vector in the top group's left singular directions
+    nearest the body z-axis, else the total thrust under uniform input,
+    else the body x-axis, and is signed toward that thrust. x is the unit
+    vector nearest the body x-, y-, then z-axis in the rest of the top
+    group, or in the next group when the top value is untied (at rank 1,
+    the null space), signed toward the first of those axes it is not
+    orthogonal to. A group of one direction is taken as it is. At rank 1
+    every rotor must push along +z.
     """
     if rank == 0:
         raise AssemblyError("force map is zero; structure cannot produce thrust")
-    if rank == 1:
-        cols = force_map / np.linalg.norm(force_map, axis=0, keepdims=True)
-        spread = np.max(np.abs(cols - cols[:, [0]]))
-        if spread > 1e-8:
-            raise AssemblyError(
-                "rank-1 structure with mismatched rotor force axes; "
-                f"largest deviation {spread:.3e}"
-            )
-        frame = np.array(first_rotor_rotation, dtype=float)
-        if np.linalg.norm(frame @ E3 - cols[:, 0]) > 1e-8:
-            raise AssemblyError("first module rotor rotation disagrees with the common force axis")
-        return frame
-
-    u, s, _ = np.linalg.svd(force_map) if svd is None else svd
+    u, s = svd
     # Tied groups are prefixes of the descending values, so counts name them.
-    values = s[:rank].tolist()
+    values = s.tolist()
     gap = _RANK_TOL * values[0]
     top = sum(values[0] - x <= gap for x in values)
     uniform_thrust = force_map @ np.ones(force_map.shape[1])
     z_axis = _unit_in(u[:, list(range(top))], [E3, uniform_thrust, E1], [uniform_thrust, E3, E1])
+    if rank == 1:
+        along = z_axis @ force_map
+        if np.any(along < 0.0):
+            raise AssemblyError(
+                "rank-1 structure with mismatched rotor force axes; "
+                f"most negative thrust along the common axis {along.min():.3e}"
+            )
     group = range(top) if top > 1 else range(1, 1 + sum(values[1] - x <= gap for x in values[1:]))
     x_axis = _unit_in(u[:, list(group)], [E1, E2, E3], [E1, E2, E3], z_axis if top > 1 else None)
     x_axis = x_axis - z_axis * (z_axis @ x_axis)
@@ -193,10 +186,10 @@ def assemble(placements) -> StructureModel:
     is one stacked pass over all modules: the module inertias, the 4n rotor
     positions and the 4n rotor axes are rotated by one batched ``matmul``
     each, and the torque columns p x a take numpy's cross-product arithmetic
-    on whole rows. Three SVDs: the torque block's singular values (its rank
-    must be 3), the force block's singular values (``force_sigmas`` and
-    ``rank_f``) and the force block's full SVD, which the thrust frame and
-    :func:`actuation_ellipsoid` both read. Every output has the bits of the
+    on whole rows. Two SVDs: the torque block's singular values (its rank
+    must be 3) and the force block's full SVD, the one source of
+    ``force_sigmas``, ``rank_f``, the thrust frame and
+    :func:`actuation_ellipsoid`. Every output has the bits of the
     per-module loop it replaces.
     """
     placements = tuple(placements)
@@ -258,16 +251,12 @@ def assemble(placements) -> StructureModel:
     if numerical_rank(a[3:]) != 3:
         raise AssemblyError("torque block is rank-deficient; module geometry is degenerate")
 
-    sigmas = np.linalg.svd(a[:3], compute_uv=False)
+    u, sigmas, _ = np.linalg.svd(a[:3])
     rank_f = _rank_of(sigmas)
-    # The full SVD may round the singular values differently from the
-    # values-only one above, so force_sigmas keeps the latter.
-    u, s, _ = force_svd = np.linalg.svd(a[:3])
-    first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
-    r_sf = _thrust_frame(a[:3], rank_f, first_rotor, svd=force_svd)
+    r_sf = _thrust_frame(a[:3], rank_f, (u, sigmas))
 
     inertia_inv = np.linalg.inv(inertia)
-    for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv, u, s):
+    for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv, u):
         arr.setflags(write=False)
     return StructureModel(
         placements=placements,
@@ -279,7 +268,7 @@ def assemble(placements) -> StructureModel:
         force_sigmas=sigmas,
         f_max=f_max,
         inertia_inv=inertia_inv,
-        _force_svd=(u, s),
+        _force_axes=u,
     )
 
 
@@ -290,11 +279,9 @@ def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarr
     normalized so each axis's largest component is positive. The image of
     the unit thrust ball under the force map is the ellipsoid with semi-axis
     sigmas[i] along axes[:, i]. Both come from the force block's full SVD,
-    which :func:`assemble` computed once for the thrust frame; this call
-    makes none of its own.
+    which :func:`assemble` took once; this call makes none of its own.
     """
-    u, s = structure._force_svd
-    u, s = u.copy(), s.copy()
+    s, u = structure.force_sigmas.copy(), structure._force_axes.copy()
     for i in range(3):
         lead = np.argmax(np.abs(u[:, i]))
         if u[lead, i] < 0.0:

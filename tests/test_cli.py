@@ -66,6 +66,9 @@ def test_check_bad_config_exits_validation(tmp_path, capsys):
         ("[module.1]\n[module.2]\ngrid_col = 1\nbase_m = 1e-300\n",
          "error: module.2: inertia tensor must be positive definite"),
         ("[module.1]\nk_m = 0\n", "torque block is rank-deficient"),
+        # A gap is named as such, not by the position of the section after it.
+        ("[module.1]\n[module.3]\ngrid_col = 1\nbase_m = 1e200\n",
+         "error: [module.2] is missing"),
     ]:
         bad.write_text(text)
         code, _, err = run_cli(["check", "--config", str(bad)], capsys)
@@ -85,6 +88,16 @@ def test_check_tied_layout_reports_its_frame(text, dof, tmp_path, capsys):
     assert code == EXIT_OK, err
     assert f"controllable DOF: {dof}" in out
     assert "F-frame: identity" in out
+
+
+@pytest.mark.parametrize("command", ["check", "ellipsoid"])
+def test_stdout_has_no_negative_zero(command, capsys):
+    # Every fixture prints some component or singular value that rounds to
+    # zero; one that rounded from below printed as -0.000000000.
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        code, out, _ = run_cli([command, "--config", str(path)], capsys)
+        assert code == EXIT_OK, path.name
+        assert "0.000000000" in out and "-0.000000000" not in out, path.name
 
 
 @pytest.mark.parametrize("rest", ["[module.1]\n", "[module.1]\n\n[gains]\nk_pos = 12\n"])

@@ -32,8 +32,8 @@ def test_minimal_config_builds_working_structure():
 
 
 def test_grid_collision_names_both_modules():
-    text = "[module.1]\ngrid_col = 2\n\n[module.3]\ngrid_col = 2\n"
-    with pytest.raises(ConfigError, match=r"module\.1 and module\.3"):
+    text = "[module.1]\ngrid_col = 2\n\n[module.2]\ngrid_col = 2\n"
+    with pytest.raises(ConfigError, match=r"module\.1 and module\.2"):
         parse_config(text)
 
 
@@ -143,6 +143,13 @@ def test_every_key_lands_in_its_field():
 def test_duplicate_module_number_names_both_sections():
     with pytest.raises(ConfigError, match=r"\[module\.1\] and \[module\.01\]"):
         parse_config("[module.1]\n\n[module.01]\ngrid_col = 1\n")
+
+
+@pytest.mark.parametrize("numbers, missing", [((1, 3), 2), ((2,), 1), ((1, 2, 4, 6), 3)])
+def test_module_numbering_gap_names_the_first_missing_section(numbers, missing):
+    text = "".join(f"[module.{k}]\ngrid_col = {k}\n\n" for k in numbers)
+    with pytest.raises(ConfigError, match=rf"^\[module\.{missing}\] is missing"):
+        parse_config(text)
 
 
 def test_module_number_must_be_ascii_digits():

@@ -168,14 +168,14 @@ def _oracle_assemble(placements):
             a[3:, k] = np.cross(p, axis) + prop.spin * prop.drag_ratio * axis
             f_max[k] = prop.f_max
     rank_f = numerical_rank(a[:3])
-    first_rotor = rotations[0] @ placements[0].module.propellers[0].orientation
+    u, s, _ = np.linalg.svd(a[:3])
     return {
         "total_mass": np.array(total_mass),
         "inertia": inertia,
         "thrust_map": a,
         "rank_f": np.array(rank_f),
-        "r_sf": _thrust_frame(a[:3], rank_f, first_rotor),
-        "force_sigmas": np.linalg.svd(a[:3], compute_uv=False),
+        "r_sf": _thrust_frame(a[:3], rank_f, (u, s)),
+        "force_sigmas": s,
         "f_max": f_max,
         "inertia_inv": np.linalg.inv(inertia),
     }

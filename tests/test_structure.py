@@ -10,12 +10,14 @@ from modrotor import (
     actuation_ellipsoid,
     assemble,
     build_r_module,
+    helix,
     numerical_rank,
+    propeller_orientation,
     rectangle,
     run_closed_loop,
 )
 from modrotor.structure import _thrust_frame, ellipsoid_xz_polygon
-from modrotor.so3 import E3, rot_y, rot_z
+from modrotor.so3 import E1, E3, rot_y, rot_z, rotation_angle
 
 
 def placement_frames(placements):
@@ -128,10 +130,9 @@ def test_r_sf_invariant_under_module_permutation():
 
 def test_r_sf_is_thrust_frame_of_force_map(all_structures):
     for structure in all_structures.values():
-        rotations, _ = placement_frames(structure.placements)
-        first_rotor = rotations[0] @ structure.placements[0].module.propellers[0].orientation
         np.testing.assert_allclose(
-            _thrust_frame(structure.force_map, structure.rank_f, first_rotor),
+            _thrust_frame(structure.force_map, structure.rank_f,
+                          np.linalg.svd(structure.force_map)[:2]),
             structure.r_sf, atol=0,
         )
 
@@ -263,18 +264,13 @@ def test_quarter_turn_validation():
 
 
 def test_thrust_frame_degenerate_inputs():
-    from modrotor.structure import _thrust_frame
-
+    zero = np.zeros((3, 4))
     with pytest.raises(AssemblyError, match="zero"):
-        _thrust_frame(np.zeros((3, 4)), 0, np.eye(3))
+        _thrust_frame(zero, 0, np.linalg.svd(zero)[:2])
     # Colinear columns with opposing signs are not a single shared axis.
     cols = np.column_stack([E3, E3, -E3, E3])
-    with pytest.raises(AssemblyError, match="mismatched"):
-        _thrust_frame(cols, 1, np.eye(3))
-    # A first-module rotation whose thrust column disagrees with the axis.
-    cols = np.column_stack([E3, E3, E3, E3])
-    with pytest.raises(AssemblyError, match="disagrees"):
-        _thrust_frame(cols, 1, rot_y(0.4))
+    with pytest.raises(AssemblyError, match="^rank-1 structure with mismatched rotor force axes"):
+        _thrust_frame(cols, 1, np.linalg.svd(cols)[:2])
 
 
 @pytest.mark.parametrize("grid_offset", [(float("inf"), 0), (float("nan"), 0),
@@ -328,4 +324,61 @@ def test_tied_singular_values_give_the_one_rule_frame(name, placements, rank, to
 def test_tied_layouts_fly_the_level_rectangle(name, placements):
     res = run_closed_loop(assemble(placements), rectangle,
                           params=SimParams(dt=0.001, duration=10.0))
+    assert res.rms_pos_err(t_min=3.0) < 0.01
+
+
+def _same_axis_strip(rng, tilt, first, n):
+    """``n`` modules in a row, each tilted about one axis and yawed so that
+    all rotors push along one axis: one more quarter turn of yaw moves the
+    tilt (0, t) -> (t, 0) -> (0, -t) -> (-t, 0). ``first`` indexes the first
+    module's tilt in that cycle. Returns the placements and that tilt as
+    (alpha, beta)."""
+    cycle = [(0.0, tilt), (tilt, 0.0), (0.0, -tilt), (-tilt, 0.0)]
+    yaws = rng.integers(4, size=n)
+    tilts = [cycle[(first + yaw - yaws[0]) % 4] for yaw in yaws]
+    return [ModulePlacement(build_r_module(alpha=alpha, beta=beta), (k, 0), int(yaw))
+            for k, ((alpha, beta), yaw) in enumerate(zip(tilts, yaws))], tilts[0]
+
+
+def _single_axis_rank1_cases():
+    """(name, placements, (alpha, beta) of the first module): the flat and
+    tilt10 modules and seeded strips of 1-6 modules, the first tilted about
+    its pitch or its roll axis."""
+    cases = [("flat", [ModulePlacement(build_r_module())], (0.0, 0.0)),
+             ("tilt10", [ModulePlacement(build_r_module(beta=np.pi / 18))], (0.0, np.pi / 18))]
+    rng = np.random.default_rng(1201)
+    for k in range(24):
+        tilt = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 1.2))
+        cases.append((f"strip{k}", *_same_axis_strip(rng, tilt, k % 4, 1 + k % 6)))
+    return cases
+
+
+RANK1_CASES = _single_axis_rank1_cases()
+
+
+@pytest.mark.parametrize("name, placements, tilt", RANK1_CASES,
+                         ids=[case[0] for case in RANK1_CASES])
+def test_rank1_single_axis_tilt_frame_is_the_rotor_rotation(name, placements, tilt):
+    # At rank 1 x is the body x-axis with its z part removed, which is the
+    # rotor rotation's own x-axis when the tilt is about one axis only.
+    structure = assemble(placements)
+    assert structure.rank_f == 1
+    np.testing.assert_allclose(structure.r_sf, propeller_orientation(*tilt), rtol=0, atol=1e-15)
+
+
+def test_rank1_two_axis_tilt_frame_follows_the_one_rule():
+    alpha = beta = np.deg2rad(10.0)
+    structure = assemble([ModulePlacement(build_r_module(alpha=alpha, beta=beta))])
+    rotor = propeller_orientation(alpha, beta)
+    z_axis = rotor @ E3
+    x_axis = E1 - z_axis[0] * z_axis
+    assert structure.rank_f == 1
+    np.testing.assert_allclose(structure.r_sf[:, 2], z_axis, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(structure.r_sf[:, 0], x_axis / np.linalg.norm(x_axis),
+                               rtol=0, atol=1e-15)
+    # Not the rotor rotation: a 1.75 degree turn about the rotor axis away.
+    turn = structure.r_sf.T @ rotor
+    np.testing.assert_allclose(turn @ E3, E3, atol=1e-15)
+    assert abs(np.degrees(rotation_angle(turn)) - 1.75) < 0.01
+    res = run_closed_loop(structure, helix, params=SimParams(dt=0.001, duration=17.0))
     assert res.rms_pos_err(t_min=3.0) < 0.01
