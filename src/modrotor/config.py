@@ -8,12 +8,23 @@ definition of the section's keys, their types and their defaults: a key the
 file leaves out takes the field's default. Unknown sections or keys are
 rejected, and every value is validated with an error naming the offending
 section and field.
+
+The grammar is the standard library INI reader's default one, without
+interpolation or default merging (``[DEFAULT]`` is just an unknown section).
+A ``[name]`` line opens a section, its name kept verbatim; a section appears
+once. ``key = value`` or ``key: value`` splits at the first ``=`` or ``:``;
+both sides are stripped and the key is lower-cased, so it appears once per
+section in any case. A line whose first non-blank character is ``#`` or
+``;`` is a comment, and a ``#`` after whitespace starts an inline one. A
+line indented deeper than its key line continues that key's value, joined
+with a newline. Anything else is a ConfigError ``syntax error: line N: ...``
+naming the line.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
@@ -167,6 +178,9 @@ _CHECKS = {
 
 # The optional sections, each named after its StructureConfig field.
 _SECTIONS = {f.name: f.default_factory for f in fields(StructureConfig) if f.name != "modules"}
+# Each section dataclass's keys and their declared types.
+_KEY_TYPES = {cls: {f.name: f.type for f in fields(cls)}
+              for cls in (ModuleConfig, *_SECTIONS.values())}
 
 
 def _convert(type_name: str, raw: str, key: str, where: str):
@@ -195,7 +209,7 @@ def _convert(type_name: str, raw: str, key: str, where: str):
 def _parse_section(cls, section, where: str):
     """An instance of the dataclass ``cls`` from the keys ``section`` sets;
     the dataclass supplies the default of every key the section leaves out."""
-    types = {f.name: f.type for f in fields(cls)}
+    types = _KEY_TYPES[cls]
     unknown = sorted(key for key in section if key not in types)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown}")
@@ -209,23 +223,60 @@ def _parse_section(cls, section, where: str):
     return cls(**values)
 
 
+_INLINE_COMMENT = re.compile(r"\s#")
+_DELIMITER = re.compile("[=:]")
+
+
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: raw value}}`` from config text, in file order, by
+    the grammar in the module docstring."""
+    sections: dict[str, dict[str, list[str]]] = {}
+    section = value_lines = None  # the open section and the open key's lines
+    key_indent = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            if value_lines is not None:
+                value_lines.append("")
+            continue
+        if stripped[0] in "#;":
+            continue
+        if "#" in stripped:
+            stripped = _INLINE_COMMENT.split(stripped, 1)[0].rstrip()
+        indent = len(line) - len(line.lstrip())
+        if value_lines is not None and indent > key_indent:
+            value_lines.append(stripped)
+            continue
+        key_indent = indent
+        close = stripped.rfind("]")
+        if stripped[0] == "[" and close >= 2:
+            name = stripped[1:close]
+            if name in sections:
+                raise ConfigError(f"syntax error: line {lineno}: section [{name}] is repeated")
+            section = sections[name] = {}
+            value_lines = None
+            continue
+        if section is None:
+            raise ConfigError(f"syntax error: line {lineno}: {stripped!r} comes before "
+                              "any [section] header")
+        key, *raw = _DELIMITER.split(stripped, 1)
+        key = key.rstrip().lower()
+        if not raw or not key:
+            raise ConfigError(f"syntax error: line {lineno}: {stripped!r} is not "
+                              "'key = value' or 'key: value'")
+        if key in section:
+            raise ConfigError(f"syntax error: line {lineno}: key {key!r} is repeated "
+                              f"in [{name}]")
+        value_lines = section[key] = [raw[0].strip()]
+    return {name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+            for name, keys in sections.items()}
+
+
 def parse_config(text: str) -> StructureConfig:
     """Parse and validate configuration text into a :class:`StructureConfig`."""
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"syntax error: {exc}") from exc
-    # configparser merges [DEFAULT] keys into every section, where they
-    # would set fields the file never names there.
-    if parser.defaults():
-        raise ConfigError(
-            f"[DEFAULT]: default keys are not supported, got {sorted(parser.defaults())}; "
-            "set each key in its own section"
-        )
-
+    parsed = _read_ini(text)
     module_sections: dict[int, str] = {}
-    for name in parser.sections():
+    for name, keys in parsed.items():
         if name.startswith("module."):
             suffix = name[len("module."):]
             if not (suffix.isascii() and suffix.isdigit()) or int(suffix) < 1:
@@ -237,7 +288,8 @@ def parse_config(text: str) -> StructureConfig:
                 )
             module_sections[idx] = name
         elif name not in _SECTIONS:
-            raise ConfigError(f"unknown section [{name}]")
+            named = f" setting {sorted(keys)}" if keys else ""
+            raise ConfigError(f"unknown section [{name}]{named}")
 
     if not module_sections:
         raise ConfigError("config defines no [module.N] section")
@@ -249,7 +301,7 @@ def parse_config(text: str) -> StructureConfig:
         if idx not in module_sections:
             raise ConfigError(f"[module.{idx}] is missing; module sections are numbered "
                               "[module.1], [module.2], ... without gaps")
-        m = _parse_section(ModuleConfig, parser[module_sections[idx]], f"module.{idx}")
+        m = _parse_section(ModuleConfig, parsed[module_sections[idx]], f"module.{idx}")
         cell = (m.grid_col, m.grid_row)
         if cell in cells:
             raise ConfigError(
@@ -259,9 +311,9 @@ def parse_config(text: str) -> StructureConfig:
         modules.append(m)
 
     sections = {
-        name: _parse_section(cls, parser[name], name)
+        name: _parse_section(cls, parsed[name], name)
         for name, cls in _SECTIONS.items()
-        if parser.has_section(name)
+        if name in parsed
     }
     return StructureConfig(modules=tuple(modules), **sections)
 

@@ -66,6 +66,14 @@ class PropellerSpec:
         if not is_rotation(self.orientation):
             raise ValueError("propeller orientation is not a rotation matrix")
 
+    @classmethod
+    def _prechecked(cls, **fields) -> PropellerSpec:
+        """A spec from float-array ``position``/``orientation`` and fields the
+        caller has already validated; the checks above do not run again."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(fields)
+        return spec
+
     @property
     def drag_ratio(self) -> float:
         """Torque per unit thrust about the rotor axis, m."""
@@ -214,23 +222,23 @@ def build_r_module(
     """
     _check_scalar("base", base)  # before the rotor positions are built from it
     d = base / 4.0
-    positions = [
-        np.array([d, -d, 0.0]),
-        np.array([d, d, 0.0]),
-        np.array([-d, d, 0.0]),
-        np.array([-d, -d, 0.0]),
-    ]
     orientation = propeller_orientation(alpha, beta)
+    # The checks the four rotors share run once, in PropellerSpec's order;
+    # positions built from a valid base are finite, and ModuleSpec checks
+    # the shared orientation as its declared tilt.
+    _check_scalar("k_f", k_f)
+    _check_scalar("k_m", k_m, allow_zero=True)
+    _check_scalar("f_max", f_max)
     props = tuple(
-        PropellerSpec(
-            position=p,
+        PropellerSpec._prechecked(
+            position=np.array(p, dtype=float),
             orientation=orientation,
             spin=1 if j % 2 == 0 else -1,
             k_f=k_f,
             k_m=k_m,
             f_max=f_max,
         )
-        for j, p in enumerate(positions)
+        for j, p in enumerate(((d, -d, 0.0), (d, d, 0.0), (-d, d, 0.0), (-d, -d, 0.0)))
     )
     i_m = cuboid_inertia(mass, base, height) if inertia is None else np.asarray(inertia, dtype=float)
     return ModuleSpec(

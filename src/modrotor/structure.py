@@ -289,6 +289,15 @@ def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarr
     return s, u
 
 
+def _unit_circle(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of ``points`` angles evenly spaced from 0, as columns."""
+    phi = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    return np.cos(phi)[:, None], np.sin(phi)[:, None]
+
+
+_UNIT_CIRCLE_128 = _unit_circle(128)
+
+
 def ellipsoid_xz_polygon(structure: StructureModel, points: int = 128) -> np.ndarray:
     """Boundary polygon of the force ellipsoid's shadow on the body xz-plane.
 
@@ -296,10 +305,7 @@ def ellipsoid_xz_polygon(structure: StructureModel, points: int = 128) -> np.nda
     ellipse once.
     """
     gram = structure.force_map @ structure.force_map.T
-    g2 = gram[np.ix_([0, 2], [0, 2])]
-    evals, evecs = np.linalg.eigh(g2)
-    evals = np.clip(evals, 0.0, None)
-    phi = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    return np.outer(np.cos(phi), np.sqrt(evals[1]) * evecs[:, 1]) + np.outer(
-        np.sin(phi), np.sqrt(evals[0]) * evecs[:, 0]
-    )
+    evals, evecs = np.linalg.eigh(gram[::2, ::2])
+    radii = np.sqrt(np.clip(evals, 0.0, None))
+    cos, sin = _UNIT_CIRCLE_128 if points == 128 else _unit_circle(points)
+    return cos * (radii[1] * evecs[:, 1]) + sin * (radii[0] * evecs[:, 0])

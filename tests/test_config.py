@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import re
 
@@ -6,8 +7,9 @@ import pytest
 
 from modrotor import ConfigError, Gains, SimParams, default_gains, parse_config, rectangle
 from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
-                             TrajectoryConfig)
+                             TrajectoryConfig, _read_ini)
 from conftest import CONFIG_DIR, ROOT
+from test_cli import _contract_variants
 
 MINIMAL = "[module.1]\n"
 
@@ -89,6 +91,98 @@ def test_bad_values_name_the_field():
 def test_syntax_error_reports_line():
     with pytest.raises(ConfigError, match="line"):
         parse_config("[module.1]\nmass_kg\n= 2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mass_kg = 1\n[module.1]\n", r"line 1: 'mass_kg = 1' comes before any \[section\]"),
+    ("[module.1]\n\nmass_kg\n", r"line 3: 'mass_kg' is not 'key = value'"),
+    ("[module.1]\n = 2\n", r"line 2: '= 2' is not 'key = value'"),
+    ("[module.1]\n[gains]\n[module.1]\n", r"line 3: section \[module.1\] is repeated"),
+    ("[module.1]\nMass_kg = 1\nmass_KG: 2\n", r"line 3: key 'mass_kg' is repeated in \[module.1\]"),
+])
+def test_syntax_errors_name_the_line(text, message):
+    with pytest.raises(ConfigError, match=rf"^syntax error: {message}"):
+        parse_config(text)
+
+
+def test_continuation_lines_join_the_value():
+    cfg = parse_config("[module.1]\nbeta_deg =\n    10\n")
+    assert cfg.modules[0].beta_deg == 10.0
+    assert _read_ini("[a]\nk = 1\n\n  2  # c\n  ; c\n\t3\n\n") == {"a": {"k": "1\n\n2\n3"}}
+
+
+def _stdlib_sections(text: str) -> dict:
+    """``{section: {key: value}}`` by the standard library reader; the
+    defaults it merges into every section are left out of the corpus."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read_string(text)
+    assert not parser.defaults()
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+_HEADERS = ("[a]", "[A]", "[ a ]", "  [a]", "\t[b]", "[a] junk", "[a]x]", "[b]#c", "[b] # c",
+            "[c]\r", "[]", "[", "[[a]]", "[]]", "[module.1]")
+_KEYS = ("k", "K", "key", "Key", "KEY", "a b", "x.y", "k2", "[a")
+_DELIMITERS = ("=", ":", " = ", ": ", "\t=\t", " :", "==", ":=")
+_VALUES = ("1", "", "a=b", "x: y", "v # c", "v\t# c", "v#c", "v ; c", " 2 ", "#", "# c",
+           "[a]", "v\r", "10 \t")
+_OTHER_LINES = ("", "   ", "\t", "\r", "# c", "; c", "  # c", "\t; c", "  more", "\tmore",
+                "    10", "  v # c", "  [a]", "  k = 3", "junk", "= 1", ": 1", " =1", "k = 1\r")
+
+
+def _random_ini(rng) -> str:
+    lines = [_HEADERS[rng.integers(len(_HEADERS))]] if rng.random() < 0.8 else []
+    for _ in range(rng.integers(1, 10)):
+        kind = rng.random()
+        if kind < 0.15:
+            lines.append(_HEADERS[rng.integers(len(_HEADERS))])
+        elif kind < 0.6:
+            indent = ("", "", "", " ", "\t")[rng.integers(5)]
+            lines.append(indent + _KEYS[rng.integers(len(_KEYS))]
+                         + _DELIMITERS[rng.integers(len(_DELIMITERS))]
+                         + _VALUES[rng.integers(len(_VALUES))])
+        else:
+            lines.append(_OTHER_LINES[rng.integers(len(_OTHER_LINES))])
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
+
+def _oracle_corpus():
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        yield path.read_text()
+    for _, text, _ in _contract_variants():
+        yield text
+    rng = np.random.default_rng(2024)
+    for _ in range(800):
+        yield _random_ini(rng)
+    yield from ("k = 1\n[a]\n", "# c\nk: 1\n", "[a]\njunk\n", "[a]\n= 1\n", "[a]\n  : 1\n",
+                "junk\n", "[a]\nk = 1\nK = 2\n", "[a]\n[b]\n[a]\n", "[a]\nk =\n  10\n")
+
+
+def test_reader_matches_the_standard_library_reader():
+    # Where the standard library accepts a text, the sections, keys and raw
+    # values agree; where it raises, parse_config raises a ConfigError that
+    # names the line.
+    accepted = rejected = 0
+    for text in _oracle_corpus():
+        try:
+            want = _stdlib_sections(text)
+        except configparser.Error:
+            rejected += 1
+            with pytest.raises(ConfigError, match=r"^syntax error: line \d+: "):
+                parse_config(text)
+        else:
+            accepted += 1
+            assert _read_ini(text) == want, text
+    assert accepted > 750 and rejected > 500, (accepted, rejected)
+
+
+def test_empty_default_section_is_an_unknown_section():
+    # The one text the standard library reader accepts and this one rejects:
+    # [DEFAULT] is an ordinary section name here, so even empty it is unknown.
+    text = "[DEFAULT]\n\n[module.1]\n"
+    assert _stdlib_sections(text) == {"module.1": {}}
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config(text)
 
 
 def test_missing_modules_rejected():

@@ -1,4 +1,5 @@
-"""No module in src/ or tests/ imports a name it never reads.
+"""No module in src/ or tests/ imports a name it never reads, and parsing a
+config imports no standard library INI reader.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -7,6 +8,9 @@ name an import binds must be read somewhere in the same file. A package's
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_parsing_a_config_does_not_import_configparser():
+    # configparser cost about 40 us per parser and about 1 MB of peak memory;
+    # config.py reads INI text itself.
+    code = ("import sys, modrotor\n"
+            f"modrotor.parse_config(open({str(ROOT / 'configs' / 'experiment3.cfg')!r}).read())\n"
+            "assert 'configparser' not in sys.modules, 'configparser was imported'\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
