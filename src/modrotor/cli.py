@@ -52,6 +52,10 @@ def _frame_summary(r_sf: np.ndarray) -> str:
     norm = np.linalg.norm(axis)
     if norm > 1e-12:
         axis = axis / norm
+    else:  # a half turn: R + I = 2 n n^T, whose largest column lies along n
+        sym = r_sf + np.eye(3)
+        axis = sym[:, np.argmax(np.linalg.norm(sym, axis=0))]
+        axis = axis * np.sign(axis[np.argmax(np.abs(axis))]) / np.linalg.norm(axis)
     return f"angle_deg={angle:.6f} axis={_fmt_vec(axis)}"
 
 

@@ -93,8 +93,9 @@ class StructureConfig:
     trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
 
     def to_structure(self) -> StructureModel:
-        """The assembled structure; a module the library rejects, such as one
-        whose inertia overflows, raises ConfigError("module.N: ...") with N
+        """The assembled structure; a module or placement the library
+        rejects, such as one whose inertia overflows or whose grid offset
+        is beyond float range, raises ConfigError("module.N: ...") with N
         its position in ``modules``, which in parsed text is its section."""
         placements = []
         for n, m in enumerate(self.modules, start=1):
@@ -110,15 +111,15 @@ class StructureConfig:
                     f_max=m.f_max_n,
                     inertia=np.diag(m.inertia_diag_kgm2) if m.inertia_diag_kgm2 else None,
                 )
+                placements.append(
+                    ModulePlacement(
+                        module=module,
+                        grid_offset=(m.grid_col, m.grid_row),
+                        yaw_quarter_turns=m.yaw_quarter_turns,
+                    )
+                )
             except ValueError as exc:
                 raise ConfigError(f"module.{n}: {exc}") from None
-            placements.append(
-                ModulePlacement(
-                    module=module,
-                    grid_offset=(m.grid_col, m.grid_row),
-                    yaw_quarter_turns=m.yaw_quarter_turns,
-                )
-            )
         return assemble(placements)
 
     def to_gains(self) -> Gains:

@@ -31,7 +31,8 @@ thrusts, the wrench and the attitude as floats and builds its arrays and
 its ``Wrench`` only when they are read. Float arithmetic overflows to inf
 and NaN without warnings, so the step checks the commanded acceleration and
 wrench for finiteness and raises ControlDegeneracyError; the sample's
-attitude is a finite rotation already.
+attitude is a finite rotation already. The output and its ``Wrench``, built
+from those checked floats, skip re-validation; a caller's ``Wrench`` does not.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import lazy_fields
+from .lazy import lazy_fields, unchecked
 from .module_design import Wrench
 from .so3 import cross3, matmul3
 from .structure import StructureModel, _rank_of
@@ -97,7 +98,8 @@ def default_gains() -> Gains:
 
 @lazy_fields(
     u=lambda out: np.array(out._u),
-    desired_wrench=lambda out: Wrench(out._force, out._torque),
+    desired_wrench=lambda out: unchecked(Wrench, force=np.array(out._force),
+                                         torque=np.array(out._torque)),
     desired_attitude=lambda out: np.array(out._attitude).reshape(3, 3),
 )
 @dataclass(frozen=True, eq=False)
@@ -123,15 +125,6 @@ class ControlOutput:
     saturated: bool
     desired_attitude: np.ndarray
     mode: str
-
-    @classmethod
-    def _from_floats(cls, u, u_raw, force, torque, saturated, attitude, mode) -> ControlOutput:
-        """An output from the thrust list, the wrench 3-tuples and the
-        row-major attitude, which the caller has already checked."""
-        out = object.__new__(cls)
-        out.__dict__.update(u_raw=u_raw, saturated=saturated, mode=mode, _u=u, _force=force,
-                            _torque=torque, _attitude=attitude)
-        return out
 
 
 def _diag(gain: np.ndarray) -> tuple[float, float, float]:
@@ -340,4 +333,5 @@ class Controller:
         # np.clip(u_raw, 0, f_max) entry by entry, -0.0 included.
         u = [0.0 if x <= 0.0 else (high if x > high else x) for x, high in zip(raw, self._f_max)]
         saturated = u != raw and max(map(abs, map(sub, u, raw))) > 1e-12
-        return ControlOutput._from_floats(u, u_raw, force, torque, saturated, r_wf_d, self.mode)
+        return unchecked(ControlOutput, u_raw=u_raw, saturated=saturated, mode=self.mode, _u=u,
+                         _force=force, _torque=torque, _attitude=r_wf_d)

@@ -26,7 +26,8 @@ structure, and returns a state that holds only its floats; that state
 builds its arrays when they are read. Float arithmetic overflows to inf and
 NaN without warnings, and the kernel checks its result for finiteness,
 raising IntegrationError. Only that checked result skips ``RigidState``
-validation; states built by callers are always validated.
+validation (:func:`~modrotor.lazy.unchecked`); states built by callers are
+always validated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .lazy import lazy_fields, read_only
+from .lazy import lazy_fields, read_only, unchecked
 from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
@@ -81,14 +82,6 @@ class RigidState:
             object.__setattr__(self, name, arr)
         self.__dict__["_flat"] = (*self.r.tolist(), *self.v.tolist(), *self.r_ws.ravel().tolist(),
                                   *self.omega.tolist())
-
-    @classmethod
-    def _from_floats(cls, flat: tuple) -> RigidState:
-        """A state from its 18 floats, which the caller has already checked
-        for finiteness; skips ``__post_init__``."""
-        state = object.__new__(cls)
-        state.__dict__["_flat"] = flat
-        return state
 
 
 @dataclass(frozen=True)
@@ -237,4 +230,4 @@ def step(
         raise IntegrationError(
             f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, dt={dt})"
         )
-    return RigidState._from_floats((*y1[0:6], *r_ws1, *y1[9:12]))
+    return unchecked(RigidState, _flat=(*y1[0:6], *r_ws1, *y1[9:12]))

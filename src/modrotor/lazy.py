@@ -1,9 +1,13 @@
-"""Dataclass fields built on first read.
+"""Dataclass fields built on first read, and instances built unchecked.
 
 The closed loop passes states, samples and controller outputs between
 layers as Python floats. Their array fields are for callers that read them,
 so an instance made by a kernel may leave them out and build each one from
 its floats when it is first read.
+
+One rule covers validation: values the library builds from inputs it has
+already checked skip re-validation through :func:`unchecked`; values from
+callers always go through the constructor and its checks.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ def lazy_fields(**builders):
         return cls
 
     return decorate
+
+
+def unchecked(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, made without running
+    ``__init__`` or ``__post_init__``: for values the library built from
+    inputs it has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def read_only(values, shape=None) -> np.ndarray:

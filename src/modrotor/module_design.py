@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lazy import unchecked
 from .so3 import E3, cross3, is_rotation, rot_x, rot_y
 
 
@@ -66,14 +67,6 @@ class PropellerSpec:
         if not is_rotation(self.orientation):
             raise ValueError("propeller orientation is not a rotation matrix")
 
-    @classmethod
-    def _prechecked(cls, **fields) -> PropellerSpec:
-        """A spec from float-array ``position``/``orientation`` and fields the
-        caller has already validated; the checks above do not run again."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(fields)
-        return spec
-
     @property
     def drag_ratio(self) -> float:
         """Torque per unit thrust about the rotor axis, m."""
@@ -104,9 +97,8 @@ class ModuleSpec:
     tilt: np.ndarray
 
     def __post_init__(self):
-        for name in ("mass", "base", "height"):
-            _check_scalar(name, getattr(self, name))
-        object.__setattr__(self, "inertia", _finite_array(self.inertia, (3, 3), "inertia"))
+        inertia = _check_body(self.mass, self.inertia, self.base, self.height)
+        object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "tilt", np.asarray(self.tilt, dtype=float))
         props = tuple(self.propellers)
         object.__setattr__(self, "propellers", props)
@@ -117,13 +109,24 @@ class ModuleSpec:
             raise ValueError("propellers must sit in mirrored pairs: p1 = -p3, p2 = -p4")
         if [p.spin for p in props] != [1, -1, 1, -1]:
             raise ValueError("propeller spins must alternate +1, -1, +1, -1")
-        (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = self.inertia.tolist()
-        if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
-            raise ValueError("inertia tensor must be symmetric")
-        if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
-            raise ValueError("inertia tensor must be positive definite")
         if not is_rotation(self.tilt):
             raise ValueError("declared tilt is not a rotation matrix")
+
+
+def _check_body(mass: float, inertia, base: float, height: float) -> np.ndarray:
+    """The body rules of a module, in order: positive finite ``mass``,
+    ``base`` and ``height``, then ``inertia`` finite 3x3, symmetric and
+    positive definite. Returns the inertia as a float array; a failure is
+    a ValueError naming the field."""
+    for name, value in (("mass", mass), ("base", base), ("height", height)):
+        _check_scalar(name, value)
+    inertia = _finite_array(inertia, (3, 3), "inertia")
+    (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = inertia.tolist()
+    if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
+        raise ValueError("inertia tensor must be symmetric")
+    if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
+        raise ValueError("inertia tensor must be positive definite")
+    return inertia
 
 
 def _check_scalar(name: str, value: float, allow_zero: bool = False) -> None:
@@ -219,36 +222,28 @@ def build_r_module(
     Rotors sit at the corners of a square with half-diagonal base/4, numbered
     counterclockwise from front-right, all with the same orientation. Inertia
     defaults to the solid-cuboid model but can be overridden.
+
+    The inputs are checked in the order base, alpha, beta, k_f, k_m, f_max,
+    mass, height, inertia; the first bad one raises a ValueError naming
+    it. ``ModuleSpec``'s rotor-layout rules hold by construction
+    (positions (+-d, +-d, 0), literal spins, a tilt built from checked
+    angles), so only its body rules run and the rotors and the module are
+    built with :func:`~modrotor.lazy.unchecked`.
     """
-    _check_scalar("base", base)  # before the rotor positions are built from it
+    _check_scalar("base", base)  # first: the rotor positions are built from it
     d = base / 4.0
     orientation = propeller_orientation(alpha, beta)
-    # The checks the four rotors share run once, in PropellerSpec's order;
-    # positions built from a valid base are finite, and ModuleSpec checks
-    # the shared orientation as its declared tilt.
     _check_scalar("k_f", k_f)
     _check_scalar("k_m", k_m, allow_zero=True)
     _check_scalar("f_max", f_max)
     props = tuple(
-        PropellerSpec._prechecked(
-            position=np.array(p, dtype=float),
-            orientation=orientation,
-            spin=1 if j % 2 == 0 else -1,
-            k_f=k_f,
-            k_m=k_m,
-            f_max=f_max,
-        )
-        for j, p in enumerate(((d, -d, 0.0), (d, d, 0.0), (-d, d, 0.0), (-d, -d, 0.0)))
+        unchecked(PropellerSpec, position=np.array(p, dtype=float), orientation=orientation,
+                  spin=spin, k_f=k_f, k_m=k_m, f_max=f_max)
+        for p, spin in (((d, -d, 0.0), 1), ((d, d, 0.0), -1), ((-d, d, 0.0), 1), ((-d, -d, 0.0), -1))
     )
-    i_m = cuboid_inertia(mass, base, height) if inertia is None else np.asarray(inertia, dtype=float)
-    return ModuleSpec(
-        mass=mass,
-        inertia=i_m,
-        base=base,
-        height=height,
-        propellers=props,
-        tilt=orientation,
-    )
+    i_m = cuboid_inertia(mass, base, height) if inertia is None else inertia
+    return unchecked(ModuleSpec, mass=mass, inertia=_check_body(mass, i_m, base, height),
+                     base=base, height=height, propellers=props, tilt=orientation)
 
 
 def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:

@@ -44,7 +44,7 @@ class ModulePlacement:
         col, row = self.grid_offset
         try:  # NaN and inf fail isfinite before int() would raise on them
             whole = math.isfinite(col) and math.isfinite(row) and int(col) == col and int(row) == row
-        except TypeError:  # not numbers
+        except (TypeError, OverflowError):  # not numbers, or an int beyond float range
             whole = False
         if not whole:
             raise ValueError(f"grid_offset entries must be finite integers, got {self.grid_offset!r}")
@@ -190,7 +190,8 @@ def assemble(placements) -> StructureModel:
     must be 3) and the force block's full SVD, the one source of
     ``force_sigmas``, ``rank_f``, the thrust frame and
     :func:`actuation_ellipsoid`. Every output has the bits of the
-    per-module loop it replaces.
+    per-module loop it replaces. A total inertia that overflows, as for
+    modules placed far apart, raises AssemblyError before the rank tests.
     """
     placements = tuple(placements)
     if not placements:
@@ -214,22 +215,25 @@ def assemble(placements) -> StructureModel:
     masses = np.array([pl.module.mass for pl in placements])
     total_mass = float(masses.sum())
     grid_pos = np.array([[pl.grid_offset[0] * base, pl.grid_offset[1] * base, 0.0] for pl in placements])
-    com = masses @ grid_pos / total_mass
-
     # The structure frame is the first module's frame; rotate grid data into it.
     r_grid_to_s = _QUARTER_TURNS[placements[0].yaw_quarter_turns].T
-    offsets = (grid_pos - com) @ r_grid_to_s.T
     rotations = r_grid_to_s @ _QUARTER_TURNS[[pl.yaw_quarter_turns for pl in placements]]
     rotations_t = rotations.transpose(0, 2, 1)
 
     # Inertia: rotated module tensors plus the parallel-axis terms
     # m (|d|^2 I - d d^T), with |d|^2 as a stacked dot product, summed over
-    # the modules in order.
+    # the modules in order. Far-apart modules overflow it; that is checked
+    # here, before the rank tests could blame the geometry.
     inertias = np.array([pl.module.inertia for pl in placements])
-    dd = offsets[:, None, :] @ offsets[:, :, None]
-    outer = offsets[:, :, None] * offsets[:, None, :]
-    terms = rotations @ inertias @ rotations_t + masses[:, None, None] * (dd * np.eye(3) - outer)
-    inertia = terms.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        com = masses @ grid_pos / total_mass
+        offsets = (grid_pos - com) @ r_grid_to_s.T
+        dd = offsets[:, None, :] @ offsets[:, :, None]
+        outer = offsets[:, :, None] * offsets[:, None, :]
+        terms = masses[:, None, None] * (dd * np.eye(3) - outer)
+        inertia = (rotations @ inertias @ rotations_t + terms).sum(axis=0)
+    if not np.all(np.isfinite(inertia)):
+        raise AssemblyError("structure inertia is not finite; grid offsets or inertias too large")
 
     # Rotor geometry: positions and axes of all 4n rotors in {S}, one stacked
     # product each; columns are rotors, rows coordinates.

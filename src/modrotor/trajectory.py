@@ -10,7 +10,8 @@ attitude itself. ``omega_d`` is expressed in the desired thrust frame.
 The trajectories compute with ``math`` on Python floats, and a sample
 carries its vectors as float 3-tuples, which is what the controller reads.
 The attitude is kept as floats too; the ``r_wf_d`` array is built only when
-something reads it.
+something reads it. Built from checked inputs, the trajectories' samples
+skip ``TrajectorySample`` validation; samples built by callers never do.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lazy import lazy_fields, read_only
+from .lazy import lazy_fields, read_only, unchecked
 from .so3 import is_rotation, rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
@@ -95,15 +96,6 @@ class TrajectorySample:
         object.__setattr__(self, "r_wf_d", r_wf_d)
         self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
 
-    @classmethod
-    def _from_floats(cls, t, r_d, v_d, a_d, attitude, omega_d=_ZERO3) -> TrajectorySample:
-        """A sample from float 3-tuples and the row-major attitude, which
-        the trajectory has already checked; skips ``__post_init__``."""
-        sample = object.__new__(cls)
-        sample.__dict__.update(t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=omega_d,
-                               _attitude=attitude)
-        return sample
-
 
 def _check_time(t: float) -> None:
     if not 0.0 <= t < math.inf:
@@ -119,7 +111,8 @@ def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:
 
     def sample(t: float) -> TrajectorySample:
         _check_time(t)
-        return TrajectorySample._from_floats(t, r_d, _ZERO3, _ZERO3, attitude)
+        return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=_ZERO3, a_d=_ZERO3,
+                         omega_d=_ZERO3, _attitude=attitude)
 
     return sample
 
@@ -150,9 +143,8 @@ def helix(t: float) -> TrajectorySample:
         -HELIX_RADIUS * omega**2 * s,
         _HELIX_Z_AMP * omega**2 * c,
     )
-    return TrajectorySample._from_floats(
-        t, r_d, v_d, a_d, (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, omega)
-    )
+    return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=(0.0, 0.0, omega),
+                     _attitude=(c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0))
 
 
 # Quintic smoothstep and its integral/derivative; zero velocity-profile
@@ -257,7 +249,8 @@ def rectangle(
     if not math.isfinite(pitch_hold):
         raise ValueError(f"pitch_hold must be finite, got {pitch_hold!r}")
     r_d, v_d, a_d = _rect_point(t, speed, altitude)
-    return TrajectorySample._from_floats(t, r_d, v_d, a_d, rot_y_flat(pitch_hold))
+    return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=_ZERO3,
+                     _attitude=rot_y_flat(pitch_hold))
 
 
 def rectangle_period(speed: float = RECT_SPEED) -> float:

@@ -69,6 +69,11 @@ def test_check_bad_config_exits_validation(tmp_path, capsys):
         # A gap is named as such, not by the position of the section after it.
         ("[module.1]\n[module.3]\ngrid_col = 1\nbase_m = 1e200\n",
          "error: [module.2] is missing"),
+        # Modules so far apart that the inertia overflows, and an offset no
+        # float can hold: named errors, not warnings or a traceback.
+        (f"[module.1]\n[module.2]\ngrid_col = {10**160}\n", "error: structure inertia is not finite"),
+        (f"[module.1]\n[module.2]\ngrid_row = {-10**400}\n",
+         "error: module.2: grid_offset entries must be finite integers"),
     ]:
         bad.write_text(text)
         code, _, err = run_cli(["check", "--config", str(bad)], capsys)
@@ -88,6 +93,19 @@ def test_check_tied_layout_reports_its_frame(text, dof, tmp_path, capsys):
     assert code == EXIT_OK, err
     assert f"controllable DOF: {dof}" in out
     assert "F-frame: identity" in out
+
+
+def test_check_half_turn_frame_reports_its_axis(tmp_path, capsys):
+    # A thrust frame 180 degrees from the body frame has no skew part; its
+    # axis comes from R + I, signed by its largest entry.
+    cfg = tmp_path / "half_turn.cfg"
+    cfg.write_text("[module.1]\nbeta_deg = 60\n\n"
+                   "[module.2]\nalpha_deg = -90\nbeta_deg = 30\ngrid_col = 1\n"
+                   "yaw_quarter_turns = 1\n\n"
+                   "[module.3]\nbeta_deg = 90\ngrid_row = 1\nyaw_quarter_turns = 2\n")
+    code, out, err = run_cli(["check", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK, err
+    assert "F-frame: angle_deg=180.000000 axis=[ 0.763532934  0.000000000 -0.645768889]" in out
 
 
 @pytest.mark.parametrize("command", ["check", "ellipsoid"])
@@ -310,8 +328,12 @@ def test_simulate_rejects_rectangle_speed_too_high(kind, capsys, tmp_path):
 # the ends of the key's declared range. The step counts stay below 1e4 or
 # above 1e200, so no variant makes numpy allocate a real run of that size.
 _EXTREMES = ("0", "-1", "1e-300", "1e300")
+# Grid offsets: one far enough that the parallel-axis inertia overflows, and
+# one beyond float range.
+_FAR_CELLS = (str(10**160), str(-10**400))
 _RANGE_ENDS = {"alpha_deg": ("-90", "90"), "beta_deg": ("-90", "90"), "yaw_quarter_turns": ("3",),
-               "kind": ("hover", "helix", "rectangle", "rectangle_fixed")}
+               "kind": ("hover", "helix", "rectangle", "rectangle_fixed"),
+               "grid_col": _FAR_CELLS, "grid_row": _FAR_CELLS}
 _SIMULATED_SECTIONS = ("gains", "sim", "trajectory")
 
 

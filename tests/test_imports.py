@@ -1,5 +1,6 @@
-"""No module in src/ or tests/ imports a name it never reads, and parsing a
-config imports no standard library INI reader.
+"""No module in src/ or tests/ imports a name it never reads, parsing a
+config imports no standard library INI reader, and src/ builds instances
+without their checks in one place only.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -55,3 +56,36 @@ def test_parsing_a_config_does_not_import_configparser():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
+
+
+def object_new_owners(source: str) -> list[str]:
+    """The innermost function around each use of ``object.__new__``, in
+    source order; ``<module>`` for a use at the top level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_object_new_uses_are_found():
+    source = ("make = object.__new__\nclass A:\n    def f(cls):\n"
+              "        def g():\n            return object.__new__(cls)\n        return g\n")
+    assert object_new_owners(source) == ["<module>", "g"]
+
+
+def test_only_lazy_unchecked_skips_the_checks():
+    # Values the library builds from checked inputs skip re-validation
+    # through lazy.unchecked, the one place src/ uses object.__new__.
+    uses = {path.relative_to(ROOT).as_posix(): object_new_owners(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path: owners for path, owners in uses.items() if owners} == {
+        "src/modrotor/lazy.py": ["unchecked"]}

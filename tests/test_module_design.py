@@ -194,6 +194,7 @@ def test_mirrored_pairs_within_1e12(offset, mirrored):
     ("k_f", float("nan")), ("k_f", 0.0),
     ("k_m", float("nan")), ("k_m", float("inf")), ("k_m", -0.001),
     ("f_max", float("nan")), ("f_max", float("inf")), ("f_max", 0.0),
+    ("height", float("nan")), ("height", -1.0),
 ])
 def test_build_r_module_names_bad_field(field, value):
     # Each bad scalar is a ValueError naming its field, before any numpy
@@ -201,6 +202,64 @@ def test_build_r_module_names_bad_field(field, value):
     # in this suite).
     with pytest.raises(ValueError, match=rf"^{field} must be (positive|non-negative) and finite"):
         build_r_module(**{field: value})
+
+
+@pytest.mark.parametrize("inertia, message", [
+    ([[2e-4, 1e-6, 0.0], [0.0, 2e-4, 0.0], [0.0, 0.0, 3e-4]], "^inertia tensor must be symmetric"),
+    (np.diag([2e-4, -2e-4, 3e-4]), "^inertia tensor must be positive definite"),
+    ([[2e-4, 3e-4, 0.0], [3e-4, 2e-4, 0.0], [0.0, 0.0, 3e-4]],
+     "^inertia tensor must be positive definite"),
+    (np.eye(2), r"^inertia must be a finite array of shape \(3, 3\)"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0]], r"^inertia must be a finite array of shape \(3, 3\)"),
+], ids=["non_symmetric", "negative_diagonal", "indefinite", "wrong_shape", "ragged"])
+def test_build_r_module_names_bad_inertia(inertia, message):
+    with pytest.raises(ValueError, match=message):
+        build_r_module(inertia=inertia)
+
+
+_BAD_INPUTS = {"base": float("nan"), "alpha": 2.0, "beta": -2.0, "k_f": 0.0, "k_m": -1.0,
+               "f_max": float("inf"), "mass": float("nan"), "height": -1.0, "inertia": np.eye(2)}
+
+
+@pytest.mark.parametrize("first", list(_BAD_INPUTS))
+def test_build_r_module_reports_the_first_bad_input(first):
+    # With this input and every one after it bad, the error names this one:
+    # base, alpha, beta, k_f, k_m, f_max, mass, height, then inertia.
+    names = list(_BAD_INPUTS)
+    bad = {name: _BAD_INPUTS[name] for name in names[names.index(first):]}
+    with pytest.raises(ValueError, match=rf"^{first} "):
+        build_r_module(**bad)
+
+
+def test_built_modules_pass_the_public_constructors():
+    # build_r_module runs only the body rules and builds its rotors and the
+    # module unchecked; every rule it skips must hold by construction. Tilts
+    # cover [-pi/2, pi/2] with both ends, bases 1e-300 to 1e150 (an inertia
+    # override where the cuboid model would underflow), zero drag and
+    # diagonal inertia overrides.
+    rng = np.random.default_rng(14)
+    for i in range(400):
+        # Each angle is an end of the range, zero, or a uniform draw.
+        alpha, beta = rng.choice([-np.pi / 2, 0.0, np.pi / 2, *rng.uniform(-np.pi / 2, np.pi / 2, 3)],
+                                 size=2)
+        base = 10.0 ** rng.uniform(-300, 150)
+        override = base < 1e-150 or i % 2 == 0
+        kwargs = dict(
+            mass=10.0 ** rng.uniform(-3, 3), base=base, height=10.0 ** rng.uniform(-3, 1),
+            alpha=alpha, beta=beta, k_f=10.0 ** rng.uniform(-2, 2),
+            k_m=0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-4, -1), f_max=10.0 ** rng.uniform(-1, 2),
+            inertia=np.diag(10.0 ** rng.uniform(-6, 2, size=3)) if override else None,
+        )
+        m = build_r_module(**kwargs)
+        for p in m.propellers:
+            PropellerSpec(position=p.position, orientation=p.orientation, spin=p.spin, k_f=p.k_f,
+                          k_m=p.k_m, f_max=p.f_max)
+            assert p.orientation is m.tilt
+            assert (p.k_f, p.k_m, p.f_max) == (kwargs["k_f"], kwargs["k_m"], kwargs["f_max"])
+        ModuleSpec(mass=m.mass, inertia=m.inertia, base=m.base, height=m.height,
+                   propellers=m.propellers, tilt=m.tilt)
+        assert (m.mass, m.base, m.height) == (kwargs["mass"], kwargs["base"], kwargs["height"])
+        np.testing.assert_array_equal(m.tilt, propeller_orientation(alpha, beta))
 
 
 def test_zero_drag_coefficient_accepted():

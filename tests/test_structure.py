@@ -274,7 +274,8 @@ def test_thrust_frame_degenerate_inputs():
 
 
 @pytest.mark.parametrize("grid_offset", [(float("inf"), 0), (float("nan"), 0),
-                                         (0, float("-inf")), (1.5, 0), ("1", 0)])
+                                         (0, float("-inf")), (1.5, 0), ("1", 0),
+                                         (10**400, 0), (0, -10**400)])
 def test_grid_offset_must_be_finite_integers(grid_offset):
     with pytest.raises(ValueError, match=r"^grid_offset entries must be finite integers"):
         ModulePlacement(build_r_module(), grid_offset)
@@ -282,6 +283,16 @@ def test_grid_offset_must_be_finite_integers(grid_offset):
 
 def test_grid_offset_accepts_integral_floats():
     assert ModulePlacement(build_r_module(), (2.0, -1.0)).grid_offset == (2, -1)
+
+
+@pytest.mark.parametrize("far", [(10**160, 0), (0, -10**160), (10**300, 10**300)])
+def test_assemble_names_an_overflowing_inertia(far):
+    # The parallel-axis terms of far-apart modules overflow; that is named
+    # before a rank test can blame the geometry, and no RuntimeWarning
+    # (an error in this suite) escapes.
+    placements = [ModulePlacement(build_r_module(), (0, 0)), ModulePlacement(build_r_module(), far)]
+    with pytest.raises(AssemblyError, match="^structure inertia is not finite"):
+        assemble(placements)
 
 
 def _tilted_block(tilt):
