@@ -11,11 +11,12 @@ balanced by construction and are the building block used everywhere else.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lazy import unchecked
+from .lazy import read_only, unchecked
 from .so3 import E3, cross3, is_rotation, rot_x, rot_y
 
 
@@ -46,7 +47,8 @@ class PropellerSpec:
 
     ``position`` must be a finite 3-vector and ``orientation`` a rotation;
     ``k_f`` and ``f_max`` must be positive and ``k_m`` non-negative, all
-    finite. A bad field raises ValueError naming it.
+    finite. A bad field raises ValueError naming it. Both arrays are kept
+    as read-only copies.
     """
 
     position: np.ndarray
@@ -58,7 +60,7 @@ class PropellerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _finite_array(self.position, (3,), "position"))
-        object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
+        object.__setattr__(self, "orientation", read_only(self.orientation))
         if self.spin not in (1, -1):
             raise ValueError(f"spin must be +1 or -1, got {self.spin}")
         _check_scalar("k_f", self.k_f)
@@ -87,6 +89,13 @@ class ModuleSpec:
     LDL^T factorisation of its lower triangle must be positive (Sylvester's
     criterion, tested without forming the determinants). The checks run on
     floats; each failure is a ValueError naming the field.
+
+    A module is an immutable value: ``inertia``, ``tilt`` and the
+    propellers' arrays are read-only copies, so neither a write nor a
+    caller's array can change it. So :func:`build_r_module` may hand one
+    module to every caller, and :func:`check_balanced` computes its report
+    once; the report is kept outside the fields, so ``dataclasses.replace``
+    gives a module without one.
     """
 
     mass: float
@@ -99,7 +108,7 @@ class ModuleSpec:
     def __post_init__(self):
         inertia = _check_body(self.mass, self.inertia, self.base, self.height)
         object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "tilt", np.asarray(self.tilt, dtype=float))
+        object.__setattr__(self, "tilt", read_only(self.tilt))
         props = tuple(self.propellers)
         object.__setattr__(self, "propellers", props)
         if len(props) != 4:
@@ -116,8 +125,8 @@ class ModuleSpec:
 def _check_body(mass: float, inertia, base: float, height: float) -> np.ndarray:
     """The body rules of a module, in order: positive finite ``mass``,
     ``base`` and ``height``, then ``inertia`` finite 3x3, symmetric and
-    positive definite. Returns the inertia as a float array; a failure is
-    a ValueError naming the field."""
+    positive definite. Returns the inertia as a read-only float copy; a
+    failure is a ValueError naming the field."""
     for name, value in (("mass", mass), ("base", base), ("height", height)):
         _check_scalar(name, value)
     inertia = _finite_array(inertia, (3, 3), "inertia")
@@ -139,10 +148,10 @@ def _check_scalar(name: str, value: float, allow_zero: bool = False) -> None:
 
 
 def _finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with finite entries; otherwise
-    ValueError naming ``name``."""
+    """``value`` as a read-only float copy of ``shape`` with finite entries;
+    otherwise ValueError naming ``name``."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = read_only(value)
     except (TypeError, ValueError):  # ragged, or not numbers
         arr = None
     if arr is None or arr.shape != shape or not all(map(math.isfinite, arr.ravel().tolist())):
@@ -174,6 +183,8 @@ class BalanceReport:
         torque up to the k_m/k_f factor)
     total_force_axis: unit direction of the summed thrust, zero if degenerate
     thrust_gain: magnitude of the summed thrust vector (4 for a shared-tilt module)
+
+    The arrays of a report from :func:`check_balanced` are read-only.
     """
 
     torque_from_forces: np.ndarray
@@ -206,6 +217,13 @@ def propeller_orientation(alpha: float, beta: float) -> np.ndarray:
     return rot_y(beta) @ rot_x(alpha)
 
 
+# Modules built from scalar inputs alone, and balance reports per module,
+# are kept for reuse; past this many entries the oldest one is dropped.
+_MEMO_SIZE = 256
+_MODULES: dict[tuple, ModuleSpec] = {}
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
 def build_r_module(
     mass: float = 0.135,
     base: float = 0.12,
@@ -229,21 +247,62 @@ def build_r_module(
     (positions (+-d, +-d, 0), literal spins, a tilt built from checked
     angles), so only its body rules run and the rotors and the module are
     built with :func:`~modrotor.lazy.unchecked`.
+
+    The module is an immutable value, so the same inputs return the same
+    object: without an ``inertia`` override, and with every other argument
+    a Python or numpy float, the module is kept under each argument's type
+    and exact bits (so 0.0 and -0.0, or 1.0 and np.float64(1.0), are
+    different inputs) and later calls return it; at most 256 are kept,
+    the oldest dropped first. Any other call builds a new module, and a
+    call that raises is never kept, so a bad input raises the same error on
+    every call.
     """
+    scalars = (mass, base, height, alpha, beta, k_f, k_m, f_max)
+    key = _exact_key(scalars) if inertia is None else None
+    module = _MODULES.get(key)
+    if module is None:
+        module = _build_module(*scalars, inertia)
+        if key is not None:
+            _remember(_MODULES, key, module)
+    return module
+
+
+def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia) -> ModuleSpec:
+    """A new module from :func:`build_r_module`'s arguments, checked in its
+    order, with every array read-only."""
     _check_scalar("base", base)  # first: the rotor positions are built from it
     d = base / 4.0
     orientation = propeller_orientation(alpha, beta)
+    orientation.flags.writeable = False
     _check_scalar("k_f", k_f)
     _check_scalar("k_m", k_m, allow_zero=True)
     _check_scalar("f_max", f_max)
     props = tuple(
-        unchecked(PropellerSpec, position=np.array(p, dtype=float), orientation=orientation,
+        unchecked(PropellerSpec, position=read_only(p), orientation=orientation,
                   spin=spin, k_f=k_f, k_m=k_m, f_max=f_max)
         for p, spin in (((d, -d, 0.0), 1), ((d, d, 0.0), -1), ((-d, d, 0.0), 1), ((-d, -d, 0.0), -1))
     )
     i_m = cuboid_inertia(mass, base, height) if inertia is None else inertia
     return unchecked(ModuleSpec, mass=mass, inertia=_check_body(mass, i_m, base, height),
                      base=base, height=height, propellers=props, tilt=orientation)
+
+
+def _exact_key(values: tuple) -> tuple | None:
+    """The type and exact bits of each value when all are Python or numpy
+    floats, else None: a memo key under which 0.0 and -0.0, or 1.0 and
+    np.float64(1.0), differ."""
+    types = tuple(map(type, values))
+    if not _FLOAT_TYPES.issuperset(types):
+        return None
+    return types, struct.pack(f"<{len(values)}d", *values)
+
+
+def _remember(memo: dict, key: tuple, value) -> None:
+    """Store ``value`` under ``key``, first dropping the oldest entry of
+    ``memo`` when it holds _MEMO_SIZE."""
+    while len(memo) >= _MEMO_SIZE:
+        memo.pop(next(iter(memo)), None)
+    memo[key] = value
 
 
 def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
@@ -256,7 +315,23 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
     parallel-axis test then run on floats, in the order of numpy's cross
     product and row sums, so the residuals carry the same bits as the numpy
     forms.
+
+    A module is immutable, so its report is computed once per ``tol`` (a
+    Python or numpy float, keyed by its type and exact bits) and every
+    later call returns the same report, whose arrays are read-only.
     """
+    reports = module.__dict__.setdefault("_balance_reports", {})
+    key = _exact_key((tol,))
+    report = reports.get(key)
+    if report is None:
+        report = _balance_report(module, tol)
+        if key is not None:
+            _remember(reports, key, report)
+    return report
+
+
+def _balance_report(module: ModuleSpec, tol: float) -> BalanceReport:
+    """A new :func:`check_balanced` report of ``module``."""
     props = module.propellers
     axes = (np.array([p.orientation for p in props]) @ E3).tolist()
     moments = [cross3(p.position.tolist(), a) for p, a in zip(props, axes)]
@@ -264,6 +339,7 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
     force_sum = np.array(_sum_rows(axes))
     gain = math.sqrt(force_sum.dot(force_sum))  # np.linalg.norm's own formula
     axis = force_sum / gain if gain > tol else np.zeros(3)
+    axis.flags.writeable = False
     ax, ay, az = unit = axis.tolist()
     tx, ty, tz = target = module.tilt[:, 2].tolist()
     parallel = (
@@ -274,8 +350,8 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
     torque_from_forces, torque_from_drag = _sum_rows(moments), _sum_rows(drags)
     balanced = parallel and all(abs(x) < tol for x in torque_from_forces + torque_from_drag)
     return BalanceReport(
-        torque_from_forces=np.array(torque_from_forces),
-        torque_from_drag=np.array(torque_from_drag),
+        torque_from_forces=read_only(torque_from_forces),
+        torque_from_drag=read_only(torque_from_drag),
         total_force_axis=axis,
         thrust_gain=gain,
         is_balanced=bool(balanced),

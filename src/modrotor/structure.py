@@ -190,8 +190,9 @@ def assemble(placements) -> StructureModel:
     must be 3) and the force block's full SVD, the one source of
     ``force_sigmas``, ``rank_f``, the thrust frame and
     :func:`actuation_ellipsoid`. Every output has the bits of the
-    per-module loop it replaces. A total inertia that overflows, as for
-    modules placed far apart, raises AssemblyError before the rank tests.
+    per-module loop it replaces. A total mass that overflows, or a total
+    inertia that does, as for modules placed far apart, raises
+    AssemblyError before the rank tests.
     """
     placements = tuple(placements)
     if not placements:
@@ -213,7 +214,10 @@ def assemble(placements) -> StructureModel:
         seen[cell] = idx
 
     masses = np.array([pl.module.mass for pl in placements])
-    total_mass = float(masses.sum())
+    with np.errstate(over="ignore"):
+        total_mass = float(masses.sum())
+    if not math.isfinite(total_mass):
+        raise AssemblyError("structure total mass is not finite; module masses too large")
     grid_pos = np.array([[pl.grid_offset[0] * base, pl.grid_offset[1] * base, 0.0] for pl in placements])
     # The structure frame is the first module's frame; rotate grid data into it.
     r_grid_to_s = _QUARTER_TURNS[placements[0].yaw_quarter_turns].T

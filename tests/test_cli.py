@@ -74,11 +74,16 @@ def test_check_bad_config_exits_validation(tmp_path, capsys):
         (f"[module.1]\n[module.2]\ngrid_col = {10**160}\n", "error: structure inertia is not finite"),
         (f"[module.1]\n[module.2]\ngrid_row = {-10**400}\n",
          "error: module.2: grid_offset entries must be finite integers"),
+        # Module masses whose sum overflows to inf.
+        ("[module.1]\nmass_kg = 1.7e308\n[module.2]\nmass_kg = 1.7e308\ngrid_col = 1\n",
+         "error: structure total mass is not finite"),
     ]:
         bad.write_text(text)
         code, _, err = run_cli(["check", "--config", str(bad)], capsys)
         assert code == EXIT_VALIDATION, text
         assert message in err, text
+        # One error line and nothing else: no warning text, no traceback.
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("text, dof", [

@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 from functools import partial
 
 import numpy as np
 import pytest
 
+from modrotor import module_design
 from modrotor.module_design import (
     ModuleSpec,
     PropellerSpec,
@@ -316,3 +318,184 @@ def test_positive_definite_rule_matches_eigenvalues():
             with pytest.raises(ValueError, match="positive definite"):
                 _with_inertia(module, inertia)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------- module values
+# build_r_module keeps each module built from float inputs alone and returns
+# it again; modules and their balance reports are immutable values.
+
+def _memo_corpus():
+    """Seeded build_r_module keyword sets, accepted and rejected: tilts at
+    and inside +-pi/2, bases 1e-300 to 1e200, NaN, inf and negative
+    scalars, ints, numpy floats and inertia overrides."""
+    rng = np.random.default_rng(15)
+    bad = [float("nan"), float("inf"), -1.0, 0.0]
+    corpus = []
+    for i in range(300):
+        alpha, beta = rng.choice([-np.pi / 2, 0.0, np.pi / 2, *rng.uniform(-np.pi / 2, np.pi / 2, 3)],
+                                 size=2)
+        kwargs = dict(mass=10.0 ** rng.uniform(-3, 3), base=10.0 ** rng.uniform(-300, 200),
+                      height=10.0 ** rng.uniform(-3, 1), alpha=float(alpha), beta=beta,
+                      k_f=10.0 ** rng.uniform(-2, 2), k_m=0.0 if i % 5 == 0 else 0.006,
+                      f_max=10.0 ** rng.uniform(-1, 2))
+        if i % 4 == 1:  # one scalar out of range
+            name = list(kwargs)[rng.integers(len(kwargs))]
+            kwargs[name] = 2.0 if name in ("alpha", "beta") else bad[rng.integers(len(bad))]
+        if i % 7 == 2:
+            kwargs["inertia"] = np.diag(10.0 ** rng.uniform(-6, 2, size=3))
+        if i % 11 == 3:
+            kwargs["mass"] = int(rng.integers(1, 5))
+        corpus.append(kwargs)
+    return corpus
+
+
+def _module_fields(module):
+    """Every value a module holds, as (type, repr, bytes, dtype, write flag) records."""
+    def record(value):
+        if isinstance(value, np.ndarray):
+            return (type(value), repr(value), value.tobytes(), value.dtype, value.flags.writeable)
+        return (type(value), repr(value))
+    rows = [record(getattr(module, f.name)) for f in dataclasses.fields(module)
+            if f.name != "propellers"]
+    for p in module.propellers:
+        rows += [record(getattr(p, f.name)) for f in dataclasses.fields(p)]
+    return rows
+
+
+def _outcome(build, kwargs):
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fresh(**kwargs):
+    """The uncached build of build_r_module's arguments."""
+    params = inspect.signature(build_r_module).parameters
+    return module_design._build_module(*(kwargs.get(name, p.default) for name, p in params.items()))
+
+
+def test_memo_returns_the_fresh_build_and_never_keeps_errors():
+    accepted = rejected = 0
+    for kwargs in _memo_corpus():
+        first, again = _outcome(build_r_module, kwargs), _outcome(build_r_module, kwargs)
+        fresh = _outcome(_fresh, kwargs)
+        if isinstance(fresh, str):
+            rejected += 1
+            assert first == again == fresh, kwargs
+            continue
+        accepted += 1
+        keyed = "inertia" not in kwargs and isinstance(kwargs["mass"], float)
+        assert (first is again) == keyed, kwargs
+        assert _module_fields(first) == _module_fields(fresh) == _module_fields(again), kwargs
+    assert accepted > 100 and rejected > 50
+
+
+@pytest.mark.parametrize("name, values", [
+    ("beta", (0.0, -0.0)), ("alpha", (0.0, -0.0)), ("mass", (1, 1.0, True, np.float64(1.0))),
+    ("k_m", (0.0, -0.0)),
+])
+def test_memo_keys_on_type_and_bits(name, values):
+    # Equal values of another type or sign of zero are other inputs: each
+    # gets its own module, with the bits of its own fresh build.
+    modules = [build_r_module(**{name: v}) for v in values]
+    assert len({id(m) for m in modules}) == len(values)
+    for value, module in zip(values, modules):
+        assert _module_fields(module) == _module_fields(_fresh(**{name: value}))
+        keyed = isinstance(value, float)  # a Python or numpy float
+        assert (build_r_module(**{name: value}) is module) == keyed
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"inertia": np.diag([2e-4, 2e-4, 3e-4])},
+    {"mass": np.array(0.135)},
+    {"beta": np.float32(0.1)},
+], ids=["inertia_override", "zero_d_array", "float32"])
+def test_unkeyable_calls_build_a_new_module_each_time(kwargs):
+    size = len(module_design._MODULES)
+    first, again = build_r_module(**kwargs), build_r_module(**kwargs)
+    assert first is not again
+    assert _module_fields(first) == _module_fields(again)
+    assert len(module_design._MODULES) == size
+
+
+def test_memo_never_grows_past_its_bound():
+    masses = 0.1 + 1e-3 * np.arange(module_design._MEMO_SIZE + 40)
+    for mass in masses.tolist():
+        module = build_r_module(mass=mass)
+        assert len(module_design._MODULES) <= module_design._MEMO_SIZE
+    assert build_r_module(mass=masses[-1].item()) is module
+
+
+def _arrays(module):
+    yield module.inertia
+    yield module.tilt
+    for p in module.propellers:
+        yield p.position
+        yield p.orientation
+    report = check_balanced(module)
+    yield report.torque_from_forces
+    yield report.torque_from_drag
+    yield report.total_force_axis
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_r_module(alpha=0.2, beta=-0.3),
+    lambda: build_r_module(inertia=np.diag([2e-4, 2e-4, 3e-4])),
+    lambda: _rebuilt(build_r_module(beta=0.3)),
+], ids=["built", "inertia_override", "public_constructors"])
+def test_module_and_report_arrays_are_read_only(make):
+    for arr in _arrays(make()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def _rebuilt(module):
+    """``module`` rebuilt through the public constructors from writable copies."""
+    props = tuple(PropellerSpec(position=p.position.copy(), orientation=p.orientation.copy(),
+                                spin=p.spin, k_f=p.k_f, k_m=p.k_m, f_max=p.f_max)
+                  for p in module.propellers)
+    return ModuleSpec(mass=module.mass, inertia=module.inertia.copy(), base=module.base,
+                      height=module.height, propellers=props, tilt=module.tilt.copy())
+
+
+def test_caller_arrays_are_copied():
+    m = build_r_module(beta=0.3)
+    position, orientation = m.propellers[0].position.copy(), m.tilt.copy()
+    inertia, tilt = m.inertia.copy(), m.tilt.copy()
+    prop = PropellerSpec(position=position, orientation=orientation, spin=1)
+    module = ModuleSpec(mass=m.mass, inertia=inertia, base=m.base, height=m.height,
+                        propellers=m.propellers, tilt=tilt)
+    override = build_r_module(beta=0.3, inertia=inertia)
+    report = check_balanced(module)
+    assert report.is_balanced
+    for arr in (position, orientation, inertia, tilt):
+        arr[...] = rot_x(np.pi) if arr.shape == (3, 3) else 5.0
+    np.testing.assert_array_equal(prop.position, m.propellers[0].position)
+    np.testing.assert_array_equal(prop.orientation, m.tilt)
+    for held in (module, override):
+        np.testing.assert_array_equal(held.inertia, m.inertia)
+        np.testing.assert_array_equal(held.tilt, m.tilt)
+    assert check_balanced(module) is report and report.is_balanced
+    assert module_design._balance_report(module, 1e-9).is_balanced
+
+
+def test_balance_report_is_computed_once_per_module_and_tol():
+    m = build_r_module(alpha=0.1, beta=0.4)
+    report = check_balanced(m)
+    assert check_balanced(m) is report and check_balanced(m, 1e-9) is report
+    loose = check_balanced(m, 1e-6)
+    assert loose is not report and check_balanced(m, 1e-6) is loose
+    assert check_balanced(m, np.float64(1e-9)) is not report
+    fresh = module_design._balance_report(m, 1e-9)
+    for f in dataclasses.fields(fresh):
+        np.testing.assert_array_equal(getattr(report, f.name), getattr(fresh, f.name))
+
+
+def test_replaced_module_gets_its_own_report():
+    m = build_r_module(beta=np.pi / 18)
+    assert check_balanced(m).is_balanced
+    flipped = dataclasses.replace(m, tilt=rot_x(np.pi) @ m.tilt)
+    assert not check_balanced(flipped).is_balanced
+    assert check_balanced(m).is_balanced

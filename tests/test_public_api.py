@@ -8,6 +8,8 @@ package, so removing something they use fails here.
 
 import ast
 import importlib
+import inspect
+import pydoc
 import re
 import types
 from pathlib import Path
@@ -77,3 +79,23 @@ def test_callers_are_found():
 def test_every_name_a_caller_imports_resolves(caller):
     missing = [name for name in _used_names(_callers()[caller]) if not _resolves(name)]
     assert not missing, f"{caller} uses names modrotor does not define: {missing}"
+
+
+def test_build_r_module_keeps_its_signature_and_help():
+    # build_r_module keeps its modules inside its own body, not behind a
+    # caching wrapper, so inspect and help() show the plain function.
+    from modrotor import build_r_module
+
+    signature = ("(mass: 'float' = 0.135, base: 'float' = 0.12, height: 'float' = 0.06, "
+                 "alpha: 'float' = 0.0, beta: 'float' = 0.0, k_f: 'float' = 1.0, "
+                 "k_m: 'float' = 0.006, f_max: 'float' = 2.0, "
+                 "inertia: 'np.ndarray | None' = None) -> 'ModuleSpec'")
+    assert str(inspect.signature(build_r_module)) == signature
+    assert not hasattr(build_r_module, "__wrapped__")
+    doc = inspect.getdoc(build_r_module)
+    assert doc.startswith("Build a module whose four rotors share the tilt (alpha, beta).\n")
+    assert "the same inputs return the same\nobject" in doc
+    body = "\n".join(f"    {line}" for line in doc.splitlines())
+    assert pydoc.render_doc(build_r_module, renderer=pydoc.plaintext) == (
+        "Python Library Documentation: function build_r_module in module modrotor.module_design"
+        f"\n\nbuild_r_module{signature}\n{body}\n")

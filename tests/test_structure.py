@@ -295,6 +295,17 @@ def test_assemble_names_an_overflowing_inertia(far):
         assemble(placements)
 
 
+@pytest.mark.parametrize("far", [(1, 0), (10**160, 0)])
+def test_assemble_names_an_overflowing_total_mass(far):
+    # Two masses at the top of float range sum to inf: named before the
+    # inertia check (which the far pair would also fail), and the sum's
+    # overflow RuntimeWarning (an error in this suite) does not escape.
+    heavy = build_r_module(mass=1.7e308)
+    placements = [ModulePlacement(heavy, (0, 0)), ModulePlacement(heavy, far)]
+    with pytest.raises(AssemblyError, match="^structure total mass is not finite"):
+        assemble(placements)
+
+
 def _tilted_block(tilt):
     # The experiment3 layout: pitch tilts on one diagonal, roll on the other.
     return [ModulePlacement(build_r_module(beta=tilt), (0, 0)),
