@@ -31,8 +31,8 @@ thrusts, the wrench and the attitude as floats and builds its arrays and
 its ``Wrench`` only when they are read. Float arithmetic overflows to inf
 and NaN without warnings, so the step checks the commanded acceleration and
 wrench for finiteness and raises ControlDegeneracyError; the sample's
-attitude is a finite rotation already. The output and its ``Wrench``, built
-from those checked floats, skip re-validation; a caller's ``Wrench`` does not.
+attitude is a finite rotation already. So the output and its ``Wrench`` skip
+re-validation, by the rule in :mod:`modrotor.lazy`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import lazy_fields, unchecked
+from .lazy import checked, float_array, lazy_fields, unchecked
 from .module_design import Wrench
 from .so3 import cross3, matmul3
 from .structure import StructureModel, _rank_of
@@ -75,16 +75,14 @@ class Gains:
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-            mat = np.array(getattr(self, name), dtype=float)
+            mat = float_array(getattr(self, name))
             if mat.shape in ((), (3,)):
                 diag, mat = mat, np.zeros((3, 3))
                 mat.flat[::4] = diag
-            if mat.shape != (3, 3):
-                raise ValueError(f"{name} must be a diagonal 3x3 matrix")
             entries = mat.ravel().tolist()
             if not all(map(math.isfinite, entries)):
-                raise ValueError(f"{name} must be finite, got {mat.tolist()}")
-            if any(entries[1:4] + entries[5:8]):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            if mat.shape != (3, 3) or any(entries[1:4] + entries[5:8]):
                 raise ValueError(f"{name} must be a diagonal 3x3 matrix")
             if min(entries[::4]) <= 0.0:
                 raise ValueError(f"{name} diagonal entries must be positive")
@@ -260,7 +258,7 @@ class Controller:
                  gravity: float = GRAVITY):
         self.structure = structure
         self.gains = gains if gains is not None else default_gains()
-        self.gravity = float(gravity)
+        self.gravity = checked("gravity", gravity)
         if structure.rank_f not in _MODE_ROWS:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")
         self.mode, rows, self._desired_attitude = _MODE_ROWS[structure.rank_f]

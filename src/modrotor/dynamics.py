@@ -25,9 +25,9 @@ per-call cost of numpy on 3-vectors and 3x3 matrices. It reads the state's
 structure, and returns a state that holds only its floats; that state
 builds its arrays when they are read. Float arithmetic overflows to inf and
 NaN without warnings, and the kernel checks its result for finiteness,
-raising IntegrationError. Only that checked result skips ``RigidState``
-validation (:func:`~modrotor.lazy.unchecked`); states built by callers are
-always validated.
+raising IntegrationError. By the rule in :mod:`modrotor.lazy`, that result
+and the closed loop's checked values skip the checks of ``RigidState`` and
+:func:`step`: the loop calls the kernel behind it, ``_advance``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .lazy import lazy_fields, read_only, unchecked
+from .lazy import POSITIVE, checked, float_array, lazy_fields, read_only, unchecked
 from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
@@ -86,34 +86,38 @@ class RigidState:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Integration settings: step dt (s), gravity (m/s^2), duration (s)."""
+    """Integration settings as floats: step dt > 0 (s), gravity (m/s^2) and
+    duration >= dt (s)."""
 
     dt: float = 0.001
     gravity: float = GRAVITY
     duration: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not self.dt <= self.duration < np.inf:
-            raise ValueError(
-                f"duration must be finite and cover at least one step, "
-                f"got {self.duration} with dt {self.dt}"
-            )
+        dt = checked("dt", self.dt, POSITIVE)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "gravity", checked("gravity", self.gravity))
+        duration = checked("duration", self.duration, POSITIVE)
+        if duration < dt:
+            raise ValueError(f"duration must be finite and cover at least one step, "
+                             f"got {duration} with dt {dt}")
+        object.__setattr__(self, "duration", duration)
 
 
-def accelerations(
-    structure: StructureModel,
-    state: RigidState,
-    u: np.ndarray,
-    gravity: float = GRAVITY,
-) -> tuple[np.ndarray, np.ndarray]:
+def accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
+                  gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
     """Linear (world) and angular (body) acceleration under thrusts ``u``."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (4 * structure.n,):
-        raise ValueError(f"u must have {4 * structure.n} entries, got shape {u.shape}")
-    k = _derivative(_start(state), *_step_model(structure, state, u, gravity))
+    model = _step_model(structure, state, _thrusts(structure, u), checked("gravity", gravity))
+    k = _derivative(_start(state), *model)
     return np.array(k[3:6]), np.array(k[9:12])
+
+
+def _thrusts(structure: StructureModel, u) -> np.ndarray:
+    """``u`` as a float array of 4n finite thrusts, else ValueError."""
+    arr = float_array(u)
+    if arr.shape != (4 * structure.n,) or not all(map(math.isfinite, arr.tolist())):
+        raise ValueError(f"u must have {4 * structure.n} finite entries, got {u!r}")
+    return arr
 
 
 def _start(state):
@@ -130,14 +134,8 @@ def _step_model(structure, state, u, gravity):
     with np.errstate(over="ignore", invalid="ignore"):
         wrench = structure.thrust_map.dot(u).tolist()
     mass, inertia, inertia_inv = structure._rigid_body
-    return (
-        state._flat[6:15],
-        (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
-        wrench[3:],
-        inertia,
-        inertia_inv,
-        float(gravity),
-    )
+    return (state._flat[6:15], (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
+            wrench[3:], inertia, inertia_inv, gravity)
 
 
 def _derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
@@ -186,16 +184,17 @@ def _derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
     )
 
 
-def step(
-    structure: StructureModel,
-    state: RigidState,
-    u: np.ndarray,
-    dt: float,
-    gravity: float = GRAVITY,
-) -> RigidState:
-    """Advance one step of length ``dt`` with thrusts held constant."""
+def step(structure: StructureModel, state: RigidState, u: np.ndarray, dt: float,
+         gravity: float = GRAVITY) -> RigidState:
+    """Advance one step of length ``dt`` with the 4n finite thrusts ``u``
+    held constant."""
+    return _advance(structure, state, _thrusts(structure, u), checked("dt", dt),
+                    checked("gravity", gravity))
+
+
+def _advance(structure, state, u, dt: float, gravity: float) -> RigidState:
+    """:func:`step` on thrusts and floats that are checked already."""
     model = _step_model(structure, state, u, gravity)
-    dt = float(dt)
     y0 = _start(state)
 
     half = 0.5 * dt
@@ -209,10 +208,9 @@ def step(
         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
     ]
     if not all(map(math.isfinite, y1)):
-        raise IntegrationError(
-            f"integration produced non-finite values (|v|={math.hypot(*y0[3:6]):.3e}, "
-            f"|omega|={math.hypot(*y0[9:]):.3e}, dt={dt})"
-        )
+        raise IntegrationError("integration produced non-finite values (|v|="
+                               f"{math.hypot(*y0[3:6]):.3e}, |omega|={math.hypot(*y0[9:]):.3e}, "
+                               f"dt={dt})")
 
     phi = y1[6:9]
     r_ws1 = matmul3(model[0], rodrigues(*phi))
@@ -227,7 +225,6 @@ def step(
         -0.5 * g6, -0.5 * g7, 1.5 - 0.5 * g8,
     ))
     if not all(map(math.isfinite, r_ws1)):
-        raise IntegrationError(
-            f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, dt={dt})"
-        )
+        raise IntegrationError(f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, "
+                               f"dt={dt})")
     return unchecked(RigidState, _flat=(*y1[0:6], *r_ws1, *y1[9:12]))

@@ -7,12 +7,23 @@ its floats when it is first read.
 
 One rule covers validation: values the library builds from inputs it has
 already checked skip re-validation through :func:`unchecked`; values from
-callers always go through the constructor and its checks.
+callers always go through the constructor and its checks, which read
+numbers through :func:`checked` and arrays through :func:`float_array`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
+
+_MAX = sys.float_info.max
+# Bounds on a caller's number, (lowest, highest, wording); NaN fails all.
+FINITE = (-_MAX, _MAX, "finite")
+POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")
+NON_NEGATIVE = (0.0, _MAX, "non-negative and finite")
+TILT = (-math.pi / 2.0, math.pi / 2.0, "within [-pi/2, pi/2]")
 
 
 class _LazyField:
@@ -54,11 +65,34 @@ def unchecked(cls, **fields):
     return obj
 
 
+def checked(name: str, value, bound=FINITE) -> float:
+    """``value`` as a float within ``bound``; otherwise, or when ``float()``
+    cannot convert it, a ValueError naming ``name``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if bound[0] <= x <= bound[1]:
+        return x
+    got = "an int beyond float range" if isinstance(value, int) and x != x else repr(value)
+    raise ValueError(f"{name} must be {bound[2]}, got {got}")
+
+
+def float_array(values) -> np.ndarray:
+    """A new float array of ``values``; where numpy cannot convert them (text,
+    ragged nesting, an int beyond float range), NaN in their shape, which the
+    caller's own finiteness or shape check rejects."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return np.full(np.shape(np.array(values, dtype=object)), math.nan)
+
+
 def read_only(values, shape=None) -> np.ndarray:
-    """A new float array of ``values``, optionally reshaped, that cannot be
-    written to: it shows floats its owner keeps and the kernels read, so a
-    write to it would not reach them."""
-    arr = np.array(values, dtype=float)
+    """A new float array of ``values`` (see :func:`float_array`), optionally
+    reshaped, that cannot be written to: it shows floats its owner keeps and
+    the kernels read, so a write to it would not reach them."""
+    arr = float_array(values)
     if shape is not None:
         arr = arr.reshape(shape)
     arr.flags.writeable = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lazy import read_only, unchecked
+from .lazy import NON_NEGATIVE, POSITIVE, TILT, checked, float_array, read_only, unchecked
 from .so3 import E3, cross3, is_rotation, rot_x, rot_y
 
 
@@ -28,10 +28,11 @@ class Wrench:
     torque: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
-        object.__setattr__(self, "torque", np.asarray(self.torque, dtype=float))
-        if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
-            raise ValueError("wrench entries must be finite")
+        for name in ("force", "torque"):
+            arr = float_array(getattr(self, name))
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"wrench entries must be finite, got {name} {arr.tolist()}")
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +64,8 @@ class PropellerSpec:
         object.__setattr__(self, "orientation", read_only(self.orientation))
         if self.spin not in (1, -1):
             raise ValueError(f"spin must be +1 or -1, got {self.spin}")
-        _check_scalar("k_f", self.k_f)
-        _check_scalar("k_m", self.k_m, allow_zero=True)
-        _check_scalar("f_max", self.f_max)
+        for name, bound in (("k_f", POSITIVE), ("k_m", NON_NEGATIVE), ("f_max", POSITIVE)):
+            object.__setattr__(self, name, checked(name, getattr(self, name), bound))
         if not is_rotation(self.orientation):
             raise ValueError("propeller orientation is not a rotation matrix")
 
@@ -106,8 +106,9 @@ class ModuleSpec:
     tilt: np.ndarray
 
     def __post_init__(self):
-        inertia = _check_body(self.mass, self.inertia, self.base, self.height)
-        object.__setattr__(self, "inertia", inertia)
+        for name in ("mass", "base", "height"):
+            object.__setattr__(self, name, checked(name, getattr(self, name), POSITIVE))
+        object.__setattr__(self, "inertia", _checked_inertia(self.inertia))
         object.__setattr__(self, "tilt", read_only(self.tilt))
         props = tuple(self.propellers)
         object.__setattr__(self, "propellers", props)
@@ -122,13 +123,9 @@ class ModuleSpec:
             raise ValueError("declared tilt is not a rotation matrix")
 
 
-def _check_body(mass: float, inertia, base: float, height: float) -> np.ndarray:
-    """The body rules of a module, in order: positive finite ``mass``,
-    ``base`` and ``height``, then ``inertia`` finite 3x3, symmetric and
-    positive definite. Returns the inertia as a read-only float copy; a
-    failure is a ValueError naming the field."""
-    for name, value in (("mass", mass), ("base", base), ("height", height)):
-        _check_scalar(name, value)
+def _checked_inertia(inertia) -> np.ndarray:
+    """``inertia`` as a read-only float copy if it is finite 3x3, symmetric
+    and positive definite; otherwise a ValueError naming the rule."""
     inertia = _finite_array(inertia, (3, 3), "inertia")
     (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = inertia.tolist()
     if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
@@ -138,23 +135,11 @@ def _check_body(mass: float, inertia, base: float, height: float) -> np.ndarray:
     return inertia
 
 
-def _check_scalar(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is finite and
-    positive (or zero, with ``allow_zero``); NaN fails both comparisons."""
-    above_floor = value >= 0.0 if allow_zero else value > 0.0
-    if not (above_floor and value < math.inf):
-        raise ValueError(f"{name} must be {'non-negative' if allow_zero else 'positive'} "
-                         f"and finite, got {value!r}")
-
-
 def _finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``value`` as a read-only float copy of ``shape`` with finite entries;
     otherwise ValueError naming ``name``."""
-    try:
-        arr = read_only(value)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        arr = None
-    if arr is None or arr.shape != shape or not all(map(math.isfinite, arr.ravel().tolist())):
+    arr = read_only(value)
+    if arr.shape != shape or not all(map(math.isfinite, arr.ravel().tolist())):
         got = value.tolist() if isinstance(value, np.ndarray) else value
         raise ValueError(f"{name} must be a finite array of shape {shape}, got {got!r}")
     return arr
@@ -195,7 +180,10 @@ class BalanceReport:
 
 
 def cuboid_inertia(mass: float, base: float, height: float) -> np.ndarray:
-    """Inertia tensor of a solid cuboid with square base, about its center."""
+    """Inertia tensor of a solid cuboid with square base, about its center;
+    each argument must be positive and finite."""
+    mass, base = checked("mass", mass, POSITIVE), checked("base", base, POSITIVE)
+    height = checked("height", height, POSITIVE)
     # Products, not powers: a float power raises OverflowError where a
     # product overflows to inf, which ModuleSpec then rejects by name.
     ixx = mass * (base * base + height * height) / 12.0
@@ -209,11 +197,7 @@ def propeller_orientation(alpha: float, beta: float) -> np.ndarray:
     The result is rot_y(beta) @ rot_x(alpha); both angles are limited to
     [-pi/2, pi/2] so the thrust axis never points below the rotor plane.
     """
-    half_pi = np.pi / 2.0
-    if not (-half_pi <= alpha <= half_pi):
-        raise ValueError(f"alpha must be within [-pi/2, pi/2], got {alpha}")
-    if not (-half_pi <= beta <= half_pi):
-        raise ValueError(f"beta must be within [-pi/2, pi/2], got {beta}")
+    alpha, beta = checked("alpha", alpha, TILT), checked("beta", beta, TILT)
     return rot_y(beta) @ rot_x(alpha)
 
 
@@ -270,21 +254,21 @@ def build_r_module(
 def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia) -> ModuleSpec:
     """A new module from :func:`build_r_module`'s arguments, checked in its
     order, with every array read-only."""
-    _check_scalar("base", base)  # first: the rotor positions are built from it
+    base = checked("base", base, POSITIVE)  # first: the rotor positions are built from it
     d = base / 4.0
     orientation = propeller_orientation(alpha, beta)
     orientation.flags.writeable = False
-    _check_scalar("k_f", k_f)
-    _check_scalar("k_m", k_m, allow_zero=True)
-    _check_scalar("f_max", f_max)
+    k_f, k_m = checked("k_f", k_f, POSITIVE), checked("k_m", k_m, NON_NEGATIVE)
+    f_max, mass = checked("f_max", f_max, POSITIVE), checked("mass", mass, POSITIVE)
+    height = checked("height", height, POSITIVE)
     props = tuple(
         unchecked(PropellerSpec, position=read_only(p), orientation=orientation,
                   spin=spin, k_f=k_f, k_m=k_m, f_max=f_max)
         for p, spin in (((d, -d, 0.0), 1), ((d, d, 0.0), -1), ((-d, d, 0.0), 1), ((-d, -d, 0.0), -1))
     )
     i_m = cuboid_inertia(mass, base, height) if inertia is None else inertia
-    return unchecked(ModuleSpec, mass=mass, inertia=_check_body(mass, i_m, base, height),
-                     base=base, height=height, propellers=props, tilt=orientation)
+    return unchecked(ModuleSpec, mass=mass, inertia=_checked_inertia(i_m), base=base,
+                     height=height, propellers=props, tilt=orientation)
 
 
 def _exact_key(values: tuple) -> tuple | None:
@@ -324,7 +308,7 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
     key = _exact_key((tol,))
     report = reports.get(key)
     if report is None:
-        report = _balance_report(module, tol)
+        report = _balance_report(module, checked("tol", tol, POSITIVE))
         if key is not None:
             _remember(reports, key, report)
     return report

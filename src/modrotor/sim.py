@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Controller, Gains
-from .dynamics import RigidState, SimParams, step
+from .dynamics import RigidState, SimParams, _advance
 from .errors import ModrotorError, SimulationError
 from .so3 import angle_between
 from .structure import StructureModel
@@ -124,7 +124,7 @@ def run_closed_loop(
             rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r),
                        angle_between(r_wf, out._attitude), *out._u]
             sat[k] = out.saturated
-            state = step(structure, state, out._u, dt, gravity)
+            state = _advance(structure, state, out._u, dt, gravity)
         except ModrotorError as exc:
             raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
 

@@ -107,7 +107,7 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
         (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rows = np.asarray(r, dtype=float).tolist()
         if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
             return False
-    except (TypeError, ValueError):  # not a 3x3 array of numbers
+    except (TypeError, ValueError, OverflowError):  # not a 3x3 array of numbers
         return False
     # r r^T - I is symmetric: three diagonal and three off-diagonal entries.
     d0 = a0 * a0 + a1 * a1 + a2 * a2 - 1.0

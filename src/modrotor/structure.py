@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError
+from .lazy import float_array
 from .module_design import ModuleSpec
 from .so3 import E1, E2, E3, cross3, rot_z
 
@@ -34,6 +35,8 @@ class ModulePlacement:
 
     grid_offset: integer (col, row) cell, scaled by the base length into m
     yaw_quarter_turns: module yaw in the grid frame, multiples of 90 degrees
+
+    Both are kept as ints, so 1.0 or True is taken as 1.
     """
 
     module: ModuleSpec
@@ -41,16 +44,17 @@ class ModulePlacement:
     yaw_quarter_turns: int = 0
 
     def __post_init__(self):
-        col, row = self.grid_offset
         try:  # NaN and inf fail isfinite before int() would raise on them
+            col, row = self.grid_offset
             whole = math.isfinite(col) and math.isfinite(row) and int(col) == col and int(row) == row
-        except (TypeError, OverflowError):  # not numbers, or an int beyond float range
+        except (TypeError, ValueError, OverflowError):  # not a pair of numbers within float range
             whole = False
         if not whole:
             raise ValueError(f"grid_offset entries must be finite integers, got {self.grid_offset!r}")
         object.__setattr__(self, "grid_offset", (int(col), int(row)))
         if self.yaw_quarter_turns not in (0, 1, 2, 3):
             raise ValueError("yaw_quarter_turns must be 0, 1, 2 or 3")
+        object.__setattr__(self, "yaw_quarter_turns", int(self.yaw_quarter_turns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +107,12 @@ def numerical_rank(m: np.ndarray) -> int:
     """Count singular values above _RANK_TOL times the largest one.
 
     A zero matrix has rank 0, which flags a degenerate design upstream.
+    ``m`` must be a finite 2-D array.
     """
-    return _rank_of(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False))
+    arr = float_array(m)
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise ValueError(f"m must be a finite 2-D array, got {m!r}")
+    return _rank_of(np.linalg.svd(arr, compute_uv=False))
 
 
 def _rank_of(s: np.ndarray) -> int:
@@ -202,15 +210,12 @@ def assemble(placements) -> StructureModel:
     seen: dict[tuple[int, int], int] = {}
     for idx, pl in enumerate(placements):
         if pl.module.base != base or pl.module.height != height:
-            raise AssemblyError(
-                f"module {idx + 1} has frame {pl.module.base} x {pl.module.height}, "
-                f"expected {base} x {height}"
-            )
+            raise AssemblyError(f"module {idx + 1} has frame {pl.module.base} x "
+                                f"{pl.module.height}, expected {base} x {height}")
         cell = pl.grid_offset
         if cell in seen:
-            raise AssemblyError(
-                f"modules {seen[cell] + 1} and {idx + 1} both occupy grid cell {cell}"
-            )
+            raise AssemblyError(f"modules {seen[cell] + 1} and {idx + 1} both occupy grid "
+                                f"cell {cell}")
         seen[cell] = idx
 
     masses = np.array([pl.module.mass for pl in placements])
@@ -256,7 +261,7 @@ def assemble(placements) -> StructureModel:
     a[5] = px * ay - py * ax + drag * az
     f_max = np.array([p.f_max for p in props])
 
-    if numerical_rank(a[3:]) != 3:
+    if _rank_of(np.linalg.svd(a[3:], compute_uv=False)) != 3:
         raise AssemblyError("torque block is rank-deficient; module geometry is degenerate")
 
     u, sigmas, _ = np.linalg.svd(a[:3])

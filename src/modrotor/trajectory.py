@@ -10,8 +10,8 @@ attitude itself. ``omega_d`` is expressed in the desired thrust frame.
 The trajectories compute with ``math`` on Python floats, and a sample
 carries its vectors as float 3-tuples, which is what the controller reads.
 The attitude is kept as floats too; the ``r_wf_d`` array is built only when
-something reads it. Built from checked inputs, the trajectories' samples
-skip ``TrajectorySample`` validation; samples built by callers never do.
+something reads it. By the rule in :mod:`modrotor.lazy`, the trajectories'
+samples skip ``TrajectorySample``'s checks, which callers' samples pass.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lazy import lazy_fields, read_only, unchecked
+from .lazy import NON_NEGATIVE, POSITIVE, checked, float_array, lazy_fields, read_only, unchecked
 from .so3 import is_rotation, rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
@@ -47,12 +47,12 @@ _ZERO3 = (0.0, 0.0, 0.0)
 
 
 def _vec3(name: str, value) -> tuple[float, float, float]:
-    arr = np.asarray(value, dtype=float)
+    arr = float_array(value)
     if arr.shape != (3,):
         raise ValueError(f"{name} must have 3 entries, got shape {arr.shape}")
     x, y, z = arr.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{name} must be finite, got {(x, y, z)!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return (x, y, z)
 
 
@@ -87,8 +87,7 @@ class TrajectorySample:
             object.__setattr__(self, name, _vec3(name, getattr(self, name)))
         omega_d = _ZERO3 if self.omega_d is None else _vec3("omega_d", self.omega_d)
         object.__setattr__(self, "omega_d", omega_d)
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t!r}")
+        object.__setattr__(self, "t", checked("t", self.t))
         if not is_rotation(self.r_wf_d):
             shown = self.r_wf_d.tolist() if isinstance(self.r_wf_d, np.ndarray) else self.r_wf_d
             raise ValueError(f"r_wf_d must be a finite 3x3 rotation matrix, got {shown}")
@@ -97,20 +96,13 @@ class TrajectorySample:
         self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"trajectory time must be finite and non-negative, got {t}")
-
-
 def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:
     """Constant reference at ``r0`` with the attitude rot_z(yaw0)."""
     r_d = _vec3("r0", r0)
-    if not math.isfinite(yaw0):
-        raise ValueError(f"yaw0 must be finite, got {yaw0!r}")
-    attitude = rot_z_flat(yaw0)
+    attitude = rot_z_flat(checked("yaw0", yaw0))
 
     def sample(t: float) -> TrajectorySample:
-        _check_time(t)
+        t = checked("t", t, NON_NEGATIVE)
         return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=_ZERO3, a_d=_ZERO3,
                          omega_d=_ZERO3, _attitude=attitude)
 
@@ -120,30 +112,22 @@ def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:
 _HELIX_OMEGA = 2.0 * math.pi / HELIX_PERIOD
 _HELIX_Z_MID = 0.5 * (HELIX_Z_LOW + HELIX_Z_HIGH)
 _HELIX_Z_AMP = 0.5 * (HELIX_Z_HIGH - HELIX_Z_LOW)
+# Radial and vertical amplitudes of velocity and acceleration: the products
+# each sample formula starts with, taken once, so the samples keep their bits.
+_HELIX_V = (HELIX_RADIUS * _HELIX_OMEGA, _HELIX_Z_AMP * _HELIX_OMEGA)
+_HELIX_A = (HELIX_RADIUS * _HELIX_OMEGA**2, _HELIX_Z_AMP * _HELIX_OMEGA**2)
 
 
 def helix(t: float) -> TrajectorySample:
     """Climbing-and-descending circle with continuously rotating heading."""
-    _check_time(t)
-    omega = _HELIX_OMEGA
-    yaw = omega * t
+    t = checked("t", t, NON_NEGATIVE)
+    yaw = _HELIX_OMEGA * t
     c, s = math.cos(yaw), math.sin(yaw)
-    r_d = (
-        HELIX_CENTER[0] + HELIX_RADIUS * c,
-        HELIX_CENTER[1] + HELIX_RADIUS * s,
-        _HELIX_Z_MID - _HELIX_Z_AMP * c,
-    )
-    v_d = (
-        -HELIX_RADIUS * omega * s,
-        HELIX_RADIUS * omega * c,
-        _HELIX_Z_AMP * omega * s,
-    )
-    a_d = (
-        -HELIX_RADIUS * omega**2 * c,
-        -HELIX_RADIUS * omega**2 * s,
-        _HELIX_Z_AMP * omega**2 * c,
-    )
-    return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=(0.0, 0.0, omega),
+    (v_r, v_z), (a_r, a_z) = _HELIX_V, _HELIX_A
+    r_d = (HELIX_CENTER[0] + HELIX_RADIUS * c, HELIX_CENTER[1] + HELIX_RADIUS * s,
+           _HELIX_Z_MID - _HELIX_Z_AMP * c)
+    return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=(-v_r * s, v_r * c, v_z * s),
+                     a_d=(-a_r * c, -a_r * s, a_z * c), omega_d=(0.0, 0.0, _HELIX_OMEGA),
                      _attitude=(c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0))
 
 
@@ -181,15 +165,13 @@ def _axpy(a: float, x, y) -> tuple[float, float, float]:
 @cache
 def _rect_schedule(speed: float, altitude: float) -> tuple:
     """Phase table for one counterclockwise lap, starting mid bottom edge:
-    the phases, their start times and the lap time."""
-    if speed <= 0.0:
-        raise ValueError("speed must be positive")
+    the phases, their start times and the lap time. Its arguments are
+    checked here, so only a new schedule pays for it."""
+    speed, altitude = checked("speed", speed, POSITIVE), checked("altitude", altitude)
     shrink = speed * RECT_BLEND  # straight length consumed by each corner
     if RECT_WIDTH - shrink <= 0.0:
-        raise ValueError(
-            f"speed {speed!r} too high for the corner blend time; "
-            f"it must be below {RECT_WIDTH / RECT_BLEND:g}"
-        )
+        raise ValueError(f"speed {speed!r} too high for the corner blend time; "
+                         f"it must be below {RECT_WIDTH / RECT_BLEND:g}")
     half_l, half_w = RECT_LENGTH / 2.0, RECT_WIDTH / 2.0
     dirs = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     velocities = [(speed * x, speed * y, speed * z) for x, y, z in dirs]
@@ -214,24 +196,6 @@ def _rect_schedule(speed: float, altitude: float) -> tuple:
     return tuple(phases), tuple(ph.start for ph in phases), t
 
 
-def _rect_point(t: float, speed: float, altitude: float):
-    phases, starts, period = _rect_schedule(speed, altitude)
-    tau = t % period
-    ph = phases[bisect_right(starts, tau) - 1]
-    dt = tau - ph.start
-    if ph.dv is None:
-        return _axpy(dt, ph.v_in, ph.p0), ph.v_in, _ZERO3
-    x = dt / ph.duration
-    duration, (dx, dy, dz) = ph.duration, ph.dv
-    r_lin = _axpy(dt, ph.v_in, ph.p0)
-    s_int, s, s_deriv = _smoothstep_int(x), _smoothstep(x), _smoothstep_deriv(x)
-    r = (r_lin[0] + dx * duration * s_int, r_lin[1] + dy * duration * s_int,
-         r_lin[2] + dz * duration * s_int)
-    v = _axpy(s, ph.dv, ph.v_in)
-    a = (dx * s_deriv / duration, dy * s_deriv / duration, dz * s_deriv / duration)
-    return r, v, a
-
-
 def rectangle(
     t: float,
     pitch_hold: float = 0.0,
@@ -245,14 +209,31 @@ def rectangle(
     stays bounded; the extreme x and y coordinates still touch the exact
     rectangle bounds.
     """
-    _check_time(t)
-    if not math.isfinite(pitch_hold):
-        raise ValueError(f"pitch_hold must be finite, got {pitch_hold!r}")
-    r_d, v_d, a_d = _rect_point(t, speed, altitude)
+    t = checked("t", t, NON_NEGATIVE)
+    attitude = rot_y_flat(checked("pitch_hold", pitch_hold))
+    try:
+        phases, starts, period = _rect_schedule(speed, altitude)
+    except TypeError:  # an unhashable speed or altitude, such as a 0-d array
+        phases, starts, period = _rect_schedule(checked("speed", speed, POSITIVE),
+                                                checked("altitude", altitude))
+    tau = t % period
+    ph = phases[bisect_right(starts, tau) - 1]
+    dt = tau - ph.start
+    if ph.dv is None:
+        r_d, v_d, a_d = _axpy(dt, ph.v_in, ph.p0), ph.v_in, _ZERO3
+    else:
+        x = dt / ph.duration
+        duration, (dx, dy, dz) = ph.duration, ph.dv
+        r_lin = _axpy(dt, ph.v_in, ph.p0)
+        s_int, s, s_deriv = _smoothstep_int(x), _smoothstep(x), _smoothstep_deriv(x)
+        r_d = (r_lin[0] + dx * duration * s_int, r_lin[1] + dy * duration * s_int,
+               r_lin[2] + dz * duration * s_int)
+        v_d = _axpy(s, ph.dv, ph.v_in)
+        a_d = (dx * s_deriv / duration, dy * s_deriv / duration, dz * s_deriv / duration)
     return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=_ZERO3,
-                     _attitude=rot_y_flat(pitch_hold))
+                     _attitude=attitude)
 
 
 def rectangle_period(speed: float = RECT_SPEED) -> float:
     """Lap time of the rectangular circuit, s."""
-    return _rect_schedule(speed, RECT_ALTITUDE)[2]
+    return _rect_schedule(checked("speed", speed, POSITIVE), RECT_ALTITUDE)[2]

@@ -1,0 +1,222 @@
+"""Every number a caller passes to the public API is used or rejected by name.
+
+Each callable that ``modrotor/__init__.py`` exports has a row below: the
+valid keyword arguments it is called with and which of them are numbers.
+Each numeric argument is set in turn to every edge value, and an array
+argument both as a whole and as the first entry of an otherwise valid
+array. The call must return, or raise a ValueError naming the argument (or
+the quantity the row derives from it) or a ModrotorError; never another
+exception, and never a warning. A callable that checks its inputs must also
+reject every value that is not a finite float. Record types the library
+fills in itself (``checks=False``) take what they are given.
+
+``NO_NUMBERS`` lists the exports that take no numbers;
+``tests/test_public_api.py`` fails on an export in neither place.
+"""
+
+import dataclasses
+import functools
+import inspect
+import math
+import re
+import warnings
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+import pytest
+
+import modrotor
+from conftest import make_flat
+from modrotor import (
+    BalanceReport, ControlOutput, Controller, Gains, ModrotorError, ModulePlacement, ModuleSpec,
+    PropellerSpec, RigidState, RunResult, SimParams, StructureModel, TrajectorySample, Wrench,
+    accelerations, build_r_module, check_balanced, cuboid_inertia, helix, hover,
+    numerical_rank, propeller_orientation, rectangle, rectangle_period, step,
+)
+
+EDGE_VALUES = {
+    "zero": 0, "minus_one": -1, "inf": math.inf, "minus_inf": -math.inf, "nan": math.nan,
+    "1e300": 1e300, "minus_1e300": -1e300, "int_10_400": 10**400, "minus_int_10_400": -10**400,
+    "true": True, "float32": np.float32(0.25), "zero_d_array": np.array(0.25), "text": "a",
+}
+# Values no checking callable may accept: not finite, or not a float at all.
+MUST_REJECT = {"inf", "minus_inf", "nan", "int_10_400", "minus_int_10_400", "text"}
+
+
+@dataclass
+class Row:
+    call: Callable
+    kwargs: Callable[[], dict]  # fresh valid keyword arguments
+    scalars: tuple = ()
+    arrays: tuple = ()
+    derived: dict = field(default_factory=dict)  # argument -> quantity an error may name
+    checks: bool = True
+    extra: dict = field(default_factory=dict)  # argument -> more values to try
+    use: Callable = None  # what a caller does next with the result
+
+
+_structure = functools.cache(make_flat)  # structures are immutable
+
+
+def _state():
+    return RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=np.eye(3), omega=np.zeros(3))
+
+
+def _module_kwargs():
+    m = build_r_module()
+    return dict(mass=m.mass, inertia=m.inertia, base=m.base, height=m.height,
+                propellers=m.propellers, tilt=m.tilt)
+
+
+def _record_kwargs(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def _control_output():
+    s = _structure()
+    return Controller(s).step(_state(), hover((0.0, 0.0, 0.0))(0.0))
+
+
+def _run_result():
+    return modrotor.run_closed_loop(_structure(), hover((0.0, 0.0, 0.0)),
+                                    params=SimParams(dt=0.01, duration=0.02))
+
+
+ROWS = {
+    "BalanceReport": Row(BalanceReport, lambda: _record_kwargs(check_balanced(build_r_module())),
+                         ("thrust_gain", "is_balanced"),
+                         ("torque_from_forces", "torque_from_drag", "total_force_axis"),
+                         checks=False),
+    "ControlOutput": Row(ControlOutput, lambda: _record_kwargs(_control_output()), ("saturated",),
+                         ("u", "u_raw", "desired_attitude"), checks=False),
+    "Controller": Row(Controller, lambda: dict(structure=_structure()), ("gravity",)),
+    "Gains": Row(Gains, dict, arrays=("k_pos", "k_vel", "k_rot", "k_ang")),
+    "ModulePlacement": Row(ModulePlacement, lambda: dict(module=build_r_module()),
+                           ("yaw_quarter_turns",), ("grid_offset",),
+                           extra={"yaw_quarter_turns": (1.0, np.float64(2.0)),
+                                  "grid_offset": ((1,), (1, 2, 3))},
+                           use=lambda placement: modrotor.assemble([placement])),
+    "ModuleSpec": Row(ModuleSpec, _module_kwargs, ("mass", "base", "height"), ("inertia", "tilt")),
+    "PropellerSpec": Row(PropellerSpec, lambda: dict(position=[0.03, -0.03, 0.0],
+                                                     orientation=np.eye(3), spin=1),
+                         ("spin", "k_f", "k_m", "f_max"), ("position", "orientation")),
+    "RigidState": Row(RigidState, lambda: _record_kwargs(_state()),
+                      arrays=("r", "v", "r_ws", "omega")),
+    "RunResult": Row(RunResult, lambda: _record_kwargs(_run_result()),
+                     arrays=("t", "pos", "pos_des", "euler_f", "pos_err", "att_err", "u",
+                             "saturated"), checks=False),
+    "SimParams": Row(SimParams, dict, ("dt", "gravity", "duration")),
+    "StructureModel": Row(StructureModel, lambda: _record_kwargs(_structure()), ("total_mass",
+                          "rank_f"), ("inertia", "thrust_map", "r_sf", "force_sigmas", "f_max",
+                                      "inertia_inv", "_force_axes"), checks=False),
+    "TrajectorySample": Row(TrajectorySample, lambda: dict(t=0.0, r_d=np.zeros(3),
+                                                           v_d=np.zeros(3), a_d=np.zeros(3)),
+                            ("t",), ("r_d", "v_d", "a_d", "r_wf_d", "omega_d")),
+    "Wrench": Row(Wrench, lambda: dict(force=np.zeros(3), torque=np.zeros(3)),
+                  arrays=("force", "torque")),
+    "accelerations": Row(accelerations, lambda: dict(structure=_structure(), state=_state(),
+                                                     u=np.full(4, 0.3)), ("gravity",), ("u",)),
+    "build_r_module": Row(build_r_module, dict, ("mass", "base", "height", "alpha", "beta", "k_f",
+                                                 "k_m", "f_max"), ("inertia",),
+                          derived={"base": "inertia", "height": "inertia"}),
+    "check_balanced": Row(check_balanced, lambda: dict(module=build_r_module()), ("tol",)),
+    "cuboid_inertia": Row(cuboid_inertia, lambda: dict(mass=0.135, base=0.12, height=0.06),
+                          ("mass", "base", "height")),
+    "helix": Row(helix, lambda: dict(t=1.0), ("t",)),
+    "hover": Row(hover, lambda: dict(r0=(0.0, 0.0, 1.0)), ("yaw0",), ("r0",)),
+    "hover sampler": Row(lambda t: hover((0.0, 0.0, 1.0))(t), lambda: dict(t=1.0), ("t",)),
+    "numerical_rank": Row(numerical_rank, lambda: dict(m=np.eye(3)), arrays=("m",)),
+    "propeller_orientation": Row(propeller_orientation, lambda: dict(alpha=0.0, beta=0.0),
+                                 ("alpha", "beta")),
+    "rectangle": Row(rectangle, lambda: dict(t=1.0), ("t", "pitch_hold", "speed", "altitude")),
+    "rectangle_period": Row(rectangle_period, dict, ("speed",)),
+    "step": Row(step, lambda: dict(structure=_structure(), state=_state(), u=np.full(4, 0.3),
+                                   dt=0.01), ("dt", "gravity"), ("u",)),
+}
+
+# Exports that take no numbers: exception types, which take a message;
+# config records and the parser, whose own contract is over config text
+# (tests/test_cli.py); and calls that take only library objects.
+NO_NUMBERS = {
+    "AllocationError", "AssemblyError", "ConfigError", "ControlDegeneracyError",
+    "IntegrationError", "ModrotorError", "SimulationError", "StructureConfig", "parse_config",
+    "actuation_ellipsoid", "assemble", "default_gains", "initial_state_from_sample",
+    "run_closed_loop",
+}
+
+
+def _first_entry(valid, value):
+    """``valid`` as nested lists with its first entry replaced by ``value``."""
+    arr = np.array(valid, dtype=object)
+    if arr.ndim == 0:
+        return [value]
+    arr.flat[0] = value
+    return arr.tolist()
+
+
+def _cases():
+    for row_name, row in ROWS.items():
+        for arg in row.scalars + row.arrays:
+            values = {**EDGE_VALUES, **{repr(v): v for v in row.extra.get(arg, ())}}
+            for value_name, value in values.items():
+                forms = ("whole", "entry") if arg in row.arrays else ("whole",)
+                for form in forms:
+                    yield pytest.param(row_name, arg, value_name, value, form,
+                                       id=f"{row_name}-{arg}-{value_name}-{form}")
+
+
+def _array_default(row, arg):
+    """A valid value of an array argument: the row's, else the signature's
+    default, else (for defaults that are None or a factory) one given here."""
+    kwargs = row.kwargs()
+    if arg in kwargs:
+        return kwargs[arg]
+    given = {"r_wf_d": np.eye(3), "omega_d": np.zeros(3), "inertia": np.diag([2e-4, 2e-4, 3e-4])}
+    return given.get(arg, inspect.signature(row.call).parameters[arg].default)
+
+
+@pytest.mark.parametrize("row_name, arg, value_name, value, form", list(_cases()))
+def test_every_numeric_argument_is_used_or_named(row_name, arg, value_name, value, form):
+    row = ROWS[row_name]
+    kwargs = row.kwargs()
+    kwargs[arg] = value if form == "whole" else _first_entry(_array_default(row, arg), value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = row.call(**kwargs)
+            if row.use is not None:
+                row.use(result)
+        except ModrotorError:
+            return
+        except ValueError as exc:
+            names = (arg, row.derived.get(arg, arg))
+            named = any(re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", str(exc)) for n in names)
+            assert named, f"{row_name}({arg}={value!r}): ValueError names none of {names}: {exc}"
+            return
+    assert not (row.checks and value_name in MUST_REJECT), f"{row_name} accepted {arg}={value!r}"
+
+
+@pytest.mark.parametrize("turns, as_int", [(1.0, 1), (True, 1), (np.float64(2.0), 2),
+                                           (np.array(3.0), 3)])
+def test_quarter_turns_are_kept_as_ints(turns, as_int):
+    # Stored as an int, so the placement assembles exactly as the int one does.
+    placement = ModulePlacement(build_r_module(beta=0.3), yaw_quarter_turns=turns)
+    assert type(placement.yaw_quarter_turns) is int and placement.yaw_quarter_turns == as_int
+    other = ModulePlacement(build_r_module(alpha=0.3), (5, 5))
+    reference = ModulePlacement(build_r_module(beta=0.3), yaw_quarter_turns=as_int)
+    np.testing.assert_array_equal(modrotor.assemble([placement, other]).thrust_map,
+                                  modrotor.assemble([reference, other]).thrust_map)
+
+
+def test_checked_numbers_are_kept_as_floats():
+    # A caller's int, bool, numpy scalar or 0-d array becomes the float the
+    # kernels read, so no later arithmetic sees another type.
+    params = SimParams(dt=np.array(0.01), gravity=np.float32(9.5), duration=1)
+    assert [type(x) for x in (params.dt, params.gravity, params.duration)] == [float] * 3
+    module = build_r_module(mass=1, f_max=np.array(2.0))
+    assert type(module.mass) is float and type(module.propellers[0].f_max) is float
+    assert modrotor.assemble([ModulePlacement(module)]).f_max.dtype == np.float64
+    assert type(helix(True).t) is float and type(rectangle(np.float32(1.0)).t) is float
+    assert rectangle(1.0, speed=np.array(0.25)).r_d == rectangle(1.0).r_d
+    assert rectangle_period(np.array(0.25)) == rectangle_period()

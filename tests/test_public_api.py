@@ -16,6 +16,9 @@ from pathlib import Path
 
 import pytest
 
+import modrotor
+from test_input_contract import NO_NUMBERS, ROWS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -99,3 +102,12 @@ def test_build_r_module_keeps_its_signature_and_help():
     assert pydoc.render_doc(build_r_module, renderer=pydoc.plaintext) == (
         "Python Library Documentation: function build_r_module in module modrotor.module_design"
         f"\n\nbuild_r_module{signature}\n{body}\n")
+
+
+def test_every_export_has_a_row_in_the_input_contract():
+    # A new export must say what it does with a caller's numbers: a row in
+    # tests/test_input_contract.py, or a place in its NO_NUMBERS list.
+    exported = {name for name, value in vars(modrotor).items()
+                if callable(value) and not name.startswith("_")}
+    assert not exported - ROWS.keys() - NO_NUMBERS, "exports without a contract row"
+    assert NO_NUMBERS <= exported and not NO_NUMBERS & ROWS.keys()

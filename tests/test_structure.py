@@ -275,7 +275,8 @@ def test_thrust_frame_degenerate_inputs():
 
 @pytest.mark.parametrize("grid_offset", [(float("inf"), 0), (float("nan"), 0),
                                          (0, float("-inf")), (1.5, 0), ("1", 0),
-                                         (10**400, 0), (0, -10**400)])
+                                         (10**400, 0), (0, -10**400), (1,), (1, 2, 3), 5, "ab",
+                                         ((1, 2), 0)])
 def test_grid_offset_must_be_finite_integers(grid_offset):
     with pytest.raises(ValueError, match=r"^grid_offset entries must be finite integers"):
         ModulePlacement(build_r_module(), grid_offset)
