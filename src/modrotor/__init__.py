@@ -6,7 +6,7 @@ and simulate closed-loop trajectory tracking with controllers matched to 4,
 5 or 6 controllable degrees of freedom.
 """
 
-from .control import ControlOutput, Controller, Gains, default_gains
+from .control import ControlOutput, Controller, Gains
 from .config import StructureConfig, parse_config
 from .dynamics import RigidState, SimParams, accelerations, step
 from .errors import (

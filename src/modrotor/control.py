@@ -45,7 +45,7 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import checked, float_array, lazy_fields, unchecked
+from .lazy import checked, finite_array, lazy_fields, unchecked
 from .module_design import Wrench
 from .so3 import cross3, matmul3
 from .structure import StructureModel, _rank_of
@@ -63,9 +63,10 @@ _EPS_CROSS = 1e-6
 class Gains:
     """Diagonal PD gains: k_pos/k_vel on position, k_rot/k_ang on attitude.
 
-    Each takes a scalar, three diagonal entries or a diagonal 3x3 matrix. The
-    defaults are tuned so every supported structure converges well inside
-    the underactuated position-through-attitude cascade.
+    Each takes a scalar, three diagonal entries or a diagonal 3x3 matrix,
+    finite with a positive diagonal, and is kept as a read-only 3x3 matrix.
+    The defaults are tuned so every supported structure converges well
+    inside the underactuated position-through-attitude cascade.
     """
 
     k_pos: np.ndarray = 12.0
@@ -75,23 +76,17 @@ class Gains:
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-            mat = float_array(getattr(self, name))
+            mat = finite_array(name, getattr(self, name), None)
             if mat.shape in ((), (3,)):
                 diag, mat = mat, np.zeros((3, 3))
                 mat.flat[::4] = diag
+                mat.setflags(write=False)
             entries = mat.ravel().tolist()
-            if not all(map(math.isfinite, entries)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
             if mat.shape != (3, 3) or any(entries[1:4] + entries[5:8]):
                 raise ValueError(f"{name} must be a diagonal 3x3 matrix")
             if min(entries[::4]) <= 0.0:
                 raise ValueError(f"{name} diagonal entries must be positive")
             object.__setattr__(self, name, mat)
-
-
-def default_gains() -> Gains:
-    """The default gains, ``Gains()``."""
-    return Gains()
 
 
 @lazy_fields(
@@ -257,7 +252,7 @@ class Controller:
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
                  gravity: float = GRAVITY):
         self.structure = structure
-        self.gains = gains if gains is not None else default_gains()
+        self.gains = gains if gains is not None else Gains()
         self.gravity = checked("gravity", gravity)
         if structure.rank_f not in _MODE_ROWS:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")

@@ -38,13 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .lazy import POSITIVE, checked, float_array, lazy_fields, read_only, unchecked
+from .lazy import POSITIVE, checked, finite_array, lazy_fields, read_only, unchecked
 from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
 GRAVITY = 9.81  # m/s^2
 _TWELFTH = 1.0 / 12.0
-_STATE_SHAPES = {"r": (3,), "v": (3,), "r_ws": (3, 3), "omega": (3,)}
 
 
 @lazy_fields(
@@ -73,13 +72,8 @@ class RigidState:
     omega: np.ndarray
 
     def __post_init__(self):
-        for name, shape in _STATE_SHAPES.items():
-            arr = read_only(getattr(self, name))
-            if arr.shape != shape:
-                raise ValueError(f"state field {name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"state field {name} has non-finite entries")
-            object.__setattr__(self, name, arr)
+        for name, shape in (("r", (3,)), ("v", (3,)), ("r_ws", (3, 3)), ("omega", (3,))):
+            object.__setattr__(self, name, finite_array(name, getattr(self, name), shape))
         self.__dict__["_flat"] = (*self.r.tolist(), *self.v.tolist(), *self.r_ws.ravel().tolist(),
                                   *self.omega.tolist())
 
@@ -107,17 +101,10 @@ class SimParams:
 def accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
                   gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
     """Linear (world) and angular (body) acceleration under thrusts ``u``."""
-    model = _step_model(structure, state, _thrusts(structure, u), checked("gravity", gravity))
+    u = finite_array("u", u, (4 * structure.n,))
+    model = _step_model(structure, state, u, checked("gravity", gravity))
     k = _derivative(_start(state), *model)
     return np.array(k[3:6]), np.array(k[9:12])
-
-
-def _thrusts(structure: StructureModel, u) -> np.ndarray:
-    """``u`` as a float array of 4n finite thrusts, else ValueError."""
-    arr = float_array(u)
-    if arr.shape != (4 * structure.n,) or not all(map(math.isfinite, arr.tolist())):
-        raise ValueError(f"u must have {4 * structure.n} finite entries, got {u!r}")
-    return arr
 
 
 def _start(state):
@@ -188,7 +175,7 @@ def step(structure: StructureModel, state: RigidState, u: np.ndarray, dt: float,
          gravity: float = GRAVITY) -> RigidState:
     """Advance one step of length ``dt`` with the 4n finite thrusts ``u``
     held constant."""
-    return _advance(structure, state, _thrusts(structure, u), checked("dt", dt),
+    return _advance(structure, state, finite_array("u", u, (4 * structure.n,)), checked("dt", dt),
                     checked("gravity", gravity))
 
 

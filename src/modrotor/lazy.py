@@ -1,4 +1,5 @@
-"""Dataclass fields built on first read, and instances built unchecked.
+"""Dataclass fields built on first read, instances built unchecked, the
+checks on caller input, and the one memo rule.
 
 The closed loop passes states, samples and controller outputs between
 layers as Python floats. Their array fields are for callers that read them,
@@ -7,16 +8,23 @@ its floats when it is first read.
 
 One rule covers validation: values the library builds from inputs it has
 already checked skip re-validation through :func:`unchecked`; values from
-callers always go through the constructor and its checks, which read
-numbers through :func:`checked` and arrays through :func:`float_array`.
+callers always go through the constructor and its checks. A number goes
+through :func:`checked`, an array through :func:`finite_array` and a
+rotation through :func:`rotation`. Each returns floats or raises one form
+of ValueError, "<name> must be <rule>, got <value>", with the value shown by
+:func:`shown`, which never raises. Values built from float arguments alone
+are kept by :func:`remembered`, keyed by each argument's type and bits.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 import numpy as np
+
+from .so3 import is_rotation
 
 _MAX = sys.float_info.max
 # Bounds on a caller's number, (lowest, highest, wording); NaN fails all.
@@ -24,6 +32,7 @@ FINITE = (-_MAX, _MAX, "finite")
 POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")
 NON_NEGATIVE = (0.0, _MAX, "non-negative and finite")
 TILT = (-math.pi / 2.0, math.pi / 2.0, "within [-pi/2, pi/2]")
+SPIN = (-1.0, 1.0, "+1 or -1")  # PropellerSpec also rejects the values in between
 
 
 class _LazyField:
@@ -74,8 +83,47 @@ def checked(name: str, value, bound=FINITE) -> float:
         x = math.nan
     if bound[0] <= x <= bound[1]:
         return x
-    got = "an int beyond float range" if isinstance(value, int) and x != x else repr(value)
-    raise ValueError(f"{name} must be {bound[2]}, got {got}")
+    raise ValueError(f"{name} must be {bound[2]}, got {shown(value)}")
+
+
+def finite_array(name: str, value, shape: tuple | None) -> np.ndarray:
+    """``value`` as a new read-only float array of ``shape``, every entry
+    finite; otherwise a ValueError naming ``name``. A None entry of
+    ``shape`` matches any length, and a None ``shape`` any shape."""
+    arr = float_array(value)
+    fits = shape is None or arr.shape == shape or (
+        len(arr.shape) == len(shape) and all(w in (None, h) for h, w in zip(arr.shape, shape)))
+    # A few dozen entries are tested faster one by one than by a numpy call.
+    if fits and (all(map(math.isfinite, arr.ravel().tolist())) if arr.size <= 32
+                 else np.isfinite(arr).all()):
+        arr.setflags(write=False)
+        return arr
+    of_shape = "" if shape is None else f" of shape {shape}"
+    raise ValueError(f"{name} must be a finite array{of_shape}, got {shown(value)}")
+
+
+def rotation(name: str, value) -> np.ndarray:
+    """``value`` as a new read-only float 3x3 rotation matrix (see
+    :func:`~modrotor.so3.is_rotation`); otherwise a ValueError naming
+    ``name``."""
+    if not is_rotation(value):
+        raise ValueError(f"{name} must be a finite 3x3 rotation matrix, got {shown(value)}")
+    return read_only(value)
+
+
+def shown(value) -> str:
+    """``value`` as a rejection shows it: an array as its nested list, an
+    int beyond float range by that phrase, anything else by its repr. It
+    never raises, so a rejection is always the ValueError that names the
+    argument, not an error from printing it."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, int) and abs(value) > _MAX:
+        return "an int beyond float range"
+    try:
+        return repr(value)
+    except Exception:  # whatever repr raises, as it does for an int past the str() digit limit
+        return "a value too large to print"
 
 
 def float_array(values) -> np.ndarray:
@@ -95,5 +143,30 @@ def read_only(values, shape=None) -> np.ndarray:
     arr = float_array(values)
     if shape is not None:
         arr = arr.reshape(shape)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
+
+
+# Past this many entries a memo of :func:`remembered` drops its oldest one.
+MEMO_SIZE = 256
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
+def remembered(memo: dict, args: tuple, build):
+    """``build(*args)``, kept in ``memo`` when every argument is a Python or
+    numpy float, under each one's type and exact bits (so 0.0 and -0.0, or
+    1.0 and np.float64(1.0), are different keys); later calls with such
+    arguments return the kept value. At most MEMO_SIZE values are kept, the
+    oldest dropped first. Other arguments build a new value on every call,
+    and a build that raises keeps nothing."""
+    types = tuple(map(type, args))
+    if not _FLOAT_TYPES.issuperset(types):
+        return build(*args)
+    key = types, struct.pack(f"<{len(args)}d", *args)
+    value = memo.get(key)
+    if value is None:
+        value = build(*args)
+        while len(memo) >= MEMO_SIZE:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = value
+    return value

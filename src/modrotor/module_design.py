@@ -11,28 +11,26 @@ balanced by construction and are the building block used everywhere else.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lazy import NON_NEGATIVE, POSITIVE, TILT, checked, float_array, read_only, unchecked
-from .so3 import E3, cross3, is_rotation, rot_x, rot_y
+from .lazy import (NON_NEGATIVE, POSITIVE, SPIN, TILT, checked, finite_array, read_only,
+                   remembered, rotation, shown, unchecked)
+from .so3 import E3, cross3, rot_x, rot_y
 
 
 @dataclass(frozen=True, eq=False)
 class Wrench:
-    """Force (N) and torque (N*m) pair, expressed in one frame."""
+    """Force (N) and torque (N*m) pair, expressed in one frame: each a
+    finite 3-vector, kept as a read-only copy."""
 
     force: np.ndarray
     torque: np.ndarray
 
     def __post_init__(self):
         for name in ("force", "torque"):
-            arr = float_array(getattr(self, name))
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"wrench entries must be finite, got {name} {arr.tolist()}")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, finite_array(name, getattr(self, name), (3,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +45,9 @@ class PropellerSpec:
     f_max: thrust ceiling, N
 
     ``position`` must be a finite 3-vector and ``orientation`` a rotation;
-    ``k_f`` and ``f_max`` must be positive and ``k_m`` non-negative, all
-    finite. A bad field raises ValueError naming it. Both arrays are kept
-    as read-only copies.
+    ``spin`` is kept as the int 1 or -1; ``k_f`` and ``f_max`` must be
+    positive and ``k_m`` non-negative, all finite. A bad field raises
+    ValueError naming it. Both arrays are kept as read-only copies.
     """
 
     position: np.ndarray
@@ -60,14 +58,14 @@ class PropellerSpec:
     f_max: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _finite_array(self.position, (3,), "position"))
-        object.__setattr__(self, "orientation", read_only(self.orientation))
-        if self.spin not in (1, -1):
-            raise ValueError(f"spin must be +1 or -1, got {self.spin}")
+        object.__setattr__(self, "position", finite_array("position", self.position, (3,)))
+        object.__setattr__(self, "orientation", rotation("orientation", self.orientation))
+        spin = checked("spin", self.spin, SPIN)
+        if spin not in (1.0, -1.0):
+            raise ValueError(f"spin must be +1 or -1, got {shown(self.spin)}")
+        object.__setattr__(self, "spin", int(spin))
         for name, bound in (("k_f", POSITIVE), ("k_m", NON_NEGATIVE), ("f_max", POSITIVE)):
             object.__setattr__(self, name, checked(name, getattr(self, name), bound))
-        if not is_rotation(self.orientation):
-            raise ValueError("propeller orientation is not a rotation matrix")
 
     @property
     def drag_ratio(self) -> float:
@@ -109,7 +107,7 @@ class ModuleSpec:
         for name in ("mass", "base", "height"):
             object.__setattr__(self, name, checked(name, getattr(self, name), POSITIVE))
         object.__setattr__(self, "inertia", _checked_inertia(self.inertia))
-        object.__setattr__(self, "tilt", read_only(self.tilt))
+        object.__setattr__(self, "tilt", rotation("tilt", self.tilt))
         props = tuple(self.propellers)
         object.__setattr__(self, "propellers", props)
         if len(props) != 4:
@@ -119,30 +117,18 @@ class ModuleSpec:
             raise ValueError("propellers must sit in mirrored pairs: p1 = -p3, p2 = -p4")
         if [p.spin for p in props] != [1, -1, 1, -1]:
             raise ValueError("propeller spins must alternate +1, -1, +1, -1")
-        if not is_rotation(self.tilt):
-            raise ValueError("declared tilt is not a rotation matrix")
 
 
 def _checked_inertia(inertia) -> np.ndarray:
     """``inertia`` as a read-only float copy if it is finite 3x3, symmetric
     and positive definite; otherwise a ValueError naming the rule."""
-    inertia = _finite_array(inertia, (3, 3), "inertia")
+    inertia = finite_array("inertia", inertia, (3, 3))
     (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = inertia.tolist()
     if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
         raise ValueError("inertia tensor must be symmetric")
     if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
         raise ValueError("inertia tensor must be positive definite")
     return inertia
-
-
-def _finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """``value`` as a read-only float copy of ``shape`` with finite entries;
-    otherwise ValueError naming ``name``."""
-    arr = read_only(value)
-    if arr.shape != shape or not all(map(math.isfinite, arr.ravel().tolist())):
-        got = value.tolist() if isinstance(value, np.ndarray) else value
-        raise ValueError(f"{name} must be a finite array of shape {shape}, got {got!r}")
-    return arr
 
 
 def _ldl_pivots_positive(i0, i3, i4, i6, i7, i8) -> bool:
@@ -201,11 +187,8 @@ def propeller_orientation(alpha: float, beta: float) -> np.ndarray:
     return rot_y(beta) @ rot_x(alpha)
 
 
-# Modules built from scalar inputs alone, and balance reports per module,
-# are kept for reuse; past this many entries the oldest one is dropped.
-_MEMO_SIZE = 256
+# Modules built from scalar inputs alone, kept by lazy.remembered.
 _MODULES: dict[tuple, ModuleSpec] = {}
-_FLOAT_TYPES = frozenset((float, np.float64))
 
 
 def build_r_module(
@@ -242,16 +225,12 @@ def build_r_module(
     every call.
     """
     scalars = (mass, base, height, alpha, beta, k_f, k_m, f_max)
-    key = _exact_key(scalars) if inertia is None else None
-    module = _MODULES.get(key)
-    if module is None:
-        module = _build_module(*scalars, inertia)
-        if key is not None:
-            _remember(_MODULES, key, module)
-    return module
+    if inertia is not None:
+        return _build_module(*scalars, inertia)
+    return remembered(_MODULES, scalars, _build_module)
 
 
-def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia) -> ModuleSpec:
+def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None) -> ModuleSpec:
     """A new module from :func:`build_r_module`'s arguments, checked in its
     order, with every array read-only."""
     base = checked("base", base, POSITIVE)  # first: the rotor positions are built from it
@@ -271,24 +250,6 @@ def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia) -> 
                      height=height, propellers=props, tilt=orientation)
 
 
-def _exact_key(values: tuple) -> tuple | None:
-    """The type and exact bits of each value when all are Python or numpy
-    floats, else None: a memo key under which 0.0 and -0.0, or 1.0 and
-    np.float64(1.0), differ."""
-    types = tuple(map(type, values))
-    if not _FLOAT_TYPES.issuperset(types):
-        return None
-    return types, struct.pack(f"<{len(values)}d", *values)
-
-
-def _remember(memo: dict, key: tuple, value) -> None:
-    """Store ``value`` under ``key``, first dropping the oldest entry of
-    ``memo`` when it holds _MEMO_SIZE."""
-    while len(memo) >= _MEMO_SIZE:
-        memo.pop(next(iter(memo)), None)
-    memo[key] = value
-
-
 def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
     """Evaluate the hover-balance residuals of ``module`` under unit thrust.
 
@@ -305,13 +266,8 @@ def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
     later call returns the same report, whose arrays are read-only.
     """
     reports = module.__dict__.setdefault("_balance_reports", {})
-    key = _exact_key((tol,))
-    report = reports.get(key)
-    if report is None:
-        report = _balance_report(module, checked("tol", tol, POSITIVE))
-        if key is not None:
-            _remember(reports, key, report)
-    return report
+    return remembered(reports, (tol,),
+                      lambda tol: _balance_report(module, checked("tol", tol, POSITIVE)))
 
 
 def _balance_report(module: ModuleSpec, tol: float) -> BalanceReport:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError
-from .lazy import float_array
+from .lazy import finite_array, shown
 from .module_design import ModuleSpec
 from .so3 import E1, E2, E3, cross3, rot_z
 
@@ -50,7 +50,8 @@ class ModulePlacement:
         except (TypeError, ValueError, OverflowError):  # not a pair of numbers within float range
             whole = False
         if not whole:
-            raise ValueError(f"grid_offset entries must be finite integers, got {self.grid_offset!r}")
+            raise ValueError("grid_offset entries must be finite integers, "
+                             f"got {shown(self.grid_offset)}")
         object.__setattr__(self, "grid_offset", (int(col), int(row)))
         if self.yaw_quarter_turns not in (0, 1, 2, 3):
             raise ValueError("yaw_quarter_turns must be 0, 1, 2 or 3")
@@ -109,10 +110,7 @@ def numerical_rank(m: np.ndarray) -> int:
     A zero matrix has rank 0, which flags a degenerate design upstream.
     ``m`` must be a finite 2-D array.
     """
-    arr = float_array(m)
-    if arr.ndim != 2 or not np.isfinite(arr).all():
-        raise ValueError(f"m must be a finite 2-D array, got {m!r}")
-    return _rank_of(np.linalg.svd(arr, compute_uv=False))
+    return _rank_of(np.linalg.svd(finite_array("m", m, (None, None)), compute_uv=False))
 
 
 def _rank_of(s: np.ndarray) -> int:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .lazy import NON_NEGATIVE, POSITIVE, checked, float_array, lazy_fields, read_only, unchecked
-from .so3 import is_rotation, rot_y_flat, rot_z_flat
+from .lazy import (NON_NEGATIVE, POSITIVE, checked, finite_array, lazy_fields, read_only,
+                   remembered, rotation, unchecked)
+from .so3 import rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
 # shared period so the path closes on itself.
@@ -44,16 +44,6 @@ RECT_BLEND = 0.5  # s spent rounding each corner
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
-
-
-def _vec3(name: str, value) -> tuple[float, float, float]:
-    arr = float_array(value)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have 3 entries, got shape {arr.shape}")
-    x, y, z = arr.tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return (x, y, z)
 
 
 @lazy_fields(r_wf_d=lambda sample: read_only(sample._attitude, (3, 3)))
@@ -83,22 +73,20 @@ class TrajectorySample:
     omega_d: tuple | None = None
 
     def __post_init__(self):
-        for name in ("r_d", "v_d", "a_d"):
-            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
-        omega_d = _ZERO3 if self.omega_d is None else _vec3("omega_d", self.omega_d)
-        object.__setattr__(self, "omega_d", omega_d)
+        if self.omega_d is None:
+            object.__setattr__(self, "omega_d", _ZERO3)
+        for name in ("r_d", "v_d", "a_d", "omega_d"):
+            vector = finite_array(name, getattr(self, name), (3,))
+            object.__setattr__(self, name, tuple(vector.tolist()))
         object.__setattr__(self, "t", checked("t", self.t))
-        if not is_rotation(self.r_wf_d):
-            shown = self.r_wf_d.tolist() if isinstance(self.r_wf_d, np.ndarray) else self.r_wf_d
-            raise ValueError(f"r_wf_d must be a finite 3x3 rotation matrix, got {shown}")
-        r_wf_d = read_only(self.r_wf_d)
+        r_wf_d = rotation("r_wf_d", self.r_wf_d)
         object.__setattr__(self, "r_wf_d", r_wf_d)
         self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
 
 
 def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:
     """Constant reference at ``r0`` with the attitude rot_z(yaw0)."""
-    r_d = _vec3("r0", r0)
+    r_d = tuple(finite_array("r0", r0, (3,)).tolist())
     attitude = rot_z_flat(checked("yaw0", yaw0))
 
     def sample(t: float) -> TrajectorySample:
@@ -162,11 +150,15 @@ def _axpy(a: float, x, y) -> tuple[float, float, float]:
     return (y[0] + a * x[0], y[1] + a * x[1], y[2] + a * x[2])
 
 
-@cache
+# Lap schedules of float (speed, altitude) pairs, kept by lazy.remembered.
+_SCHEDULES: dict[tuple, tuple] = {}
+
+
 def _rect_schedule(speed: float, altitude: float) -> tuple:
     """Phase table for one counterclockwise lap, starting mid bottom edge:
     the phases, their start times and the lap time. Its arguments are
-    checked here, so only a new schedule pays for it."""
+    checked here, and callers reach it through ``remembered``, so only a
+    new schedule pays for the checks."""
     speed, altitude = checked("speed", speed, POSITIVE), checked("altitude", altitude)
     shrink = speed * RECT_BLEND  # straight length consumed by each corner
     if RECT_WIDTH - shrink <= 0.0:
@@ -211,11 +203,7 @@ def rectangle(
     """
     t = checked("t", t, NON_NEGATIVE)
     attitude = rot_y_flat(checked("pitch_hold", pitch_hold))
-    try:
-        phases, starts, period = _rect_schedule(speed, altitude)
-    except TypeError:  # an unhashable speed or altitude, such as a 0-d array
-        phases, starts, period = _rect_schedule(checked("speed", speed, POSITIVE),
-                                                checked("altitude", altitude))
+    phases, starts, period = remembered(_SCHEDULES, (speed, altitude), _rect_schedule)
     tau = t % period
     ph = phases[bisect_right(starts, tau) - 1]
     dt = tau - ph.start
@@ -236,4 +224,4 @@ def rectangle(
 
 def rectangle_period(speed: float = RECT_SPEED) -> float:
     """Lap time of the rectangular circuit, s."""
-    return _rect_schedule(checked("speed", speed, POSITIVE), RECT_ALTITUDE)[2]
+    return remembered(_SCHEDULES, (speed, RECT_ALTITUDE), _rect_schedule)[2]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from modrotor import ConfigError, Gains, SimParams, default_gains, parse_config, rectangle
+from modrotor import ConfigError, Gains, SimParams, parse_config, rectangle
 from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
                              TrajectoryConfig, _read_ini)
 from conftest import CONFIG_DIR, ROOT
@@ -310,7 +310,7 @@ def test_rectangle_fixed_is_the_level_rectangle():
 
 def test_omitted_sections_take_the_library_defaults():
     cfg = parse_config("[module.1]\n")
-    gains, want = cfg.to_gains(), default_gains()
+    gains, want = cfg.to_gains(), Gains()
     for f in dataclasses.fields(Gains):
         np.testing.assert_array_equal(getattr(gains, f.name), getattr(want, f.name), f.name)
     params, want = cfg.to_sim_params(), SimParams()

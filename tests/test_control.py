@@ -13,7 +13,6 @@ from modrotor import (
     RigidState,
     actuation_ellipsoid,
     assemble,
-    default_gains,
 )
 from modrotor.structure import _thrust_frame
 from modrotor.so3 import E1, E3, exp_map, is_rotation, rot_x, rot_y, rot_z
@@ -72,7 +71,7 @@ def desired_attitude(structure, a_r, yaw=0.0, pitch=0.0):
 
 class TestPositionAccel:
     def test_hover_feed_forward_only(self, quad_tilt_structure):
-        a = commanded_accel(quad_tilt_structure, level_state(), still_sample(), default_gains())
+        a = commanded_accel(quad_tilt_structure, level_state(), still_sample(), Gains())
         np.testing.assert_allclose(a, G * E3, rtol=1e-15, atol=1e-15)
 
     def test_single_axis_error(self, quad_tilt_structure):
@@ -389,7 +388,7 @@ class TestControllerStep:
     def test_reused_controller_matches_fresh_one(self, pitch_pair_structure):
         # A step leaves no state behind: a controller that has already run
         # answers the next state exactly as a freshly built one does.
-        gains = default_gains()
+        gains = Gains()
         ctrl = Controller(pitch_pair_structure, gains)
         sample = still_sample(r=(0, 0, 0.7), pitch=np.deg2rad(-5))
         ctrl.step(level_state(r=(0.3, 0.1, 0.5), v=(0, 0.2, 0)), sample)
@@ -418,6 +417,14 @@ def test_gains_validation():
     np.testing.assert_array_equal(np.diag(g.k_pos), [1.0, 2.0, 3.0])
 
 
+def test_gains_are_read_only_matrices():
+    # Each form of a gain is kept as a 3x3 matrix that cannot be written to.
+    g = Gains(k_pos=2.0, k_vel=(1.0, 2.0, 3.0), k_rot=np.diag([4.0, 5.0, 6.0]))
+    for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
+        gain = getattr(g, name)
+        assert gain.shape == (3, 3) and not gain.flags.writeable, name
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("form", ["scalar", "vector", "matrix"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -425,7 +432,7 @@ def test_gains_validation():
 def test_gains_reject_non_finite(name, value, form):
     gain = {"scalar": value, "vector": np.array([1.0, value, 2.0]),
             "matrix": np.diag([2.0, 1.0, value])}[form]
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite array, got"):
         Gains(**{name: gain})
 
 

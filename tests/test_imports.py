@@ -1,6 +1,7 @@
 """No module in src/ or tests/ imports a name it never reads, parsing a
 config imports no standard library INI reader, and src/ builds instances
-without their checks in one place only.
+without their checks, and checks the arrays callers pass in, in one place
+only.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -89,3 +90,40 @@ def test_only_lazy_unchecked_skips_the_checks():
             for path in sorted((ROOT / "src").rglob("*.py"))}
     assert {path: owners for path, owners in uses.items() if owners} == {
         "src/modrotor/lazy.py": ["unchecked"]}
+
+
+# The array conversions a caller's value may go through only inside
+# lazy.finite_array and lazy.rotation.
+ARRAY_CHECKS = frozenset(("float_array", "is_rotation"))
+
+
+def name_uses(source: str, names) -> list[str]:
+    """``"line N: name"`` for each read of one of ``names``, bare or as an
+    attribute, in source order; a definition is not a read."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in names:
+            uses.append((node.lineno, node.col_offset, name))
+    return [f"line {line}: {name}" for line, _, name in sorted(uses)]
+
+
+def test_name_uses_are_found():
+    source = ("from .so3 import is_rotation\ndef float_array(x):\n    return x\n"
+              "ok = is_rotation(float_array(1))\nalso = so3.is_rotation\n")
+    assert name_uses(source, ARRAY_CHECKS) == [
+        "line 4: is_rotation", "line 4: float_array", "line 5: is_rotation"]
+
+
+def test_only_lazy_checks_caller_arrays():
+    # A caller's array is checked by lazy.finite_array or lazy.rotation, so
+    # no other module converts one or tests a rotation with a rule of its own.
+    uses = {path.relative_to(ROOT).as_posix(): name_uses(path.read_text(encoding="utf-8"),
+                                                         ARRAY_CHECKS)
+            for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "lazy.py"}
+    assert {path: found for path, found in uses.items() if found} == {}

@@ -39,9 +39,11 @@ EDGE_VALUES = {
     "zero": 0, "minus_one": -1, "inf": math.inf, "minus_inf": -math.inf, "nan": math.nan,
     "1e300": 1e300, "minus_1e300": -1e300, "int_10_400": 10**400, "minus_int_10_400": -10**400,
     "true": True, "float32": np.float32(0.25), "zero_d_array": np.array(0.25), "text": "a",
+    "int_10_5000": 10**5000,
 }
 # Values no checking callable may accept: not finite, or not a float at all.
-MUST_REJECT = {"inf", "minus_inf", "nan", "int_10_400", "minus_int_10_400", "text"}
+MUST_REJECT = {"inf", "minus_inf", "nan", "int_10_400", "minus_int_10_400", "int_10_5000",
+               "text"}
 
 
 @dataclass
@@ -141,7 +143,7 @@ ROWS = {
 NO_NUMBERS = {
     "AllocationError", "AssemblyError", "ConfigError", "ControlDegeneracyError",
     "IntegrationError", "ModrotorError", "SimulationError", "StructureConfig", "parse_config",
-    "actuation_ellipsoid", "assemble", "default_gains", "initial_state_from_sample",
+    "actuation_ellipsoid", "assemble", "initial_state_from_sample",
     "run_closed_loop",
 }
 
@@ -192,9 +194,9 @@ def test_every_numeric_argument_is_used_or_named(row_name, arg, value_name, valu
         except ValueError as exc:
             names = (arg, row.derived.get(arg, arg))
             named = any(re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", str(exc)) for n in names)
-            assert named, f"{row_name}({arg}={value!r}): ValueError names none of {names}: {exc}"
+            assert named, f"{row_name}({arg}={value_name}): ValueError names none of {names}: {exc}"
             return
-    assert not (row.checks and value_name in MUST_REJECT), f"{row_name} accepted {arg}={value!r}"
+    assert not (row.checks and value_name in MUST_REJECT), f"{row_name} accepted {arg}={value_name}"
 
 
 @pytest.mark.parametrize("turns, as_int", [(1.0, 1), (True, 1), (np.float64(2.0), 2),
@@ -207,6 +209,21 @@ def test_quarter_turns_are_kept_as_ints(turns, as_int):
     reference = ModulePlacement(build_r_module(beta=0.3), yaw_quarter_turns=as_int)
     np.testing.assert_array_equal(modrotor.assemble([placement, other]).thrust_map,
                                   modrotor.assemble([reference, other]).thrust_map)
+
+
+@pytest.mark.parametrize("spin, as_int", [(1.0, 1), (True, 1), (np.float64(-1.0), -1),
+                                          (np.array(1.0), 1)])
+def test_spin_is_kept_as_an_int(spin, as_int):
+    # Like the quarter turns, a rotor's spin is stored as the int it equals.
+    prop = PropellerSpec(position=[0.03, -0.03, 0.0], orientation=np.eye(3), spin=spin)
+    assert type(prop.spin) is int and prop.spin == as_int
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spin", [np.array([1.0]), np.array([1, -1]), [1], 2, 0.5, -1e-300])
+def test_spin_rejects_all_but_plus_or_minus_one_by_name(spin):
+    with pytest.raises(ValueError, match=r"^spin must be \+1 or -1, got "):
+        PropellerSpec(position=[0.03, -0.03, 0.0], orientation=np.eye(3), spin=spin)
 
 
 def test_checked_numbers_are_kept_as_floats():

@@ -5,10 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from modrotor import module_design
+from modrotor import lazy, module_design
 from modrotor.module_design import (
     ModuleSpec,
     PropellerSpec,
+    Wrench,
     build_r_module,
     check_balanced,
     cuboid_inertia,
@@ -420,10 +421,10 @@ def test_unkeyable_calls_build_a_new_module_each_time(kwargs):
 
 
 def test_memo_never_grows_past_its_bound():
-    masses = 0.1 + 1e-3 * np.arange(module_design._MEMO_SIZE + 40)
+    masses = 0.1 + 1e-3 * np.arange(lazy.MEMO_SIZE + 40)
     for mass in masses.tolist():
         module = build_r_module(mass=mass)
-        assert len(module_design._MODULES) <= module_design._MEMO_SIZE
+        assert len(module_design._MODULES) <= lazy.MEMO_SIZE
     assert build_r_module(mass=masses[-1].item()) is module
 
 
@@ -479,6 +480,17 @@ def test_caller_arrays_are_copied():
         np.testing.assert_array_equal(held.tilt, m.tilt)
     assert check_balanced(module) is report and report.is_balanced
     assert module_design._balance_report(module, 1e-9).is_balanced
+
+
+def test_wrench_keeps_read_only_copies_of_3_vectors():
+    force = np.array([1.0, 2.0, 3.0])
+    wrench = Wrench(force, [0, 0, 0])
+    force[0] = 9.0
+    assert wrench.force.tolist() == [1.0, 2.0, 3.0]
+    assert not (wrench.force.flags.writeable or wrench.torque.flags.writeable)
+    message = r"^force must be a finite array of shape \(3,\), got \[1, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        Wrench([1, 2], [0, 0, 0])
 
 
 def test_balance_report_is_computed_once_per_module_and_tol():

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from modrotor import lazy, trajectory
 from modrotor.so3 import rot_y, rot_z
 from modrotor.trajectory import (
     HELIX_PERIOD,
@@ -84,6 +85,20 @@ def test_rectangle_pitch_hold_constant():
 
 def test_rectangle_period_is_perimeter_over_speed():
     assert abs(rectangle_period(0.25) - 2.8 / 0.25) < 1e-12
+
+
+def test_lap_schedules_stay_within_the_memo_bound():
+    # One schedule is kept per float (speed, altitude): 5000 distinct speeds
+    # leave at most lazy.MEMO_SIZE, and repeated default calls build none.
+    for speed in np.linspace(0.01, 1.0, 5000).tolist():
+        rectangle_period(speed)
+        assert len(trajectory._SCHEDULES) <= lazy.MEMO_SIZE
+    rectangle(1.0)
+    kept = dict(trajectory._SCHEDULES)
+    for t in (2.0, 3.0, 4.0):
+        rectangle(t)
+    assert trajectory._SCHEDULES.keys() == kept.keys()
+    assert all(trajectory._SCHEDULES[key] is schedule for key, schedule in kept.items())
 
 
 def test_rectangle_cruise_acceleration_zero():
@@ -200,7 +215,7 @@ def test_sample_rejects_non_finite_vectors(name, bad):
     vectors[name] = (bad, 0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite array of shape \(3,\)"):
             TrajectorySample(t=0.0, **vectors)
 
 
