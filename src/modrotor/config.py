@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -143,19 +142,10 @@ class StructureConfig:
         if tr.kind == "helix":
             return helix
         pitch_hold = tr.pitch_hold_deg if tr.kind == "rectangle" else 0.0
-        trajectory = partial(
-            rectangle,
-            pitch_hold=float(np.deg2rad(pitch_hold)),
-            speed=tr.speed_mps,
-            altitude=tr.altitude_m,
-        )
-        # The first sample builds the lap schedule, which rejects a speed
-        # too high for the rounded corners.
         try:
-            trajectory(0.0)
+            return rectangle(float(np.deg2rad(pitch_hold)), tr.speed_mps, tr.altitude_m)
         except ValueError as exc:
             raise ConfigError(f"trajectory: speed_mps: {exc}") from None
-        return trajectory
 
 
 # Checks beyond "a finite number" or "an integer", by field name: the test

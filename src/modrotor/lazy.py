@@ -12,8 +12,9 @@ callers always go through the constructor and its checks. A number goes
 through :func:`checked`, an array through :func:`finite_array` and a
 rotation through :func:`rotation`. Each returns floats or raises one form
 of ValueError, "<name> must be <rule>, got <value>", with the value shown by
-:func:`shown`, which never raises. Values built from float arguments alone
-are kept by :func:`remembered`, keyed by each argument's type and bits.
+:func:`shown`, which never raises. Modules and their balance reports,
+built from float arguments alone, are kept by :func:`remembered`, keyed by
+each argument's type and bits.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")
 NON_NEGATIVE = (0.0, _MAX, "non-negative and finite")
 TILT = (-math.pi / 2.0, math.pi / 2.0, "within [-pi/2, pi/2]")
 SPIN = (-1.0, 1.0, "+1 or -1")  # PropellerSpec also rejects the values in between
+QUARTERS = (0.0, 3.0, "0, 1, 2 or 3")  # ModulePlacement also rejects non-integers
 
 
 class _LazyField:
@@ -158,7 +160,9 @@ def remembered(memo: dict, args: tuple, build):
     1.0 and np.float64(1.0), are different keys); later calls with such
     arguments return the kept value. At most MEMO_SIZE values are kept, the
     oldest dropped first. Other arguments build a new value on every call,
-    and a build that raises keeps nothing."""
+    and a build that raises keeps nothing. Its users are
+    :func:`~modrotor.module_design.build_r_module` and
+    :func:`~modrotor.module_design.check_balanced`."""
     types = tuple(map(type, args))
     if not _FLOAT_TYPES.issuperset(types):
         return build(*args)

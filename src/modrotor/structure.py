@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError
-from .lazy import finite_array, shown
+from .lazy import QUARTERS, checked, finite_array, shown
 from .module_design import ModuleSpec
 from .so3 import E1, E2, E3, cross3, rot_z
 
@@ -53,9 +53,11 @@ class ModulePlacement:
             raise ValueError("grid_offset entries must be finite integers, "
                              f"got {shown(self.grid_offset)}")
         object.__setattr__(self, "grid_offset", (int(col), int(row)))
-        if self.yaw_quarter_turns not in (0, 1, 2, 3):
-            raise ValueError("yaw_quarter_turns must be 0, 1, 2 or 3")
-        object.__setattr__(self, "yaw_quarter_turns", int(self.yaw_quarter_turns))
+        turns = checked("yaw_quarter_turns", self.yaw_quarter_turns, QUARTERS)
+        if turns not in (0.0, 1.0, 2.0, 3.0):
+            raise ValueError("yaw_quarter_turns must be 0, 1, 2 or 3, "
+                             f"got {shown(self.yaw_quarter_turns)}")
+        object.__setattr__(self, "yaw_quarter_turns", int(turns))
 
 
 @dataclass(frozen=True, eq=False)

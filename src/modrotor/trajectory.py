@@ -7,6 +7,11 @@ structures track position and the heading of its x-axis, planar ones
 track that whole x-axis (yaw and pitch), and fully actuated ones track the
 attitude itself. ``omega_d`` is expressed in the desired thrust frame.
 
+A trajectory is a sampler, a callable of ``t`` alone. ``helix`` has no
+parameters and is one; ``hover`` and ``rectangle`` check their parameters
+and build what every sample shares (the rectangle's lap schedule and
+attitude) once, then return the sampler, which checks only ``t``.
+
 The trajectories compute with ``math`` on Python floats, and a sample
 carries its vectors as float 3-tuples, which is what the controller reads.
 The attitude is kept as floats too; the ``r_wf_d`` array is built only when
@@ -24,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .lazy import (NON_NEGATIVE, POSITIVE, checked, finite_array, lazy_fields, read_only,
-                   remembered, rotation, unchecked)
+                   rotation, unchecked)
 from .so3 import rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
@@ -150,20 +155,14 @@ def _axpy(a: float, x, y) -> tuple[float, float, float]:
     return (y[0] + a * x[0], y[1] + a * x[1], y[2] + a * x[2])
 
 
-# Lap schedules of float (speed, altitude) pairs, kept by lazy.remembered.
-_SCHEDULES: dict[tuple, tuple] = {}
-
-
 def _rect_schedule(speed: float, altitude: float) -> tuple:
     """Phase table for one counterclockwise lap, starting mid bottom edge:
-    the phases, their start times and the lap time. Its arguments are
-    checked here, and callers reach it through ``remembered``, so only a
-    new schedule pays for the checks."""
+    the phases, their start times and the lap time."""
     speed, altitude = checked("speed", speed, POSITIVE), checked("altitude", altitude)
     shrink = speed * RECT_BLEND  # straight length consumed by each corner
-    if RECT_WIDTH - shrink <= 0.0:
-        raise ValueError(f"speed {speed!r} too high for the corner blend time; "
-                         f"it must be below {RECT_WIDTH / RECT_BLEND:g}")
+    if shrink >= RECT_WIDTH:
+        raise ValueError(f"speed must be below {RECT_WIDTH / RECT_BLEND:g} for the "
+                         f"{RECT_BLEND:g} s corner blend, got {speed!r}")
     half_l, half_w = RECT_LENGTH / 2.0, RECT_WIDTH / 2.0
     dirs = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     velocities = [(speed * x, speed * y, speed * z) for x, y, z in dirs]
@@ -189,11 +188,10 @@ def _rect_schedule(speed: float, altitude: float) -> tuple:
 
 
 def rectangle(
-    t: float,
     pitch_hold: float = 0.0,
     speed: float = RECT_SPEED,
     altitude: float = RECT_ALTITUDE,
-) -> TrajectorySample:
+) -> Callable[[float], TrajectorySample]:
     """Counterclockwise rectangular circuit holding the attitude
     rot_y(pitch_hold); the default is level.
 
@@ -201,27 +199,31 @@ def rectangle(
     stays bounded; the extreme x and y coordinates still touch the exact
     rectangle bounds.
     """
-    t = checked("t", t, NON_NEGATIVE)
     attitude = rot_y_flat(checked("pitch_hold", pitch_hold))
-    phases, starts, period = remembered(_SCHEDULES, (speed, altitude), _rect_schedule)
-    tau = t % period
-    ph = phases[bisect_right(starts, tau) - 1]
-    dt = tau - ph.start
-    if ph.dv is None:
-        r_d, v_d, a_d = _axpy(dt, ph.v_in, ph.p0), ph.v_in, _ZERO3
-    else:
-        x = dt / ph.duration
-        duration, (dx, dy, dz) = ph.duration, ph.dv
-        r_lin = _axpy(dt, ph.v_in, ph.p0)
-        s_int, s, s_deriv = _smoothstep_int(x), _smoothstep(x), _smoothstep_deriv(x)
-        r_d = (r_lin[0] + dx * duration * s_int, r_lin[1] + dy * duration * s_int,
-               r_lin[2] + dz * duration * s_int)
-        v_d = _axpy(s, ph.dv, ph.v_in)
-        a_d = (dx * s_deriv / duration, dy * s_deriv / duration, dz * s_deriv / duration)
-    return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=_ZERO3,
-                     _attitude=attitude)
+    phases, starts, period = _rect_schedule(speed, altitude)
+
+    def sample(t: float) -> TrajectorySample:
+        t = checked("t", t, NON_NEGATIVE)
+        tau = t % period
+        ph = phases[bisect_right(starts, tau) - 1]
+        dt = tau - ph.start
+        if ph.dv is None:
+            r_d, v_d, a_d = _axpy(dt, ph.v_in, ph.p0), ph.v_in, _ZERO3
+        else:
+            x = dt / ph.duration
+            duration, (dx, dy, dz) = ph.duration, ph.dv
+            r_lin = _axpy(dt, ph.v_in, ph.p0)
+            s_int, s, s_deriv = _smoothstep_int(x), _smoothstep(x), _smoothstep_deriv(x)
+            r_d = (r_lin[0] + dx * duration * s_int, r_lin[1] + dy * duration * s_int,
+                   r_lin[2] + dz * duration * s_int)
+            v_d = _axpy(s, ph.dv, ph.v_in)
+            a_d = (dx * s_deriv / duration, dy * s_deriv / duration, dz * s_deriv / duration)
+        return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=_ZERO3,
+                         _attitude=attitude)
+
+    return sample
 
 
 def rectangle_period(speed: float = RECT_SPEED) -> float:
     """Lap time of the rectangular circuit, s."""
-    return remembered(_SCHEDULES, (speed, RECT_ALTITUDE), _rect_schedule)[2]
+    return _rect_schedule(speed, RECT_ALTITUDE)[2]

@@ -5,7 +5,6 @@ lines as they complete.
 """
 
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -196,7 +195,7 @@ def test_criterion_8_rectangle_with_pitch_hold(fixtures):
     ok = True
     details = []
     for hold_deg in (0.0, -5.0):
-        traj = partial(rectangle, pitch_hold=np.deg2rad(hold_deg))
+        traj = rectangle(pitch_hold=np.deg2rad(hold_deg))
         res = run_closed_loop(fixtures["pitch_pair"], traj,
                               params=SimParams(dt=0.001, duration=duration))
         mask = res.t >= TRANSIENT_S
@@ -209,7 +208,7 @@ def test_criterion_8_rectangle_with_pitch_hold(fixtures):
 
 def test_criterion_9_rectangle_fixed_attitude(fixtures):
     duration = TRANSIENT_S + rectangle_period()
-    res = run_closed_loop(fixtures["quad_tilt"], rectangle,
+    res = run_closed_loop(fixtures["quad_tilt"], rectangle(),
                           params=SimParams(dt=0.001, duration=duration))
     mask = res.t >= TRANSIENT_S
     rms = np.sqrt(np.mean(res.pos_err[mask] ** 2))

@@ -149,7 +149,7 @@ def test_ellipsoid_flat_single_direction(capsys, tmp_path):
               for line in out.splitlines() if "sigma=" in line]
     assert sigmas[0] == pytest.approx(2.0, abs=1e-9)
     assert sigmas[1] == pytest.approx(0.0, abs=1e-9)
-    rows = list(csv.reader(out_csv.open()))
+    rows = list(csv.reader(out_csv.read_text().splitlines()))
     assert rows[0] == ["x_n", "z_n"]
     assert len(rows) == 129
 
@@ -185,7 +185,7 @@ def test_simulate_hover_writes_csv_and_summary(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert "rms_pos_err_m" in out and "saturation_fraction" in out
-    rows = list(csv.reader(out_csv.open()))
+    rows = list(csv.reader(out_csv.read_text().splitlines()))
     header = rows[0]
     assert header[:11] == ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m",
                            "yaw_rad", "pitch_rad", "roll_rad", "pos_err_m"]

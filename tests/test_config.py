@@ -303,7 +303,7 @@ def test_rectangle_fixed_is_the_level_rectangle():
                        "pitch_hold_deg = -5\nspeed_mps = 0.2\n")
     trajectory = cfg.to_trajectory()
     for t in (0.0, 2.0, 7.5):
-        got, want = trajectory(t), rectangle(t, speed=0.2)
+        got, want = trajectory(t), rectangle(speed=0.2)(t)
         assert (got.r_d, got.v_d, got.a_d) == (want.r_d, want.v_d, want.a_d)
         np.testing.assert_array_equal(got.r_wf_d, np.eye(3))
 

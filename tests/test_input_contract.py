@@ -96,7 +96,8 @@ ROWS = {
     "Gains": Row(Gains, dict, arrays=("k_pos", "k_vel", "k_rot", "k_ang")),
     "ModulePlacement": Row(ModulePlacement, lambda: dict(module=build_r_module()),
                            ("yaw_quarter_turns",), ("grid_offset",),
-                           extra={"yaw_quarter_turns": (1.0, np.float64(2.0)),
+                           extra={"yaw_quarter_turns": (1.0, np.float64(2.0), np.array([1, 2]),
+                                                        np.array([1.0])),
                                   "grid_offset": ((1,), (1, 2, 3))},
                            use=lambda placement: modrotor.assemble([placement])),
     "ModuleSpec": Row(ModuleSpec, _module_kwargs, ("mass", "base", "height"), ("inertia", "tilt")),
@@ -131,7 +132,9 @@ ROWS = {
     "numerical_rank": Row(numerical_rank, lambda: dict(m=np.eye(3)), arrays=("m",)),
     "propeller_orientation": Row(propeller_orientation, lambda: dict(alpha=0.0, beta=0.0),
                                  ("alpha", "beta")),
-    "rectangle": Row(rectangle, lambda: dict(t=1.0), ("t", "pitch_hold", "speed", "altitude")),
+    "rectangle": Row(rectangle, dict, ("pitch_hold", "speed", "altitude"),
+                     use=lambda sampler: sampler(1.0)),
+    "rectangle sampler": Row(lambda t: rectangle()(t), lambda: dict(t=1.0), ("t",)),
     "rectangle_period": Row(rectangle_period, dict, ("speed",)),
     "step": Row(step, lambda: dict(structure=_structure(), state=_state(), u=np.full(4, 0.3),
                                    dt=0.01), ("dt", "gravity"), ("u",)),
@@ -211,6 +214,13 @@ def test_quarter_turns_are_kept_as_ints(turns, as_int):
                                   modrotor.assemble([reference, other]).thrust_map)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("turns", [np.array([1, 2]), np.array([1.0]), [1], 4, 1.5, -1e-300, "a"])
+def test_quarter_turns_reject_all_but_0_to_3_by_name(turns):
+    with pytest.raises(ValueError, match=r"^yaw_quarter_turns must be 0, 1, 2 or 3, got "):
+        ModulePlacement(build_r_module(), yaw_quarter_turns=turns)
+
+
 @pytest.mark.parametrize("spin, as_int", [(1.0, 1), (True, 1), (np.float64(-1.0), -1),
                                           (np.array(1.0), 1)])
 def test_spin_is_kept_as_an_int(spin, as_int):
@@ -234,6 +244,6 @@ def test_checked_numbers_are_kept_as_floats():
     module = build_r_module(mass=1, f_max=np.array(2.0))
     assert type(module.mass) is float and type(module.propellers[0].f_max) is float
     assert modrotor.assemble([ModulePlacement(module)]).f_max.dtype == np.float64
-    assert type(helix(True).t) is float and type(rectangle(np.float32(1.0)).t) is float
-    assert rectangle(1.0, speed=np.array(0.25)).r_d == rectangle(1.0).r_d
+    assert type(helix(True).t) is float and type(rectangle()(np.float32(1.0)).t) is float
+    assert rectangle(speed=np.array(0.25))(1.0).r_d == rectangle()(1.0).r_d
     assert rectangle_period(np.array(0.25)) == rectangle_period()

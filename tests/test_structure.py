@@ -345,7 +345,7 @@ def test_tied_singular_values_give_the_one_rule_frame(name, placements, rank, to
 @pytest.mark.parametrize("name, placements", [case[:2] for case in TIED_LAYOUTS[:2]],
                          ids=[case[0] for case in TIED_LAYOUTS[:2]])
 def test_tied_layouts_fly_the_level_rectangle(name, placements):
-    res = run_closed_loop(assemble(placements), rectangle,
+    res = run_closed_loop(assemble(placements), rectangle(),
                           params=SimParams(dt=0.001, duration=10.0))
     assert res.rms_pos_err(t_min=3.0) < 0.01
 

@@ -1,10 +1,9 @@
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 
-from modrotor import lazy, trajectory
+from modrotor import trajectory
 from modrotor.so3 import rot_y, rot_z
 from modrotor.trajectory import (
     HELIX_PERIOD,
@@ -71,7 +70,7 @@ def test_helix_derivative_consistency():
 def test_rectangle_extents_exact():
     period = rectangle_period()
     times = np.linspace(0, period, 4001)
-    pts = np.array([rectangle(t).r_d for t in times])
+    pts = np.array([rectangle()(t).r_d for t in times])
     assert abs((pts[:, 0].max() - pts[:, 0].min()) - 0.8) < 1e-12
     assert abs((pts[:, 1].max() - pts[:, 1].min()) - 0.6) < 1e-12
     np.testing.assert_allclose(pts[:, 2], 0.7, atol=0)
@@ -80,42 +79,53 @@ def test_rectangle_extents_exact():
 def test_rectangle_pitch_hold_constant():
     hold = np.deg2rad(-5.0)
     for t in np.linspace(0, 20, 50):
-        np.testing.assert_array_equal(rectangle(t, pitch_hold=hold).r_wf_d, rot_y(hold))
+        np.testing.assert_array_equal(rectangle(pitch_hold=hold)(t).r_wf_d, rot_y(hold))
 
 
 def test_rectangle_period_is_perimeter_over_speed():
     assert abs(rectangle_period(0.25) - 2.8 / 0.25) < 1e-12
 
 
-def test_lap_schedules_stay_within_the_memo_bound():
-    # One schedule is kept per float (speed, altitude): 5000 distinct speeds
-    # leave at most lazy.MEMO_SIZE, and repeated default calls build none.
-    for speed in np.linspace(0.01, 1.0, 5000).tolist():
-        rectangle_period(speed)
-        assert len(trajectory._SCHEDULES) <= lazy.MEMO_SIZE
-    rectangle(1.0)
-    kept = dict(trajectory._SCHEDULES)
-    for t in (2.0, 3.0, 4.0):
-        rectangle(t)
-    assert trajectory._SCHEDULES.keys() == kept.keys()
-    assert all(trajectory._SCHEDULES[key] is schedule for key, schedule in kept.items())
+def _bits(sample):
+    return np.array([*sample.r_d, *sample.v_d, *sample.a_d, *sample._attitude]).tobytes()
+
+
+def test_rectangle_builds_its_lap_schedule_once(monkeypatch):
+    # Building a rectangle builds its schedule; no sample builds another,
+    # and a float32 or 0-d array speed flies the float speed's lap bit for bit.
+    calls = []
+    build = trajectory._rect_schedule
+    monkeypatch.setattr(trajectory, "_rect_schedule",
+                        lambda *args: calls.append(args) or build(*args))
+    samplers = [rectangle(speed=speed) for speed in (0.25, np.float32(0.25), np.array(0.25))]
+    assert len(calls) == 3
+    for t in np.linspace(0.0, 25.0, 251):
+        assert len({_bits(sampler(t)) for sampler in samplers}) == 1
+    assert len(calls) == 3
+
+
+def test_rectangle_too_fast_is_rejected_when_built():
+    # The rounded corners need the speed below 1.2 m/s; no sampler is made.
+    with pytest.raises(ValueError, match=r"^speed must be below 1\.2 for the 0\.5 s corner "
+                                         r"blend, got 2\.0$"):
+        rectangle(speed=2.0)
 
 
 def test_rectangle_cruise_acceleration_zero():
     # Mid-edge samples sit on straight legs at constant velocity.
-    s = rectangle(0.05)
+    s = rectangle()(0.05)
     np.testing.assert_array_equal(s.a_d, np.zeros(3))
     np.testing.assert_allclose(np.linalg.norm(s.v_d), 0.25, atol=1e-15)
 
 
 def test_rectangle_derivative_consistency():
-    finite_difference_check(lambda t: rectangle(t, pitch_hold=0.1), np.linspace(0.05, 23, 97))
+    finite_difference_check(rectangle(pitch_hold=0.1), np.linspace(0.05, 23, 97))
 
 
 def test_rectangle_velocity_integrates_to_position():
     period = rectangle_period()
     times = np.linspace(0.0, period, 20001)
-    vs = np.array([rectangle(t).v_d for t in times])
+    vs = np.array([rectangle()(t).v_d for t in times])
     travelled = np.trapezoid(vs, times, axis=0)
     np.testing.assert_allclose(travelled, np.zeros(3), atol=1e-6)
 
@@ -123,7 +133,7 @@ def test_rectangle_velocity_integrates_to_position():
 def test_rectangle_fixed_attitude_is_identity():
     # The default pitch hold is level; config kind "rectangle_fixed" flies it.
     for t in np.linspace(0, 25, 60):
-        s = rectangle(t)
+        s = rectangle()(t)
         np.testing.assert_array_equal(s.r_wf_d, np.eye(3))
         np.testing.assert_array_equal(s.omega_d, np.zeros(3))
 
@@ -140,7 +150,7 @@ def test_hover_is_constant():
 
 
 def test_all_trajectories_finite_over_ten_minutes():
-    trajs = [helix, rectangle, partial(rectangle, pitch_hold=-0.1), hover((0, 0, 1))]
+    trajs = [helix, rectangle(), rectangle(pitch_hold=-0.1), hover((0, 0, 1))]
     for traj in trajs:
         for t in np.linspace(0.0, 600.0, 601):
             s = traj(t)
@@ -150,8 +160,8 @@ def test_all_trajectories_finite_over_ten_minutes():
             assert np.all(np.isfinite(s.r_wf_d))
 
 
-TRAJECTORIES = {"helix": helix, "rectangle": rectangle,
-                "rectangle_pitched": partial(rectangle, pitch_hold=-0.1),
+TRAJECTORIES = {"helix": helix, "rectangle": rectangle(),
+                "rectangle_pitched": rectangle(pitch_hold=-0.1),
                 "hover": hover((0, 0, 1), yaw0=0.3)}
 
 
@@ -159,7 +169,7 @@ def test_negative_time_rejected():
     with pytest.raises(ValueError):
         helix(-0.1)
     with pytest.raises(ValueError):
-        rectangle(-1.0)
+        rectangle()(-1.0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -190,7 +200,7 @@ def test_sample_attitude_is_a_read_only_copy():
     s = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3), r_wf_d=given)
     given[0, 0] = 5.0
     np.testing.assert_array_equal(s.r_wf_d, rot_z(0.3))
-    for sample in (s, helix(1.0), rectangle(1.0), hover((0, 0, 1))(0.0)):
+    for sample in (s, helix(1.0), rectangle()(1.0), hover((0, 0, 1))(0.0)):
         with pytest.raises(ValueError, match="read-only"):
             sample.r_wf_d[0, 0] = 1.0
 
@@ -307,5 +317,5 @@ def test_rectangle_matches_numpy_oracle(speed, pitch_deg):
     assert rectangle_period(speed) == period
     for t in _times_over_two_laps(period, [ph[0] for ph in phases]):
         r_d, v_d, a_d = _oracle_rect_point(t, speed)
-        _assert_sample_matches(rectangle(t, pitch_hold=hold, speed=speed), r_d, v_d, a_d,
+        _assert_sample_matches(rectangle(pitch_hold=hold, speed=speed)(t), r_d, v_d, a_d,
                                rot_y(hold))
