@@ -18,16 +18,20 @@ than roundoff; it is polar re-orthonormalized once per step. Thrust is held
 constant across a step, so the body force and torque are computed once per
 step with one matrix product.
 
-The step is a flat kernel: the four stages, the Rodrigues rotation, the
-final update and the polar pass run on Python floats, which avoids the
-per-call cost of numpy on 3-vectors and 3x3 matrices. It reads the state's
-18 floats and the structure's mass and inertia floats, converted once per
-structure, and returns a state that holds only its floats; that state
-builds its arrays when they are read. Float arithmetic overflows to inf and
-NaN without warnings, and the kernel checks its result for finiteness,
-raising IntegrationError. By the rule in :mod:`modrotor.lazy`, that result
-and the closed loop's checked values skip the checks of ``RigidState`` and
-:func:`step`: the loop calls the kernel behind it, ``_advance``.
+The step kernel, ``_advance``, is one straight-line pass on named Python
+floats, which avoids the per-call cost of numpy on 3-vectors and 3x3
+matrices: each stage hands ``_derivative`` the nine floats it reads (v, phi,
+omega), the position is integrated once at the end, and the Rodrigues
+rotation and the polar pass follow. It reads the state's 18 floats and the
+structure's mass and inertia floats, converted once per structure, and
+returns a state that holds only its floats; that state builds its arrays
+when they are read. Float arithmetic overflows to inf and NaN without
+warnings, and the kernel checks its result for finiteness, raising
+IntegrationError; its one numpy call, the thrust product, runs inside the
+``np.errstate(over="ignore", invalid="ignore")`` that its callers enter:
+:func:`step` and :func:`accelerations` on each call, the closed loop once
+per run. By the rule in :mod:`modrotor.lazy`, that result and the closed
+loop's checked values skip the checks of ``RigidState`` and :func:`step`.
 """
 
 from __future__ import annotations
@@ -101,37 +105,22 @@ class SimParams:
 def accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
                   gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
     """Linear (world) and angular (body) acceleration under thrusts ``u``."""
-    u = finite_array("u", u, (4 * structure.n,))
-    model = _step_model(structure, state, u, checked("gravity", gravity))
-    k = _derivative(_start(state), *model)
-    return np.array(k[3:6]), np.array(k[9:12])
-
-
-def _start(state):
-    """The 12 floats (r, v, phi, omega) a step starts from; phi is zero."""
+    u, gravity = finite_array("u", u, (4 * structure.n,)), checked("gravity", gravity)
     flat = state._flat
-    return (*flat[0:6], 0.0, 0.0, 0.0, *flat[15:18])
-
-
-def _step_model(structure, state, u, gravity):
-    """The floats a step holds fixed: attitude at the step start, body force
-    per unit mass, body torque, inertia and its inverse (row-major), gravity."""
-    # Overflowing thrusts become non-finite values that step reports as
-    # IntegrationError, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        wrench = structure.thrust_map.dot(u).tolist()
     mass, inertia, inertia_inv = structure._rigid_body
-    return (state._flat[6:15], (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
-            wrench[3:], inertia, inertia_inv, gravity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
+    k = _derivative(*flat[3:6], 0.0, 0.0, 0.0, *flat[15:18], flat[6:15],
+                    (fx / mass, fy / mass, fz / mass), torque, inertia, inertia_inv, gravity)
+    return np.array(k[0:3]), np.array(k[6:9])
 
 
-def _derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
-    """Newton-Euler derivative of the in-step state y = (r, v, phi, omega).
-
-    phi is the in-step rotation increment, so the attitude is
-    r_ws0 @ exp_map(phi). Takes and returns 12 floats.
+def _derivative(vx, vy, vz, px, py, pz, wx, wy, wz, r_ws0, force, torque, inertia, inertia_inv,
+                gravity):
+    """Newton-Euler derivative of the in-step (v, phi, omega), nine floats
+    each way, where phi is the rotation increment, so the attitude is
+    r_ws0 @ exp_map(phi). ``force`` is per unit mass; matrices are row-major.
     """
-    _, _, _, vx, vy, vz, px, py, pz, wx, wy, wz = y
     fx, fy, fz = force
     if px == 0.0 and py == 0.0 and pz == 0.0:
         dpx, dpy, dpz = wx, wy, wz
@@ -164,7 +153,7 @@ def _derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
     gz = tz - (wx * hy - wy * hx)
     j0, j1, j2, j3, j4, j5, j6, j7, j8 = inertia_inv
     return (
-        vx, vy, vz, ax, ay, az, dpx, dpy, dpz,
+        ax, ay, az, dpx, dpy, dpz,
         j0 * gx + j1 * gy + j2 * gz,
         j3 * gx + j4 * gy + j5 * gz,
         j6 * gx + j7 * gy + j8 * gz,
@@ -175,32 +164,59 @@ def step(structure: StructureModel, state: RigidState, u: np.ndarray, dt: float,
          gravity: float = GRAVITY) -> RigidState:
     """Advance one step of length ``dt`` with the 4n finite thrusts ``u``
     held constant."""
-    return _advance(structure, state, finite_array("u", u, (4 * structure.n,)), checked("dt", dt),
-                    checked("gravity", gravity))
+    u = finite_array("u", u, (4 * structure.n,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _advance(structure, state, u, checked("dt", dt), checked("gravity", gravity))
 
 
 def _advance(structure, state, u, dt: float, gravity: float) -> RigidState:
-    """:func:`step` on thrusts and floats that are checked already."""
-    model = _step_model(structure, state, u, gravity)
-    y0 = _start(state)
+    """:func:`step` on thrusts and floats that are checked already, inside
+    the caller's ``np.errstate`` (see the module docstring)."""
+    rx, ry, rz, vx, vy, vz, *r_ws0, wx, wy, wz = state._flat
+    mass, inertia, inertia_inv = structure._rigid_body
+    fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
+    force = (fx / mass, fy / mass, fz / mass)
 
+    # Stage inputs are y0 + h k in its float operations, down to the 0.0 + h q
+    # on phi's zero start, as the run CSV records their bits. a: linear
+    # acceleration, q: phi rate, b: angular acceleration.
     half = 0.5 * dt
-    k1 = _derivative(y0, *model)
-    k2 = _derivative([a + half * b for a, b in zip(y0, k1)], *model)
-    k3 = _derivative([a + half * b for a, b in zip(y0, k2)], *model)
-    k4 = _derivative([a + dt * b for a, b in zip(y0, k3)], *model)
+    ax1, ay1, az1, qx1, qy1, qz1, bx1, by1, bz1 = _derivative(
+        vx, vy, vz, 0.0, 0.0, 0.0, wx, wy, wz, r_ws0, force, torque, inertia, inertia_inv, gravity)
+    vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
+    ax2, ay2, az2, qx2, qy2, qz2, bx2, by2, bz2 = _derivative(
+        vx2, vy2, vz2, 0.0 + half * qx1, 0.0 + half * qy1, 0.0 + half * qz1,
+        wx + half * bx1, wy + half * by1, wz + half * bz1,
+        r_ws0, force, torque, inertia, inertia_inv, gravity)
+    vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
+    ax3, ay3, az3, qx3, qy3, qz3, bx3, by3, bz3 = _derivative(
+        vx3, vy3, vz3, 0.0 + half * qx2, 0.0 + half * qy2, 0.0 + half * qz2,
+        wx + half * bx2, wy + half * by2, wz + half * bz2,
+        r_ws0, force, torque, inertia, inertia_inv, gravity)
+    vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+    ax4, ay4, az4, qx4, qy4, qz4, bx4, by4, bz4 = _derivative(
+        vx4, vy4, vz4, 0.0 + dt * qx3, 0.0 + dt * qy3, 0.0 + dt * qz3,
+        wx + dt * bx3, wy + dt * by3, wz + dt * bz3,
+        r_ws0, force, torque, inertia, inertia_inv, gravity)
     sixth = dt / 6.0
-    y1 = [
-        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
-    ]
-    if not all(map(math.isfinite, y1)):
+    y1 = (rx + sixth * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+          ry + sixth * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+          rz + sixth * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
+          vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+          vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+          vz + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4))
+    phi = (0.0 + sixth * (qx1 + 2.0 * qx2 + 2.0 * qx3 + qx4),
+           0.0 + sixth * (qy1 + 2.0 * qy2 + 2.0 * qy3 + qy4),
+           0.0 + sixth * (qz1 + 2.0 * qz2 + 2.0 * qz3 + qz4))
+    omega1 = (wx + sixth * (bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4),
+              wy + sixth * (by1 + 2.0 * by2 + 2.0 * by3 + by4),
+              wz + sixth * (bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4))
+    if not all(map(math.isfinite, y1 + phi + omega1)):
         raise IntegrationError("integration produced non-finite values (|v|="
-                               f"{math.hypot(*y0[3:6]):.3e}, |omega|={math.hypot(*y0[9:]):.3e}, "
-                               f"dt={dt})")
+                               f"{math.hypot(vx, vy, vz):.3e}, |omega|="
+                               f"{math.hypot(wx, wy, wz):.3e}, dt={dt})")
 
-    phi = y1[6:9]
-    r_ws1 = matmul3(model[0], rodrigues(*phi))
+    r_ws1 = matmul3(r_ws0, rodrigues(*phi))
     # One symmetric orthogonalization pass, r_ws1 (1.5 I - 0.5 r_ws1^T r_ws1);
     # the exponential update drifts by roundoff only, so this keeps R on the
     # rotation group indefinitely.
@@ -214,4 +230,4 @@ def _advance(structure, state, u, dt: float, gravity: float) -> RigidState:
     if not all(map(math.isfinite, r_ws1)):
         raise IntegrationError(f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, "
                                f"dt={dt})")
-    return unchecked(RigidState, _flat=(*y1[0:6], *r_ws1, *y1[9:12]))
+    return unchecked(RigidState, _flat=(*y1, *r_ws1, *omega1))

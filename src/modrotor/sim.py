@@ -10,7 +10,8 @@ The loop passes Python floats between the layers: trajectory samples carry
 float tuples, and the controller's output and the integrator's state keep
 their floats and build their arrays only when a caller reads them. Each
 step's record is computed from those floats and written as one row of
-preallocated numpy storage.
+preallocated numpy storage. The loop calls ``dynamics._advance`` and
+enters the ``np.errstate`` that kernel needs once, around all its steps.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .control import Controller, Gains
 from .dynamics import RigidState, SimParams, _advance
 from .errors import ModrotorError, SimulationError
+from .lazy import checked
 from .so3 import angle_between
 from .structure import StructureModel
 from .trajectory import TrajectorySample
@@ -66,11 +68,16 @@ class RunResult:
     final_state: RigidState
 
     def rms_pos_err(self, t_min: float = 0.0) -> float:
-        mask = self.t >= t_min
-        return float(np.sqrt(np.mean(self.pos_err[mask] ** 2)))
+        return float(np.sqrt(np.mean(self._pos_err_from(t_min) ** 2)))
 
     def max_pos_err(self, t_min: float = 0.0) -> float:
-        return float(np.max(self.pos_err[self.t >= t_min]))
+        return float(np.max(self._pos_err_from(t_min)))
+
+    def _pos_err_from(self, t_min) -> np.ndarray:
+        t_min, last = checked("t_min", t_min), float(self.t[-1])
+        if t_min > last:
+            raise ValueError(f"t_min must be at most the last sample time {last}, got {t_min}")
+        return self.pos_err[self.t >= t_min]
 
     def saturation_fraction(self) -> float:
         return float(np.mean(self.saturated))
@@ -108,25 +115,27 @@ def run_closed_loop(
     r_sf = structure.r_sf
     dt, gravity = params.dt, params.gravity
 
-    for k in range(steps):
-        t = k * dt
-        sample = trajectory(t)
-        try:
-            out = controller.step(state, sample)
-            flat, r_d = state._flat, sample.r_d
-            r = flat[0:3]
-            # numpy's product, not so3.matmul3: its BLAS kernel rounds
-            # near-cancelling entries differently, and the CSV records them.
-            r_wf = np.array(flat[6:15]).reshape(3, 3).dot(r_sf).ravel().tolist()
-            # A list, not a tuple: a two-module row has 20 entries, and
-            # CPython 3.11 parks spent 20-item tuples on a free list it never
-            # draws from (0.4 MB more peak memory).
-            rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r),
-                       angle_between(r_wf, out._attitude), *out._u]
-            sat[k] = out.saturated
-            state = _advance(structure, state, out._u, dt, gravity)
-        except ModrotorError as exc:
-            raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
+    # Entered once for the run, not once per step: see the module docstring.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t = k * dt
+            sample = trajectory(t)
+            try:
+                out = controller.step(state, sample)
+                flat, r_d = state._flat, sample.r_d
+                r = flat[0:3]
+                # numpy's product, not so3.matmul3: its BLAS kernel rounds
+                # near-cancelling entries differently, and the CSV records them.
+                r_wf = np.array(flat[6:15]).reshape(3, 3).dot(r_sf).ravel().tolist()
+                # A list, not a tuple: a two-module row has 20 entries, and
+                # CPython 3.11 parks spent 20-item tuples on a free list it never
+                # draws from (0.4 MB more peak memory).
+                rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r),
+                           angle_between(r_wf, out._attitude), *out._u]
+                sat[k] = out.saturated
+                state = _advance(structure, state, out._u, dt, gravity)
+            except ModrotorError as exc:
+                raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
 
     return RunResult(
         t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],

@@ -1,10 +1,12 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from modrotor import IntegrationError, RigidState, SimParams, accelerations, step
-from modrotor.so3 import E3, exp_map, rot_z
+from modrotor.dynamics import _advance
+from modrotor.so3 import E3, exp_map, matmul3, rodrigues, rot_z
 
 
 def level_state(r=(0, 0, 0), v=(0, 0, 0), omega=(0, 0, 0)):
@@ -269,6 +271,119 @@ def test_step_matches_numpy_oracle(all_structures):
                 structure, state.r_ws, state.omega, u, gravity)
             np.testing.assert_allclose(r_ddot, want_r_ddot, rtol=1e-14, atol=1e-13)
             np.testing.assert_allclose(omega_dot, want_omega_dot, rtol=1e-14, atol=1e-13)
+
+
+# The list-based kernel that the unrolled ``_advance`` replaced, kept as it
+# was: a bitwise oracle. The run CSV records the kernel's bits, so the
+# rewrite must keep every float operation and its order, down to the sign of
+# a zero.
+
+
+def _list_start(state):
+    flat = state._flat
+    return (*flat[0:6], 0.0, 0.0, 0.0, *flat[15:18])
+
+
+def _list_step_model(structure, state, u, gravity):
+    wrench = structure.thrust_map.dot(u).tolist()
+    mass, inertia, inertia_inv = structure._rigid_body
+    return (state._flat[6:15], (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
+            wrench[3:], inertia, inertia_inv, gravity)
+
+
+def _list_derivative(y, r_ws0, force, torque, inertia, inertia_inv, gravity):
+    _, _, _, vx, vy, vz, px, py, pz, wx, wy, wz = y
+    fx, fy, fz = force
+    if px == 0.0 and py == 0.0 and pz == 0.0:
+        dpx, dpy, dpz = wx, wy, wz
+    else:
+        e0, e1, e2, e3, e4, e5, e6, e7, e8 = rodrigues(px, py, pz)
+        fx, fy, fz = (
+            e0 * fx + e1 * fy + e2 * fz,
+            e3 * fx + e4 * fy + e5 * fz,
+            e6 * fx + e7 * fy + e8 * fz,
+        )
+        cx, cy, cz = py * wz - pz * wy, pz * wx - px * wz, px * wy - py * wx
+        dpx = wx + 0.5 * cx + (1.0 / 12.0) * (py * cz - pz * cy)
+        dpy = wy + 0.5 * cy + (1.0 / 12.0) * (pz * cx - px * cz)
+        dpz = wz + 0.5 * cz + (1.0 / 12.0) * (px * cy - py * cx)
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r_ws0
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = inertia
+    hx = i0 * wx + i1 * wy + i2 * wz
+    hy = i3 * wx + i4 * wy + i5 * wz
+    hz = i6 * wx + i7 * wy + i8 * wz
+    tx, ty, tz = torque
+    gx = tx - (wy * hz - wz * hy)
+    gy = ty - (wz * hx - wx * hz)
+    gz = tz - (wx * hy - wy * hx)
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = inertia_inv
+    return (
+        vx, vy, vz,
+        r0 * fx + r1 * fy + r2 * fz,
+        r3 * fx + r4 * fy + r5 * fz,
+        r6 * fx + r7 * fy + r8 * fz - gravity,
+        dpx, dpy, dpz,
+        j0 * gx + j1 * gy + j2 * gz,
+        j3 * gx + j4 * gy + j5 * gz,
+        j6 * gx + j7 * gy + j8 * gz,
+    )
+
+
+def _list_advance(structure, state, u, dt, gravity):
+    """The 18 floats of the next state."""
+    model = _list_step_model(structure, state, u, gravity)
+    y0 = _list_start(state)
+    half = 0.5 * dt
+    k1 = _list_derivative(y0, *model)
+    k2 = _list_derivative([a + half * b for a, b in zip(y0, k1)], *model)
+    k3 = _list_derivative([a + half * b for a, b in zip(y0, k2)], *model)
+    k4 = _list_derivative([a + dt * b for a, b in zip(y0, k3)], *model)
+    sixth = dt / 6.0
+    y1 = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    r_ws1 = matmul3(model[0], rodrigues(*y1[6:9]))
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = matmul3(r_ws1[0::3] + r_ws1[1::3] + r_ws1[2::3], r_ws1)
+    r_ws1 = matmul3(r_ws1, (
+        1.5 - 0.5 * g0, -0.5 * g1, -0.5 * g2,
+        -0.5 * g3, 1.5 - 0.5 * g4, -0.5 * g5,
+        -0.5 * g6, -0.5 * g7, 1.5 - 0.5 * g8,
+    ))
+    return (*y1[0:6], *r_ws1, *y1[9:12])
+
+
+def _bits(floats):
+    """Exact bits, so 0.0 and -0.0 differ."""
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+def test_kernel_matches_list_kernel_bit_for_bit(all_structures):
+    # Random states, thrusts, steps and gravities, with about a third of
+    # the entries of v, omega and u set to 0.0 or -0.0 and some attitudes
+    # with exact (and negative) zeros, where the sign of a zero can reach
+    # the result.
+    rng = np.random.default_rng(19)
+    signed_zero_eye = np.where(np.eye(3) == 1.0, 1.0, -0.0)
+
+    def sparse(values):
+        zeros = np.where(rng.random(values.shape) < 0.5, -0.0, 0.0)
+        return np.where(rng.random(values.shape) < 0.35, zeros, values)
+
+    for name, structure in all_structures.items():
+        for case in range(300):
+            r_ws = (exp_map(rng.normal(size=3) * 2.0), np.eye(3), signed_zero_eye,
+                    rot_z(rng.normal()))[case % 4]
+            state = RigidState(r=rng.normal(size=3), v=sparse(rng.normal(size=3)),
+                               r_ws=r_ws, omega=sparse(rng.normal(size=3) * 2.0))
+            u = sparse(rng.uniform(0.0, 1.0, size=4 * structure.n) * structure.f_max)
+            dt = float(rng.choice([1e-3, 5e-3, 2e-2]))
+            gravity = float(rng.choice([0.0, -0.0, rng.uniform(9.0, 10.0)]))
+            got = _advance(structure, state, u, dt, gravity)._flat
+            want = _list_advance(structure, state, u, dt, gravity)
+            assert _bits(got) == _bits(want), f"{name} case {case}: {got} != {want}"
+
+            k = _list_derivative(_list_start(state), *_list_step_model(structure, state, u, gravity))
+            r_ddot, omega_dot = accelerations(structure, state, u, gravity)
+            assert _bits([*r_ddot, *omega_dot]) == _bits([*k[3:6], *k[9:12]]), f"{name} case {case}"
 
 
 def test_state_and_params_validation(flat_structure):

@@ -109,6 +109,10 @@ ROWS = {
     "RunResult": Row(RunResult, lambda: _record_kwargs(_run_result()),
                      arrays=("t", "pos", "pos_des", "euler_f", "pos_err", "att_err", "u",
                              "saturated"), checks=False),
+    "RunResult.max_pos_err": Row(lambda t_min: _run_result().max_pos_err(t_min),
+                                 lambda: dict(t_min=0.0), ("t_min",)),
+    "RunResult.rms_pos_err": Row(lambda t_min: _run_result().rms_pos_err(t_min),
+                                 lambda: dict(t_min=0.0), ("t_min",)),
     "SimParams": Row(SimParams, dict, ("dt", "gravity", "duration")),
     "StructureModel": Row(StructureModel, lambda: _record_kwargs(_structure()), ("total_mass",
                           "rank_f"), ("inertia", "thrust_map", "r_sf", "force_sigmas", "f_max",

@@ -90,6 +90,37 @@ def test_hover_run_converges_and_records(flat_structure):
     assert 0.0 <= result.saturation_fraction() <= 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_min", [3.0, 1e300, math.nan, math.inf])
+def test_pos_err_rejects_t_min_past_the_last_sample(flat_structure, t_min):
+    # Past the last sample (1.99 s) no sample is left to reduce: the error
+    # names t_min, where it was a warning and NaN or numpy's unnamed error.
+    result = run_closed_loop(flat_structure, hover((0.0, 0.0, 0.7)),
+                             params=SimParams(dt=0.01, duration=2.0))
+    for error in (result.rms_pos_err, result.max_pos_err):
+        with pytest.raises(ValueError, match=r"^t_min must be "):
+            error(t_min)
+    assert result.max_pos_err(result.t[-1]) == result.pos_err[-1]
+    assert result.rms_pos_err(result.t[-1]) == abs(result.pos_err[-1])
+
+
+def test_closed_loop_enters_errstate_once(flat_structure, monkeypatch):
+    # The loop enters numpy's errstate once for the whole run; the step
+    # kernel it calls does not enter it again on every step.
+    entries = []
+    errstate = np.errstate
+
+    def counted(*args, **kwargs):
+        entries.append(kwargs)
+        return errstate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    result = run_closed_loop(flat_structure, hover((0.0, 0.0, 0.7)),
+                             params=SimParams(dt=0.01, duration=2.0))
+    assert result.t.size == 200
+    assert entries == [{"over": "ignore", "invalid": "ignore"}]
+
+
 def test_run_aborts_with_timestep_on_failure(flat_structure):
     # Gains violent enough to blow past the motor range induce divergence
     # when paired with a huge step, and the error names the failing step.
