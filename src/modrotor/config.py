@@ -6,8 +6,11 @@ their unit in the name; angles are degrees in the file and radians in code.
 Each section is one of the dataclasses below, and its fields are the only
 definition of the section's keys, their types and their defaults: a key the
 file leaves out takes the field's default. Unknown sections or keys are
-rejected, and every value is validated with an error naming the offending
-section and field.
+rejected. A number goes through :func:`~modrotor.lazy.checked` against its
+key's bound in ``_BOUNDS``, and ``kind`` must be a key of ``_TRAJECTORIES``;
+the rest, overlapping grid cells included, is checked by the library when
+the ``to_*`` builders run. A value rejected by either is a ConfigError
+``<section>: <message>`` whose message names the field.
 
 The grammar is the standard library INI reader's default one, without
 interpolation or default merging (``[DEFAULT]`` is just an unknown section).
@@ -23,7 +26,6 @@ naming the line.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -33,12 +35,10 @@ import numpy as np
 from .control import Gains
 from .dynamics import SimParams
 from .errors import ConfigError
+from .lazy import FINITE, NON_NEGATIVE, POSITIVE, QUARTERS, checked, shown
 from .module_design import build_r_module
 from .structure import ModulePlacement, StructureModel, assemble
 from .trajectory import RECT_ALTITUDE, RECT_SPEED, TrajectorySample, helix, hover, rectangle
-
-# "rectangle_fixed" is the level rectangle: pitch_hold_deg does not apply.
-_TRAJECTORY_KINDS = ("hover", "helix", "rectangle", "rectangle_fixed")
 
 
 @dataclass(frozen=True)
@@ -92,79 +92,83 @@ class StructureConfig:
     trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
 
     def to_structure(self) -> StructureModel:
-        """The assembled structure; a module or placement the library
-        rejects, such as one whose inertia overflows or whose grid offset
-        is beyond float range, raises ConfigError("module.N: ...") with N
-        its position in ``modules``, which in parsed text is its section."""
-        placements = []
-        for n, m in enumerate(self.modules, start=1):
-            try:
-                module = build_r_module(
-                    mass=m.mass_kg,
-                    base=m.base_m,
-                    height=m.height_m,
-                    alpha=np.deg2rad(m.alpha_deg),
-                    beta=np.deg2rad(m.beta_deg),
-                    k_f=m.k_f,
-                    k_m=m.k_m,
-                    f_max=m.f_max_n,
-                    inertia=np.diag(m.inertia_diag_kgm2) if m.inertia_diag_kgm2 else None,
-                )
-                placements.append(
-                    ModulePlacement(
-                        module=module,
-                        grid_offset=(m.grid_col, m.grid_row),
-                        yaw_quarter_turns=m.yaw_quarter_turns,
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"module.{n}: {exc}") from None
-        return assemble(placements)
+        """The assembled structure; a module the library rejects, such as one
+        whose inertia overflows or whose grid offset is beyond float range,
+        is ConfigError("module.N: ...") with N its position in ``modules``."""
+        return assemble([_built(f"module.{n}", _placement, m)
+                         for n, m in enumerate(self.modules, start=1)])
 
     def to_gains(self) -> Gains:
         g = self.gains
-        return Gains(k_pos=g.k_pos, k_vel=g.k_vel, k_rot=g.k_rot, k_ang=g.k_ang)
+        return _built("gains", Gains, k_pos=g.k_pos, k_vel=g.k_vel, k_rot=g.k_rot, k_ang=g.k_ang)
 
     def to_sim_params(self) -> SimParams:
         s = self.sim
-        try:
-            return SimParams(dt=s.dt_s, gravity=s.gravity_mps2, duration=s.duration_s)
-        except ValueError as exc:
-            raise ConfigError(f"sim: {exc}") from None
+        return _built("sim", SimParams, dt=s.dt_s, gravity=s.gravity_mps2, duration=s.duration_s)
 
     def to_trajectory(self) -> Callable[[float], TrajectorySample]:
-        tr = self.trajectory
-        if tr.kind == "hover":
-            return hover(
-                (tr.hover_x_m, tr.hover_y_m, tr.hover_z_m),
-                yaw0=float(np.deg2rad(tr.hover_yaw_deg)),
-            )
-        if tr.kind == "helix":
-            return helix
-        pitch_hold = tr.pitch_hold_deg if tr.kind == "rectangle" else 0.0
-        try:
-            return rectangle(float(np.deg2rad(pitch_hold)), tr.speed_mps, tr.altitude_m)
-        except ValueError as exc:
-            raise ConfigError(f"trajectory: speed_mps: {exc}") from None
+        return _built("trajectory", lambda tr: _builder(tr.kind)(tr), self.trajectory)
 
 
-# Checks beyond "a finite number" or "an integer", by field name: the test
-# a parsed value must pass and the requirement an error message states.
-_CHECKS = {
+def _built(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError it raises is the one form of
+    a config error, ConfigError("<where>: <message>")."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _placement(m: ModuleConfig) -> ModulePlacement:
+    module = build_r_module(
+        mass=m.mass_kg,
+        base=m.base_m,
+        height=m.height_m,
+        alpha=np.deg2rad(m.alpha_deg),
+        beta=np.deg2rad(m.beta_deg),
+        k_f=m.k_f,
+        k_m=m.k_m,
+        f_max=m.f_max_n,
+        inertia=np.diag(m.inertia_diag_kgm2) if m.inertia_diag_kgm2 else None,
+    )
+    return ModulePlacement(
+        module=module,
+        grid_offset=(m.grid_col, m.grid_row),
+        yaw_quarter_turns=m.yaw_quarter_turns,
+    )
+
+
+# Each trajectory kind and the sampler it flies, built from the section.
+_TRAJECTORIES = {
+    "hover": lambda tr: hover((tr.hover_x_m, tr.hover_y_m, tr.hover_z_m),
+                              yaw0=float(np.deg2rad(tr.hover_yaw_deg))),
+    "helix": lambda tr: helix,
+    "rectangle": lambda tr: rectangle(float(np.deg2rad(tr.pitch_hold_deg)), tr.speed_mps,
+                                      tr.altitude_m),
+    # The level rectangle: pitch_hold_deg does not apply.
+    "rectangle_fixed": lambda tr: rectangle(0.0, tr.speed_mps, tr.altitude_m),
+}
+
+
+def _builder(kind):
+    """``_TRAJECTORIES[kind]``; a ValueError naming ``kind`` if it is not a key."""
+    if isinstance(kind, str) and kind in _TRAJECTORIES:
+        return _TRAJECTORIES[kind]
+    raise ValueError(f"kind must be one of {tuple(_TRAJECTORIES)}, got {shown(kind)}")
+
+
+# The bound, in lazy.checked's form, on a key's number or on each part of
+# its triple; a float key not listed must be finite, and an int key not
+# listed (grid_col, grid_row) is left to ModulePlacement.
+_BOUNDS = {
     **dict.fromkeys(
         ("mass_kg", "base_m", "height_m", "k_f", "f_max_n", "k_pos", "k_vel", "k_rot",
-         "k_ang", "dt_s", "duration_s", "speed_mps", "altitude_m"),
-        (lambda v: v > 0.0, "positive"),
+         "k_ang", "dt_s", "duration_s", "speed_mps", "altitude_m", "inertia_diag_kgm2"),
+        POSITIVE,
     ),
-    "k_m": (lambda v: v >= 0.0, "non-negative"),
-    **dict.fromkeys(
-        ("alpha_deg", "beta_deg"), (lambda v: -90.0 <= v <= 90.0, "within [-90, 90]")
-    ),
-    "yaw_quarter_turns": (lambda v: v in (0, 1, 2, 3), "0..3"),
-    "kind": (lambda v: v in _TRAJECTORY_KINDS, f"one of {_TRAJECTORY_KINDS}"),
-    "inertia_diag_kgm2": (
-        lambda v: len(v) == 3 and all(0.0 < x < math.inf for x in v), "three positive numbers"
-    ),
+    "k_m": NON_NEGATIVE,
+    **dict.fromkeys(("alpha_deg", "beta_deg"), (-90.0, 90.0, "within [-90, 90]")),
+    "yaw_quarter_turns": QUARTERS,
 }
 
 # The optional sections, each named after its StructureConfig field.
@@ -174,27 +178,26 @@ _KEY_TYPES = {cls: {f.name: f.type for f in fields(cls)}
               for cls in (ModuleConfig, *_SECTIONS.values())}
 
 
-def _convert(type_name: str, raw: str, key: str, where: str):
-    """``raw`` as the field's declared type: float, int, str or a number triple."""
+def _convert(type_name: str, raw: str, key: str):
+    """``raw`` as the field's declared type, float, int, str or a number
+    triple, within the key's bound; otherwise a ValueError naming ``key``."""
+    if type_name == "float":
+        return checked(key, raw, _BOUNDS.get(key, FINITE))
     if type_name == "str":
+        _builder(raw)
         return raw
     if type_name == "int":
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
-            raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
-    if type_name == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}: {key} must be finite")
+            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
+        if key in _BOUNDS:
+            checked(key, value, _BOUNDS[key])
         return value
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: {key} must be three numbers, got {raw!r}") from None
+    parts = raw.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"{key} must be three numbers, got {raw!r}")
+    return tuple(checked(key, part.strip(), _BOUNDS[key]) for part in parts)
 
 
 def _parse_section(cls, section, where: str):
@@ -204,14 +207,8 @@ def _parse_section(cls, section, where: str):
     unknown = sorted(key for key in section if key not in types)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown}")
-    values = {}
-    for key in section:
-        value = _convert(types[key], section[key], key, where)
-        check = _CHECKS.get(key)
-        if check is not None and not check[0](value):
-            raise ConfigError(f"{where}: {key} must be {check[1]}, got {value!r}")
-        values[key] = value
-    return cls(**values)
+    return _built(where, lambda: cls(**{key: _convert(types[key], raw, key)
+                                        for key, raw in section.items()}))
 
 
 _INLINE_COMMENT = re.compile(r"\s#")
@@ -286,20 +283,13 @@ def parse_config(text: str) -> StructureConfig:
         raise ConfigError("config defines no [module.N] section")
     # Numbered without gaps, a module's section number is its position,
     # which is how the library's messages count modules.
-    cells: dict[tuple[int, int], int] = {}
     modules = []
     for idx in range(1, len(module_sections) + 1):
         if idx not in module_sections:
             raise ConfigError(f"[module.{idx}] is missing; module sections are numbered "
                               "[module.1], [module.2], ... without gaps")
-        m = _parse_section(ModuleConfig, parsed[module_sections[idx]], f"module.{idx}")
-        cell = (m.grid_col, m.grid_row)
-        if cell in cells:
-            raise ConfigError(
-                f"module.{cells[cell]} and module.{idx} both occupy grid cell {cell}"
-            )
-        cells[cell] = idx
-        modules.append(m)
+        modules.append(_parse_section(ModuleConfig, parsed[module_sections[idx]],
+                                      f"module.{idx}"))
 
     sections = {
         name: _parse_section(cls, parsed[name], name)

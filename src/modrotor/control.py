@@ -51,8 +51,6 @@ from .so3 import cross3, matmul3
 from .structure import StructureModel, _rank_of
 from .trajectory import TrajectorySample
 
-# Relative singular-value cutoff when forming pseudoinverses.
-_PINV_RCOND = 1e-10
 # Commanded accelerations below this cannot define a thrust direction.
 _EPS_THRUST = 1e-6
 # Thrust directions closer than this to the heading cannot define a frame.
@@ -245,8 +243,9 @@ class Controller:
     construction, together with the floats the step reads (gain diagonals,
     r_sf, inertia, mass), so an instance is cheap to call every step and
     safe to share read-only. Construction takes one SVD of the reduced map:
-    its singular values give the rank test, and ``pinv`` is numpy's
-    ``pinv(reduced_map, rcond=_PINV_RCOND)`` formed from the same factors.
+    its singular values give the rank test, and ``pinv`` is formed from the
+    same factors by numpy's ``pinv`` formula, which drops no singular value
+    the rank test keeps.
     """
 
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
@@ -266,12 +265,10 @@ class Controller:
                 f"{self.mode} control needs the {self.rows.size} commanded wrench rows "
                 "to be independent; the reduced thrust map is rank-deficient"
             )
-        # np.linalg.pinv(reduced_map, rcond=_PINV_RCOND) from the same SVD,
-        # with numpy's own formula, so the result has the same bits.
-        large = s > _PINV_RCOND * s.max()
-        s = np.divide(1, s, where=large, out=s)
-        s[~large] = 0
-        self.pinv = np.matmul(vt.T, np.multiply(s[:, None], u.T))
+        # np.linalg.pinv(reduced_map) from the same SVD, with numpy's own
+        # formula, so the result has the same bits: the rank test above
+        # leaves every singular value above any cutoff pinv would apply.
+        self.pinv = np.matmul(vt.T, np.multiply((1 / s)[:, None], u.T))
         self._select_rows = itemgetter(*rows)
         # The floats each step reads; the force mask is 1.0 on the
         # thrust-frame force components the mode commands.

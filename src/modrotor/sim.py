@@ -24,7 +24,7 @@ import numpy as np
 from .control import Controller, Gains
 from .dynamics import RigidState, SimParams, _advance
 from .errors import ModrotorError, SimulationError
-from .lazy import checked
+from .lazy import checked, shown
 from .so3 import angle_between
 from .structure import StructureModel
 from .trajectory import TrajectorySample
@@ -55,6 +55,8 @@ class RunResult:
 
     euler_f rows hold (yaw, pitch, roll) of the thrust frame in the world;
     att_err is the angle between the thrust frame and its commanded target.
+    A summary of a result with no samples raises a ValueError naming the
+    empty field.
     """
 
     t: np.ndarray
@@ -74,16 +76,22 @@ class RunResult:
         return float(np.max(self._pos_err_from(t_min)))
 
     def _pos_err_from(self, t_min) -> np.ndarray:
-        t_min, last = checked("t_min", t_min), float(self.t[-1])
+        t_min, last = checked("t_min", t_min), float(self._samples("t")[-1])
         if t_min > last:
             raise ValueError(f"t_min must be at most the last sample time {last}, got {t_min}")
         return self.pos_err[self.t >= t_min]
 
     def saturation_fraction(self) -> float:
-        return float(np.mean(self.saturated))
+        return float(np.mean(self._samples("saturated")))
 
     def final_att_err(self) -> float:
-        return float(self.att_err[-1])
+        return float(self._samples("att_err")[-1])
+
+    def _samples(self, name: str) -> np.ndarray:
+        values = getattr(self, name)
+        if np.size(values) == 0:
+            raise ValueError(f"{name} must be a non-empty array, got {shown(values)}")
+        return values
 
 
 def run_closed_loop(

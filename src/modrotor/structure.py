@@ -302,23 +302,18 @@ def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarr
     return s, u
 
 
-def _unit_circle(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of ``points`` angles evenly spaced from 0, as columns."""
-    phi = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    return np.cos(phi)[:, None], np.sin(phi)[:, None]
+# cos and sin of the polygon's 128 angles, evenly spaced from 0, as columns.
+_COS, _SIN = (f(np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))[:, None]
+              for f in (np.cos, np.sin))
 
 
-_UNIT_CIRCLE_128 = _unit_circle(128)
-
-
-def ellipsoid_xz_polygon(structure: StructureModel, points: int = 128) -> np.ndarray:
+def ellipsoid_xz_polygon(structure: StructureModel) -> np.ndarray:
     """Boundary polygon of the force ellipsoid's shadow on the body xz-plane.
 
-    Returns a (points, 2) array of (x, z) pairs tracing the projected
-    ellipse once.
+    Returns a (128, 2) array of (x, z) pairs tracing the projected ellipse
+    once.
     """
     gram = structure.force_map @ structure.force_map.T
     evals, evecs = np.linalg.eigh(gram[::2, ::2])
     radii = np.sqrt(np.clip(evals, 0.0, None))
-    cos, sin = _UNIT_CIRCLE_128 if points == 128 else _unit_circle(points)
-    return cos * (radii[1] * evecs[:, 1]) + sin * (radii[0] * evecs[:, 0])
+    return _COS * (radii[1] * evecs[:, 1]) + _SIN * (radii[0] * evecs[:, 0])

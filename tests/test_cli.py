@@ -324,7 +324,7 @@ def test_simulate_rejects_rectangle_speed_too_high(kind, capsys, tmp_path):
     out_csv = tmp_path / "x.csv"
     code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out_csv)], capsys)
     assert code == EXIT_VALIDATION
-    assert err.startswith("error: trajectory: speed_mps")
+    assert err.startswith("error: trajectory: speed must be below 1.2")
     assert not out_csv.exists()
 
 

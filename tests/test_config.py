@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from modrotor import ConfigError, Gains, SimParams, parse_config, rectangle
+from modrotor import (AssemblyError, ConfigError, Gains, ModrotorError, SimParams, parse_config,
+                      rectangle)
 from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
                              TrajectoryConfig, _read_ini)
 from conftest import CONFIG_DIR, ROOT
@@ -35,8 +36,8 @@ def test_minimal_config_builds_working_structure():
 
 def test_grid_collision_names_both_modules():
     text = "[module.1]\ngrid_col = 2\n\n[module.2]\ngrid_col = 2\n"
-    with pytest.raises(ConfigError, match=r"module\.1 and module\.2"):
-        parse_config(text)
+    with pytest.raises(AssemblyError, match=r"modules 1 and 2"):
+        parse_config(text).to_structure()
 
 
 def test_bench_experiment_fixture_parses():
@@ -82,9 +83,9 @@ def test_bad_values_name_the_field():
         parse_config("[module.1]\n\n[trajectory]\nkind = spiral\n")
     with pytest.raises(ConfigError, match="grid_col must be an integer, got '1.5'"):
         parse_config("[module.1]\ngrid_col = 1.5\n")
-    with pytest.raises(ConfigError, match="mass_kg must be finite"):
+    with pytest.raises(ConfigError, match="mass_kg must be positive and finite, got 'nan'"):
         parse_config("[module.1]\nmass_kg = nan\n")
-    with pytest.raises(ConfigError, match="inertia_diag_kgm2 must be three numbers"):
+    with pytest.raises(ConfigError, match="inertia_diag_kgm2 must be positive and finite, got"):
         parse_config("[module.1]\ninertia_diag_kgm2 = 1e-4, heavy, 2e-4\n")
 
 
@@ -322,3 +323,81 @@ def test_config_dataclass_equality_is_by_value():
     a = parse_config(MINIMAL)
     b = parse_config(MINIMAL)
     assert a == b and isinstance(a, StructureConfig)
+
+
+# Values a caller may put in a field of a config built in code, which no
+# parsing has checked.
+_CODE_EDGES = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e308)
+_KINDS = ("hover", "helix", "rectangle", "rectangle_fixed")
+
+
+def _code_variants():
+    """(name, config, its builder's name) for each field of each section
+    set to each edge value; a trajectory field under each kind."""
+    base = parse_config(MINIMAL)
+    for f in dataclasses.fields(ModuleConfig):
+        values = _CODE_EDGES
+        if f.name == "inertia_diag_kgm2":
+            values += tuple((1e-3, x, 1e-3) for x in _CODE_EDGES)
+        for value in values:
+            module = dataclasses.replace(ModuleConfig(), **{f.name: value})
+            yield (f"module {f.name}={value}", dataclasses.replace(base, modules=(module,)),
+                   "to_structure")
+    for section, builder in (("gains", "to_gains"), ("sim", "to_sim_params")):
+        for f in dataclasses.fields(getattr(base, section)):
+            for value in _CODE_EDGES:
+                changed = dataclasses.replace(getattr(base, section), **{f.name: value})
+                yield (f"{section} {f.name}={value}",
+                       dataclasses.replace(base, **{section: changed}), builder)
+    fields = [f.name for f in dataclasses.fields(TrajectoryConfig) if f.name != "kind"]
+    for kind in _KINDS + _CODE_EDGES + ("helx",):
+        for name, value in [(None, None)] + [(n, v) for n in fields for v in _CODE_EDGES]:
+            changed = TrajectoryConfig(kind=kind, **({} if name is None else {name: value}))
+            yield (f"trajectory kind={kind} {name}={value}",
+                   dataclasses.replace(base, trajectory=changed), "to_trajectory")
+
+
+def test_configs_built_in_code_build_or_raise_config_errors():
+    # A config built in code skips the parser's checks; each to_* builder
+    # still returns a value (a sampler that samples) or raises a
+    # ModrotorError, never another exception or a warning, and an unknown
+    # kind never flies.
+    failures, flown = [], set()
+    for name, config, builder in _code_variants():
+        try:
+            value = getattr(config, builder)()
+            if builder == "to_trajectory":
+                value(1.0)
+                flown.add(config.trajectory.kind)
+        except ModrotorError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other escape is a failure
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)
+    assert flown == set(_KINDS)
+
+
+@pytest.mark.parametrize("kind", ["helx", "", "Hover", float("nan"), 0, None, ["hover"]])
+def test_unknown_kind_never_flies(kind):
+    config = dataclasses.replace(parse_config(MINIMAL), trajectory=TrajectoryConfig(kind=kind))
+    with pytest.raises(ConfigError, match=r"^trajectory: kind must be one of \('hover', "):
+        config.to_trajectory()
+
+
+@pytest.mark.parametrize("section, change, builder, message", [
+    ("gains", {"k_pos": -1.0}, "to_gains", r"gains: k_pos diagonal entries must be positive"),
+    ("sim", {"dt_s": 0.0}, "to_sim_params", r"sim: dt must be positive and finite, got 0.0"),
+    ("trajectory", {"hover_x_m": float("nan")}, "to_trajectory",
+     r"trajectory: r0 must be a finite array of shape \(3,\), got \(nan, 0.0, 0.7\)"),
+    ("trajectory", {"kind": "rectangle", "altitude_m": float("nan")}, "to_trajectory",
+     r"trajectory: altitude must be finite, got nan"),
+    ("trajectory", {"kind": "rectangle_fixed", "speed_mps": 5.0}, "to_trajectory",
+     r"trajectory: speed must be below 1.2 for the 0.5 s corner blend, got 5.0"),
+])
+def test_code_built_errors_name_section_and_field(section, change, builder, message):
+    # Every builder maps a rejected value the same way: "<section>: <message>".
+    config = parse_config(MINIMAL)
+    config = dataclasses.replace(
+        config, **{section: dataclasses.replace(getattr(config, section), **change)})
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        getattr(config, builder)()

@@ -251,3 +251,17 @@ def test_checked_numbers_are_kept_as_floats():
     assert type(helix(True).t) is float and type(rectangle()(np.float32(1.0)).t) is float
     assert rectangle(speed=np.array(0.25))(1.0).r_d == rectangle()(1.0).r_d
     assert rectangle_period(np.array(0.25)) == rectangle_period()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("summary, field", [("rms_pos_err", "t"), ("max_pos_err", "t"),
+                                            ("final_att_err", "att_err"),
+                                            ("saturation_fraction", "saturated")])
+def test_empty_run_result_summaries_name_the_empty_field(summary, field):
+    # A caller-built result with no samples: a named ValueError, not an
+    # IndexError or a "Mean of empty slice" warning and NaN.
+    kwargs = _record_kwargs(_run_result())
+    empty = RunResult(**{name: value[:0] if isinstance(value, np.ndarray) else value
+                         for name, value in kwargs.items()})
+    with pytest.raises(ValueError, match=rf"^{field} must be a non-empty array, got \[\]$"):
+        getattr(empty, summary)()

@@ -189,8 +189,8 @@ def test_actuation_ellipsoid_quad(quad_tilt_structure):
 
 
 def test_ellipsoid_projection_extents(pitch_pair_structure):
-    poly = ellipsoid_xz_polygon(pitch_pair_structure, points=720)
-    assert poly.shape == (720, 2)
+    poly = ellipsoid_xz_polygon(pitch_pair_structure)
+    assert poly.shape == (128, 2)
     # Elongated along z: semi-axes sqrt(2) in x, sqrt(6) in z.
     assert abs(np.max(np.abs(poly[:, 0])) - np.sqrt(2.0)) < 1e-3
     assert abs(np.max(np.abs(poly[:, 1])) - np.sqrt(6.0)) < 1e-3
