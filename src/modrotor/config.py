@@ -26,6 +26,7 @@ naming the line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -124,8 +125,8 @@ def _placement(m: ModuleConfig) -> ModulePlacement:
         mass=m.mass_kg,
         base=m.base_m,
         height=m.height_m,
-        alpha=np.deg2rad(m.alpha_deg),
-        beta=np.deg2rad(m.beta_deg),
+        alpha=math.radians(checked("alpha_deg", m.alpha_deg)),
+        beta=math.radians(checked("beta_deg", m.beta_deg)),
         k_f=m.k_f,
         k_m=m.k_m,
         f_max=m.f_max_n,
@@ -141,10 +142,10 @@ def _placement(m: ModuleConfig) -> ModulePlacement:
 # Each trajectory kind and the sampler it flies, built from the section.
 _TRAJECTORIES = {
     "hover": lambda tr: hover((tr.hover_x_m, tr.hover_y_m, tr.hover_z_m),
-                              yaw0=float(np.deg2rad(tr.hover_yaw_deg))),
+                              yaw0=math.radians(checked("hover_yaw_deg", tr.hover_yaw_deg))),
     "helix": lambda tr: helix,
-    "rectangle": lambda tr: rectangle(float(np.deg2rad(tr.pitch_hold_deg)), tr.speed_mps,
-                                      tr.altitude_m),
+    "rectangle": lambda tr: rectangle(math.radians(checked("pitch_hold_deg", tr.pitch_hold_deg)),
+                                      tr.speed_mps, tr.altitude_m),
     # The level rectangle: pitch_hold_deg does not apply.
     "rectangle_fixed": lambda tr: rectangle(0.0, tr.speed_mps, tr.altitude_m),
 }

@@ -22,17 +22,18 @@ of its mode and stores that reduced map with its Moore-Penrose
 pseudoinverse. Each step is then one product giving the exact minimum-norm
 thrusts, clamped to the motor range.
 
-:meth:`Controller.step` is the one entry to the control law and a flat
-kernel: it reads the state's floats and the sample's float tuples, runs the
-law on Python floats, which avoids the per-call cost of numpy on 3-vectors
-and 3x3 matrices, and uses numpy only for the allocation product; the clamp
-and the saturation test run on the resulting floats. The output keeps the
-thrusts, the wrench and the attitude as floats and builds its arrays and
-its ``Wrench`` only when they are read. Float arithmetic overflows to inf
-and NaN without warnings, so the step checks the commanded acceleration and
-wrench for finiteness and raises ControlDegeneracyError; the sample's
-attitude is a finite rotation already. So the output and its ``Wrench`` skip
-re-validation, by the rule in :mod:`modrotor.lazy`.
+:meth:`Controller._law` is the control law's one kernel, which the closed
+loop calls on each step: it reads a state's 18 floats and the sample's
+float tuples, runs the law on Python floats, which avoids the per-call cost
+of numpy on 3-vectors and 3x3 matrices, and uses numpy only for the
+allocation product; the clamp and the saturation test run on the resulting
+floats, and it returns floats. :meth:`Controller.step` is a thin wrapper
+that builds the whole ``ControlOutput`` from them. Float arithmetic
+overflows to inf and NaN without warnings, so the kernel checks the
+commanded acceleration and wrench for finiteness and raises
+ControlDegeneracyError; the sample's attitude is a finite rotation already.
+So the output's ``Wrench`` skips re-validation, by the rule in
+:mod:`modrotor.lazy`.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from operator import itemgetter, sub
 
 import numpy as np
 
-from .dynamics import GRAVITY, RigidState
+from .dynamics import GRAVITY, RigidState, _floats_of
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import checked, finite_array, lazy_fields, unchecked
+from .lazy import checked, finite_array, read_only, unchecked
 from .module_design import Wrench
 from .so3 import cross3, matmul3
 from .structure import StructureModel, _rank_of
@@ -87,12 +88,6 @@ class Gains:
             object.__setattr__(self, name, mat)
 
 
-@lazy_fields(
-    u=lambda out: np.array(out._u),
-    desired_wrench=lambda out: unchecked(Wrench, force=np.array(out._force),
-                                         torque=np.array(out._torque)),
-    desired_attitude=lambda out: np.array(out._attitude).reshape(3, 3),
-)
 @dataclass(frozen=True, eq=False)
 class ControlOutput:
     """Result of one controller evaluation.
@@ -105,9 +100,8 @@ class ControlOutput:
     desired_attitude: the commanded world attitude of the thrust frame
     mode: "4dof", "5dof" or "6dof"
 
-    :meth:`Controller.step` keeps the thrusts, the wrench and the attitude as
-    floats and builds the ``u`` array, the ``Wrench`` and the attitude
-    matrix only when they are read.
+    An output of :meth:`Controller.step` holds every field, its arrays
+    read-only.
     """
 
     u: np.ndarray
@@ -121,16 +115,6 @@ class ControlOutput:
 def _diag(gain: np.ndarray) -> tuple[float, float, float]:
     """The diagonal of a 3x3 gain matrix, as floats."""
     return tuple(gain.ravel().tolist()[::4])
-
-
-def _position_accel(r, v, r_d, v_d, a_d, k_pos, k_vel, gravity):
-    """PD on position and velocity error plus gravity and acceleration
-    feed-forward; 3-float sequences in, a 3-tuple out."""
-    return (
-        k_pos[0] * (r_d[0] - r[0]) + k_vel[0] * (v_d[0] - v[0]) + a_d[0],
-        k_pos[1] * (r_d[1] - r[1]) + k_vel[1] * (v_d[1] - v[1]) + a_d[1],
-        k_pos[2] * (r_d[2] - r[2]) + k_vel[2] * (v_d[2] - v[2]) + gravity + a_d[2],
-    )
 
 
 def _unit_cross(a, b, message: str):
@@ -190,49 +174,6 @@ _MODE_ROWS = {
 }
 
 
-def _attitude_error(r_wf_d, r_wf, omega, omega_d):
-    """(e_rot, e_omega) from row-major attitudes and 3-float rates.
-
-    With M = R_d^T R_wf, e_rot is half the vee of M - M^T and e_omega is
-    omega - M^T omega_d.
-    """
-    d0, d1, d2, d3, d4, d5, d6, d7, d8 = r_wf_d
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = matmul3((d0, d3, d6, d1, d4, d7, d2, d5, d8), r_wf)
-    wx, wy, wz = omega
-    ox, oy, oz = omega_d
-    return (
-        (0.5 * (m7 - m5), 0.5 * (m2 - m6), 0.5 * (m3 - m1)),
-        (
-            wx - (m0 * ox + m3 * oy + m6 * oz),
-            wy - (m1 * ox + m4 * oy + m7 * oz),
-            wz - (m2 * ox + m5 * oy + m8 * oz),
-        ),
-    )
-
-
-def _attitude_accel(e_rot, e_omega, k_rot, k_ang):
-    return (
-        -k_rot[0] * e_rot[0] - k_ang[0] * e_omega[0],
-        -k_rot[1] * e_rot[1] - k_ang[1] * e_omega[1],
-        -k_rot[2] * e_rot[2] - k_ang[2] * e_omega[2],
-    )
-
-
-def _attitude_torque(alpha, inertia, omega):
-    """I alpha + omega x I omega; inertia row-major."""
-    i0, i1, i2, i3, i4, i5, i6, i7, i8 = inertia
-    ax, ay, az = alpha
-    wx, wy, wz = omega
-    hx = i0 * wx + i1 * wy + i2 * wz
-    hy = i3 * wx + i4 * wy + i5 * wz
-    hz = i6 * wx + i7 * wy + i8 * wz
-    return (
-        i0 * ax + i1 * ay + i2 * az + (wy * hz - wz * hy),
-        i3 * ax + i4 * ay + i5 * az + (wz * hx - wx * hz),
-        i6 * ax + i7 * ay + i8 * az + (wx * hy - wy * hx),
-    )
-
-
 class Controller:
     """Closed-loop controller bound to one structure.
 
@@ -281,23 +222,52 @@ class Controller:
         self._f_max = tuple(structure.f_max.tolist())
 
     def step(self, state: RigidState, sample: TrajectorySample) -> ControlOutput:
-        flat = state._flat
-        omega = flat[15:18]
-        a = _position_accel(
-            flat[0:3], flat[3:6], sample.r_d, sample.v_d, sample.a_d, self._k_pos, self._k_vel,
-            self.gravity,
+        u, u_raw, saturated, force, torque, r_wf_d = self._law(_floats_of(state), sample)
+        u_raw.setflags(write=False)
+        return ControlOutput(
+            u=read_only(u), u_raw=u_raw, saturated=saturated, mode=self.mode,
+            desired_wrench=unchecked(Wrench, force=read_only(force), torque=read_only(torque)),
+            desired_attitude=read_only(r_wf_d, (3, 3)),
         )
-        ax, ay, az = a
+
+    def _law(self, y, sample: TrajectorySample):
+        """The control law on a state's 18 floats ``y`` (see
+        :func:`~modrotor.dynamics._floats_of`): the clamped thrusts as a list,
+        the minimum-norm thrusts as an array, the saturation flag, and the
+        commanded force, torque and row-major attitude as float tuples."""
+        rx, ry, rz, vx, vy, vz, *r_ws, wx, wy, wz = y
+        r_d, v_d, a_d = sample.r_d, sample.v_d, sample.a_d
+        # PD on position and velocity error plus gravity and acceleration feed-forward.
+        k_pos, k_vel = self._k_pos, self._k_vel
+        ax = k_pos[0] * (r_d[0] - rx) + k_vel[0] * (v_d[0] - vx) + a_d[0]
+        ay = k_pos[1] * (r_d[1] - ry) + k_vel[1] * (v_d[1] - vy) + a_d[1]
+        az = k_pos[2] * (r_d[2] - rz) + k_vel[2] * (v_d[2] - vz) + self.gravity + a_d[2]
         if not math.isfinite(ax * ax + ay * ay + az * az):
             raise ControlDegeneracyError(
                 "commanded acceleration has no finite magnitude: "
                 f"a = ({ax:.3e}, {ay:.3e}, {az:.3e}) m/s^2"
             )
-        r_wf_d = self._desired_attitude(a, sample._attitude)
-        r_wf = matmul3(flat[6:15], self._r_sf)
-        e_rot, e_omega = _attitude_error(r_wf_d, r_wf, omega, sample.omega_d)
-        torque = _attitude_torque(
-            _attitude_accel(e_rot, e_omega, self._k_rot, self._k_ang), self._inertia, omega
+        r_wf_d = self._desired_attitude((ax, ay, az), sample._attitude)
+        r_wf = matmul3(r_ws, self._r_sf)
+
+        # With M = R_d^T R_wf, the attitude error is half the vee of M - M^T
+        # and the rate error omega - M^T omega_d; PD on both gives the
+        # angular acceleration, and the torque is I alpha + omega x I omega.
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = matmul3(
+            r_wf_d[0::3] + r_wf_d[1::3] + r_wf_d[2::3], r_wf)
+        ox, oy, oz = sample.omega_d
+        k_rot, k_ang = self._k_rot, self._k_ang
+        alx = -k_rot[0] * (0.5 * (m7 - m5)) - k_ang[0] * (wx - (m0 * ox + m3 * oy + m6 * oz))
+        aly = -k_rot[1] * (0.5 * (m2 - m6)) - k_ang[1] * (wy - (m1 * ox + m4 * oy + m7 * oz))
+        alz = -k_rot[2] * (0.5 * (m3 - m1)) - k_ang[2] * (wz - (m2 * ox + m5 * oy + m8 * oz))
+        i0, i1, i2, i3, i4, i5, i6, i7, i8 = self._inertia
+        hx = i0 * wx + i1 * wy + i2 * wz
+        hy = i3 * wx + i4 * wy + i5 * wz
+        hz = i6 * wx + i7 * wy + i8 * wz
+        torque = (
+            i0 * alx + i1 * aly + i2 * alz + (wy * hz - wz * hy),
+            i3 * alx + i4 * aly + i5 * alz + (wz * hx - wx * hz),
+            i6 * alx + i7 * aly + i8 * alz + (wx * hy - wy * hx),
         )
 
         # Thrust-frame force: mass times R_wf^T a on the commanded axes.
@@ -323,5 +293,4 @@ class Controller:
         # np.clip(u_raw, 0, f_max) entry by entry, -0.0 included.
         u = [0.0 if x <= 0.0 else (high if x > high else x) for x, high in zip(raw, self._f_max)]
         saturated = u != raw and max(map(abs, map(sub, u, raw))) > 1e-12
-        return unchecked(ControlOutput, u_raw=u_raw, saturated=saturated, mode=self.mode, _u=u,
-                         _force=force, _torque=torque, _attitude=r_wf_d)
+        return u, u_raw, saturated, force, torque, r_wf_d

@@ -22,16 +22,20 @@ The step kernel, ``_advance``, is one straight-line pass on named Python
 floats, which avoids the per-call cost of numpy on 3-vectors and 3x3
 matrices: each stage hands ``_derivative`` the nine floats it reads (v, phi,
 omega), the position is integrated once at the end, and the Rodrigues
-rotation and the polar pass follow. It reads the state's 18 floats and the
-structure's mass and inertia floats, converted once per structure, and
-returns a state that holds only its floats; that state builds its arrays
-when they are read. Float arithmetic overflows to inf and NaN without
-warnings, and the kernel checks its result for finiteness, raising
-IntegrationError; its one numpy call, the thrust product, runs inside the
-``np.errstate(over="ignore", invalid="ignore")`` that its callers enter:
-:func:`step` and :func:`accelerations` on each call, the closed loop once
-per run. By the rule in :mod:`modrotor.lazy`, that result and the closed
-loop's checked values skip the checks of ``RigidState`` and :func:`step`.
+rotation and the polar pass follow. It takes a state as its 18 floats (r, v,
+r_ws row-major, omega) with the structure's mass and inertia floats,
+converted once per structure, and returns the next state's 18 floats. Float
+arithmetic overflows to inf and NaN without warnings, and the kernel checks
+its result for finiteness, raising IntegrationError; its one numpy call, the
+thrust product, runs inside the ``np.errstate(over="ignore",
+invalid="ignore")`` that its callers enter: :func:`step` and
+:func:`accelerations` on each call, the closed loop once per run.
+
+:func:`step` is a thin wrapper: it checks its inputs, hands the kernel the
+state's floats and returns the whole next ``RigidState``. The closed loop
+calls the kernel itself and builds only its final state. By the rule in
+:mod:`modrotor.lazy`, a state built from the kernel's checked result skips
+the checks of ``RigidState``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .lazy import POSITIVE, checked, finite_array, lazy_fields, read_only, unchecked
+from .lazy import POSITIVE, checked, finite_array, read_only, unchecked
 from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
@@ -50,12 +54,6 @@ GRAVITY = 9.81  # m/s^2
 _TWELFTH = 1.0 / 12.0
 
 
-@lazy_fields(
-    r=lambda state: read_only(state._flat[0:3]),
-    v=lambda state: read_only(state._flat[3:6]),
-    r_ws=lambda state: read_only(state._flat[6:15], (3, 3)),
-    omega=lambda state: read_only(state._flat[15:18]),
-)
 @dataclass(frozen=True, eq=False)
 class RigidState:
     """Pose and twist of the structure.
@@ -64,10 +62,8 @@ class RigidState:
     r_ws: rotation from the structure frame to the world frame
     omega: body-frame angular velocity, rad/s
 
-    Every state also holds its 18 floats (r, v, r_ws row-major, omega),
-    which is what the controller and the integrator read, and its arrays
-    are read-only copies of them. A state that :func:`step` returns holds
-    only the floats and builds each array on first read.
+    Each field is a finite, read-only float array: a copy of the caller's
+    value, or the integrator's result in a state that :func:`step` returns.
     """
 
     r: np.ndarray
@@ -78,8 +74,18 @@ class RigidState:
     def __post_init__(self):
         for name, shape in (("r", (3,)), ("v", (3,)), ("r_ws", (3, 3)), ("omega", (3,))):
             object.__setattr__(self, name, finite_array(name, getattr(self, name), shape))
-        self.__dict__["_flat"] = (*self.r.tolist(), *self.v.tolist(), *self.r_ws.ravel().tolist(),
-                                  *self.omega.tolist())
+
+
+def _floats_of(state: RigidState) -> tuple[float, ...]:
+    """The 18 floats the kernels read: r, v, r_ws row-major, omega."""
+    return (*state.r.tolist(), *state.v.tolist(), *state.r_ws.ravel().tolist(),
+            *state.omega.tolist())
+
+
+def _state_of(y) -> RigidState:
+    """The state whose :func:`_floats_of` is ``y``, which the kernel checked."""
+    return unchecked(RigidState, r=read_only(y[0:3]), v=read_only(y[3:6]),
+                     r_ws=read_only(y[6:15], (3, 3)), omega=read_only(y[15:18]))
 
 
 @dataclass(frozen=True)
@@ -106,12 +112,12 @@ def accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
                   gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
     """Linear (world) and angular (body) acceleration under thrusts ``u``."""
     u, gravity = finite_array("u", u, (4 * structure.n,)), checked("gravity", gravity)
-    flat = state._flat
     mass, inertia, inertia_inv = structure._rigid_body
     with np.errstate(over="ignore", invalid="ignore"):
         fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
-    k = _derivative(*flat[3:6], 0.0, 0.0, 0.0, *flat[15:18], flat[6:15],
-                    (fx / mass, fy / mass, fz / mass), torque, inertia, inertia_inv, gravity)
+    k = _derivative(*state.v.tolist(), 0.0, 0.0, 0.0, *state.omega.tolist(),
+                    state.r_ws.ravel().tolist(), (fx / mass, fy / mass, fz / mass), torque,
+                    inertia, inertia_inv, gravity)
     return np.array(k[0:3]), np.array(k[6:9])
 
 
@@ -165,14 +171,16 @@ def step(structure: StructureModel, state: RigidState, u: np.ndarray, dt: float,
     """Advance one step of length ``dt`` with the 4n finite thrusts ``u``
     held constant."""
     u = finite_array("u", u, (4 * structure.n,))
+    dt, gravity = checked("dt", dt), checked("gravity", gravity)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _advance(structure, state, u, checked("dt", dt), checked("gravity", gravity))
+        return _state_of(_advance(structure, _floats_of(state), u, dt, gravity))
 
 
-def _advance(structure, state, u, dt: float, gravity: float) -> RigidState:
-    """:func:`step` on thrusts and floats that are checked already, inside
-    the caller's ``np.errstate`` (see the module docstring)."""
-    rx, ry, rz, vx, vy, vz, *r_ws0, wx, wy, wz = state._flat
+def _advance(structure, y, u, dt: float, gravity: float) -> tuple[float, ...]:
+    """:func:`step` on a state's 18 floats ``y`` and on thrusts and floats
+    that are checked already, inside the caller's ``np.errstate`` (see the
+    module docstring); the next state's 18 floats."""
+    rx, ry, rz, vx, vy, vz, *r_ws0, wx, wy, wz = y
     mass, inertia, inertia_inv = structure._rigid_body
     fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
     force = (fx / mass, fy / mass, fz / mass)
@@ -230,4 +238,4 @@ def _advance(structure, state, u, dt: float, gravity: float) -> RigidState:
     if not all(map(math.isfinite, r_ws1)):
         raise IntegrationError(f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, "
                                f"dt={dt})")
-    return unchecked(RigidState, _flat=(*y1, *r_ws1, *omega1))
+    return (*y1, *r_ws1, *omega1)

@@ -1,10 +1,5 @@
-"""Dataclass fields built on first read, instances built unchecked, the
-checks on caller input, and the one memo rule.
-
-The closed loop passes states, samples and controller outputs between
-layers as Python floats. Their array fields are for callers that read them,
-so an instance made by a kernel may leave them out and build each one from
-its floats when it is first read.
+"""Instances built unchecked, the checks on caller input, and the one memo
+rule.
 
 One rule covers validation: values the library builds from inputs it has
 already checked skip re-validation through :func:`unchecked`; values from
@@ -35,36 +30,6 @@ NON_NEGATIVE = (0.0, _MAX, "non-negative and finite")
 TILT = (-math.pi / 2.0, math.pi / 2.0, "within [-pi/2, pi/2]")
 SPIN = (-1.0, 1.0, "+1 or -1")  # PropellerSpec also rejects the values in between
 QUARTERS = (0.0, 3.0, "0, 1, 2 or 3")  # ModulePlacement also rejects non-integers
-
-
-class _LazyField:
-    """Non-data descriptor: an instance that holds the field in its
-    ``__dict__`` never reaches it; for one that does not, the first read
-    builds the value and stores it there."""
-
-    def __init__(self, name: str, build):
-        self.name = name
-        self.build = build
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
-
-
-def lazy_fields(**builders):
-    """Class decorator, placed above ``@dataclass``: each keyword names a
-    field that instances may leave out, and the function that builds its
-    value from the instance on first read. Instances made by the dataclass
-    constructor hold every field and are unaffected."""
-
-    def decorate(cls):
-        for name, build in builders.items():
-            setattr(cls, name, _LazyField(name, build))
-        return cls
-
-    return decorate
 
 
 def unchecked(cls, **fields):
@@ -140,8 +105,8 @@ def float_array(values) -> np.ndarray:
 
 def read_only(values, shape=None) -> np.ndarray:
     """A new float array of ``values`` (see :func:`float_array`), optionally
-    reshaped, that cannot be written to: it shows floats its owner keeps and
-    the kernels read, so a write to it would not reach them."""
+    reshaped, that cannot be written to, so the frozen value holding it
+    stays as it was built."""
     arr = float_array(values)
     if shape is not None:
         arr = arr.reshape(shape)

@@ -6,12 +6,13 @@ regression: time, actual and desired position, the thrust-frame attitude as
 yaw/pitch/roll, the position error norm, all rotor thrusts and the
 saturation flag.
 
-The loop passes Python floats between the layers: trajectory samples carry
-float tuples, and the controller's output and the integrator's state keep
-their floats and build their arrays only when a caller reads them. Each
-step's record is computed from those floats and written as one row of
-preallocated numpy storage. The loop calls ``dynamics._advance`` and
-enters the ``np.errstate`` that kernel needs once, around all its steps.
+The loop passes Python floats between private kernels: it reads each
+trajectory sample's float tuples, hands the state's 18 floats to the
+control law (``Controller._law``) and its thrusts to the integrator
+(``dynamics._advance``), and computes each step's record from those floats,
+written as one row of preallocated numpy storage. It builds no
+``ControlOutput`` and no per-step ``RigidState``, only the final state, and
+enters the ``np.errstate`` the integrator needs once, around all its steps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Controller, Gains
-from .dynamics import RigidState, SimParams, _advance
+from .dynamics import RigidState, SimParams, _advance, _floats_of, _state_of
 from .errors import ModrotorError, SimulationError
 from .lazy import checked, shown
 from .so3 import angle_between
@@ -122,6 +123,7 @@ def run_closed_loop(
         ) from None
     r_sf = structure.r_sf
     dt, gravity = params.dt, params.gravity
+    law, y = controller._law, _floats_of(state)
 
     # Entered once for the run, not once per step: see the module docstring.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -129,24 +131,22 @@ def run_closed_loop(
             t = k * dt
             sample = trajectory(t)
             try:
-                out = controller.step(state, sample)
-                flat, r_d = state._flat, sample.r_d
-                r = flat[0:3]
+                u, _, sat[k], _, _, r_wf_d = law(y, sample)
+                r, r_d = y[0:3], sample.r_d
                 # numpy's product, not so3.matmul3: its BLAS kernel rounds
                 # near-cancelling entries differently, and the CSV records them.
-                r_wf = np.array(flat[6:15]).reshape(3, 3).dot(r_sf).ravel().tolist()
+                r_wf = np.array(y[6:15]).reshape(3, 3).dot(r_sf).ravel().tolist()
                 # A list, not a tuple: a two-module row has 20 entries, and
                 # CPython 3.11 parks spent 20-item tuples on a free list it never
                 # draws from (0.4 MB more peak memory).
                 rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r),
-                           angle_between(r_wf, out._attitude), *out._u]
-                sat[k] = out.saturated
-                state = _advance(structure, state, out._u, dt, gravity)
+                           angle_between(r_wf, r_wf_d), *u]
+                y = _advance(structure, y, u, dt, gravity)
             except ModrotorError as exc:
                 raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
 
     return RunResult(
         t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
         pos_err=rows[:, 10], att_err=rows[:, 11], u=rows[:, 12:], saturated=sat,
-        final_state=state,
+        final_state=_state_of(y),
     )

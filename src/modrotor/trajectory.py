@@ -13,23 +13,23 @@ and build what every sample shares (the rectangle's lap schedule and
 attitude) once, then return the sampler, which checks only ``t``.
 
 The trajectories compute with ``math`` on Python floats, and a sample
-carries its vectors as float 3-tuples, which is what the controller reads.
-The attitude is kept as floats too; the ``r_wf_d`` array is built only when
-something reads it. By the rule in :mod:`modrotor.lazy`, the trajectories'
-samples skip ``TrajectorySample``'s checks, which callers' samples pass.
+carries its vectors as float 3-tuples and its attitude as nine row-major
+floats, which is what the controller reads; ``r_wf_d`` is a property that
+builds the matrix from them. By the rule in :mod:`modrotor.lazy`, the
+trajectories' samples skip ``TrajectorySample``'s checks, which callers'
+samples pass.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .lazy import (NON_NEGATIVE, POSITIVE, checked, finite_array, lazy_fields, read_only,
-                   rotation, unchecked)
+from .lazy import NON_NEGATIVE, POSITIVE, checked, finite_array, read_only, rotation, unchecked
 from .so3 import rot_y_flat, rot_z_flat
 
 # Helix geometry: circle in the xy-plane with vertical oscillation, one
@@ -49,9 +49,9 @@ RECT_BLEND = 0.5  # s spent rounding each corner
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-@lazy_fields(r_wf_d=lambda sample: read_only(sample._attitude, (3, 3)))
 @dataclass(frozen=True, eq=False)
 class TrajectorySample:
     """Reference state at time t.
@@ -59,34 +59,39 @@ class TrajectorySample:
     r_d, v_d, a_d: desired position and its first two derivatives, float
         3-tuples
     r_wf_d: desired world attitude of the thrust frame, a 3x3 rotation;
-        the identity by default
+        None means the identity
     omega_d: desired angular velocity in the desired frame, rad/s, a float
         3-tuple; None means zero
 
     The constructor turns the vectors into float tuples and rejects, naming
     the field, a non-finite vector or ``t`` and an ``r_wf_d`` that is not a
-    finite rotation. A sample keeps its attitude as row-major floats, which
-    the controller reads, and ``r_wf_d`` is a read-only copy of them: the
-    caller's array, copied, or one built on first read.
+    finite rotation. A sample keeps its attitude as nine row-major floats,
+    which the controller reads, and ``r_wf_d`` builds a new read-only
+    matrix of them on each read.
     """
 
     t: float
     r_d: tuple
     v_d: tuple
     a_d: tuple
-    r_wf_d: np.ndarray = field(default_factory=lambda: np.eye(3))
+    r_wf_d: InitVar[np.ndarray | None] = None
     omega_d: tuple | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, r_wf_d):
         if self.omega_d is None:
             object.__setattr__(self, "omega_d", _ZERO3)
         for name in ("r_d", "v_d", "a_d", "omega_d"):
             vector = finite_array(name, getattr(self, name), (3,))
             object.__setattr__(self, name, tuple(vector.tolist()))
         object.__setattr__(self, "t", checked("t", self.t))
-        r_wf_d = rotation("r_wf_d", self.r_wf_d)
-        object.__setattr__(self, "r_wf_d", r_wf_d)
-        self.__dict__["_attitude"] = tuple(r_wf_d.ravel().tolist())
+        attitude = _IDENTITY if r_wf_d is None else rotation("r_wf_d", r_wf_d).ravel().tolist()
+        object.__setattr__(self, "_attitude", tuple(attitude))
+
+
+# Set after the class: a property in its body would be taken as the
+# constructor's default for r_wf_d.
+TrajectorySample.r_wf_d = property(lambda sample: read_only(sample._attitude, (3, 3)),
+                                   doc="The attitude target as a read-only 3x3 matrix.")
 
 
 def hover(r0, yaw0: float = 0.0) -> Callable[[float], TrajectorySample]:

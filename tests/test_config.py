@@ -327,7 +327,7 @@ def test_config_dataclass_equality_is_by_value():
 
 # Values a caller may put in a field of a config built in code, which no
 # parsing has checked.
-_CODE_EDGES = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e308)
+_CODE_EDGES = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e308, "a")
 _KINDS = ("hover", "helix", "rectangle", "rectangle_fixed")
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modrotor import IntegrationError, RigidState, SimParams, accelerations, step
-from modrotor.dynamics import _advance
+from modrotor.dynamics import _advance, _floats_of
 from modrotor.so3 import E3, exp_map, matmul3, rodrigues, rot_z
 
 
@@ -280,14 +280,14 @@ def test_step_matches_numpy_oracle(all_structures):
 
 
 def _list_start(state):
-    flat = state._flat
+    flat = _floats_of(state)
     return (*flat[0:6], 0.0, 0.0, 0.0, *flat[15:18])
 
 
 def _list_step_model(structure, state, u, gravity):
     wrench = structure.thrust_map.dot(u).tolist()
     mass, inertia, inertia_inv = structure._rigid_body
-    return (state._flat[6:15], (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
+    return (_floats_of(state)[6:15], (wrench[0] / mass, wrench[1] / mass, wrench[2] / mass),
             wrench[3:], inertia, inertia_inv, gravity)
 
 
@@ -377,7 +377,7 @@ def test_kernel_matches_list_kernel_bit_for_bit(all_structures):
             u = sparse(rng.uniform(0.0, 1.0, size=4 * structure.n) * structure.f_max)
             dt = float(rng.choice([1e-3, 5e-3, 2e-2]))
             gravity = float(rng.choice([0.0, -0.0, rng.uniform(9.0, 10.0)]))
-            got = _advance(structure, state, u, dt, gravity)._flat
+            got = _advance(structure, _floats_of(state), u, dt, gravity)
             want = _list_advance(structure, state, u, dt, gravity)
             assert _bits(got) == _bits(want), f"{name} case {case}: {got} != {want}"
 

@@ -3,7 +3,8 @@
 The README's Python example and the benchmark scripts in bench/ are the
 package's callers outside the test suite. Their imports are read with
 ``ast`` (nothing is executed) and each name is resolved against the
-package, so removing something they use fails here.
+package, so removing something they use fails here. The package's export
+set is pinned as well, so an export is never renamed or dropped unnoticed.
 """
 
 import ast
@@ -20,6 +21,18 @@ import modrotor
 from test_input_contract import NO_NUMBERS, ROWS
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Every name ``modrotor/__init__.py`` exports.
+EXPORTS = frozenset((
+    "AllocationError", "AssemblyError", "BalanceReport", "ConfigError", "ControlDegeneracyError",
+    "ControlOutput", "Controller", "Gains", "IntegrationError", "ModrotorError",
+    "ModulePlacement", "ModuleSpec", "PropellerSpec", "RigidState", "RunResult", "SimParams",
+    "SimulationError", "StructureConfig", "StructureModel", "TrajectorySample", "Wrench",
+    "accelerations", "actuation_ellipsoid", "assemble", "build_r_module", "check_balanced",
+    "cuboid_inertia", "helix", "hover", "initial_state_from_sample", "numerical_rank",
+    "parse_config", "propeller_orientation", "rectangle", "rectangle_period", "run_closed_loop",
+    "step",
+))
 
 
 def _callers() -> dict[str, str]:
@@ -111,3 +124,10 @@ def test_every_export_has_a_row_in_the_input_contract():
                 if callable(value) and not name.startswith("_")}
     assert not exported - ROWS.keys() - NO_NUMBERS, "exports without a contract row"
     assert NO_NUMBERS <= exported and not NO_NUMBERS & ROWS.keys()
+
+
+def test_export_set_is_pinned():
+    # Public names other than the package's own submodules and version.
+    exported = {name for name, value in vars(modrotor).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == EXPORTS

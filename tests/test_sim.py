@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from modrotor import (
+    ControlOutput,
     Controller,
     RigidState,
     SimParams,
     SimulationError,
+    Wrench,
     hover,
     initial_state_from_sample,
     parse_config,
@@ -160,11 +163,13 @@ def test_deterministic_across_runs(pitch_pair_structure):
     np.testing.assert_array_equal(a.u, b.u)
 
 
-@pytest.mark.parametrize("name", ["experiment1", "experiment2", "experiment3"])
+@pytest.mark.parametrize("name", ["experiment1", "experiment2", "experiment3", "flat",
+                                  "tilted_pair"])
 def test_run_matches_hand_loop_of_public_calls(name):
-    # run_closed_loop hands floats between the layers; a loop of the public
-    # calls that reads the public array fields must give the same run bit
-    # for bit. Two seconds take experiment3 past its first saturated step.
+    # run_closed_loop hands floats between private kernels; a loop of the
+    # public calls that reads the public array fields must give the same run
+    # bit for bit, on every config: both samplers, ranks 1 to 3. Two seconds
+    # take experiment3 past its first saturated step.
     config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
     structure, trajectory, gains = config.to_structure(), config.to_trajectory(), config.to_gains()
     params = replace(config.to_sim_params(), duration=2.0)
@@ -189,3 +194,47 @@ def test_run_matches_hand_loop_of_public_calls(name):
     for field in ("r", "v", "r_ws", "omega"):
         assert getattr(result.final_state, field).tobytes() == getattr(state, field).tobytes()
     assert result.saturated.any() == (name == "experiment3")
+
+
+def _assert_whole(value, rebuild):
+    """Every dataclass field of ``value`` is held in the instance itself
+    before any is read, read-only, with the type and bits of the same field
+    of ``rebuild(value)``, a value built by the public constructors."""
+    held = dict(vars(value))
+    built = rebuild(value)
+    for f in dataclasses.fields(value):
+        assert f.name in held, f"{type(value).__name__}.{f.name} is built on first read"
+        have, want = held[f.name], getattr(built, f.name)
+        assert type(have) is type(want), f.name
+        if dataclasses.is_dataclass(have):
+            _assert_whole(have, lambda _: want)
+        elif isinstance(have, np.ndarray):
+            assert not have.flags.writeable, f.name
+            assert (have.dtype, have.shape) == (want.dtype, want.shape), f.name
+            assert have.tobytes() == want.tobytes(), f.name
+        else:
+            assert have == want, f.name
+
+
+def _rebuilt_output(out):
+    return ControlOutput(
+        u=np.array(out.u), u_raw=np.array(out.u_raw),
+        desired_wrench=Wrench(force=out.desired_wrench.force, torque=out.desired_wrench.torque),
+        saturated=bool(out.saturated), desired_attitude=np.array(out.desired_attitude),
+        mode=str(out.mode))
+
+
+def _rebuilt_state(state):
+    return RigidState(r=state.r, v=state.v, r_ws=state.r_ws, omega=state.omega)
+
+
+def test_public_calls_return_whole_values(all_structures):
+    # The loop runs on floats; what the public calls return is built whole,
+    # with no field left to build on first read.
+    for structure in all_structures.values():
+        state = initial_state_from_sample(structure, helix(0.0))
+        out = Controller(structure).step(state, helix(0.0))
+        _assert_whole(out, _rebuilt_output)
+        _assert_whole(step(structure, state, out.u, 0.01), _rebuilt_state)
+        result = run_closed_loop(structure, helix, params=SimParams(dt=0.01, duration=0.05))
+        _assert_whole(result.final_state, _rebuilt_state)
