@@ -8,7 +8,7 @@ and simulate closed-loop trajectory tracking with controllers matched to 4,
 
 from .control import ControlOutput, Controller, Gains
 from .config import StructureConfig, parse_config
-from .dynamics import RigidState, SimParams, accelerations, step
+from .dynamics import RigidState, SimParams, step
 from .errors import (
     AllocationError,
     AssemblyError,
@@ -25,8 +25,6 @@ from .module_design import (
     Wrench,
     build_r_module,
     check_balanced,
-    cuboid_inertia,
-    propeller_orientation,
 )
 from .sim import RunResult, initial_state_from_sample, run_closed_loop
 from .structure import (
@@ -41,7 +39,6 @@ from .trajectory import (
     helix,
     hover,
     rectangle,
-    rectangle_period,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ converted once per structure, and returns the next state's 18 floats. Float
 arithmetic overflows to inf and NaN without warnings, and the kernel checks
 its result for finiteness, raising IntegrationError; its one numpy call, the
 thrust product, runs inside the ``np.errstate(over="ignore",
-invalid="ignore")`` that its callers enter: :func:`step` and
-:func:`accelerations` on each call, the closed loop once per run.
+invalid="ignore")`` that its callers enter: :func:`step` on each call, the
+closed loop once per run.
 
 :func:`step` is a thin wrapper: it checks its inputs, hands the kernel the
 state's floats and returns the whole next ``RigidState``. The closed loop
@@ -108,10 +108,10 @@ class SimParams:
         object.__setattr__(self, "duration", duration)
 
 
-def accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
-                  gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Linear (world) and angular (body) acceleration under thrusts ``u``."""
-    u, gravity = finite_array("u", u, (4 * structure.n,)), checked("gravity", gravity)
+def _accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
+                   gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
+    """Linear (world) and angular (body) acceleration under the checked
+    thrusts ``u`` and float ``gravity``."""
     mass, inertia, inertia_inv = structure._rigid_body
     with np.errstate(over="ignore", invalid="ignore"):
         fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()

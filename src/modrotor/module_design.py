@@ -165,28 +165,6 @@ class BalanceReport:
     is_balanced: bool
 
 
-def cuboid_inertia(mass: float, base: float, height: float) -> np.ndarray:
-    """Inertia tensor of a solid cuboid with square base, about its center;
-    each argument must be positive and finite."""
-    mass, base = checked("mass", mass, POSITIVE), checked("base", base, POSITIVE)
-    height = checked("height", height, POSITIVE)
-    # Products, not powers: a float power raises OverflowError where a
-    # product overflows to inf, which ModuleSpec then rejects by name.
-    ixx = mass * (base * base + height * height) / 12.0
-    izz = mass * (2.0 * (base * base)) / 12.0
-    return np.diag([ixx, ixx, izz])
-
-
-def propeller_orientation(alpha: float, beta: float) -> np.ndarray:
-    """Rotor rotation from a roll tilt ``alpha`` then pitch tilt ``beta``.
-
-    The result is rot_y(beta) @ rot_x(alpha); both angles are limited to
-    [-pi/2, pi/2] so the thrust axis never points below the rotor plane.
-    """
-    alpha, beta = checked("alpha", alpha, TILT), checked("beta", beta, TILT)
-    return rot_y(beta) @ rot_x(alpha)
-
-
 # Modules built from scalar inputs alone, kept by lazy.remembered.
 _MODULES: dict[tuple, ModuleSpec] = {}
 
@@ -235,7 +213,10 @@ def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None
     order, with every array read-only."""
     base = checked("base", base, POSITIVE)  # first: the rotor positions are built from it
     d = base / 4.0
-    orientation = propeller_orientation(alpha, beta)
+    # Roll tilt, then pitch tilt; both within [-pi/2, pi/2], so the thrust
+    # axis never points below the rotor plane.
+    alpha, beta = checked("alpha", alpha, TILT), checked("beta", beta, TILT)
+    orientation = rot_y(beta) @ rot_x(alpha)
     orientation.flags.writeable = False
     k_f, k_m = checked("k_f", k_f, POSITIVE), checked("k_m", k_m, NON_NEGATIVE)
     f_max, mass = checked("f_max", f_max, POSITIVE), checked("mass", mass, POSITIVE)
@@ -245,8 +226,14 @@ def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None
                   spin=spin, k_f=k_f, k_m=k_m, f_max=f_max)
         for p, spin in (((d, -d, 0.0), 1), ((d, d, 0.0), -1), ((-d, d, 0.0), 1), ((-d, -d, 0.0), -1))
     )
-    i_m = cuboid_inertia(mass, base, height) if inertia is None else inertia
-    return unchecked(ModuleSpec, mass=mass, inertia=_checked_inertia(i_m), base=base,
+    if inertia is None:
+        # Solid cuboid with a square base, about its center. Products, not
+        # powers: a float power raises OverflowError where a product
+        # overflows to inf, which _checked_inertia then rejects by name.
+        ixx = mass * (base * base + height * height) / 12.0
+        izz = mass * (2.0 * (base * base)) / 12.0
+        inertia = np.diag([ixx, ixx, izz])
+    return unchecked(ModuleSpec, mass=mass, inertia=_checked_inertia(inertia), base=base,
                      height=height, propellers=props, tilt=orientation)
 
 

@@ -227,8 +227,3 @@ def rectangle(
                          _attitude=attitude)
 
     return sample
-
-
-def rectangle_period(speed: float = RECT_SPEED) -> float:
-    """Lap time of the rectangular circuit, s."""
-    return _rect_schedule(speed, RECT_ALTITUDE)[2]

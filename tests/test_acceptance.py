@@ -24,7 +24,7 @@ from modrotor import (
     step,
 )
 from modrotor.so3 import E3, exp_map, rot_y, rotation_angle
-from modrotor.trajectory import HELIX_PERIOD, rectangle_period
+from modrotor.trajectory import HELIX_PERIOD, RECT_ALTITUDE, RECT_SPEED, _rect_schedule
 
 from conftest import make_flat, make_pitch_pair, make_quad_tilt, make_tilt10
 from test_structure import brute_force_wrench
@@ -191,7 +191,7 @@ def test_criterion_7_helix_tracking(fixtures):
 
 
 def test_criterion_8_rectangle_with_pitch_hold(fixtures):
-    duration = TRANSIENT_S + rectangle_period()
+    duration = TRANSIENT_S + _rect_schedule(RECT_SPEED, RECT_ALTITUDE)[2]
     ok = True
     details = []
     for hold_deg in (0.0, -5.0):
@@ -207,7 +207,7 @@ def test_criterion_8_rectangle_with_pitch_hold(fixtures):
 
 
 def test_criterion_9_rectangle_fixed_attitude(fixtures):
-    duration = TRANSIENT_S + rectangle_period()
+    duration = TRANSIENT_S + _rect_schedule(RECT_SPEED, RECT_ALTITUDE)[2]
     res = run_closed_loop(fixtures["quad_tilt"], rectangle(),
                           params=SimParams(dt=0.001, duration=duration))
     mask = res.t >= TRANSIENT_S

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from modrotor import IntegrationError, RigidState, SimParams, accelerations, step
-from modrotor.dynamics import _advance, _floats_of
+from modrotor import IntegrationError, RigidState, SimParams, step
+from modrotor.dynamics import _accelerations, _advance, _floats_of
 from modrotor.so3 import E3, exp_map, matmul3, rodrigues, rot_z
 
 
@@ -27,7 +27,7 @@ def top_closed_form(inertia, omega0, r_ws0, t):
 
 
 def test_free_fall_acceleration(flat_structure):
-    rdd, wdd = accelerations(flat_structure, level_state(), np.zeros(4))
+    rdd, wdd = _accelerations(flat_structure, level_state(), np.zeros(4))
     np.testing.assert_allclose(rdd, -9.81 * E3, atol=0)
     np.testing.assert_array_equal(wdd, np.zeros(3))
 
@@ -35,7 +35,7 @@ def test_free_fall_acceleration(flat_structure):
 def test_hover_thrust_balances_gravity(flat_structure):
     g = 9.81
     u = np.full(4, flat_structure.total_mass * g / 4.0)
-    rdd, wdd = accelerations(flat_structure, level_state(), u, gravity=g)
+    rdd, wdd = _accelerations(flat_structure, level_state(), u, gravity=g)
     np.testing.assert_allclose(rdd, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(wdd, np.zeros(3), atol=1e-12)
 
@@ -47,17 +47,12 @@ def test_tilted_module_needs_counter_tilt_to_hover(tilt10_structure):
     g = 9.81
     u = np.full(4, tilt10_structure.total_mass * g / 4.0)
     level = level_state()
-    rdd_level, _ = accelerations(tilt10_structure, level, u, gravity=g)
+    rdd_level, _ = _accelerations(tilt10_structure, level, u, gravity=g)
     assert abs(rdd_level[0]) > 0.1
     counter = RigidState(r=np.zeros(3), v=np.zeros(3),
                          r_ws=tilt10_structure.r_sf.T, omega=np.zeros(3))
-    rdd, _ = accelerations(tilt10_structure, counter, u, gravity=g)
+    rdd, _ = _accelerations(tilt10_structure, counter, u, gravity=g)
     np.testing.assert_allclose(rdd, np.zeros(3), atol=1e-12)
-
-
-def test_accelerations_rejects_wrong_length(flat_structure):
-    with pytest.raises(ValueError):
-        accelerations(flat_structure, level_state(), np.zeros(5))
 
 
 def test_free_fall_position_closed_form(flat_structure):
@@ -266,7 +261,7 @@ def test_step_matches_numpy_oracle(all_structures):
                 np.testing.assert_allclose(getattr(got, name), want, rtol=0, atol=1e-13,
                                            err_msg=name)
 
-            r_ddot, omega_dot = accelerations(structure, state, u, gravity)
+            r_ddot, omega_dot = _accelerations(structure, state, u, gravity)
             want_r_ddot, want_omega_dot = _oracle_newton_euler(
                 structure, state.r_ws, state.omega, u, gravity)
             np.testing.assert_allclose(r_ddot, want_r_ddot, rtol=1e-14, atol=1e-13)
@@ -382,7 +377,7 @@ def test_kernel_matches_list_kernel_bit_for_bit(all_structures):
             assert _bits(got) == _bits(want), f"{name} case {case}: {got} != {want}"
 
             k = _list_derivative(_list_start(state), *_list_step_model(structure, state, u, gravity))
-            r_ddot, omega_dot = accelerations(structure, state, u, gravity)
+            r_ddot, omega_dot = _accelerations(structure, state, u, gravity)
             assert _bits([*r_ddot, *omega_dot]) == _bits([*k[3:6], *k[9:12]]), f"{name} case {case}"
 
 

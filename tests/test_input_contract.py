@@ -10,8 +10,10 @@ exception, and never a warning. A callable that checks its inputs must also
 reject every value that is not a finite float. Record types the library
 fills in itself (``checks=False``) take what they are given.
 
-``NO_NUMBERS`` lists the exports that take no numbers;
-``tests/test_public_api.py`` fails on an export in neither place.
+A row's key is an export, ``<export>.<method>`` or ``<export> sampler``
+(the sampler the export returns). ``NO_NUMBERS`` lists the exports that
+take no numbers; ``tests/test_public_api.py`` fails on an export in
+neither place and on a row whose key names no export.
 """
 
 import dataclasses
@@ -31,8 +33,7 @@ from conftest import make_flat
 from modrotor import (
     BalanceReport, ControlOutput, Controller, Gains, ModrotorError, ModulePlacement, ModuleSpec,
     PropellerSpec, RigidState, RunResult, SimParams, StructureModel, TrajectorySample, Wrench,
-    accelerations, build_r_module, check_balanced, cuboid_inertia, helix, hover,
-    numerical_rank, propeller_orientation, rectangle, rectangle_period, step,
+    build_r_module, check_balanced, helix, hover, numerical_rank, rectangle, step,
 )
 
 EDGE_VALUES = {
@@ -122,24 +123,17 @@ ROWS = {
                             ("t",), ("r_d", "v_d", "a_d", "r_wf_d", "omega_d")),
     "Wrench": Row(Wrench, lambda: dict(force=np.zeros(3), torque=np.zeros(3)),
                   arrays=("force", "torque")),
-    "accelerations": Row(accelerations, lambda: dict(structure=_structure(), state=_state(),
-                                                     u=np.full(4, 0.3)), ("gravity",), ("u",)),
     "build_r_module": Row(build_r_module, dict, ("mass", "base", "height", "alpha", "beta", "k_f",
                                                  "k_m", "f_max"), ("inertia",),
                           derived={"base": "inertia", "height": "inertia"}),
     "check_balanced": Row(check_balanced, lambda: dict(module=build_r_module()), ("tol",)),
-    "cuboid_inertia": Row(cuboid_inertia, lambda: dict(mass=0.135, base=0.12, height=0.06),
-                          ("mass", "base", "height")),
     "helix": Row(helix, lambda: dict(t=1.0), ("t",)),
     "hover": Row(hover, lambda: dict(r0=(0.0, 0.0, 1.0)), ("yaw0",), ("r0",)),
     "hover sampler": Row(lambda t: hover((0.0, 0.0, 1.0))(t), lambda: dict(t=1.0), ("t",)),
     "numerical_rank": Row(numerical_rank, lambda: dict(m=np.eye(3)), arrays=("m",)),
-    "propeller_orientation": Row(propeller_orientation, lambda: dict(alpha=0.0, beta=0.0),
-                                 ("alpha", "beta")),
     "rectangle": Row(rectangle, dict, ("pitch_hold", "speed", "altitude"),
                      use=lambda sampler: sampler(1.0)),
     "rectangle sampler": Row(lambda t: rectangle()(t), lambda: dict(t=1.0), ("t",)),
-    "rectangle_period": Row(rectangle_period, dict, ("speed",)),
     "step": Row(step, lambda: dict(structure=_structure(), state=_state(), u=np.full(4, 0.3),
                                    dt=0.01), ("dt", "gravity"), ("u",)),
 }
@@ -206,6 +200,59 @@ def test_every_numeric_argument_is_used_or_named(row_name, arg, value_name, valu
     assert not (row.checks and value_name in MUST_REJECT), f"{row_name} accepted {arg}={value_name}"
 
 
+# Scalars whose check moved into, or is now made only by, a public call:
+# the tilt and inertia helpers folded into build_r_module, the lap time's
+# speed check is rectangle's, and the gravity check accelerations dropped is
+# step's. Each edge value is accepted or rejected with exactly
+# "<argument> must be <bound>, got <value>", the message the helpers gave.
+_BOUND_OF = {
+    **dict.fromkeys((("build_r_module", arg) for arg in ("mass", "base", "height", "k_f",
+                                                         "f_max")), "positive and finite"),
+    ("build_r_module", "k_m"): "non-negative and finite",
+    ("build_r_module", "alpha"): "within [-pi/2, pi/2]",
+    ("build_r_module", "beta"): "within [-pi/2, pi/2]",
+    ("rectangle", "speed"): "positive and finite",
+    ("step", "gravity"): "finite",
+}
+_WITHIN = {
+    "positive and finite": {"1e300", "true", "float32", "zero_d_array"},
+    "non-negative and finite": {"zero", "1e300", "true", "float32", "zero_d_array"},
+    "within [-pi/2, pi/2]": {"zero", "minus_one", "true", "float32", "zero_d_array"},
+    "finite": {"zero", "minus_one", "1e300", "minus_1e300", "true", "float32", "zero_d_array"},
+}
+_SHOWN = {"zero": "0", "minus_one": "-1", "inf": "inf", "minus_inf": "-inf", "nan": "nan",
+          "1e300": "1e+300", "minus_1e300": "-1e+300", "text": "'a'",
+          **dict.fromkeys(("int_10_400", "minus_int_10_400", "int_10_5000"),
+                          "an int beyond float range")}
+# Values within the bound that a later rule of the same call rejects.
+_LATER_RULE = {
+    ("build_r_module", "base", "1e300"): r"inertia must be a finite array of shape \(3, 3\), got ",
+    ("build_r_module", "height", "1e300"): r"inertia must be a finite array of shape \(3, 3\), got ",
+    ("rectangle", "speed", "1e300"): r"speed must be below 1\.2 for the 0\.5 s corner blend, "
+                                     r"got 1e\+300$",
+}
+
+
+@pytest.mark.parametrize("row_name, arg, value_name",
+                         [(row_name, arg, value_name) for row_name, arg in _BOUND_OF
+                          for value_name in EDGE_VALUES])
+def test_moved_checks_keep_their_messages(row_name, arg, value_name):
+    row, bound = ROWS[row_name], _BOUND_OF[row_name, arg]
+    kwargs = row.kwargs()
+    kwargs[arg] = EDGE_VALUES[value_name]
+    later = _LATER_RULE.get((row_name, arg, value_name))
+    if value_name in _WITHIN[bound] and later is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = row.call(**kwargs)
+            if row.use is not None:
+                row.use(result)
+        return
+    message = later or re.escape(f"{arg} must be {bound}, got {_SHOWN[value_name]}") + "$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        row.call(**kwargs)
+
+
 @pytest.mark.parametrize("turns, as_int", [(1.0, 1), (True, 1), (np.float64(2.0), 2),
                                            (np.array(3.0), 3)])
 def test_quarter_turns_are_kept_as_ints(turns, as_int):
@@ -250,7 +297,6 @@ def test_checked_numbers_are_kept_as_floats():
     assert modrotor.assemble([ModulePlacement(module)]).f_max.dtype == np.float64
     assert type(helix(True).t) is float and type(rectangle()(np.float32(1.0)).t) is float
     assert rectangle(speed=np.array(0.25))(1.0).r_d == rectangle()(1.0).r_d
-    assert rectangle_period(np.array(0.25)) == rectangle_period()
 
 
 @pytest.mark.filterwarnings("error")

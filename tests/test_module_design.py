@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 from functools import partial
 
 import numpy as np
@@ -12,27 +13,25 @@ from modrotor.module_design import (
     Wrench,
     build_r_module,
     check_balanced,
-    cuboid_inertia,
-    propeller_orientation,
 )
 from modrotor.structure import ModulePlacement, assemble
 from modrotor.so3 import E3, rot_x, rot_y
 
 
 def test_propeller_orientation_identity():
-    np.testing.assert_array_equal(propeller_orientation(0.0, 0.0), np.eye(3))
+    np.testing.assert_array_equal(build_r_module(alpha=0.0, beta=0.0).tilt, np.eye(3))
 
 
 def test_propeller_orientation_pitch_only_matches_y_rotation():
     np.testing.assert_array_equal(
-        propeller_orientation(0.0, np.pi / 18), rot_y(np.pi / 18)
+        build_r_module(alpha=0.0, beta=np.pi / 18).tilt, rot_y(np.pi / 18)
     )
 
 
 def test_propeller_orientation_combined_tilt_direction():
     # Hand evaluation: rot_y(30) applied to rot_x(30) e3 = (0, -1/2, cos30)
     # gives (sin30 cos30, -1/2, cos30^2).
-    axis = propeller_orientation(np.pi / 6, np.pi / 6) @ E3
+    axis = build_r_module(alpha=np.pi / 6, beta=np.pi / 6).tilt @ E3
     expected = np.array([0.4330127018922193, -0.5, 0.75])
     np.testing.assert_allclose(axis, expected, atol=1e-15)
     assert axis[0] > 0 and axis[1] < 0
@@ -40,14 +39,14 @@ def test_propeller_orientation_combined_tilt_direction():
 
 def test_propeller_orientation_range_check():
     with pytest.raises(ValueError):
-        propeller_orientation(np.pi, 0.0)
+        build_r_module(alpha=np.pi)
     with pytest.raises(ValueError):
-        propeller_orientation(0.0, -2.0)
+        build_r_module(beta=-2.0)
 
 
 def test_cuboid_inertia_values():
     # m (l^2 + h^2)/12 and m (2 l^2)/12 for the bench-scale module.
-    i = cuboid_inertia(0.135, 0.12, 0.06)
+    i = build_r_module(mass=0.135, base=0.12, height=0.06).inertia
     np.testing.assert_allclose(np.diag(i), [2.025e-4, 2.025e-4, 3.24e-4], rtol=1e-12)
     assert np.all(i == np.diag(np.diag(i)))
 
@@ -234,6 +233,23 @@ def test_build_r_module_reports_the_first_bad_input(first):
         build_r_module(**bad)
 
 
+@pytest.mark.parametrize("override", [True, False], ids=["inertia_override", "cuboid_model"])
+def test_build_r_module_checks_in_its_documented_order(override):
+    # Every argument bad, then fixed one at a time in the order the
+    # docstring gives: each error names the next argument, and with all
+    # fixed the module builds. Without an inertia override the eight float
+    # scalars take the remembered path.
+    doc = " ".join(inspect.getdoc(build_r_module).split())
+    order = re.search(r"checked in the order ([\w, ]+);", doc).group(1).split(", ")
+    assert order == list(_BAD_INPUTS)
+    bad = {name: value for name, value in _BAD_INPUTS.items() if override or name != "inertia"}
+    for name in list(bad):
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            build_r_module(**bad)
+        del bad[name]
+    assert build_r_module(**bad) is build_r_module()
+
+
 def test_built_modules_pass_the_public_constructors():
     # build_r_module runs only the body rules and builds its rotors and the
     # module unchecked; every rule it skips must hold by construction. Tilts
@@ -262,7 +278,7 @@ def test_built_modules_pass_the_public_constructors():
         ModuleSpec(mass=m.mass, inertia=m.inertia, base=m.base, height=m.height,
                    propellers=m.propellers, tilt=m.tilt)
         assert (m.mass, m.base, m.height) == (kwargs["mass"], kwargs["base"], kwargs["height"])
-        np.testing.assert_array_equal(m.tilt, propeller_orientation(alpha, beta))
+        np.testing.assert_array_equal(m.tilt, rot_y(beta) @ rot_x(alpha))
 
 
 def test_zero_drag_coefficient_accepted():

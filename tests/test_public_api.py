@@ -4,7 +4,8 @@ The README's Python example and the benchmark scripts in bench/ are the
 package's callers outside the test suite. Their imports are read with
 ``ast`` (nothing is executed) and each name is resolved against the
 package, so removing something they use fails here. The package's export
-set is pinned as well, so an export is never renamed or dropped unnoticed.
+set is pinned as well, and so is the README's list of it, so an export is
+never renamed, added or dropped unnoticed.
 """
 
 import ast
@@ -28,10 +29,9 @@ EXPORTS = frozenset((
     "ControlOutput", "Controller", "Gains", "IntegrationError", "ModrotorError",
     "ModulePlacement", "ModuleSpec", "PropellerSpec", "RigidState", "RunResult", "SimParams",
     "SimulationError", "StructureConfig", "StructureModel", "TrajectorySample", "Wrench",
-    "accelerations", "actuation_ellipsoid", "assemble", "build_r_module", "check_balanced",
-    "cuboid_inertia", "helix", "hover", "initial_state_from_sample", "numerical_rank",
-    "parse_config", "propeller_orientation", "rectangle", "rectangle_period", "run_closed_loop",
-    "step",
+    "actuation_ellipsoid", "assemble", "build_r_module", "check_balanced", "helix", "hover",
+    "initial_state_from_sample", "numerical_rank", "parse_config", "rectangle",
+    "run_closed_loop", "step",
 ))
 
 
@@ -117,13 +117,25 @@ def test_build_r_module_keeps_its_signature_and_help():
         f"\n\nbuild_r_module{signature}\n{body}\n")
 
 
+def _names_an_export(key: str, exported: set) -> bool:
+    """True when a contract row's key is an export, ``<export>.<method>``
+    or ``<export> sampler``."""
+    if key.endswith(" sampler"):
+        return key.removesuffix(" sampler") in exported
+    name, _, method = key.partition(".")
+    return name in exported and (not method or hasattr(getattr(modrotor, name), method))
+
+
 def test_every_export_has_a_row_in_the_input_contract():
     # A new export must say what it does with a caller's numbers: a row in
-    # tests/test_input_contract.py, or a place in its NO_NUMBERS list.
+    # tests/test_input_contract.py, or a place in its NO_NUMBERS list; and
+    # a removed export's rows must go with it.
     exported = {name for name, value in vars(modrotor).items()
                 if callable(value) and not name.startswith("_")}
     assert not exported - ROWS.keys() - NO_NUMBERS, "exports without a contract row"
     assert NO_NUMBERS <= exported and not NO_NUMBERS & ROWS.keys()
+    stale = [key for key in ROWS if not _names_an_export(key, exported)]
+    assert not stale, f"contract rows that name no export: {stale}"
 
 
 def test_export_set_is_pinned():
@@ -131,3 +143,13 @@ def test_export_set_is_pinned():
     exported = {name for name, value in vars(modrotor).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == EXPORTS
+
+
+def test_readme_lists_the_exports():
+    # The README's Public API section lists every export once, in its
+    # bullets, and nothing else.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Public API\n(.*?)^## ", readme, re.S | re.M)
+    assert section, "README.md has no Public API section"
+    listed = re.findall(r"`(\w+)`", section.group(1).split("\n* ", 1)[1])
+    assert len(listed) == len(set(listed)) and set(listed) == EXPORTS

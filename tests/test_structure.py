@@ -12,12 +12,11 @@ from modrotor import (
     build_r_module,
     helix,
     numerical_rank,
-    propeller_orientation,
     rectangle,
     run_closed_loop,
 )
 from modrotor.structure import _thrust_frame, ellipsoid_xz_polygon
-from modrotor.so3 import E1, E3, rot_y, rot_z, rotation_angle
+from modrotor.so3 import E1, E3, rot_x, rot_y, rot_z, rotation_angle
 
 
 def placement_frames(placements):
@@ -386,13 +385,14 @@ def test_rank1_single_axis_tilt_frame_is_the_rotor_rotation(name, placements, ti
     # rotor rotation's own x-axis when the tilt is about one axis only.
     structure = assemble(placements)
     assert structure.rank_f == 1
-    np.testing.assert_allclose(structure.r_sf, propeller_orientation(*tilt), rtol=0, atol=1e-15)
+    alpha, beta = tilt
+    np.testing.assert_allclose(structure.r_sf, rot_y(beta) @ rot_x(alpha), rtol=0, atol=1e-15)
 
 
 def test_rank1_two_axis_tilt_frame_follows_the_one_rule():
     alpha = beta = np.deg2rad(10.0)
     structure = assemble([ModulePlacement(build_r_module(alpha=alpha, beta=beta))])
-    rotor = propeller_orientation(alpha, beta)
+    rotor = rot_y(beta) @ rot_x(alpha)
     z_axis = rotor @ E3
     x_axis = E1 - z_axis[0] * z_axis
     assert structure.rank_f == 1

@@ -7,11 +7,12 @@ from modrotor import trajectory
 from modrotor.so3 import rot_y, rot_z
 from modrotor.trajectory import (
     HELIX_PERIOD,
+    RECT_ALTITUDE,
+    RECT_SPEED,
     TrajectorySample,
     helix,
     hover,
     rectangle,
-    rectangle_period,
 )
 
 
@@ -68,7 +69,7 @@ def test_helix_derivative_consistency():
 
 
 def test_rectangle_extents_exact():
-    period = rectangle_period()
+    period = trajectory._rect_schedule(RECT_SPEED, RECT_ALTITUDE)[2]
     times = np.linspace(0, period, 4001)
     pts = np.array([rectangle()(t).r_d for t in times])
     assert abs((pts[:, 0].max() - pts[:, 0].min()) - 0.8) < 1e-12
@@ -83,7 +84,7 @@ def test_rectangle_pitch_hold_constant():
 
 
 def test_rectangle_period_is_perimeter_over_speed():
-    assert abs(rectangle_period(0.25) - 2.8 / 0.25) < 1e-12
+    assert abs(trajectory._rect_schedule(0.25, RECT_ALTITUDE)[2] - 2.8 / 0.25) < 1e-12
 
 
 def _bits(sample):
@@ -123,7 +124,7 @@ def test_rectangle_derivative_consistency():
 
 
 def test_rectangle_velocity_integrates_to_position():
-    period = rectangle_period()
+    period = trajectory._rect_schedule(RECT_SPEED, RECT_ALTITUDE)[2]
     times = np.linspace(0.0, period, 20001)
     vs = np.array([rectangle()(t).v_d for t in times])
     travelled = np.trapezoid(vs, times, axis=0)
@@ -314,7 +315,7 @@ def test_helix_matches_numpy_oracle():
 def test_rectangle_matches_numpy_oracle(speed, pitch_deg):
     hold = np.deg2rad(pitch_deg)
     phases, period = _oracle_schedule(speed)
-    assert rectangle_period(speed) == period
+    assert trajectory._rect_schedule(speed, RECT_ALTITUDE)[2] == period
     for t in _times_over_two_laps(period, [ph[0] for ph in phases]):
         r_d, v_d, a_d = _oracle_rect_point(t, speed)
         _assert_sample_matches(rectangle(pitch_hold=hold, speed=speed)(t), r_d, v_d, a_d,
