@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .config import StructureConfig, override_sim, parse_config
 from .errors import ModrotorError, SimulationError
 from .module_design import check_balanced
 from .sim import RunResult, run_closed_loop
-from .structure import StructureModel, actuation_ellipsoid, ellipsoid_xz_polygon, numerical_rank
+from .structure import StructureModel, _rank_of, actuation_ellipsoid, ellipsoid_xz_polygon
 from .so3 import rotation_angle
 
 EXIT_OK = 0
@@ -44,43 +45,45 @@ def _load_config(path: str) -> StructureConfig:
 
 
 def _frame_summary(r_sf: np.ndarray) -> str:
-    angle = np.degrees(rotation_angle(r_sf))
+    angle = math.degrees(rotation_angle(r_sf))
     if angle < 1e-9:
         return "identity"
     skew = 0.5 * (r_sf - r_sf.T)
     axis = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
-    norm = np.linalg.norm(axis)
+    norm = math.sqrt(axis.dot(axis))  # np.linalg.norm's own formula
     if norm > 1e-12:
         axis = axis / norm
     else:  # a half turn: R + I = 2 n n^T, whose largest column lies along n
         sym = r_sf + np.eye(3)
         axis = sym[:, np.argmax(np.linalg.norm(sym, axis=0))]
         axis = axis * np.sign(axis[np.argmax(np.abs(axis))]) / np.linalg.norm(axis)
-    return f"angle_deg={angle:.6f} axis={_fmt_vec(axis)}"
+    return f"angle_deg={angle:.6f} axis={_fmt_vec(axis.tolist())}"
 
 
 def cmd_check(config: StructureConfig) -> int:
-    """Report per-module balance and the structure's actuation frame."""
+    """Report per-module balance and the structure's actuation frame; each
+    line is formatted from the floats its report holds."""
     structure = config.to_structure()
     all_balanced = True
     for idx, placement in enumerate(structure.placements, start=1):
         report = check_balanced(placement.module)
         all_balanced &= report.is_balanced
         status = "balanced" if report.is_balanced else "UNBALANCED"
+        forces, drags = report.torque_from_forces.tolist(), report.torque_from_drag.tolist()
         print(
             f"module.{idx}: {status} thrust_gain={report.thrust_gain:.9f} "
-            f"axis={_fmt_vec(report.total_force_axis)} "
-            f"torque_residuals=({np.max(np.abs(report.torque_from_forces)):.3e}, "
-            f"{np.max(np.abs(report.torque_from_drag)):.3e})"
+            f"axis={_fmt_vec(report.total_force_axis.tolist())} "
+            f"torque_residuals=({max(map(abs, forces)):.3e}, {max(map(abs, drags)):.3e})"
         )
-    rank_a = numerical_rank(structure.thrust_map)
+    # The library built this map, so numerical_rank's input checks are skipped.
+    rank_a = _rank_of(np.linalg.svd(structure.thrust_map, compute_uv=False))
     print(f"modules: {structure.n}  total_mass_kg: {structure.total_mass:.6f}")
     print(f"rank(A) = {rank_a}")
     print(f"force-block rank = {structure.rank_f}")
     print(f"controllable DOF: {3 + structure.rank_f}")
-    print(f"force singular values: {_fmt_vec(structure.force_sigmas)}")
+    print(f"force singular values: {_fmt_vec(structure.force_sigmas.tolist())}")
     print(f"F-frame: {_frame_summary(structure.r_sf)}")
-    for row in structure.r_sf:
+    for row in structure.r_sf.tolist():
         print(f"    {_fmt_vec(row)}")
     if not all_balanced:
         print("error: structure contains unbalanced modules", file=sys.stderr)
@@ -92,9 +95,10 @@ def cmd_ellipsoid(config: StructureConfig, out_path: str | None) -> int:
     """Print force-ellipsoid axes; optionally write its xz-projection as CSV."""
     structure = config.to_structure()
     sigmas, axes = actuation_ellipsoid(structure)
+    sigmas = sigmas.tolist()
     print(f"force singular values: {_fmt_vec(sigmas)}")
-    for i in range(3):
-        print(f"axis {i + 1}: sigma={_fixed(sigmas[i])} direction={_fmt_vec(axes[:, i])}")
+    for i, direction in enumerate(axes.T.tolist()):
+        print(f"axis {i + 1}: sigma={_fixed(sigmas[i])} direction={_fmt_vec(direction)}")
     if out_path is not None:
         polygon = ellipsoid_xz_polygon(structure)
         with open(out_path, "w", newline="") as handle:

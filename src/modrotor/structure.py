@@ -135,7 +135,7 @@ def _unit_in(block: np.ndarray, preferred, signs, drop: np.ndarray | None = None
             proj = block @ (block.T @ target)
             if drop is not None:
                 proj = proj - drop * (drop @ proj)
-            norm = np.linalg.norm(proj)
+            norm = math.sqrt(proj.dot(proj))  # np.linalg.norm's own formula
             if norm > 1e-9:
                 vec = proj / norm
                 break
@@ -180,9 +180,26 @@ def _thrust_frame(force_map: np.ndarray, rank: int, svd: tuple) -> np.ndarray:
     group = range(top) if top > 1 else range(1, 1 + sum(values[1] - x <= gap for x in values[1:]))
     x_axis = _unit_in(u[:, list(group)], [E1, E2, E3], [E1, E2, E3], z_axis if top > 1 else None)
     x_axis = x_axis - z_axis * (z_axis @ x_axis)
-    x_axis = x_axis / np.linalg.norm(x_axis)
+    x_axis = x_axis / math.sqrt(x_axis.dot(x_axis))
     y_axis = np.array(cross3(z_axis.tolist(), x_axis.tolist()))
     return np.column_stack([x_axis, y_axis, z_axis])
+
+
+def _rotor_block(module: ModuleSpec) -> np.ndarray:
+    """The 4 x 8 rotor block of ``module``: one row per rotor, holding its
+    position (columns 0-2) and thrust axis (3-5), both in the module frame,
+    spin * k_m / k_f (6) and f_max (7). A module is immutable, so the block is built once and kept
+    outside the fields, like :func:`~modrotor.module_design.check_balanced`'s
+    report; ``dataclasses.replace`` gives a module without one."""
+    block = module.__dict__.get("_rotor_block")
+    if block is None:
+        props = module.propellers
+        axes = (np.array([p.orientation for p in props]) @ E3).tolist()
+        block = np.array([[*p.position.tolist(), *axis, p.spin * p.drag_ratio, p.f_max]
+                          for p, axis in zip(props, axes)])
+        block.setflags(write=False)
+        module.__dict__["_rotor_block"] = block
+    return block
 
 
 def assemble(placements) -> StructureModel:
@@ -190,17 +207,21 @@ def assemble(placements) -> StructureModel:
 
     Computes the mass-weighted center, total inertia with parallel-axis
     terms, the 6 x 4n thrust map about the center of mass, the numerical
-    rank of its force block, and the thrust frame rotation. Each product
-    is one stacked pass over all modules: the module inertias, the 4n rotor
-    positions and the 4n rotor axes are rotated by one batched ``matmul``
-    each, and the torque columns p x a take numpy's cross-product arithmetic
-    on whole rows. Two SVDs: the torque block's singular values (its rank
-    must be 3) and the force block's full SVD, the one source of
-    ``force_sigmas``, ``rank_f``, the thrust frame and
-    :func:`actuation_ellipsoid`. Every output has the bits of the
-    per-module loop it replaces. A total mass that overflows, or a total
-    inertia that does, as for modules placed far apart, raises
-    AssemblyError before the rank tests.
+    rank of its force block, and the thrust frame rotation. Each module
+    builds its rotor block once: the four rotor positions and thrust axes
+    in its own frame, spin * k_m / k_f and f_max, kept with the module, so
+    a module placed again, as :func:`~modrotor.module_design.build_r_module`
+    hands out, reads no propeller. Each product is one stacked pass over
+    all modules: the module inertias, the 4n rotor positions and the 4n
+    rotor axes are rotated by one batched ``matmul`` each, and the torque
+    columns p x a take numpy's cross-product arithmetic on whole rows. Two
+    SVDs: the torque block's singular values (its rank must be 3) and the
+    force block's full SVD, the one source of ``force_sigmas``, ``rank_f``,
+    the thrust frame and :func:`actuation_ellipsoid`. Every output has the
+    bits of the per-module loop it replaces. A module whose k_m / k_f
+    overflows, a total mass that overflows, or a total inertia that does,
+    as for modules placed far apart, raises AssemblyError before the rank
+    tests.
     """
     placements = tuple(placements)
     if not placements:
@@ -208,6 +229,7 @@ def assemble(placements) -> StructureModel:
     base = placements[0].module.base
     height = placements[0].module.height
     seen: dict[tuple[int, int], int] = {}
+    blocks = []
     for idx, pl in enumerate(placements):
         if pl.module.base != base or pl.module.height != height:
             raise AssemblyError(f"module {idx + 1} has frame {pl.module.base} x "
@@ -217,12 +239,15 @@ def assemble(placements) -> StructureModel:
             raise AssemblyError(f"modules {seen[cell] + 1} and {idx + 1} both occupy grid "
                                 f"cell {cell}")
         seen[cell] = idx
+        block = _rotor_block(pl.module)
+        # Each of k_m and k_f is finite, but their ratio can overflow; an
+        # infinite drag would turn the torque rows to inf and NaN.
+        if not all(map(math.isfinite, block[:, 6].tolist())):
+            raise AssemblyError(f"module {idx + 1} has a drag ratio k_m / k_f beyond "
+                                "float range")
+        blocks.append(block)
 
     masses = np.array([pl.module.mass for pl in placements])
-    with np.errstate(over="ignore"):
-        total_mass = float(masses.sum())
-    if not math.isfinite(total_mass):
-        raise AssemblyError("structure total mass is not finite; module masses too large")
     grid_pos = np.array([[pl.grid_offset[0] * base, pl.grid_offset[1] * base, 0.0] for pl in placements])
     # The structure frame is the first module's frame; rotate grid data into it.
     r_grid_to_s = _QUARTER_TURNS[placements[0].yaw_quarter_turns].T
@@ -231,10 +256,14 @@ def assemble(placements) -> StructureModel:
 
     # Inertia: rotated module tensors plus the parallel-axis terms
     # m (|d|^2 I - d d^T), with |d|^2 as a stacked dot product, summed over
-    # the modules in order. Far-apart modules overflow it; that is checked
-    # here, before the rank tests could blame the geometry.
+    # the modules in order. Heavy modules overflow the total mass, and
+    # far-apart ones the inertia; both are checked here, before the rank
+    # tests could blame the geometry.
     inertias = np.array([pl.module.inertia for pl in placements])
     with np.errstate(over="ignore", invalid="ignore"):
+        total_mass = float(masses.sum())
+        if not math.isfinite(total_mass):
+            raise AssemblyError("structure total mass is not finite; module masses too large")
         com = masses @ grid_pos / total_mass
         offsets = (grid_pos - com) @ r_grid_to_s.T
         dd = offsets[:, None, :] @ offsets[:, :, None]
@@ -245,21 +274,19 @@ def assemble(placements) -> StructureModel:
         raise AssemblyError("structure inertia is not finite; grid offsets or inertias too large")
 
     # Rotor geometry: positions and axes of all 4n rotors in {S}, one stacked
-    # product each; columns are rotors, rows coordinates.
-    props = [p for pl in placements for p in pl.module.propellers]
-    n = len(placements)
-    local_pos = np.array([p.position for p in props]).reshape(n, 4, 3)
-    local_axes = (np.array([p.orientation for p in props]) @ E3).reshape(n, 4, 3)
-    px, py, pz = (local_pos @ rotations_t + offsets[:, None, :]).reshape(-1, 3).T
-    a = np.empty((6, len(props)))
-    a[:3] = (local_axes @ rotations_t).reshape(-1, 3).T
+    # product each over the modules' rotor blocks; columns are rotors, rows
+    # coordinates.
+    blocks = np.array(blocks)
+    px, py, pz = (blocks[:, :, :3] @ rotations_t + offsets[:, None, :]).reshape(-1, 3).T
+    a = np.empty((6, 4 * len(placements)))
+    a[:3] = (blocks[:, :, 3:6] @ rotations_t).reshape(-1, 3).T
     ax, ay, az = a[:3]
-    drag = np.array([p.spin * p.drag_ratio for p in props])
+    drag = blocks[:, :, 6].ravel()
     # p x a + drag a, with the float cross product of np.cross.
     a[3] = py * az - pz * ay + drag * ax
     a[4] = pz * ax - px * az + drag * ay
     a[5] = px * ay - py * ax + drag * az
-    f_max = np.array([p.f_max for p in props])
+    f_max = blocks[:, :, 7].ravel()
 
     if _rank_of(np.linalg.svd(a[3:], compute_uv=False)) != 3:
         raise AssemblyError("torque block is rank-deficient; module geometry is degenerate")

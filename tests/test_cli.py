@@ -6,10 +6,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from modrotor import parse_config, run_closed_loop
+from modrotor import (actuation_ellipsoid, check_balanced, numerical_rank, parse_config,
+                      run_closed_loop)
 from modrotor.config import _SECTIONS, ModuleConfig, override_sim
-from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main, write_run_csv
+from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _fixed, main, write_run_csv
+from modrotor.so3 import rotation_angle
 from conftest import CONFIG_DIR
+from test_layout_properties import _draw_cells
 
 
 def run_cli(args, capsys):
@@ -86,6 +89,20 @@ def test_check_bad_config_exits_validation(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", ["check", "ellipsoid", "simulate"])
+def test_overflowing_drag_ratio_exits_validation(command, tmp_path, capsys):
+    # k_f and k_m each pass their own bound, but k_m / k_f overflows to inf.
+    cfg = tmp_path / "drag.cfg"
+    cfg.write_text("[module.1]\nk_f = 1e-300\nk_m = 1e10\n")
+    args = [command, "--config", str(cfg)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "run.csv"), "--duration", "0.01"]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_VALIDATION and not out
+    assert err == "error: module 1 has a drag ratio k_m / k_f beyond float range\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
 @pytest.mark.parametrize("text, dof", [
     ("[module.1]\nbeta_deg = 45\n[module.2]\nbeta_deg = -45\ngrid_col = 1\n", 5),
     # Rounded so that the three singular values tie in their last bits.
@@ -121,6 +138,99 @@ def test_stdout_has_no_negative_zero(command, capsys):
         code, out, _ = run_cli([command, "--config", str(path)], capsys)
         assert code == EXIT_OK, path.name
         assert "0.000000000" in out and "-0.000000000" not in out, path.name
+
+
+# ---------------------------------------------------------------- report oracle
+# The numpy-formatting reference for check and ellipsoid: every value
+# formatted as the numpy scalar it is read as, the residuals reduced and the
+# frame angle converted by numpy. The CLI formats floats; no digit may move.
+
+
+def _numpy_vec(v) -> str:
+    return "[" + " ".join(_fixed(x, " ") for x in v) + "]"
+
+
+def _numpy_frame(r_sf) -> str:
+    angle = np.degrees(rotation_angle(r_sf))
+    if angle < 1e-9:
+        return "identity"
+    skew = 0.5 * (r_sf - r_sf.T)
+    axis = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
+    norm = np.linalg.norm(axis)
+    if norm > 1e-12:
+        axis = axis / norm
+    else:
+        sym = r_sf + np.eye(3)
+        axis = sym[:, np.argmax(np.linalg.norm(sym, axis=0))]
+        axis = axis * np.sign(axis[np.argmax(np.abs(axis))]) / np.linalg.norm(axis)
+    return f"angle_deg={angle:.6f} axis={_numpy_vec(axis)}"
+
+
+def _numpy_check_stdout(text: str) -> str:
+    structure = parse_config(text).to_structure()
+    lines = []
+    for idx, placement in enumerate(structure.placements, start=1):
+        report = check_balanced(placement.module)
+        status = "balanced" if report.is_balanced else "UNBALANCED"
+        lines.append(
+            f"module.{idx}: {status} thrust_gain={report.thrust_gain:.9f} "
+            f"axis={_numpy_vec(report.total_force_axis)} "
+            f"torque_residuals=({np.max(np.abs(report.torque_from_forces)):.3e}, "
+            f"{np.max(np.abs(report.torque_from_drag)):.3e})")
+    lines += [f"modules: {structure.n}  total_mass_kg: {structure.total_mass:.6f}",
+              f"rank(A) = {numerical_rank(structure.thrust_map)}",
+              f"force-block rank = {structure.rank_f}",
+              f"controllable DOF: {3 + structure.rank_f}",
+              f"force singular values: {_numpy_vec(structure.force_sigmas)}",
+              f"F-frame: {_numpy_frame(structure.r_sf)}"]
+    lines += [f"    {_numpy_vec(row)}" for row in structure.r_sf]
+    return "".join(line + "\n" for line in lines)
+
+
+def _numpy_ellipsoid_stdout(text: str) -> str:
+    sigmas, axes = actuation_ellipsoid(parse_config(text).to_structure())
+    lines = [f"force singular values: {_numpy_vec(sigmas)}"]
+    lines += [f"axis {i + 1}: sigma={_fixed(sigmas[i])} direction={_numpy_vec(axes[:, i])}"
+              for i in range(3)]
+    return "".join(line + "\n" for line in lines)
+
+
+def _random_layout_text(rng) -> str:
+    """1-6 docked modules of one base length, each with roll and pitch tilts
+    from 0, +-10 and +-30 degrees and a random quarter turn. Some bases and
+    tilts leave a torque residual of a few 1e-18 N*m, of either sign."""
+    tilts = (-30, -10, 0, 10, 30)
+    base = (0.1, 0.12, 0.13, 0.2, 0.25)[rng.integers(5)]
+    return "".join(
+        f"[module.{idx}]\nbase_m = {base}\nalpha_deg = {tilts[rng.integers(5)]}\n"
+        f"beta_deg = {tilts[rng.integers(5)]}\ngrid_col = {col}\ngrid_row = {row}\n"
+        f"yaw_quarter_turns = {rng.integers(4)}\n\n"
+        for idx, (col, row) in enumerate(_draw_cells(rng, int(rng.integers(1, 7))), start=1))
+
+
+def _report_texts():
+    yield from (path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg")))
+    rng = np.random.default_rng(23)
+    yield from (_random_layout_text(rng) for _ in range(100))
+
+
+@pytest.mark.parametrize("command, oracle", [("check", _numpy_check_stdout),
+                                             ("ellipsoid", _numpy_ellipsoid_stdout)],
+                         ids=["check", "ellipsoid"])
+def test_report_matches_numpy_formatting_oracle(command, oracle, tmp_path, capsys):
+    cfg = tmp_path / "layout.cfg"
+    frames, residuals = set(), set()
+    for text in _report_texts():
+        cfg.write_text(text)
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == EXIT_OK, (text, err)
+        assert out == oracle(text), text
+        frames.add(out.split("F-frame: ")[-1].split()[0])
+        residuals.update(line.split("torque_residuals=")[1] for line in out.splitlines()
+                         if line.startswith("module."))
+    if command == "check":  # the draw reaches turned frames and nonzero residuals
+        assert "identity" in frames and len(frames) > 10, frames
+        assert len(residuals) > 1, residuals
 
 
 @pytest.mark.parametrize("rest", ["[module.1]\n", "[module.1]\n\n[gains]\nk_pos = 12\n"])
@@ -340,11 +450,15 @@ _RANGE_ENDS = {"alpha_deg": ("-90", "90"), "beta_deg": ("-90", "90"), "yaw_quart
                "kind": ("hover", "helix", "rectangle", "rectangle_fixed"),
                "grid_col": _FAR_CELLS, "grid_row": _FAR_CELLS}
 _SIMULATED_SECTIONS = ("gains", "sim", "trajectory")
+# Module keys set together: each value passes its own bound, but k_m / k_f
+# overflows.
+_MODULE_PAIRS = ({"k_f": "1e-300", "k_m": "1e10"},)
 
 
 def _contract_variants():
     """(name, config text, simulate too) for each key of each fixture config
-    set to each value; a module key goes to one seeded module section."""
+    set to each value, and for each of _MODULE_PAIRS; a module key goes to
+    one seeded module section, a pair to the last one."""
     rng = np.random.default_rng(11)
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         original = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -352,18 +466,22 @@ def _contract_variants():
         modules = [s for s in original.sections() if s.startswith("module.")]
         targets = [(modules[rng.integers(len(modules))], f.name) for f in fields(ModuleConfig)]
         targets += [(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)]
-        for section, key in targets:
-            for value in _EXTREMES + _RANGE_ENDS.get(key, ()):
-                parser = configparser.ConfigParser(interpolation=None)
-                parser.read_dict(original)
-                if not parser.has_section(section):
-                    parser.add_section(section)
+        changes = [(section, {key: value}) for section, key in targets
+                   for value in _EXTREMES + _RANGE_ENDS.get(key, ())]
+        changes += [(modules[-1], pair) for pair in _MODULE_PAIRS]
+        for section, values in changes:
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_dict(original)
+            if not parser.has_section(section):
+                parser.add_section(section)
+            for key, value in values.items():
                 parser[section][key] = (", ".join([value] * 3) if key == "inertia_diag_kgm2"
                                         else value)
-                text = io.StringIO()
-                parser.write(text)
-                yield (f"{path.name} [{section}] {key} = {value}", text.getvalue(),
-                       section in _SIMULATED_SECTIONS)
+            text = io.StringIO()
+            parser.write(text)
+            shown = ", ".join(f"{key} = {value}" for key, value in values.items())
+            yield (f"{path.name} [{section}] {shown}", text.getvalue(),
+                   section in _SIMULATED_SECTIONS)
 
 
 def test_no_config_value_escapes_the_exit_codes(capsys, tmp_path):

@@ -241,6 +241,38 @@ def test_assemble_matches_per_rotor_oracle(layouts, all_structures):
             _assert_same_bits(getattr(got, name), want, f"perturbed structure {idx}: {name}")
 
 
+def test_rotor_block_is_kept_outside_the_fields():
+    # assemble reads each module's rotor block, built once and kept with the
+    # module but not as a field. Three kinds of module assemble to the
+    # oracle: the remembered build_r_module one, one from the constructor,
+    # and one that dataclasses.replace gives new rotors after the first
+    # module's block was built, which must not carry that block over.
+    remembered = build_r_module(beta=0.3, k_m=0.01)
+    assert build_r_module(beta=0.3, k_m=0.01) is remembered
+    names = [f.name for f in dataclasses.fields(ModuleSpec)]
+    constructed = ModuleSpec(mass=0.2, inertia=np.diag([2e-4, 2e-4, 3e-4]),
+                             base=remembered.base, height=remembered.height,
+                             propellers=remembered.propellers, tilt=remembered.tilt)
+    text = repr(constructed)  # before its block is built
+    for module in (remembered, constructed):
+        for _ in range(2):  # the second assembly reads the kept block
+            placements = [ModulePlacement(module), ModulePlacement(module, (1, 0), 1)]
+            got = assemble(placements)
+            for name, want in _oracle_assemble(placements).items():
+                _assert_same_bits(getattr(got, name), want, name)
+    replaced = dataclasses.replace(remembered, propellers=tuple(
+        dataclasses.replace(p, k_m=0.004 * (j + 1), f_max=1.0 + j)
+        for j, p in enumerate(remembered.propellers)))
+    placements = [ModulePlacement(replaced), ModulePlacement(remembered, (0, 1), 3),
+                  ModulePlacement(constructed, (1, 1), 2)]
+    got = assemble(placements)
+    for name, want in _oracle_assemble(placements).items():
+        _assert_same_bits(getattr(got, name), want, name)
+    assert [f.name for f in dataclasses.fields(ModuleSpec)] == names == [
+        "mass", "inertia", "base", "height", "propellers", "tilt"]
+    assert repr(constructed) == text
+
+
 def test_check_balanced_matches_per_rotor_oracle(layouts, all_structures):
     structures = list(layouts) + list(all_structures.values())
     modules = [pl.module for s in structures for pl in s.placements]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -304,6 +305,22 @@ def test_assemble_names_an_overflowing_total_mass(far):
     placements = [ModulePlacement(heavy, (0, 0)), ModulePlacement(heavy, far)]
     with pytest.raises(AssemblyError, match="^structure total mass is not finite"):
         assemble(placements)
+
+
+def test_assemble_names_an_overflowing_drag_ratio():
+    # k_f and k_m each pass their own bound, but k_m / k_f overflows to inf.
+    # The module is named before its torque rows fill with inf and NaN,
+    # whose RuntimeWarnings (errors in this suite) would come first.
+    message = "^module {} has a drag ratio k_m / k_f beyond float range$"
+    with pytest.raises(AssemblyError, match=message.format(1)):
+        assemble([ModulePlacement(build_r_module(k_f=1e-300, k_m=1e10))])
+    # One rotor of a module built by its constructor is enough.
+    good = build_r_module()
+    props = list(good.propellers)
+    props[2] = dataclasses.replace(props[2], k_f=1e-300, k_m=1e10)
+    bad = dataclasses.replace(good, propellers=tuple(props))
+    with pytest.raises(AssemblyError, match=message.format(2)):
+        assemble([ModulePlacement(good), ModulePlacement(bad, (1, 0))])
 
 
 def _tilted_block(tilt):
