@@ -1,5 +1,4 @@
-"""Instances built unchecked, the checks on caller input, and the one memo
-rule.
+"""Instances built unchecked and the checks on caller input.
 
 One rule covers validation: values the library builds from inputs it has
 already checked skip re-validation through :func:`unchecked`; values from
@@ -7,15 +6,12 @@ callers always go through the constructor and its checks. A number goes
 through :func:`checked`, an array through :func:`finite_array` and a
 rotation through :func:`rotation`. Each returns floats or raises one form
 of ValueError, "<name> must be <rule>, got <value>", with the value shown by
-:func:`shown`, which never raises. Modules and their balance reports,
-built from float arguments alone, are kept by :func:`remembered`, keyed by
-each argument's type and bits.
+:func:`shown`, which never raises.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import sys
 
 import numpy as np
@@ -113,29 +109,3 @@ def read_only(values, shape=None) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
-
-# Past this many entries a memo of :func:`remembered` drops its oldest one.
-MEMO_SIZE = 256
-_FLOAT_TYPES = frozenset((float, np.float64))
-
-
-def remembered(memo: dict, args: tuple, build):
-    """``build(*args)``, kept in ``memo`` when every argument is a Python or
-    numpy float, under each one's type and exact bits (so 0.0 and -0.0, or
-    1.0 and np.float64(1.0), are different keys); later calls with such
-    arguments return the kept value. At most MEMO_SIZE values are kept, the
-    oldest dropped first. Other arguments build a new value on every call,
-    and a build that raises keeps nothing. Its users are
-    :func:`~modrotor.module_design.build_r_module` and
-    :func:`~modrotor.module_design.check_balanced`."""
-    types = tuple(map(type, args))
-    if not _FLOAT_TYPES.issuperset(types):
-        return build(*args)
-    key = types, struct.pack(f"<{len(args)}d", *args)
-    value = memo.get(key)
-    if value is None:
-        value = build(*args)
-        while len(memo) >= MEMO_SIZE:
-            memo.pop(next(iter(memo)), None)
-        memo[key] = value
-    return value

@@ -11,12 +11,14 @@ balanced by construction and are the building block used everywhere else.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .lazy import (NON_NEGATIVE, POSITIVE, SPIN, TILT, checked, finite_array, read_only,
-                   remembered, rotation, shown, unchecked)
+                   rotation, shown, unchecked)
 from .so3 import E3, cross3, rot_x, rot_y
 
 
@@ -91,9 +93,9 @@ class ModuleSpec:
     A module is an immutable value: ``inertia``, ``tilt`` and the
     propellers' arrays are read-only copies, so neither a write nor a
     caller's array can change it. So :func:`build_r_module` may hand one
-    module to every caller, and :func:`check_balanced` computes its report
-    once; the report is kept outside the fields, so ``dataclasses.replace``
-    gives a module without one.
+    module to every caller, and its rotor table ``_rotors`` and default-tol
+    balance report ``_balance`` are cached properties, built once and not
+    fields, so ``dataclasses.replace`` gives a module without them.
     """
 
     mass: float
@@ -117,6 +119,22 @@ class ModuleSpec:
             raise ValueError("propellers must sit in mirrored pairs: p1 = -p3, p2 = -p4")
         if [p.spin for p in props] != [1, -1, 1, -1]:
             raise ValueError("propeller spins must alternate +1, -1, +1, -1")
+
+    @cached_property
+    def _rotors(self) -> np.ndarray:
+        """Read-only 4 x 9 table, a row per rotor: position (columns 0-2) and
+        thrust axis (3-5) in the module frame, spin, k_m / k_f and f_max."""
+        props = self.propellers
+        axes = (np.array([p.orientation for p in props]) @ E3).tolist()
+        table = np.array([[*p.position.tolist(), *axis, p.spin, p.drag_ratio, p.f_max]
+                          for p, axis in zip(props, axes)])
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _balance(self) -> BalanceReport:
+        """:func:`check_balanced`'s report at its default tol."""
+        return _balance_report(self, _TOL)
 
 
 def _checked_inertia(inertia) -> np.ndarray:
@@ -165,8 +183,8 @@ class BalanceReport:
     is_balanced: bool
 
 
-# Modules built from scalar inputs alone, kept by lazy.remembered.
-_MODULES: dict[tuple, ModuleSpec] = {}
+# check_balanced's default tol, whose report each module keeps.
+_TOL = 1e-9
 
 
 def build_r_module(
@@ -195,17 +213,24 @@ def build_r_module(
 
     The module is an immutable value, so the same inputs return the same
     object: without an ``inertia`` override, and with every other argument
-    a Python or numpy float, the module is kept under each argument's type
-    and exact bits (so 0.0 and -0.0, or 1.0 and np.float64(1.0), are
-    different inputs) and later calls return it; at most 256 are kept,
-    the oldest dropped first. Any other call builds a new module, and a
-    call that raises is never kept, so a bad input raises the same error on
+    a Python float, the module is kept under the arguments' exact bits (so
+    0.0 and -0.0 are different inputs) and later calls return it; the 256
+    most recently used are kept. Any other call (np.float64, int, 0-d
+    array or float32 arguments among them) builds a new module, and a call
+    that raises is never kept, so a bad input raises the same error on
     every call.
     """
     scalars = (mass, base, height, alpha, beta, k_f, k_m, f_max)
-    if inertia is not None:
-        return _build_module(*scalars, inertia)
-    return remembered(_MODULES, scalars, _build_module)
+    if inertia is None and {*map(type, scalars)} == {float}:
+        return _kept_module(struct.pack("<8d", *scalars))
+    return _build_module(*scalars, inertia)
+
+
+@lru_cache(maxsize=256)
+def _kept_module(key: bytes) -> ModuleSpec:
+    """The module of :func:`build_r_module`'s eight float arguments, packed
+    bit for bit in ``key``."""
+    return _build_module(*struct.unpack("<8d", key))
 
 
 def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None) -> ModuleSpec:
@@ -237,32 +262,31 @@ def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None
                      height=height, propellers=props, tilt=orientation)
 
 
-def check_balanced(module: ModuleSpec, tol: float = 1e-9) -> BalanceReport:
+def check_balanced(module: ModuleSpec, tol: float = _TOL) -> BalanceReport:
     """Evaluate the hover-balance residuals of ``module`` under unit thrust.
 
     A module is balanced when both torque residuals vanish and the summed
     thrust is parallel to the declared tilt axis. Unbalanced modules report
-    is_balanced=False rather than raising. The four rotor axes come from one
-    stacked product; the moments p x a, the sums over the rotors and the
-    parallel-axis test then run on floats, in the order of numpy's cross
-    product and row sums, so the residuals carry the same bits as the numpy
-    forms.
+    is_balanced=False rather than raising. The moments p x a of the rotor
+    table's rows, the sums over the rotors and the parallel-axis test run
+    on floats, in the order of numpy's cross product and row sums, so the
+    residuals carry the same bits as the numpy forms.
 
-    A module is immutable, so its report is computed once per ``tol`` (a
-    Python or numpy float, keyed by its type and exact bits) and every
-    later call returns the same report, whose arrays are read-only.
+    A module is immutable, so its report at the default tol (the Python
+    float 1e-9) is computed once and every later call returns it; any other
+    ``tol`` is checked and gets a new report. Report arrays are read-only.
     """
-    reports = module.__dict__.setdefault("_balance_reports", {})
-    return remembered(reports, (tol,),
-                      lambda tol: _balance_report(module, checked("tol", tol, POSITIVE)))
+    if type(tol) is float and tol == _TOL:
+        return module._balance
+    return _balance_report(module, checked("tol", tol, POSITIVE))
 
 
 def _balance_report(module: ModuleSpec, tol: float) -> BalanceReport:
     """A new :func:`check_balanced` report of ``module``."""
-    props = module.propellers
-    axes = (np.array([p.orientation for p in props]) @ E3).tolist()
-    moments = [cross3(p.position.tolist(), a) for p, a in zip(props, axes)]
-    drags = [[x * p.spin for x in a] for p, a in zip(props, axes)]
+    rows = module._rotors.tolist()
+    axes = [r[3:6] for r in rows]
+    moments = [cross3(r[:3], a) for r, a in zip(rows, axes)]
+    drags = [[x * r[6] for x in a] for r, a in zip(rows, axes)]
     force_sum = np.array(_sum_rows(axes))
     gain = math.sqrt(force_sum.dot(force_sum))  # np.linalg.norm's own formula
     axis = force_sum / gain if gain > tol else np.zeros(3)

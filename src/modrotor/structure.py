@@ -185,43 +185,26 @@ def _thrust_frame(force_map: np.ndarray, rank: int, svd: tuple) -> np.ndarray:
     return np.column_stack([x_axis, y_axis, z_axis])
 
 
-def _rotor_block(module: ModuleSpec) -> np.ndarray:
-    """The 4 x 8 rotor block of ``module``: one row per rotor, holding its
-    position (columns 0-2) and thrust axis (3-5), both in the module frame,
-    spin * k_m / k_f (6) and f_max (7). A module is immutable, so the block is built once and kept
-    outside the fields, like :func:`~modrotor.module_design.check_balanced`'s
-    report; ``dataclasses.replace`` gives a module without one."""
-    block = module.__dict__.get("_rotor_block")
-    if block is None:
-        props = module.propellers
-        axes = (np.array([p.orientation for p in props]) @ E3).tolist()
-        block = np.array([[*p.position.tolist(), *axis, p.spin * p.drag_ratio, p.f_max]
-                          for p, axis in zip(props, axes)])
-        block.setflags(write=False)
-        module.__dict__["_rotor_block"] = block
-    return block
-
-
 def assemble(placements) -> StructureModel:
     """Assemble placed modules into a rigid structure model.
 
     Computes the mass-weighted center, total inertia with parallel-axis
     terms, the 6 x 4n thrust map about the center of mass, the numerical
-    rank of its force block, and the thrust frame rotation. Each module
-    builds its rotor block once: the four rotor positions and thrust axes
-    in its own frame, spin * k_m / k_f and f_max, kept with the module, so
-    a module placed again, as :func:`~modrotor.module_design.build_r_module`
-    hands out, reads no propeller. Each product is one stacked pass over
-    all modules: the module inertias, the 4n rotor positions and the 4n
-    rotor axes are rotated by one batched ``matmul`` each, and the torque
-    columns p x a take numpy's cross-product arithmetic on whole rows. Two
-    SVDs: the torque block's singular values (its rank must be 3) and the
-    force block's full SVD, the one source of ``force_sigmas``, ``rank_f``,
-    the thrust frame and :func:`actuation_ellipsoid`. Every output has the
+    rank of its force block, and the thrust frame rotation. Each module's
+    rotors come from its rotor table, ``ModuleSpec._rotors``, built once,
+    so a module placed again reads no propeller. Each product is one
+    stacked pass over all modules: the module inertias, the 4n rotor
+    positions and the 4n rotor axes are rotated by one batched ``matmul``
+    each, and the torque columns p x a take numpy's cross-product
+    arithmetic on whole rows. Two SVDs: the torque block's singular values
+    (its rank must be 3) and the force block's full SVD, the one source of
+    ``force_sigmas``, ``rank_f``, the thrust frame and
+    :func:`actuation_ellipsoid`. Every output has the
     bits of the per-module loop it replaces. A module whose k_m / k_f
     overflows, a total mass that overflows, or a total inertia that does,
     as for modules placed far apart, raises AssemblyError before the rank
-    tests.
+    tests; a rank-deficient torque block, from degenerate geometry or a
+    huge but finite k_m / k_f, raises it naming the largest k_m / k_f.
     """
     placements = tuple(placements)
     if not placements:
@@ -229,7 +212,7 @@ def assemble(placements) -> StructureModel:
     base = placements[0].module.base
     height = placements[0].module.height
     seen: dict[tuple[int, int], int] = {}
-    blocks = []
+    tables = []
     for idx, pl in enumerate(placements):
         if pl.module.base != base or pl.module.height != height:
             raise AssemblyError(f"module {idx + 1} has frame {pl.module.base} x "
@@ -239,13 +222,13 @@ def assemble(placements) -> StructureModel:
             raise AssemblyError(f"modules {seen[cell] + 1} and {idx + 1} both occupy grid "
                                 f"cell {cell}")
         seen[cell] = idx
-        block = _rotor_block(pl.module)
+        table = pl.module._rotors
         # Each of k_m and k_f is finite, but their ratio can overflow; an
         # infinite drag would turn the torque rows to inf and NaN.
-        if not all(map(math.isfinite, block[:, 6].tolist())):
+        if not all(map(math.isfinite, table[:, 7].tolist())):
             raise AssemblyError(f"module {idx + 1} has a drag ratio k_m / k_f beyond "
                                 "float range")
-        blocks.append(block)
+        tables.append(table)
 
     masses = np.array([pl.module.mass for pl in placements])
     grid_pos = np.array([[pl.grid_offset[0] * base, pl.grid_offset[1] * base, 0.0] for pl in placements])
@@ -274,22 +257,24 @@ def assemble(placements) -> StructureModel:
         raise AssemblyError("structure inertia is not finite; grid offsets or inertias too large")
 
     # Rotor geometry: positions and axes of all 4n rotors in {S}, one stacked
-    # product each over the modules' rotor blocks; columns are rotors, rows
+    # product each over the modules' rotor tables; columns are rotors, rows
     # coordinates.
-    blocks = np.array(blocks)
-    px, py, pz = (blocks[:, :, :3] @ rotations_t + offsets[:, None, :]).reshape(-1, 3).T
+    tables = np.array(tables)
+    px, py, pz = (tables[:, :, :3] @ rotations_t + offsets[:, None, :]).reshape(-1, 3).T
     a = np.empty((6, 4 * len(placements)))
-    a[:3] = (blocks[:, :, 3:6] @ rotations_t).reshape(-1, 3).T
+    a[:3] = (tables[:, :, 3:6] @ rotations_t).reshape(-1, 3).T
     ax, ay, az = a[:3]
-    drag = blocks[:, :, 6].ravel()
+    drag = (tables[:, :, 6] * tables[:, :, 7]).ravel()  # spin is +-1.0: exact
     # p x a + drag a, with the float cross product of np.cross.
     a[3] = py * az - pz * ay + drag * ax
     a[4] = pz * ax - px * az + drag * ay
     a[5] = px * ay - py * ax + drag * az
-    f_max = blocks[:, :, 7].ravel()
+    f_max = tables[:, :, 8].ravel()
 
     if _rank_of(np.linalg.svd(a[3:], compute_uv=False)) != 3:
-        raise AssemblyError("torque block is rank-deficient; module geometry is degenerate")
+        raise AssemblyError("torque block is rank-deficient; module geometry is degenerate, "
+                            f"or the largest k_m / k_f ({tables[:, :, 7].max():.3e} m) "
+                            "swamps the rotor arms")
 
     u, sigmas, _ = np.linalg.svd(a[:3])
     rank_f = _rank_of(sigmas)

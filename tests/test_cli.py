@@ -451,8 +451,8 @@ _RANGE_ENDS = {"alpha_deg": ("-90", "90"), "beta_deg": ("-90", "90"), "yaw_quart
                "grid_col": _FAR_CELLS, "grid_row": _FAR_CELLS}
 _SIMULATED_SECTIONS = ("gains", "sim", "trajectory")
 # Module keys set together: each value passes its own bound, but k_m / k_f
-# overflows.
-_MODULE_PAIRS = ({"k_f": "1e-300", "k_m": "1e10"},)
+# overflows, or stays finite but swamps the rotor arms.
+_MODULE_PAIRS = ({"k_f": "1e-300", "k_m": "1e10"}, {"k_f": "1e-300", "k_m": "1e-10"})
 
 
 def _contract_variants():

@@ -1,7 +1,7 @@
 """No module in src/ or tests/ imports a name it never reads, parsing a
 config imports no standard library INI reader, and src/ builds instances
-without their checks, and checks the arrays callers pass in, in one place
-only.
+without their checks, fills an instance's ``__dict__`` by hand, and checks
+the arrays callers pass in, in one place only.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -59,22 +59,37 @@ def test_parsing_a_config_does_not_import_configparser():
     assert result.returncode == 0, result.stderr
 
 
-def object_new_owners(source: str) -> list[str]:
-    """The innermost function around each use of ``object.__new__``, in
-    source order; ``<module>`` for a use at the top level."""
+def owners(source: str, is_use) -> list[str]:
+    """The innermost function around each node for which ``is_use`` holds,
+    in source order; ``<module>`` for a use at the top level."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "__new__"
-                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+        if is_use(node):
             found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def object_new_owners(source: str) -> list[str]:
+    """:func:`owners` of each use of ``object.__new__``."""
+    return owners(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"))
+
+
+def instance_dict_owners(source: str) -> list[str]:
+    """:func:`owners` of each read or write of an object's ``__dict__``,
+    as an attribute or through ``vars()``."""
+    return owners(source, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars")))
 
 
 def test_object_new_uses_are_found():
@@ -87,6 +102,23 @@ def test_only_lazy_unchecked_skips_the_checks():
     # Values the library builds from checked inputs skip re-validation
     # through lazy.unchecked, the one place src/ uses object.__new__.
     uses = {path.relative_to(ROOT).as_posix(): object_new_owners(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path: owners for path, owners in uses.items() if owners} == {
+        "src/modrotor/lazy.py": ["unchecked"]}
+
+
+def test_instance_dict_uses_are_found():
+    source = ("def f(m):\n    m.__dict__['x'] = 1\n    return vars(m)\n"
+              "def g(m):\n    return m.__dict__.get('x')\nkeys = vars(object)\n")
+    assert instance_dict_owners(source) == ["f", "f", "g", "<module>"]
+
+
+def test_only_lazy_unchecked_touches_an_instance_dict():
+    # src/ keeps derived data in functools.cached_property and modules in
+    # one functools.lru_cache; lazy.unchecked, which fills a new instance's
+    # fields, is the one place that reads or writes a __dict__ by hand.
+    uses = {path.relative_to(ROOT).as_posix():
+            instance_dict_owners(path.read_text(encoding="utf-8"))
             for path in sorted((ROOT / "src").rglob("*.py"))}
     assert {path: owners for path, owners in uses.items() if owners} == {
         "src/modrotor/lazy.py": ["unchecked"]}

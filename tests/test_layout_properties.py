@@ -271,6 +271,9 @@ def test_rotor_block_is_kept_outside_the_fields():
     assert [f.name for f in dataclasses.fields(ModuleSpec)] == names == [
         "mass", "inertia", "base", "height", "propellers", "tilt"]
     assert repr(constructed) == text
+    for module in (replaced, remembered, constructed):
+        check_balanced(module)
+        assert set(vars(module)) == {*names, "_rotors", "_balance"}
 
 
 def test_check_balanced_matches_per_rotor_oracle(layouts, all_structures):

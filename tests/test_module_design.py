@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from modrotor import lazy, module_design
+from modrotor import module_design
 from modrotor.module_design import (
     ModuleSpec,
     PropellerSpec,
@@ -238,7 +238,7 @@ def test_build_r_module_checks_in_its_documented_order(override):
     # Every argument bad, then fixed one at a time in the order the
     # docstring gives: each error names the next argument, and with all
     # fixed the module builds. Without an inertia override the eight float
-    # scalars take the remembered path.
+    # scalars take the kept path.
     doc = " ".join(inspect.getdoc(build_r_module).split())
     order = re.search(r"checked in the order ([\w, ]+);", doc).group(1).split(", ")
     assert order == list(_BAD_INPUTS)
@@ -338,13 +338,13 @@ def test_positive_definite_rule_matches_eigenvalues():
 
 
 # ---------------------------------------------------------------- module values
-# build_r_module keeps each module built from float inputs alone and returns
-# it again; modules and their balance reports are immutable values.
+# build_r_module keeps each module built from Python float inputs alone and
+# returns it again; modules and their balance reports are immutable values.
 
 def _memo_corpus():
     """Seeded build_r_module keyword sets, accepted and rejected: tilts at
     and inside +-pi/2, bases 1e-300 to 1e200, NaN, inf and negative
-    scalars, ints, numpy floats and inertia overrides."""
+    scalars, ints, Python and numpy floats and inertia overrides."""
     rng = np.random.default_rng(15)
     bad = [float("nan"), float("inf"), -1.0, 0.0]
     corpus = []
@@ -352,7 +352,8 @@ def _memo_corpus():
         alpha, beta = rng.choice([-np.pi / 2, 0.0, np.pi / 2, *rng.uniform(-np.pi / 2, np.pi / 2, 3)],
                                  size=2)
         kwargs = dict(mass=10.0 ** rng.uniform(-3, 3), base=10.0 ** rng.uniform(-300, 200),
-                      height=10.0 ** rng.uniform(-3, 1), alpha=float(alpha), beta=beta,
+                      height=10.0 ** rng.uniform(-3, 1), alpha=float(alpha),
+                      beta=beta if i % 3 == 0 else float(beta),
                       k_f=10.0 ** rng.uniform(-2, 2), k_m=0.0 if i % 5 == 0 else 0.006,
                       f_max=10.0 ** rng.uniform(-1, 2))
         if i % 4 == 1:  # one scalar out of range
@@ -393,7 +394,7 @@ def _fresh(**kwargs):
 
 
 def test_memo_returns_the_fresh_build_and_never_keeps_errors():
-    accepted = rejected = 0
+    accepted = rejected = kept = 0
     for kwargs in _memo_corpus():
         first, again = _outcome(build_r_module, kwargs), _outcome(build_r_module, kwargs)
         fresh = _outcome(_fresh, kwargs)
@@ -402,10 +403,12 @@ def test_memo_returns_the_fresh_build_and_never_keeps_errors():
             assert first == again == fresh, kwargs
             continue
         accepted += 1
-        keyed = "inertia" not in kwargs and isinstance(kwargs["mass"], float)
+        # Keyed means every argument a Python float; a numpy float is not one.
+        keyed = "inertia" not in kwargs and all(type(v) is float for v in kwargs.values())
+        kept += keyed
         assert (first is again) == keyed, kwargs
         assert _module_fields(first) == _module_fields(fresh) == _module_fields(again), kwargs
-    assert accepted > 100 and rejected > 50
+    assert accepted > 100 and rejected > 50 and 50 < kept < accepted - 50
 
 
 @pytest.mark.parametrize("name, values", [
@@ -414,12 +417,13 @@ def test_memo_returns_the_fresh_build_and_never_keeps_errors():
 ])
 def test_memo_keys_on_type_and_bits(name, values):
     # Equal values of another type or sign of zero are other inputs: each
-    # gets its own module, with the bits of its own fresh build.
+    # gets its own module, with the bits of its own fresh build. Only a
+    # Python float is kept; an int, a bool or a numpy float builds anew.
     modules = [build_r_module(**{name: v}) for v in values]
     assert len({id(m) for m in modules}) == len(values)
     for value, module in zip(values, modules):
         assert _module_fields(module) == _module_fields(_fresh(**{name: value}))
-        keyed = isinstance(value, float)  # a Python or numpy float
+        keyed = type(value) is float
         assert (build_r_module(**{name: value}) is module) == keyed
 
 
@@ -427,20 +431,24 @@ def test_memo_keys_on_type_and_bits(name, values):
     {"inertia": np.diag([2e-4, 2e-4, 3e-4])},
     {"mass": np.array(0.135)},
     {"beta": np.float32(0.1)},
-], ids=["inertia_override", "zero_d_array", "float32"])
+    {"mass": np.float64(0.135)},
+    {"mass": 1},
+], ids=["inertia_override", "zero_d_array", "float32", "float64", "int"])
 def test_unkeyable_calls_build_a_new_module_each_time(kwargs):
-    size = len(module_design._MODULES)
+    info = module_design._kept_module.cache_info()
     first, again = build_r_module(**kwargs), build_r_module(**kwargs)
     assert first is not again
     assert _module_fields(first) == _module_fields(again)
-    assert len(module_design._MODULES) == size
+    assert module_design._kept_module.cache_info() == info
 
 
 def test_memo_never_grows_past_its_bound():
-    masses = 0.1 + 1e-3 * np.arange(lazy.MEMO_SIZE + 40)
+    bound = module_design._kept_module.cache_info().maxsize
+    assert bound == 256
+    masses = 0.1 + 1e-3 * np.arange(bound + 40)
     for mass in masses.tolist():
         module = build_r_module(mass=mass)
-        assert len(module_design._MODULES) <= lazy.MEMO_SIZE
+        assert module_design._kept_module.cache_info().currsize <= bound
     assert build_r_module(mass=masses[-1].item()) is module
 
 
@@ -510,15 +518,18 @@ def test_wrench_keeps_read_only_copies_of_3_vectors():
 
 
 def test_balance_report_is_computed_once_per_module_and_tol():
+    # The report at the default tol, the Python float 1e-9, is kept; any
+    # other tol, a numpy 1e-9 among them, gets a fresh report each call.
     m = build_r_module(alpha=0.1, beta=0.4)
     report = check_balanced(m)
     assert check_balanced(m) is report and check_balanced(m, 1e-9) is report
-    loose = check_balanced(m, 1e-6)
-    assert loose is not report and check_balanced(m, 1e-6) is loose
-    assert check_balanced(m, np.float64(1e-9)) is not report
-    fresh = module_design._balance_report(m, 1e-9)
-    for f in dataclasses.fields(fresh):
-        np.testing.assert_array_equal(getattr(report, f.name), getattr(fresh, f.name))
+    reports = [(report, 1e-9)] + [(check_balanced(m, tol), tol) for tol in (1e-6, np.float64(1e-9))]
+    for got, tol in reports[1:]:
+        assert got is not report and check_balanced(m, tol) is not got
+    for got, tol in reports:
+        fresh = module_design._balance_report(m, float(tol))
+        for f in dataclasses.fields(fresh):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(fresh, f.name))
 
 
 def test_replaced_module_gets_its_own_report():

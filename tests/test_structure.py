@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,32 @@ def test_assemble_names_an_overflowing_drag_ratio():
     bad = dataclasses.replace(good, propellers=tuple(props))
     with pytest.raises(AssemblyError, match=message.format(2)):
         assemble([ModulePlacement(good), ModulePlacement(bad, (1, 0))])
+
+
+@pytest.mark.parametrize("k_f, k_m, shown", [(1.0, 3e7, "3.000e+07"), (1e-300, 1e-10, "1.000e+290"),
+                                             (1.0, 1e300, "1.000e+300"), (1.0, 0.0, "0.000e+00")])
+def test_rank_deficient_torque_block_names_the_largest_drag_ratio(k_f, k_m, shown):
+    # A finite drag ratio large enough to swamp the rotor arms leaves the
+    # torque block rank-deficient, as a drag-free flat module does; the
+    # error names both causes and the ratio, and no RuntimeWarning escapes.
+    message = "^" + re.escape("torque block is rank-deficient; module geometry is degenerate, "
+                              f"or the largest k_m / k_f ({shown} m) swamps the rotor arms") + "$"
+    with pytest.raises(AssemblyError, match=message):
+        assemble([ModulePlacement(build_r_module(k_f=k_f, k_m=k_m))])
+
+
+@pytest.mark.parametrize("first", [1e-10, 5e-11])
+def test_rank_deficient_torque_block_names_the_structures_largest_ratio(first):
+    # Whichever module carries it, the largest ratio of the structure is named.
+    placements = [ModulePlacement(build_r_module(k_f=1e-300, k_m=first)),
+                  ModulePlacement(build_r_module(k_f=1e-300, k_m=1.5e-10 - first), (1, 0))]
+    with pytest.raises(AssemblyError, match=re.escape("k_m / k_f (1.000e+290 m)")):
+        assemble(placements)
+
+
+def test_drag_ratio_below_the_arms_still_assembles():
+    # On one default module 2e7 still spans three torque directions.
+    assert assemble([ModulePlacement(build_r_module(k_m=2e7))]).thrust_map.shape == (6, 4)
 
 
 def _tilted_block(tilt):
