@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import StructureConfig, override_sim, parse_config
-from .errors import ModrotorError, SimulationError
+from .errors import ConfigError, ModrotorError, SimulationError
 from .module_design import check_balanced
 from .sim import RunResult, run_closed_loop
 from .structure import StructureModel, _rank_of, actuation_ellipsoid, ellipsoid_xz_polygon
@@ -41,7 +41,14 @@ def _fmt_vec(v) -> str:
 
 
 def _load_config(path: str) -> StructureConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """The config at ``path``; text that is not UTF-8 is a ConfigError naming
+    the file and the offset of the first byte that does not decode."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at "
+                          f"offset {exc.start} ({exc.reason})") from None
+    return parse_config(text)
 
 
 def _frame_summary(r_sf: np.ndarray) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from .control import Gains
 from .dynamics import SimParams
 from .errors import ConfigError
-from .lazy import FINITE, NON_NEGATIVE, POSITIVE, QUARTERS, checked, shown
+from .lazy import FINITE, NON_NEGATIVE, POSITIVE, QUARTERS, checked, shown, unchecked
 from .module_design import build_r_module
 from .structure import ModulePlacement, StructureModel, assemble
 from .trajectory import RECT_ALTITUDE, RECT_SPEED, TrajectorySample, helix, hover, rectangle
@@ -88,9 +88,10 @@ class TrajectoryConfig:
 @dataclass(frozen=True)
 class StructureConfig:
     modules: tuple[ModuleConfig, ...]
-    gains: GainsConfig = field(default_factory=GainsConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
-    trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
+    # Frozen values, so every config can share one default of each.
+    gains: GainsConfig = GainsConfig()
+    sim: SimConfig = SimConfig()
+    trajectory: TrajectoryConfig = TrajectoryConfig()
 
     def to_structure(self) -> StructureModel:
         """The assembled structure; a module the library rejects, such as one
@@ -173,10 +174,11 @@ _BOUNDS = {
 }
 
 # The optional sections, each named after its StructureConfig field.
-_SECTIONS = {f.name: f.default_factory for f in fields(StructureConfig) if f.name != "modules"}
-# Each section dataclass's keys and their declared types.
+_SECTIONS = {f.name: type(f.default) for f in fields(StructureConfig) if f.name != "modules"}
+# Each section dataclass's keys with their declared types, and with their defaults.
 _KEY_TYPES = {cls: {f.name: f.type for f in fields(cls)}
               for cls in (ModuleConfig, *_SECTIONS.values())}
+_DEFAULTS = {cls: {f.name: f.default for f in fields(cls)} for cls in _KEY_TYPES}
 
 
 def _convert(type_name: str, raw: str, key: str):
@@ -203,17 +205,19 @@ def _convert(type_name: str, raw: str, key: str):
 
 def _parse_section(cls, section, where: str):
     """An instance of the dataclass ``cls`` from the keys ``section`` sets;
-    the dataclass supplies the default of every key the section leaves out."""
+    the dataclass supplies the default of every key the section leaves out.
+    The section dataclasses check nothing themselves and every value is
+    checked here, so the instance is built with :func:`~modrotor.lazy.unchecked`."""
     types = _KEY_TYPES[cls]
-    unknown = sorted(key for key in section if key not in types)
+    unknown = section.keys() - types.keys()
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}")
-    return _built(where, lambda: cls(**{key: _convert(types[key], raw, key)
-                                        for key, raw in section.items()}))
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    values = _built(where, lambda: {key: _convert(types[key], raw, key)
+                                    for key, raw in section.items()})
+    return unchecked(cls, **{**_DEFAULTS[cls], **values})
 
 
 _INLINE_COMMENT = re.compile(r"\s#")
-_DELIMITER = re.compile("[=:]")
 
 
 def _read_ini(text: str) -> dict[str, dict[str, str]]:
@@ -228,17 +232,17 @@ def _read_ini(text: str) -> dict[str, dict[str, str]]:
             if value_lines is not None:
                 value_lines.append("")
             continue
-        if stripped[0] in "#;":
+        first = stripped[0]
+        if first in "#;":
             continue
         if "#" in stripped:
             stripped = _INLINE_COMMENT.split(stripped, 1)[0].rstrip()
-        indent = len(line) - len(line.lstrip())
+        indent = 0 if line[0] == first else len(line) - len(line.lstrip())
         if value_lines is not None and indent > key_indent:
             value_lines.append(stripped)
             continue
         key_indent = indent
-        close = stripped.rfind("]")
-        if stripped[0] == "[" and close >= 2:
+        if first == "[" and (close := stripped.rfind("]")) >= 2:
             name = stripped[1:close]
             if name in sections:
                 raise ConfigError(f"syntax error: line {lineno}: section [{name}] is repeated")
@@ -248,15 +252,18 @@ def _read_ini(text: str) -> dict[str, dict[str, str]]:
         if section is None:
             raise ConfigError(f"syntax error: line {lineno}: {stripped!r} comes before "
                               "any [section] header")
-        key, *raw = _DELIMITER.split(stripped, 1)
+        # The first '=' or ':' splits the line; a ':' before any '=' is it.
+        key, delimiter, value = stripped.partition("=")
+        if ":" in key:
+            key, delimiter, value = stripped.partition(":")
         key = key.rstrip().lower()
-        if not raw or not key:
+        if not delimiter or not key:
             raise ConfigError(f"syntax error: line {lineno}: {stripped!r} is not "
                               "'key = value' or 'key: value'")
         if key in section:
             raise ConfigError(f"syntax error: line {lineno}: key {key!r} is repeated "
                               f"in [{name}]")
-        value_lines = section[key] = [raw[0].strip()]
+        value_lines = section[key] = [value.strip()]
     return {name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
             for name, keys in sections.items()}
 

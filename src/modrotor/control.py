@@ -46,9 +46,9 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState, _floats_of
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import checked, finite_array, read_only, unchecked
+from .lazy import POSITIVE, checked, finite_array, read_only, unchecked
 from .module_design import Wrench
-from .so3 import cross3, matmul3
+from .so3 import I3, cross3, matmul3
 from .structure import StructureModel, _rank_of
 from .trajectory import TrajectorySample
 
@@ -64,6 +64,8 @@ class Gains:
 
     Each takes a scalar, three diagonal entries or a diagonal 3x3 matrix,
     finite with a positive diagonal, and is kept as a read-only 3x3 matrix.
+    A positive finite Python float passes every check, so it skips them:
+    its matrix is value * I, which holds the bits of the filled diagonal.
     The defaults are tuned so every supported structure converges well
     inside the underactuated position-through-attitude cascade.
     """
@@ -75,16 +77,20 @@ class Gains:
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-            mat = finite_array(name, getattr(self, name), None)
-            if mat.shape in ((), (3,)):
-                diag, mat = mat, np.zeros((3, 3))
-                mat.flat[::4] = diag
-                mat.setflags(write=False)
-            entries = mat.ravel().tolist()
-            if mat.shape != (3, 3) or any(entries[1:4] + entries[5:8]):
-                raise ValueError(f"{name} must be a diagonal 3x3 matrix")
-            if min(entries[::4]) <= 0.0:
-                raise ValueError(f"{name} diagonal entries must be positive")
+            value = getattr(self, name)
+            if type(value) is float and POSITIVE[0] <= value <= POSITIVE[1]:
+                mat = value * I3
+            else:
+                mat = finite_array(name, value, None)
+                if mat.shape in ((), (3,)):
+                    diag, mat = mat, np.zeros((3, 3))
+                    mat.flat[::4] = diag
+                entries = mat.ravel().tolist()
+                if mat.shape != (3, 3) or any(entries[1:4] + entries[5:8]):
+                    raise ValueError(f"{name} must be a diagonal 3x3 matrix")
+                if min(entries[::4]) <= 0.0:
+                    raise ValueError(f"{name} diagonal entries must be positive")
+            mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
 
@@ -198,12 +204,12 @@ class Controller:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")
         self.mode, rows, self._desired_attitude = _MODE_ROWS[structure.rank_f]
         self.rows = np.array(rows)
-        thrust_frame_map = np.vstack([structure.r_sf.T @ structure.force_map, structure.torque_map])
-        self.reduced_map = thrust_frame_map[self.rows]
+        self.reduced_map = np.concatenate((structure.r_sf.T @ structure.force_map,
+                                           structure.torque_map)).take(self.rows, 0)
         u, s, vt = np.linalg.svd(self.reduced_map, full_matrices=False)
-        if _rank_of(s) < self.rows.size:
+        if _rank_of(s) < len(rows):
             raise AllocationError(
-                f"{self.mode} control needs the {self.rows.size} commanded wrench rows "
+                f"{self.mode} control needs the {len(rows)} commanded wrench rows "
                 "to be independent; the reduced thrust map is rank-deficient"
             )
         # np.linalg.pinv(reduced_map) from the same SVD, with numpy's own

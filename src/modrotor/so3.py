@@ -11,9 +11,13 @@ import math
 
 import numpy as np
 
-E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
+# The identity and its columns, each its own array. Module-level arrays are
+# read-only, so no caller can change what every later call reads.
+I3 = np.eye(3)
+E1, E2, E3 = map(np.array, I3)
+for _array in (I3, E1, E2, E3):
+    _array.setflags(write=False)
+del _array
 
 # Below this angle the Rodrigues formula divides by a vanishing norm; fall
 # back to the second-order series.

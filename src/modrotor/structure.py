@@ -18,15 +18,19 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError
-from .lazy import QUARTERS, checked, finite_array, shown
+from .lazy import QUARTERS, checked, finite_array, read_only, shown, unchecked
 from .module_design import ModuleSpec
-from .so3 import E1, E2, E3, cross3, rot_z
+from .so3 import E1, E2, E3, I3, cross3, rot_z
 
 # Relative singular-value cutoff for rank decisions and for grouping tied
 # singular values when choosing the thrust frame.
 _RANK_TOL = 1e-9
-# rot_z of 0, 1, 2 and 3 quarter turns, indexed by ModulePlacement.yaw_quarter_turns.
-_QUARTER_TURNS = np.array([rot_z(k * np.pi / 2.0) for k in range(4)])
+# rot_z of 0, 1, 2 and 3 quarter turns, indexed by ModulePlacement.yaw_quarter_turns,
+# and _TURNS[f, k] = _QUARTER_TURNS[f].T @ _QUARTER_TURNS[k]: the rotation of a
+# module of k turns into the frame of a first module of f turns, by the product
+# assemble took for each module. Module-level arrays are read-only.
+_QUARTER_TURNS = read_only([rot_z(k * np.pi / 2.0) for k in range(4)])
+_TURNS = read_only([_QUARTER_TURNS[f].T @ _QUARTER_TURNS for f in range(4)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +132,9 @@ def _unit_in(block: np.ndarray, preferred, signs, drop: np.ndarray | None = None
     """Unit vector in the span of the orthonormal ``block`` columns, less
     the unit axis ``drop``, nearest the first usable ``preferred``
     direction; a single column is taken as it is. Signed toward the first
-    direction in ``signs`` that it is not orthogonal to."""
+    direction in ``signs`` that it is not orthogonal to. A body axis there
+    is its index, and its test reads that component, the dot product's
+    value wherever |dot| > 1e-12 can hold; other directions take numpy's dot."""
     vec = block[:, 0]
     if block.shape[1] > 1:
         for target in preferred:
@@ -139,8 +145,9 @@ def _unit_in(block: np.ndarray, preferred, signs, drop: np.ndarray | None = None
             if norm > 1e-9:
                 vec = proj / norm
                 break
+    entries = vec.tolist()
     for target in signs:
-        dot = float(vec @ target)
+        dot = entries[target] if type(target) is int else float(vec @ target)
         if abs(dot) > 1e-12:
             return vec if dot >= 0.0 else -vec
     return vec
@@ -169,20 +176,26 @@ def _thrust_frame(force_map: np.ndarray, rank: int, svd: tuple) -> np.ndarray:
     gap = _RANK_TOL * values[0]
     top = sum(values[0] - x <= gap for x in values)
     uniform_thrust = force_map @ np.ones(force_map.shape[1])
-    z_axis = _unit_in(u[:, list(range(top))], [E3, uniform_thrust, E1], [uniform_thrust, E3, E1])
+    # Each group's columns are copied column-major, the layout that indexing
+    # by a list of columns gives, which the products below are pinned to.
+    z_axis = _unit_in(u[:, :top].copy("F"), [E3, uniform_thrust, E1], [uniform_thrust, 2, 0])
     if rank == 1:
-        along = z_axis @ force_map
-        if np.any(along < 0.0):
+        lowest = min((z_axis @ force_map).tolist())
+        if lowest < 0.0:
             raise AssemblyError(
                 "rank-1 structure with mismatched rotor force axes; "
-                f"most negative thrust along the common axis {along.min():.3e}"
+                f"most negative thrust along the common axis {lowest:.3e}"
             )
-    group = range(top) if top > 1 else range(1, 1 + sum(values[1] - x <= gap for x in values[1:]))
-    x_axis = _unit_in(u[:, list(group)], [E1, E2, E3], [E1, E2, E3], z_axis if top > 1 else None)
-    x_axis = x_axis - z_axis * (z_axis @ x_axis)
-    x_axis = x_axis / math.sqrt(x_axis.dot(x_axis))
-    y_axis = np.array(cross3(z_axis.tolist(), x_axis.tolist()))
-    return np.column_stack([x_axis, y_axis, z_axis])
+    group = slice(top) if top > 1 else slice(1, 1 + sum(values[1] - x <= gap for x in values[1:]))
+    x_axis = _unit_in(u[:, group].copy("F"), [E1, E2, E3], [0, 1, 2], z_axis if top > 1 else None)
+    # x less its z part, then normalized: the two dot products stay numpy's,
+    # the entrywise steps run on floats with numpy's operations in its order.
+    along_z = float(z_axis @ x_axis)
+    z = z_axis.tolist()
+    x = np.array([xi - zi * along_z for xi, zi in zip(x_axis.tolist(), z)])
+    norm = math.sqrt(x.dot(x))
+    x = [xi / norm for xi in x.tolist()]
+    return np.array(list(zip(x, cross3(z, x), z)))
 
 
 def assemble(placements) -> StructureModel:
@@ -191,15 +204,15 @@ def assemble(placements) -> StructureModel:
     Computes the mass-weighted center, total inertia with parallel-axis
     terms, the 6 x 4n thrust map about the center of mass, the numerical
     rank of its force block, and the thrust frame rotation. Each module's
-    rotors come from its rotor table, ``ModuleSpec._rotors``, built once,
-    so a module placed again reads no propeller. Each product is one
-    stacked pass over all modules: the module inertias, the 4n rotor
-    positions and the 4n rotor axes are rotated by one batched ``matmul``
-    each, and the torque columns p x a take numpy's cross-product
-    arithmetic on whole rows. Two SVDs: the torque block's singular values
-    (its rank must be 3) and the force block's full SVD, the one source of
-    ``force_sigmas``, ``rank_f``, the thrust frame and
-    :func:`actuation_ellipsoid`. Every output has the
+    rotors come from its rotor table, ``ModuleSpec._rotors``, built once.
+    Products, sums and factorizations stay numpy's, whose bits floats
+    cannot reproduce: module rotations come from a table of their products,
+    the inertias, rotor positions and axes are rotated by one batched
+    ``matmul`` each, and the torque columns p x a take np.cross's
+    arithmetic. Finiteness and sign tests run on floats. Two SVDs: the
+    torque block's singular values (its rank must be 3) and the force
+    block's full SVD, the one source of ``force_sigmas``, ``rank_f``, the
+    thrust frame and :func:`actuation_ellipsoid`. Every output has the
     bits of the per-module loop it replaces. A module whose k_m / k_f
     overflows, a total mass that overflows, or a total inertia that does,
     as for modules placed far apart, raises AssemblyError before the rank
@@ -233,8 +246,8 @@ def assemble(placements) -> StructureModel:
     masses = np.array([pl.module.mass for pl in placements])
     grid_pos = np.array([[pl.grid_offset[0] * base, pl.grid_offset[1] * base, 0.0] for pl in placements])
     # The structure frame is the first module's frame; rotate grid data into it.
-    r_grid_to_s = _QUARTER_TURNS[placements[0].yaw_quarter_turns].T
-    rotations = r_grid_to_s @ _QUARTER_TURNS[[pl.yaw_quarter_turns for pl in placements]]
+    turns = [pl.yaw_quarter_turns for pl in placements]
+    rotations = _TURNS[turns[0]].take(turns, 0)
     rotations_t = rotations.transpose(0, 2, 1)
 
     # Inertia: rotated module tensors plus the parallel-axis terms
@@ -248,27 +261,26 @@ def assemble(placements) -> StructureModel:
         if not math.isfinite(total_mass):
             raise AssemblyError("structure total mass is not finite; module masses too large")
         com = masses @ grid_pos / total_mass
-        offsets = (grid_pos - com) @ r_grid_to_s.T
+        offsets = (grid_pos - com) @ _QUARTER_TURNS[turns[0]]
         dd = offsets[:, None, :] @ offsets[:, :, None]
         outer = offsets[:, :, None] * offsets[:, None, :]
-        terms = masses[:, None, None] * (dd * np.eye(3) - outer)
+        terms = masses[:, None, None] * (dd * I3 - outer)
         inertia = (rotations @ inertias @ rotations_t + terms).sum(axis=0)
-    if not np.all(np.isfinite(inertia)):
+    if not all(map(math.isfinite, inertia.ravel().tolist())):
         raise AssemblyError("structure inertia is not finite; grid offsets or inertias too large")
 
-    # Rotor geometry: positions and axes of all 4n rotors in {S}, one stacked
-    # product each over the modules' rotor tables; columns are rotors, rows
-    # coordinates.
+    # Rotor geometry: positions p and axes of all 4n rotors in {S}, one
+    # stacked product each over the modules' rotor tables, a row per rotor.
+    # The torque p x a + drag a takes np.cross's arithmetic on whole columns:
+    # p1 a2 - p2 a1, p2 a0 - p0 a2, p0 a1 - p1 a0.
     tables = np.array(tables)
-    px, py, pz = (tables[:, :, :3] @ rotations_t + offsets[:, None, :]).reshape(-1, 3).T
-    a = np.empty((6, 4 * len(placements)))
-    a[:3] = (tables[:, :, 3:6] @ rotations_t).reshape(-1, 3).T
-    ax, ay, az = a[:3]
-    drag = (tables[:, :, 6] * tables[:, :, 7]).ravel()  # spin is +-1.0: exact
-    # p x a + drag a, with the float cross product of np.cross.
-    a[3] = py * az - pz * ay + drag * ax
-    a[4] = pz * ax - px * az + drag * ay
-    a[5] = px * ay - py * ax + drag * az
+    p = (tables[:, :, :3] @ rotations_t + offsets[:, None, :]).reshape(-1, 3)
+    axes = (tables[:, :, 3:6] @ rotations_t).reshape(-1, 3)
+    drag = (tables[:, :, 6] * tables[:, :, 7]).reshape(-1, 1)  # spin is +-1.0: exact
+    torque = (p.take((1, 2, 0), 1) * axes.take((2, 0, 1), 1)
+              - p.take((2, 0, 1), 1) * axes.take((1, 2, 0), 1) + drag * axes)
+    a = np.empty((6, len(axes)))
+    a[:3], a[3:] = axes.T, torque.T
     f_max = tables[:, :, 8].ravel()
 
     if _rank_of(np.linalg.svd(a[3:], compute_uv=False)) != 3:
@@ -283,7 +295,8 @@ def assemble(placements) -> StructureModel:
     inertia_inv = np.linalg.inv(inertia)
     for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv, u):
         arr.setflags(write=False)
-    return StructureModel(
+    return unchecked(
+        StructureModel,
         placements=placements,
         total_mass=total_mass,
         inertia=inertia,
@@ -304,18 +317,18 @@ def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarr
     normalized so each axis's largest component is positive. The image of
     the unit thrust ball under the force map is the ellipsoid with semi-axis
     sigmas[i] along axes[:, i]. Both come from the force block's full SVD,
-    which :func:`assemble` took once; this call makes none of its own.
+    which :func:`assemble` took once; this call makes none of its own. The
+    sign rule runs on floats: a column's lead is its first entry of largest
+    magnitude, as ``np.argmax`` picks it, and a column is flipped by
+    multiplying it by -1.0, which negates every entry exactly.
     """
-    s, u = structure.force_sigmas.copy(), structure._force_axes.copy()
-    for i in range(3):
-        lead = np.argmax(np.abs(u[:, i]))
-        if u[lead, i] < 0.0:
-            u[:, i] = -u[:, i]
-    return s, u
+    u = structure._force_axes
+    signs = [-1.0 if max(column, key=abs) < 0.0 else 1.0 for column in zip(*u.tolist())]
+    return structure.force_sigmas.copy(), u * signs
 
 
 # cos and sin of the polygon's 128 angles, evenly spaced from 0, as columns.
-_COS, _SIN = (f(np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))[:, None]
+_COS, _SIN = (read_only(f(np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))[:, None])
               for f in (np.cos, np.sin))
 
 
@@ -327,5 +340,6 @@ def ellipsoid_xz_polygon(structure: StructureModel) -> np.ndarray:
     """
     gram = structure.force_map @ structure.force_map.T
     evals, evecs = np.linalg.eigh(gram[::2, ::2])
-    radii = np.sqrt(np.clip(evals, 0.0, None))
-    return _COS * (radii[1] * evecs[:, 1]) + _SIN * (radii[0] * evecs[:, 0])
+    # np.sqrt(np.clip(evals, 0.0, None)) on floats; -0.0 clips to 0.0.
+    r0, r1 = (math.sqrt(e) if e > 0.0 else 0.0 for e in evals.tolist())
+    return _COS * (r1 * evecs[:, 1]) + _SIN * (r0 * evecs[:, 0])

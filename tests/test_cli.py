@@ -248,6 +248,26 @@ def test_check_missing_file_exits_validation(capsys):
     assert err
 
 
+@pytest.mark.parametrize("command", ["check", "ellipsoid", "simulate"])
+@pytest.mark.parametrize("data, offset, byte", [
+    (b"[module.1]\nmass_kg = 0.1\xff\n", 24, "0xff"),
+    # The offset counts bytes of the file, CRLF line ends and all.
+    (b"[module.1]\r\nbeta_deg = 10\r\n# \xc3\xa9 \xe9t\xe9\n", 32, "0xe9"),
+], ids=["invalid_start", "invalid_continuation"])
+def test_config_that_is_not_utf8_exits_validation(command, data, offset, byte, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(data)
+    args = [command, "--config", str(cfg)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "run.csv"), "--duration", "0.01"]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_VALIDATION and not out
+    assert err.startswith(f"error: {cfg}: not UTF-8 text: byte {byte} at offset {offset} (")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_ellipsoid_flat_single_direction(capsys, tmp_path):
     out_csv = tmp_path / "ellipse.csv"
     code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,8 @@ from modrotor import (
     actuation_ellipsoid,
     assemble,
 )
+from modrotor import control
+from modrotor.lazy import finite_array
 from modrotor.structure import _thrust_frame
 from modrotor.so3 import E1, E3, exp_map, is_rotation, rot_x, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
@@ -434,6 +437,59 @@ def test_gains_reject_non_finite(name, value, form):
             "matrix": np.diag([2.0, 1.0, value])}[form]
     with pytest.raises(ValueError, match=f"^{name} must be a finite array, got"):
         Gains(**{name: gain})
+
+
+def _general_path_calls(monkeypatch):
+    """The values the general path of Gains checks, recorded as it runs."""
+    seen = []
+
+    def recorded(name, value, shape):
+        seen.append(value)
+        return finite_array(name, value, shape)
+
+    monkeypatch.setattr(control, "finite_array", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("value", [5e-324, 1.0, 1.7976931348623157e308])
+def test_gains_float_path_matches_general_path(value, monkeypatch):
+    # A positive finite Python float skips the array checks; its matrix has
+    # the bits the general path gives the same value as a 0-d array, and
+    # the three-entry and matrix forms agree with it.
+    seen = _general_path_calls(monkeypatch)
+    fast = Gains(k_pos=value, k_vel=value, k_rot=value, k_ang=value)
+    assert seen == []
+    for general in (np.array(value), np.float64(value), [value] * 3, np.diag([value] * 3)):
+        slow = Gains(k_pos=general)
+        assert seen[-1] is general
+        assert slow.k_pos.tobytes() == fast.k_pos.tobytes()
+        assert slow.k_pos.dtype == fast.k_pos.dtype and slow.k_pos.shape == (3, 3)
+    for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
+        gain = getattr(fast, name)
+        assert not gain.flags.writeable and gain.flags.c_contiguous
+        assert not np.signbit(gain).any()
+
+
+@pytest.mark.parametrize("value", [2, True, np.float64(2.0), np.array(2.0), np.float32(2.0)])
+def test_gains_other_scalars_take_the_general_path(value, monkeypatch):
+    want = Gains(k_rot=float(value)).k_rot
+    seen = _general_path_calls(monkeypatch)
+    assert Gains(k_rot=value).k_rot.tobytes() == want.tobytes()
+    assert seen == [value]
+
+
+@pytest.mark.parametrize("value, message", [
+    (-0.0, "k_ang diagonal entries must be positive"),
+    (0.0, "k_ang diagonal entries must be positive"),
+    (-1.0, "k_ang diagonal entries must be positive"),
+    (-5e-324, "k_ang diagonal entries must be positive"),
+    (float("nan"), "k_ang must be a finite array, got nan"),
+    (float("inf"), "k_ang must be a finite array, got inf"),
+    (float("-inf"), "k_ang must be a finite array, got -inf"),
+])
+def test_gains_float_path_rejects_what_the_general_path_rejects(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Gains(k_ang=value)
 
 
 def test_attitude_accel_signs(quad_tilt_structure):

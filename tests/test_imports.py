@@ -1,7 +1,8 @@
 """No module in src/ or tests/ imports a name it never reads, parsing a
 config imports no standard library INI reader, and src/ builds instances
 without their checks, fills an instance's ``__dict__`` by hand, and checks
-the arrays callers pass in, in one place only.
+the arrays callers pass in, in one place only. No module-level array in
+src/ can be written.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -10,11 +11,14 @@ name an import binds must be read somewhere in the same file. A package's
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,3 +163,28 @@ def test_only_lazy_checks_caller_arrays():
                                                          ARRAY_CHECKS)
             for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "lazy.py"}
     assert {path: found for path, found in uses.items() if found} == {}
+
+
+def writable_module_arrays(modules) -> list[str]:
+    """``"module.name"`` for each module-level numpy array that can be written."""
+    return [f"{module.__name__}.{name}" for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, np.ndarray) and value.flags.writeable]
+
+
+def test_writable_module_arrays_are_found():
+    module = types.ModuleType("fake")
+    module.TABLE, module.FROZEN = np.zeros(3), np.zeros(3)
+    module.FROZEN.setflags(write=False)
+    assert writable_module_arrays([module]) == ["fake.TABLE"]
+
+
+def test_module_level_arrays_are_read_only():
+    # Every call shares a module's arrays (axes, rotation tables, polygon
+    # angles); a writable one lets a caller's `E1 *= -1` flip the frame of
+    # every later structure.
+    modules = [importlib.import_module("modrotor." + path.stem)
+               for path in sorted((ROOT / "src" / "modrotor").glob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(modules) >= 10
+    assert writable_module_arrays(modules) == []

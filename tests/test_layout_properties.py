@@ -9,19 +9,23 @@ drag coefficient. Every layout must get the controller mode its force rank
 calls for, and that controller's reduced map must be solved exactly and
 with minimum norm by its stored pseudoinverse. The same layouts pin
 ``assemble`` and ``check_balanced`` bit for bit to per-rotor reference
-loops.
+loops, and the thrust frame, the allocation, the ellipsoid and its polygon
+to the numpy forms their float paths replaced.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from modrotor import (Controller, ModulePlacement, actuation_ellipsoid, assemble, build_r_module,
                       check_balanced)
+from modrotor.lazy import read_only, unchecked
 from modrotor.module_design import ModuleSpec
 from modrotor.so3 import E3, rot_x, rot_z
-from modrotor.structure import _thrust_frame, numerical_rank
+from modrotor.structure import StructureModel, _thrust_frame, ellipsoid_xz_polygon, numerical_rank
+from test_structure import RANK1_CASES, TIED_LAYOUTS
 
 TILT_DEG = (-30.0, -10.0, 0.0, 10.0, 30.0)
 LAYOUTS = 300
@@ -307,3 +311,111 @@ def test_shared_svd_matches_fresh_numpy(layouts, all_structures):
         ctrl = Controller(structure)
         _assert_same_bits(ctrl.pinv, np.linalg.pinv(ctrl.reduced_map),
                           f"structure {idx}: pinv")
+
+
+# ---------------------------------------------------------------- design-call oracle
+# The numpy forms that the design calls' float paths replaced, kept as the
+# reference: the thrust frame with every sign test a dot product, the reduced
+# map by vstack and row indexing, pinv by numpy's formula, the ellipsoid's
+# sign rule by np.argmax, and the polygon's radii by np.clip. The library
+# reads components and runs entrywise steps on floats; no bit may move.
+
+_AXES = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
+_ORACLE_ROWS = {1: [2, 3, 4, 5], 2: [2, 0, 3, 4, 5], 3: [0, 1, 2, 3, 4, 5]}
+
+
+def _oracle_unit_in(block, preferred, signs, drop=None):
+    vec = block[:, 0]
+    if block.shape[1] > 1:
+        for target in preferred:
+            proj = block @ (block.T @ target)
+            if drop is not None:
+                proj = proj - drop * (drop @ proj)
+            norm = math.sqrt(proj.dot(proj))
+            if norm > 1e-9:
+                vec = proj / norm
+                break
+    for target in signs:
+        dot = float(vec @ target)
+        if abs(dot) > 1e-12:
+            return vec if dot >= 0.0 else -vec
+    return vec
+
+
+def _oracle_thrust_frame(force_map):
+    e1, e2, e3 = _AXES
+    u, s, _ = np.linalg.svd(force_map)
+    values = s.tolist()
+    gap = 1e-9 * values[0]
+    top = sum(values[0] - x <= gap for x in values)
+    uniform_thrust = force_map @ np.ones(force_map.shape[1])
+    z_axis = _oracle_unit_in(u[:, list(range(top))], [e3, uniform_thrust, e1],
+                             [uniform_thrust, e3, e1])
+    group = range(top) if top > 1 else range(1, 1 + sum(values[1] - x <= gap for x in values[1:]))
+    x_axis = _oracle_unit_in(u[:, list(group)], [e1, e2, e3], [e1, e2, e3],
+                             z_axis if top > 1 else None)
+    x_axis = x_axis - z_axis * (z_axis @ x_axis)
+    x_axis = x_axis / math.sqrt(x_axis.dot(x_axis))
+    y_axis = np.cross(z_axis, x_axis)
+    return np.column_stack([x_axis, y_axis, z_axis])
+
+
+def _oracle_allocation(structure):
+    """The reduced map and its pseudoinverse."""
+    thrust_frame_map = np.vstack([structure.r_sf.T @ structure.force_map, structure.torque_map])
+    reduced = thrust_frame_map[np.array(_ORACLE_ROWS[structure.rank_f])]
+    u, s, vt = np.linalg.svd(reduced, full_matrices=False)
+    return reduced, np.matmul(vt.T, np.multiply((1 / s)[:, None], u.T))
+
+
+def _oracle_ellipsoid(sigmas, axes):
+    s, u = sigmas.copy(), axes.copy()
+    for i in range(3):
+        lead = np.argmax(np.abs(u[:, i]))
+        if u[lead, i] < 0.0:
+            u[:, i] = -u[:, i]
+    return s, u
+
+
+def _oracle_polygon(structure):
+    gram = structure.force_map @ structure.force_map.T
+    evals, evecs = np.linalg.eigh(gram[::2, ::2])
+    radii = np.sqrt(np.clip(evals, 0.0, None))
+    angles = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    return (np.cos(angles)[:, None] * (radii[1] * evecs[:, 1])
+            + np.sin(angles)[:, None] * (radii[0] * evecs[:, 0]))
+
+
+def test_design_calls_match_numpy_oracle(layouts, all_structures):
+    # Seeded layouts of 1-6 modules in every mode, the fixtures, layouts whose
+    # singular values tie, and rank-1 strips whose x-axis comes from the
+    # two-direction null space.
+    structures = (list(layouts) + list(all_structures.values())
+                  + [assemble(case[1]) for case in TIED_LAYOUTS + RANK1_CASES])
+    assert {s.rank_f for s in structures} == {1, 2, 3}
+    for idx, structure in enumerate(structures):
+        _assert_same_bits(structure.r_sf, _oracle_thrust_frame(structure.force_map),
+                          f"structure {idx}: r_sf")
+        ctrl = Controller(structure)
+        reduced, pinv = _oracle_allocation(structure)
+        _assert_same_bits(ctrl.reduced_map, reduced, f"structure {idx}: reduced_map")
+        _assert_same_bits(ctrl.pinv, pinv, f"structure {idx}: pinv")
+        for got, want in zip(actuation_ellipsoid(structure),
+                             _oracle_ellipsoid(structure.force_sigmas, structure._force_axes)):
+            _assert_same_bits(got, want, f"structure {idx}: ellipsoid")
+        _assert_same_bits(ellipsoid_xz_polygon(structure), _oracle_polygon(structure),
+                          f"structure {idx}: polygon")
+
+
+@pytest.mark.parametrize("columns", [
+    [[0.6, -0.6, 0.0], [-0.6, 0.6, 0.1], [0.0, 0.3, -0.3]],  # exact |entry| ties
+    [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [-0.5, 0.5, -0.5]],  # a -0.0 lead
+    [[-0.8, 0.8, 0.1], [0.1, -0.2, 0.2], [-0.2, -0.2, 0.0]],
+], ids=["ties", "negative_zero_lead", "plain"])
+def test_ellipsoid_sign_rule_matches_argmax(columns):
+    axes = read_only(columns).T
+    structure = unchecked(StructureModel, force_sigmas=read_only([3.0, 2.0, 1.0]),
+                          _force_axes=axes)
+    got = actuation_ellipsoid(structure)
+    for g, w in zip(got, _oracle_ellipsoid(structure.force_sigmas, axes)):
+        _assert_same_bits(g, w, str(columns))
