@@ -108,30 +108,17 @@ class SimParams:
         object.__setattr__(self, "duration", duration)
 
 
-def _accelerations(structure: StructureModel, state: RigidState, u: np.ndarray,
-                   gravity: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Linear (world) and angular (body) acceleration under the checked
-    thrusts ``u`` and float ``gravity``."""
-    mass, inertia, inertia_inv = structure._rigid_body
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
-    k = _derivative(*state.v.tolist(), 0.0, 0.0, 0.0, *state.omega.tolist(),
-                    state.r_ws.ravel().tolist(), (fx / mass, fy / mass, fz / mass), torque,
-                    inertia, inertia_inv, gravity)
-    return np.array(k[0:3]), np.array(k[6:9])
-
-
 def _derivative(vx, vy, vz, px, py, pz, wx, wy, wz, r_ws0, force, torque, inertia, inertia_inv,
                 gravity):
     """Newton-Euler derivative of the in-step (v, phi, omega), nine floats
     each way, where phi is the rotation increment, so the attitude is
-    r_ws0 @ exp_map(phi). ``force`` is per unit mass; matrices are row-major.
+    r_ws0 @ rodrigues(*phi). ``force`` is per unit mass; matrices are row-major.
     """
     fx, fy, fz = force
     if px == 0.0 and py == 0.0 and pz == 0.0:
         dpx, dpy, dpz = wx, wy, wz
     else:
-        # Body force rotated by exp_map(phi), ahead of r_ws0 below.
+        # Body force rotated by rodrigues(*phi), ahead of r_ws0 below.
         e0, e1, e2, e3, e4, e5, e6, e7, e8 = rodrigues(px, py, pz)
         fx, fy, fz = (
             e0 * fx + e1 * fy + e2 * fz,

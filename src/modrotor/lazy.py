@@ -90,9 +90,9 @@ def shown(value) -> str:
 
 
 def float_array(values) -> np.ndarray:
-    """A new float array of ``values``; where numpy cannot convert them (text,
-    ragged nesting, an int beyond float range), NaN in their shape, which the
-    caller's own finiteness or shape check rejects."""
+    """A new float array of a caller's ``values``; where numpy cannot convert
+    them (text, ragged nesting, an int beyond float range), NaN in their
+    shape, which :func:`finite_array`'s finiteness or shape check rejects."""
     try:
         return np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -100,10 +100,11 @@ def float_array(values) -> np.ndarray:
 
 
 def read_only(values, shape=None) -> np.ndarray:
-    """A new float array of ``values`` (see :func:`float_array`), optionally
-    reshaped, that cannot be written to, so the frozen value holding it
-    stays as it was built."""
-    arr = float_array(values)
+    """A new float array of ``values``, optionally reshaped, that cannot be
+    written to, so the frozen value holding it stays as it was built.
+    ``values`` are the library's own or already checked, so numpy converts
+    them directly; a caller's array goes through :func:`finite_array`."""
+    arr = np.array(values, dtype=float)
     if shape is not None:
         arr = arr.reshape(shape)
     arr.setflags(write=False)

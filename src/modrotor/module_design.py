@@ -17,9 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lazy import (NON_NEGATIVE, POSITIVE, SPIN, TILT, checked, finite_array, read_only,
-                   rotation, shown, unchecked)
-from .so3 import E3, cross3, rot_x, rot_y
+from .lazy import NON_NEGATIVE, POSITIVE, SPIN, TILT, checked, finite_array, rotation, shown
+from .so3 import E3, rot_x, rot_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +91,11 @@ class ModuleSpec:
 
     A module is an immutable value: ``inertia``, ``tilt`` and the
     propellers' arrays are read-only copies, so neither a write nor a
-    caller's array can change it. So :func:`build_r_module` may hand one
-    module to every caller, and its rotor table ``_rotors`` and default-tol
-    balance report ``_balance`` are cached properties, built once and not
-    fields, so ``dataclasses.replace`` gives a module without them.
+    caller's array can change it. So :func:`build_r_module`, which builds
+    every module through this constructor, may hand one module to every
+    caller, and its rotor table ``_rotors`` and balance report ``_balance``
+    are cached properties, built once and not fields, so
+    ``dataclasses.replace`` gives a module without them.
     """
 
     mass: float
@@ -108,7 +108,13 @@ class ModuleSpec:
     def __post_init__(self):
         for name in ("mass", "base", "height"):
             object.__setattr__(self, name, checked(name, getattr(self, name), POSITIVE))
-        object.__setattr__(self, "inertia", _checked_inertia(self.inertia))
+        inertia = finite_array("inertia", self.inertia, (3, 3))
+        (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = inertia.tolist()
+        if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
+            raise ValueError("inertia tensor must be symmetric")
+        if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
+            raise ValueError("inertia tensor must be positive definite")
+        object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "tilt", rotation("tilt", self.tilt))
         props = tuple(self.propellers)
         object.__setattr__(self, "propellers", props)
@@ -133,20 +139,8 @@ class ModuleSpec:
 
     @cached_property
     def _balance(self) -> BalanceReport:
-        """:func:`check_balanced`'s report at its default tol."""
-        return _balance_report(self, _TOL)
-
-
-def _checked_inertia(inertia) -> np.ndarray:
-    """``inertia`` as a read-only float copy if it is finite 3x3, symmetric
-    and positive definite; otherwise a ValueError naming the rule."""
-    inertia = finite_array("inertia", inertia, (3, 3))
-    (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = inertia.tolist()
-    if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
-        raise ValueError("inertia tensor must be symmetric")
-    if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
-        raise ValueError("inertia tensor must be positive definite")
-    return inertia
+        """:func:`check_balanced`'s report."""
+        return _balance_report(self)
 
 
 def _ldl_pivots_positive(i0, i3, i4, i6, i7, i8) -> bool:
@@ -183,7 +177,7 @@ class BalanceReport:
     is_balanced: bool
 
 
-# check_balanced's default tol, whose report each module keeps.
+# check_balanced's tolerance on every residual.
 _TOL = 1e-9
 
 
@@ -206,10 +200,8 @@ def build_r_module(
 
     The inputs are checked in the order base, alpha, beta, k_f, k_m, f_max,
     mass, height, inertia; the first bad one raises a ValueError naming
-    it. ``ModuleSpec``'s rotor-layout rules hold by construction
-    (positions (+-d, +-d, 0), literal spins, a tilt built from checked
-    angles), so only its body rules run and the rotors and the module are
-    built with :func:`~modrotor.lazy.unchecked`.
+    it. The rotors and the module are built through the public
+    ``PropellerSpec`` and ``ModuleSpec`` constructors and their checks.
 
     The module is an immutable value, so the same inputs return the same
     object: without an ``inertia`` override, and with every other argument
@@ -235,84 +227,61 @@ def _kept_module(key: bytes) -> ModuleSpec:
 
 def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None) -> ModuleSpec:
     """A new module from :func:`build_r_module`'s arguments, checked in its
-    order, with every array read-only."""
+    order: the constructors check all but the inputs they are built from."""
     base = checked("base", base, POSITIVE)  # first: the rotor positions are built from it
     d = base / 4.0
     # Roll tilt, then pitch tilt; both within [-pi/2, pi/2], so the thrust
     # axis never points below the rotor plane.
     alpha, beta = checked("alpha", alpha, TILT), checked("beta", beta, TILT)
     orientation = rot_y(beta) @ rot_x(alpha)
-    orientation.flags.writeable = False
-    k_f, k_m = checked("k_f", k_f, POSITIVE), checked("k_m", k_m, NON_NEGATIVE)
-    f_max, mass = checked("f_max", f_max, POSITIVE), checked("mass", mass, POSITIVE)
-    height = checked("height", height, POSITIVE)
-    props = tuple(
-        unchecked(PropellerSpec, position=read_only(p), orientation=orientation,
-                  spin=spin, k_f=k_f, k_m=k_m, f_max=f_max)
-        for p, spin in (((d, -d, 0.0), 1), ((d, d, 0.0), -1), ((-d, d, 0.0), 1), ((-d, -d, 0.0), -1))
-    )
+    props = tuple(PropellerSpec(position=(x, y, 0.0), orientation=orientation, spin=spin,
+                                k_f=k_f, k_m=k_m, f_max=f_max)
+                  for x, y, spin in ((d, -d, 1), (d, d, -1), (-d, d, 1), (-d, -d, -1)))
+    mass, height = checked("mass", mass, POSITIVE), checked("height", height, POSITIVE)
     if inertia is None:
         # Solid cuboid with a square base, about its center. Products, not
         # powers: a float power raises OverflowError where a product
-        # overflows to inf, which _checked_inertia then rejects by name.
+        # overflows to inf, which ModuleSpec then rejects by name.
         ixx = mass * (base * base + height * height) / 12.0
         izz = mass * (2.0 * (base * base)) / 12.0
         inertia = np.diag([ixx, ixx, izz])
-    return unchecked(ModuleSpec, mass=mass, inertia=_checked_inertia(inertia), base=base,
-                     height=height, propellers=props, tilt=orientation)
+    return ModuleSpec(mass=mass, inertia=inertia, base=base, height=height, propellers=props,
+                      tilt=orientation)
 
 
-def check_balanced(module: ModuleSpec, tol: float = _TOL) -> BalanceReport:
+def check_balanced(module: ModuleSpec) -> BalanceReport:
     """Evaluate the hover-balance residuals of ``module`` under unit thrust.
 
     A module is balanced when both torque residuals vanish and the summed
-    thrust is parallel to the declared tilt axis. Unbalanced modules report
-    is_balanced=False rather than raising. The moments p x a of the rotor
-    table's rows, the sums over the rotors and the parallel-axis test run
-    on floats, in the order of numpy's cross product and row sums, so the
-    residuals carry the same bits as the numpy forms.
+    thrust is parallel to the declared tilt axis, each within 1e-9.
+    Unbalanced modules report is_balanced=False rather than raising.
 
-    A module is immutable, so its report at the default tol (the Python
-    float 1e-9) is computed once and every later call returns it; any other
-    ``tol`` is checked and gets a new report. Report arrays are read-only.
+    A module is immutable, so its report is computed once and every later
+    call returns it. Report arrays are read-only.
     """
-    if type(tol) is float and tol == _TOL:
-        return module._balance
-    return _balance_report(module, checked("tol", tol, POSITIVE))
+    return module._balance
 
 
-def _balance_report(module: ModuleSpec, tol: float) -> BalanceReport:
+def _balance_report(module: ModuleSpec) -> BalanceReport:
     """A new :func:`check_balanced` report of ``module``."""
-    rows = module._rotors.tolist()
-    axes = [r[3:6] for r in rows]
-    moments = [cross3(r[:3], a) for r, a in zip(rows, axes)]
-    drags = [[x * r[6] for x in a] for r, a in zip(rows, axes)]
-    force_sum = np.array(_sum_rows(axes))
-    gain = math.sqrt(force_sum.dot(force_sum))  # np.linalg.norm's own formula
-    axis = force_sum / gain if gain > tol else np.zeros(3)
-    axis.flags.writeable = False
-    ax, ay, az = unit = axis.tolist()
-    tx, ty, tz = target = module.tilt[:, 2].tolist()
+    rotors = module._rotors
+    positions, axes, spins = rotors[:, :3], rotors[:, 3:6], rotors[:, 6:7]
+    # A caller's module may hold positions near float range; their moments
+    # overflow to inf, which is a residual like any other.
+    with np.errstate(over="ignore", invalid="ignore"):
+        torque_from_forces = np.cross(positions, axes).sum(axis=0)
+    torque_from_drag = (spins * axes).sum(axis=0)
+    force_sum = axes.sum(axis=0)
+    gain = float(np.linalg.norm(force_sum))
+    axis = force_sum / gain if gain > _TOL else np.zeros(3)
+    target = module.tilt[:, 2]
     parallel = (
-        gain > tol
-        and math.hypot(*cross3(unit, target)) < tol
-        and ax * tx + ay * ty + az * tz > 0.0
+        gain > _TOL
+        and np.linalg.norm(np.cross(axis, target)) < _TOL
+        and axis @ target > 0.0
     )
-    torque_from_forces, torque_from_drag = _sum_rows(moments), _sum_rows(drags)
-    balanced = parallel and all(abs(x) < tol for x in torque_from_forces + torque_from_drag)
-    return BalanceReport(
-        torque_from_forces=read_only(torque_from_forces),
-        torque_from_drag=read_only(torque_from_drag),
-        total_force_axis=axis,
-        thrust_gain=gain,
-        is_balanced=bool(balanced),
-    )
-
-
-def _sum_rows(rows) -> tuple[float, float, float]:
-    """Column sums of 3-float rows, added first row to last like numpy's
-    ``sum(axis=0)``: the first row starts the sum, so a -0.0 survives."""
-    (x, y, z), *rest = rows
-    for r0, r1, r2 in rest:
-        x, y, z = x + r0, y + r1, z + r2
-    return (x, y, z)
+    balanced = parallel and np.abs([torque_from_forces, torque_from_drag]).max() < _TOL
+    for arr in (torque_from_forces, torque_from_drag, axis):
+        arr.setflags(write=False)
+    return BalanceReport(torque_from_forces=torque_from_forces, torque_from_drag=torque_from_drag,
+                         total_force_axis=axis, thrust_gain=gain, is_balanced=bool(balanced))

@@ -57,7 +57,8 @@ class RunResult:
     euler_f rows hold (yaw, pitch, roll) of the thrust frame in the world;
     att_err is the angle between the thrust frame and its commanded target.
     A summary of a result with no samples raises a ValueError naming the
-    empty field.
+    empty field, and a position-error summary of a result whose ``t`` and
+    ``pos_err`` differ in length one naming both.
     """
 
     t: np.ndarray
@@ -80,6 +81,9 @@ class RunResult:
         t_min, last = checked("t_min", t_min), float(self._samples("t")[-1])
         if t_min > last:
             raise ValueError(f"t_min must be at most the last sample time {last}, got {t_min}")
+        t, err = np.shape(self.t), np.shape(self.pos_err)
+        if err[:len(t)] != t:
+            raise ValueError(f"t and pos_err must hold the same samples, got shapes {t} and {err}")
         return self.pos_err[self.t >= t_min]
 
     def saturation_fraction(self) -> float:

@@ -97,12 +97,6 @@ def cross3(a, b) -> tuple[float, float, float]:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def exp_map(v: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation for the rotation vector v (axis times angle)."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array(rodrigues(x, y, z)).reshape(3, 3)
-
-
 def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
     """True when r is a finite 3x3 matrix, orthonormal with determinant +1
     within tol: ||r r^T - I||_F < tol and |det r - 1| < tol. False for

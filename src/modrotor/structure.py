@@ -116,7 +116,14 @@ def numerical_rank(m: np.ndarray) -> int:
     A zero matrix has rank 0, which flags a degenerate design upstream.
     ``m`` must be a finite 2-D array.
     """
-    return _rank_of(np.linalg.svd(finite_array("m", m, (None, None)), compute_uv=False))
+    m = finite_array("m", m, (None, None))
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size and not math.isfinite(s[0]):
+        # The largest singular value overflowed: rank m scaled by a power of
+        # two, which is exact, so that its largest entry is below 1.
+        scale = -math.frexp(float(np.abs(m).max()))[1]
+        s = np.linalg.svd(np.ldexp(m, scale), compute_uv=False)
+    return _rank_of(s)
 
 
 def _rank_of(s: np.ndarray) -> int:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference structures used throughout the suite."""
+"""Shared fixtures: the reference structures used throughout the suite,
+and two helpers over the private kernels that tests read."""
 
 from pathlib import Path
 
@@ -6,9 +7,29 @@ import numpy as np
 import pytest
 
 from modrotor import ModulePlacement, assemble, build_r_module
+from modrotor.dynamics import GRAVITY, _derivative
+from modrotor.so3 import rodrigues
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+
+
+def exp_map(v):
+    """The rotation matrix of the rotation vector ``v`` (axis times angle),
+    by :func:`modrotor.so3.rodrigues`."""
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array(rodrigues(x, y, z)).reshape(3, 3)
+
+
+def accelerations(structure, state, u, gravity=GRAVITY):
+    """Linear (world) and angular (body) acceleration of ``state`` under the
+    thrusts ``u``: the integrator's derivative at a zero rotation increment."""
+    mass, inertia, inertia_inv = structure._rigid_body
+    fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
+    k = _derivative(*state.v.tolist(), 0.0, 0.0, 0.0, *state.omega.tolist(),
+                    state.r_ws.ravel().tolist(), (fx / mass, fy / mass, fz / mass), torque,
+                    inertia, inertia_inv, gravity)
+    return np.array(k[0:3]), np.array(k[6:9])
 
 
 def make_flat():

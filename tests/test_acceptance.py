@@ -23,10 +23,10 @@ from modrotor import (
     run_closed_loop,
     step,
 )
-from modrotor.so3 import E3, exp_map, rot_y, rotation_angle
+from modrotor.so3 import E3, rot_y, rotation_angle
 from modrotor.trajectory import HELIX_PERIOD, RECT_ALTITUDE, RECT_SPEED, _rect_schedule
 
-from conftest import make_flat, make_pitch_pair, make_quad_tilt, make_tilt10
+from conftest import exp_map, make_flat, make_pitch_pair, make_quad_tilt, make_tilt10
 from test_structure import brute_force_wrench
 from test_dynamics import top_closed_form
 

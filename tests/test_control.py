@@ -18,8 +18,10 @@ from modrotor import (
 from modrotor import control
 from modrotor.lazy import finite_array
 from modrotor.structure import _thrust_frame
-from modrotor.so3 import E1, E3, exp_map, is_rotation, rot_x, rot_y, rot_z
+from modrotor.so3 import E1, E3, is_rotation, rot_x, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
+
+from conftest import accelerations, exp_map
 
 G = 9.81
 
@@ -327,12 +329,11 @@ class TestAllocate6:
         assert np.all(out.u_raw > 0)
 
     def test_lateral_acceleration_realized(self, quad_tilt_structure):
-        from modrotor.dynamics import _accelerations
         a_cmd = np.array([0.8, -0.4, G + 0.3])
         state = level_state(r_ws=quad_tilt_structure.r_sf.T)
         out = Controller(quad_tilt_structure).step(state, still_sample(a_r=a_cmd))
         assert not out.saturated
-        rdd, wdd = _accelerations(quad_tilt_structure, state, out.u_raw, G)
+        rdd, wdd = accelerations(quad_tilt_structure, state, out.u_raw, G)
         np.testing.assert_allclose(rdd, a_cmd - G * E3, atol=1e-9)
         np.testing.assert_allclose(wdd, np.zeros(3), atol=1e-9)
 

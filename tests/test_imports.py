@@ -2,7 +2,7 @@
 config imports no standard library INI reader, and src/ builds instances
 without their checks, fills an instance's ``__dict__`` by hand, and checks
 the arrays callers pass in, in one place only. No module-level array in
-src/ can be written.
+src/ can be written, and src/ defines nothing that only the tests read.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -49,6 +49,56 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_level_names(source: str) -> list[str]:
+    """The functions, classes and constants a source defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def read_names(source: str, exports: bool = False) -> set[str]:
+    """Every name the source reads, bare or as an attribute; with
+    ``exports``, also each name it imports, as a package's ``__init__``
+    imports the names it exports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif exports and isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_module_level_names_and_reads_are_found():
+    source = ("X, (Y, _z) = 1, (2, 3)\nW: int = 4\ndef f():\n    return X + m.Y\n"
+              "class C:\n    def g(self):\n        return self\nfrom .a import h\n")
+    assert module_level_names(source) == ["X", "Y", "_z", "W", "f", "C"]
+    assert read_names(source) == {"X", "Y", "int", "m", "self"}
+    assert read_names(source, exports=True) == {"X", "Y", "int", "m", "self", "h"}
+
+
+def test_src_defines_nothing_only_the_tests_read():
+    # A module-level function, class or constant in src/modrotor that no
+    # file under src/ or bench/ reads serves the tests alone; a test that
+    # needs such a helper keeps it in tests/.
+    read = set()
+    for top in ("src", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            read |= read_names(path.read_text(encoding="utf-8"), path.name == "__init__.py")
+    unread = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "modrotor").glob("*.py"))
+              if path.name != "__init__.py"
+              for name in module_level_names(path.read_text(encoding="utf-8"))
+              if name not in read]
+    assert unread == []
 
 
 def test_parsing_a_config_does_not_import_configparser():

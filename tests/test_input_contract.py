@@ -126,7 +126,6 @@ ROWS = {
     "build_r_module": Row(build_r_module, dict, ("mass", "base", "height", "alpha", "beta", "k_f",
                                                  "k_m", "f_max"), ("inertia",),
                           derived={"base": "inertia", "height": "inertia"}),
-    "check_balanced": Row(check_balanced, lambda: dict(module=build_r_module()), ("tol",)),
     "helix": Row(helix, lambda: dict(t=1.0), ("t",)),
     "hover": Row(hover, lambda: dict(r0=(0.0, 0.0, 1.0)), ("yaw0",), ("r0",)),
     "hover sampler": Row(lambda t: hover((0.0, 0.0, 1.0))(t), lambda: dict(t=1.0), ("t",)),
@@ -144,7 +143,7 @@ ROWS = {
 NO_NUMBERS = {
     "AllocationError", "AssemblyError", "ConfigError", "ControlDegeneracyError",
     "IntegrationError", "ModrotorError", "SimulationError", "StructureConfig", "parse_config",
-    "actuation_ellipsoid", "assemble", "initial_state_from_sample",
+    "actuation_ellipsoid", "assemble", "check_balanced", "initial_state_from_sample",
     "run_closed_loop",
 }
 
@@ -311,3 +310,16 @@ def test_empty_run_result_summaries_name_the_empty_field(summary, field):
                          for name, value in kwargs.items()})
     with pytest.raises(ValueError, match=rf"^{field} must be a non-empty array, got \[\]$"):
         getattr(empty, summary)()
+
+
+@pytest.mark.parametrize("summary", ["rms_pos_err", "max_pos_err"])
+@pytest.mark.parametrize("cut", ["t", "pos_err"])
+def test_run_result_summaries_name_t_and_pos_err_of_different_lengths(summary, cut):
+    # A caller-built result whose t and pos_err differ in length: a named
+    # ValueError, not numpy's IndexError from the boolean mask.
+    kwargs = _record_kwargs(_run_result())
+    kwargs[cut] = kwargs[cut][:-1]
+    shapes = f"{kwargs['t'].shape} and {kwargs['pos_err'].shape}"
+    with pytest.raises(ValueError, match=rf"^t and pos_err must hold the same samples, "
+                                         rf"got shapes {re.escape(shapes)}$"):
+        getattr(RunResult(**kwargs), summary)()

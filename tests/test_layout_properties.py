@@ -25,6 +25,7 @@ from modrotor.lazy import read_only, unchecked
 from modrotor.module_design import ModuleSpec
 from modrotor.so3 import E3, rot_x, rot_z
 from modrotor.structure import StructureModel, _thrust_frame, ellipsoid_xz_polygon, numerical_rank
+from test_module_design import build_draws
 from test_structure import RANK1_CASES, TIED_LAYOUTS
 
 TILT_DEG = (-30.0, -10.0, 0.0, 10.0, 30.0)
@@ -289,6 +290,8 @@ def test_check_balanced_matches_per_rotor_oracle(layouts, all_structures):
     modules += ([_perturbed(m, rng) for m in modules]
                 + [dataclasses.replace(m, tilt=rot_x(0.2) @ m.tilt) for m in modules[:50]]
                 + [dataclasses.replace(m, tilt=rot_x(np.pi) @ m.tilt) for m in modules[:50]])
+    # Uncached builds: tilts at +-pi/2, zero drag and inertia overrides.
+    modules += [build_r_module(**kwargs) for kwargs in build_draws(2025, 400)]
     outcomes = set()
     for idx, module in enumerate(modules):
         report = check_balanced(module)

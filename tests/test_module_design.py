@@ -250,35 +250,40 @@ def test_build_r_module_checks_in_its_documented_order(override):
     assert build_r_module(**bad) is build_r_module()
 
 
-def test_built_modules_pass_the_public_constructors():
-    # build_r_module runs only the body rules and builds its rotors and the
-    # module unchecked; every rule it skips must hold by construction. Tilts
-    # cover [-pi/2, pi/2] with both ends, bases 1e-300 to 1e150 (an inertia
-    # override where the cuboid model would underflow), zero drag and
-    # diagonal inertia overrides.
-    rng = np.random.default_rng(14)
-    for i in range(400):
+def build_draws(seed, count):
+    """Seeded build_r_module keyword sets, all accepted and none kept (the
+    scalars are numpy floats): tilts cover [-pi/2, pi/2] with both ends,
+    bases 1e-300 to 1e150 (an inertia override where the cuboid model would
+    underflow), zero drag and diagonal inertia overrides."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
         # Each angle is an end of the range, zero, or a uniform draw.
         alpha, beta = rng.choice([-np.pi / 2, 0.0, np.pi / 2, *rng.uniform(-np.pi / 2, np.pi / 2, 3)],
                                  size=2)
         base = 10.0 ** rng.uniform(-300, 150)
         override = base < 1e-150 or i % 2 == 0
-        kwargs = dict(
+        yield dict(
             mass=10.0 ** rng.uniform(-3, 3), base=base, height=10.0 ** rng.uniform(-3, 1),
             alpha=alpha, beta=beta, k_f=10.0 ** rng.uniform(-2, 2),
             k_m=0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-4, -1), f_max=10.0 ** rng.uniform(-1, 2),
             inertia=np.diag(10.0 ** rng.uniform(-6, 2, size=3)) if override else None,
         )
+
+
+def test_built_modules_pass_the_public_constructors():
+    # build_r_module builds its rotors and the module through these
+    # constructors; rebuilding from the fields they hold must pass them too.
+    for kwargs in build_draws(14, 400):
         m = build_r_module(**kwargs)
         for p in m.propellers:
             PropellerSpec(position=p.position, orientation=p.orientation, spin=p.spin, k_f=p.k_f,
                           k_m=p.k_m, f_max=p.f_max)
-            assert p.orientation is m.tilt
+            assert p.orientation.tobytes() == m.tilt.tobytes()
             assert (p.k_f, p.k_m, p.f_max) == (kwargs["k_f"], kwargs["k_m"], kwargs["f_max"])
         ModuleSpec(mass=m.mass, inertia=m.inertia, base=m.base, height=m.height,
                    propellers=m.propellers, tilt=m.tilt)
         assert (m.mass, m.base, m.height) == (kwargs["mass"], kwargs["base"], kwargs["height"])
-        np.testing.assert_array_equal(m.tilt, rot_y(beta) @ rot_x(alpha))
+        np.testing.assert_array_equal(m.tilt, rot_y(kwargs["beta"]) @ rot_x(kwargs["alpha"]))
 
 
 def test_zero_drag_coefficient_accepted():
@@ -503,7 +508,7 @@ def test_caller_arrays_are_copied():
         np.testing.assert_array_equal(held.inertia, m.inertia)
         np.testing.assert_array_equal(held.tilt, m.tilt)
     assert check_balanced(module) is report and report.is_balanced
-    assert module_design._balance_report(module, 1e-9).is_balanced
+    assert module_design._balance_report(module).is_balanced
 
 
 def test_wrench_keeps_read_only_copies_of_3_vectors():
@@ -517,19 +522,37 @@ def test_wrench_keeps_read_only_copies_of_3_vectors():
         Wrench([1, 2], [0, 0, 0])
 
 
-def test_balance_report_is_computed_once_per_module_and_tol():
-    # The report at the default tol, the Python float 1e-9, is kept; any
-    # other tol, a numpy 1e-9 among them, gets a fresh report each call.
+def test_balance_report_is_computed_once_per_module():
+    # A module keeps its report; every later call returns it, and it holds
+    # the values of a fresh one.
     m = build_r_module(alpha=0.1, beta=0.4)
     report = check_balanced(m)
-    assert check_balanced(m) is report and check_balanced(m, 1e-9) is report
-    reports = [(report, 1e-9)] + [(check_balanced(m, tol), tol) for tol in (1e-6, np.float64(1e-9))]
-    for got, tol in reports[1:]:
-        assert got is not report and check_balanced(m, tol) is not got
-    for got, tol in reports:
-        fresh = module_design._balance_report(m, float(tol))
-        for f in dataclasses.fields(fresh):
-            np.testing.assert_array_equal(getattr(got, f.name), getattr(fresh, f.name))
+    assert check_balanced(m) is report
+    fresh = module_design._balance_report(m)
+    assert fresh is not report
+    for f in dataclasses.fields(fresh):
+        np.testing.assert_array_equal(getattr(report, f.name), getattr(fresh, f.name))
+
+
+def test_check_balanced_takes_only_the_module():
+    # The report is at the one fixed tolerance 1e-9, so there is nothing to set.
+    assert list(inspect.signature(check_balanced).parameters) == ["module"]
+    with pytest.raises(TypeError):
+        check_balanced(build_r_module(), 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_moments_past_float_range_are_infinite_residuals():
+    # Rotors near the float limit: their moments overflow to inf without a
+    # warning, and the module reports itself unbalanced.
+    tilt, d = rot_y(0.7), 1.5e308
+    props = [PropellerSpec(position=(x, y, 0.0), orientation=tilt, spin=spin)
+             for x, y, spin in ((d, -d, 1), (d, d, -1), (-d, d, 1), (-d, -d, -1))]
+    module = ModuleSpec(mass=1.0, inertia=np.eye(3), base=1.0, height=1.0, propellers=props,
+                        tilt=tilt)
+    report = check_balanced(module)
+    assert report.torque_from_forces.tolist() == [0.0, -np.inf, 0.0]
+    assert report.thrust_gain == 4.0 and not report.is_balanced
 
 
 def test_replaced_module_gets_its_own_report():

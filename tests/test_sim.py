@@ -20,9 +20,9 @@ from modrotor import (
     step,
 )
 from modrotor.sim import euler_zyx
-from modrotor.so3 import exp_map, rot_x, rot_y, rot_z, rotation_angle
+from modrotor.so3 import rot_x, rot_y, rot_z, rotation_angle
 from modrotor.trajectory import helix
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, exp_map
 
 
 def test_euler_zyx_roundtrip():

