@@ -124,6 +124,30 @@ def test_numerical_rank_of_finite_matrix_past_float_range(m, rank):
     assert numerical_rank(np.array(m)) == rank
 
 
+def test_numerical_rank_is_kept_under_power_of_two_scaling():
+    # Scaling by a power of two changes no ratio of singular values, so the
+    # rank is kept up to the largest scale at which every entry stays finite,
+    # where the largest singular value overflows.
+    rng = np.random.default_rng(31)
+    overflowed = 0
+    for i in range(60):
+        rows, cols = rng.integers(1, 7, size=2)
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        expected = numerical_rank(m)
+        assert expected == rank
+        if rank == 0:
+            continue
+        top = 1024 - math.frexp(float(np.abs(m).max()))[1]
+        for e in (-500, 500, top - 1, top):
+            scaled = np.ldexp(m, e)
+            assert np.isfinite(scaled).all()
+            with np.errstate(over="ignore", invalid="ignore"):
+                overflowed += e == top and not np.isfinite(np.linalg.svd(scaled, compute_uv=False)[0])
+            assert numerical_rank(scaled) == expected, (i, e)
+    assert overflowed > 0
+
+
 def test_strong_axis_maximizes_force_gain(all_structures):
     rng = np.random.default_rng(22)
     dirs = rng.normal(size=(10_000, 3))
