@@ -10,11 +10,12 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import StructureConfig, override_sim, parse_config
+from .config import StructureConfig, parse_config
 from .errors import ConfigError, ModrotorError, SimulationError
 from .module_design import check_balanced
 from .sim import RunResult, run_closed_loop
@@ -194,7 +195,10 @@ def main(argv=None) -> int:
             return cmd_check(config)
         if args.command == "ellipsoid":
             return cmd_ellipsoid(config, args.out)
-        config = override_sim(config, args.duration, args.dt)
+        # Unchecked here: to_sim_params rejects an unusable value by its field name.
+        overrides = {key: value for key, value in (("duration_s", args.duration),
+                                                   ("dt_s", args.dt)) if value is not None}
+        config = replace(config, sim=replace(config.sim, **overrides))
         return cmd_simulate(config, args.out)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

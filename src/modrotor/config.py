@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -306,17 +306,3 @@ def parse_config(text: str) -> StructureConfig:
     }
     return StructureConfig(modules=tuple(modules), **sections)
 
-
-def override_sim(config: StructureConfig, duration: float | None = None,
-                 dt: float | None = None) -> StructureConfig:
-    """Copy of ``config`` with command-line sim overrides applied.
-
-    The values are not checked here: ``to_sim_params`` rejects an unusable
-    step or duration as a ConfigError naming the field.
-    """
-    sim = config.sim
-    if duration is not None:
-        sim = replace(sim, duration_s=duration)
-    if dt is not None:
-        sim = replace(sim, dt_s=dt)
-    return replace(config, sim=sim)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .lazy import POSITIVE, checked, finite_array, read_only, unchecked
+from .lazy import POSITIVE, checked, finite_array, read_only, rotation, unchecked
 from .so3 import matmul3, rodrigues
 from .structure import StructureModel
 
@@ -64,6 +64,7 @@ class RigidState:
 
     Each field is a finite, read-only float array: a copy of the caller's
     value, or the integrator's result in a state that :func:`step` returns.
+    A caller's ``r_ws`` must be a rotation (see :func:`modrotor.lazy.rotation`).
     """
 
     r: np.ndarray
@@ -72,8 +73,10 @@ class RigidState:
     omega: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("r", (3,)), ("v", (3,)), ("r_ws", (3, 3)), ("omega", (3,))):
-            object.__setattr__(self, name, finite_array(name, getattr(self, name), shape))
+        for name in ("r", "v", "r_ws", "omega"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, rotation(name, value) if name == "r_ws"
+                               else finite_array(name, value, (3,)))
 
 
 def _floats_of(state: RigidState) -> tuple[float, ...]:
@@ -155,10 +158,10 @@ def _derivative(vx, vy, vz, px, py, pz, wx, wy, wz, r_ws0, force, torque, inerti
 
 def step(structure: StructureModel, state: RigidState, u: np.ndarray, dt: float,
          gravity: float = GRAVITY) -> RigidState:
-    """Advance one step of length ``dt`` with the 4n finite thrusts ``u``
+    """Advance one step of length ``dt`` > 0 with the 4n finite thrusts ``u``
     held constant."""
     u = finite_array("u", u, (4 * structure.n,))
-    dt, gravity = checked("dt", dt), checked("gravity", gravity)
+    dt, gravity = checked("dt", dt, POSITIVE), checked("gravity", gravity)
     with np.errstate(over="ignore", invalid="ignore"):
         return _state_of(_advance(structure, _floats_of(state), u, dt, gravity))
 

@@ -68,10 +68,13 @@ def finite_array(name: str, value, shape: tuple | None) -> np.ndarray:
 def rotation(name: str, value) -> np.ndarray:
     """``value`` as a new read-only float 3x3 rotation matrix (see
     :func:`~modrotor.so3.is_rotation`); otherwise a ValueError naming
-    ``name``."""
-    if not is_rotation(value):
+    ``name``. The value is converted once, by :func:`float_array`, and the
+    converted array is the one tested and kept."""
+    arr = float_array(value)
+    if not is_rotation(arr):
         raise ValueError(f"{name} must be a finite 3x3 rotation matrix, got {shown(value)}")
-    return read_only(value)
+    arr.setflags(write=False)
+    return arr
 
 
 def shown(value) -> str:

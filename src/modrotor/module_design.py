@@ -84,10 +84,9 @@ class ModuleSpec:
     the declared common rotor rotation whose z-column is the design thrust
     axis. ``mass``, ``base`` and ``height`` must be positive and finite.
     ``inertia`` must be a finite 3x3 matrix, symmetric within 1e-12 in the
-    Frobenius norm of I - I^T, and positive definite: every pivot of the
-    LDL^T factorisation of its lower triangle must be positive (Sylvester's
-    criterion, tested without forming the determinants). The checks run on
-    floats; each failure is a ValueError naming the field.
+    Frobenius norm of I - I^T, and positive definite: numpy's Cholesky
+    factorization of its lower triangle must exist. Each failure is a
+    ValueError naming the field.
 
     A module is an immutable value: ``inertia``, ``tilt`` and the
     propellers' arrays are read-only copies, so neither a write nor a
@@ -109,11 +108,13 @@ class ModuleSpec:
         for name in ("mass", "base", "height"):
             object.__setattr__(self, name, checked(name, getattr(self, name), POSITIVE))
         inertia = finite_array("inertia", self.inertia, (3, 3))
-        (i0, i1, i2), (i3, i4, i5), (i6, i7, i8) = inertia.tolist()
+        (_, i1, i2), (i3, _, i5), (i6, i7, _) = inertia.tolist()
         if math.hypot(i1 - i3, i1 - i3, i2 - i6, i2 - i6, i5 - i7, i5 - i7) >= 1e-12:
             raise ValueError("inertia tensor must be symmetric")
-        if not _ldl_pivots_positive(i0, i3, i4, i6, i7, i8):
-            raise ValueError("inertia tensor must be positive definite")
+        try:
+            np.linalg.cholesky(inertia)
+        except np.linalg.LinAlgError:
+            raise ValueError("inertia tensor must be positive definite") from None
         object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "tilt", rotation("tilt", self.tilt))
         props = tuple(self.propellers)
@@ -141,20 +142,6 @@ class ModuleSpec:
     def _balance(self) -> BalanceReport:
         """:func:`check_balanced`'s report."""
         return _balance_report(self)
-
-
-def _ldl_pivots_positive(i0, i3, i4, i6, i7, i8) -> bool:
-    """True when the three pivots of the LDL^T factorisation of the
-    symmetric matrix with lower triangle (i0; i3, i4; i6, i7, i8) are all
-    positive, which is when that matrix is positive definite."""
-    if not i0 > 0.0:
-        return False
-    l3, l6 = i3 / i0, i6 / i0
-    d4 = i4 - l3 * i3
-    if not d4 > 0.0:
-        return False
-    l7 = i7 - l6 * i3
-    return i8 - l6 * i6 - l7 * l7 / d4 > 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,9 +97,9 @@ def cross3(a, b) -> tuple[float, float, float]:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
+def is_rotation(r: np.ndarray) -> bool:
     """True when r is a finite 3x3 matrix, orthonormal with determinant +1
-    within tol: ||r r^T - I||_F < tol and |det r - 1| < tol. False for
+    within 1e-9: ||r r^T - I||_F < 1e-9 and |det r - 1| < 1e-9. False for
     anything else, including input that is not a 3x3 array of numbers."""
     try:
         (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rows = np.asarray(r, dtype=float).tolist()
@@ -115,7 +115,7 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
     o2 = a0 * a6 + a1 * a7 + a2 * a8
     o5 = a3 * a6 + a4 * a7 + a5 * a8
     det = a0 * (a4 * a8 - a5 * a7) - a1 * (a3 * a8 - a5 * a6) + a2 * (a3 * a7 - a4 * a6)
-    return math.hypot(d0, d4, d8, o1, o1, o2, o2, o5, o5) < tol and abs(det - 1.0) < tol
+    return math.hypot(d0, d4, d8, o1, o1, o2, o2, o5, o5) < 1e-9 and abs(det - 1.0) < 1e-9
 
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:

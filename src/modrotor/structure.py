@@ -173,10 +173,9 @@ def _thrust_frame(force_map: np.ndarray, rank: int, svd: tuple) -> np.ndarray:
     group, or in the next group when the top value is untied (at rank 1,
     the null space), signed toward the first of those axes it is not
     orthogonal to. A group of one direction is taken as it is. At rank 1
-    every rotor must push along +z.
+    every rotor must push along +z. ``rank`` is at least 1: every column is
+    a rotor's unit thrust axis, the z-column of a checked rotation.
     """
-    if rank == 0:
-        raise AssemblyError("force map is zero; structure cannot produce thrust")
     u, s = svd
     # Tied groups are prefixes of the descending values, so counts name them.
     values = s.tolist()

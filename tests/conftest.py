@@ -21,6 +21,11 @@ def exp_map(v):
     return np.array(rodrigues(x, y, z)).reshape(3, 3)
 
 
+def _oracle_is_rotation(r, tol=1e-9):
+    """numpy's form of :func:`modrotor.so3.is_rotation`'s rule, at any ``tol``."""
+    return bool(np.linalg.norm(r @ r.T - np.eye(3)) < tol and abs(np.linalg.det(r) - 1.0) < tol)
+
+
 def accelerations(structure, state, u, gravity=GRAVITY):
     """Linear (world) and angular (body) acceleration of ``state`` under the
     thrusts ``u``: the integrator's derivative at a zero rotation increment."""

@@ -8,7 +8,7 @@ import pytest
 
 from modrotor import (actuation_ellipsoid, check_balanced, numerical_rank, parse_config,
                       run_closed_loop)
-from modrotor.config import _SECTIONS, ModuleConfig, override_sim
+from modrotor.config import _SECTIONS, ModuleConfig
 from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _fixed, main, write_run_csv
 from modrotor.so3 import rotation_angle
 from conftest import CONFIG_DIR
@@ -366,8 +366,8 @@ def _reference_run_csv(result, structure, out_path):
 
 def test_run_csv_matches_reference_writer(tmp_path):
     for name in ("experiment1", "experiment2", "experiment3"):
-        config = override_sim(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()),
-                              duration=0.2)
+        config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+        config = replace(config, sim=replace(config.sim, duration_s=0.2))
         structure = config.to_structure()
         result = run_closed_loop(structure, config.to_trajectory(), config.to_gains(),
                                  config.to_sim_params())

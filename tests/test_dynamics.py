@@ -153,10 +153,14 @@ def test_non_finite_state_raises(flat_structure):
     [
         (level_state(omega=(0.6e200, 0, 0.8e200)), np.zeros(4), 1e-3, r"\|omega\|=1\.000e\+200"),
         (level_state(), np.array([1e300, 0.0, 0.0, 0.0]), 10.0, "non-finite"),
-        (RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=1e200 * np.eye(3), omega=np.zeros(3)),
-         np.zeros(4), 1e-3, "attitude update overflowed"),
+        # A roll rate under a pitch torque, from a level start: each stage's
+        # increment rate grows with the square of its rotation increment, and
+        # the last stage's (about 1e160) enters only the step's increment
+        # phi, whose |phi|^2 passes float range, so its rotation is NaN.
+        (level_state(omega=(1e16, 0, 0)), np.array([1.0, 1.0, 0.0, 0.0]), 1.0,
+         "attitude update overflowed"),
     ],
-    ids=["omega", "u", "r_ws"],
+    ids=["omega", "u", "attitude"],
 )
 def test_divergence_raises_integration_error_only(flat_structure, state, u, dt, message):
     # Overflow must surface as IntegrationError with a finite magnitude in
@@ -178,6 +182,22 @@ def test_step_returns_fresh_float_arrays(quad_tilt_structure):
         assert not any(np.shares_memory(arr, getattr(state, other)) for other in fields)
         assert not any(np.shares_memory(arr, getattr(nxt, other)) for other in fields if other != name)
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0, -1.0, -1e-3])
+def test_step_rejects_a_step_that_is_not_positive(flat_structure, dt):
+    # dt = 0 would return the same state and dt < 0 integrate backwards.
+    with pytest.raises(ValueError, match=r"^dt must be positive and finite"):
+        step(flat_structure, level_state(), np.full(4, 0.3), dt)
+
+
+@pytest.mark.parametrize("r_ws", [2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                                  np.diag([1.0, np.nan, 1.0])],
+                         ids=["2I", "reflection", "nan"])
+def test_state_attitude_must_be_a_rotation(r_ws):
+    # One step from 2 I gives -I, a reflection that flies with no error.
+    with pytest.raises(ValueError, match=r"^r_ws must be a finite 3x3 rotation matrix"):
+        RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=r_ws, omega=np.zeros(3))
 
 
 def test_state_holds_read_only_copies_of_its_arrays():

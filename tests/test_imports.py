@@ -2,7 +2,8 @@
 config imports no standard library INI reader, and src/ builds instances
 without their checks, fills an instance's ``__dict__`` by hand, and checks
 the arrays callers pass in, in one place only. No module-level array in
-src/ can be written, and src/ defines nothing that only the tests read.
+src/ can be written, src/ defines nothing that only the tests read, and no
+default of a function src/ keeps to itself is one that only the tests set.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -12,6 +13,7 @@ name an import binds must be read somewhere in the same file. A package's
 
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -238,3 +240,83 @@ def test_module_level_arrays_are_read_only():
                if path.name != "__init__.py"]
     assert len(modules) >= 10
     assert writable_module_arrays(modules) == []
+
+
+
+def defaulted_parameters(source: str) -> dict[str, list[tuple[str, float]]]:
+    """Each top-level function of the source with a parameter that has a
+    default: (name, position) for each such parameter, the position among
+    the positional parameters, or inf for a keyword-only one."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(arg.arg, index) for index, arg in enumerate(positional) if index >= first]
+            params += [(arg.arg, math.inf) for arg, default in zip(args.kwonlyargs,
+                                                                     args.kw_defaults)
+                       if default is not None]
+            if params:
+                found[node.name] = params
+    return found
+
+
+def passed_parameters(sources) -> dict[str, tuple[float, set]]:
+    """For each name the sources call, bare or as an attribute: the most
+    positional arguments a call passes and the keywords the calls pass. A
+    call with ``*args`` or ``**kwargs`` passes every parameter."""
+    passed: dict[str, tuple[float, set]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            most, keywords = passed.get(name, (0, set()))
+            if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                most = math.inf
+            passed[name] = (max(most, len(node.args)),
+                            keywords | {kw.arg for kw in node.keywords})
+    return passed
+
+
+def unset_defaults(defined: dict[str, str], callers, exported: set[str]) -> list[str]:
+    """``"module.function: parameter"`` for each defaulted parameter of a
+    top-level function in ``defined`` (module name -> source), not in
+    ``exported``, that no call in the ``callers`` sources passes."""
+    passed = passed_parameters(callers)
+    unset = []
+    for module, source in defined.items():
+        for name, params in defaulted_parameters(source).items():
+            most, keywords = passed.get(name, (0, set()))
+            unset += [f"{module}.{name}: {param}" for param, position in params
+                      if name not in exported and param not in keywords
+                      and most < math.inf and position >= most]
+    return unset
+
+
+def test_unset_defaults_are_found():
+    source = ("def f(a, b=1, /, c=2, *, d=3):\n    return a\n"
+              "def g(x, y=0):\n    return x\n"
+              "def h(z=0):\n    return z\n"
+              "def k(*, w=0):\n    return w\n"
+              "f(1, 2, d=4)\nm.g(*args)\nk(**opts)\n")
+    assert defaulted_parameters(source) == {"f": [("b", 1), ("c", 2), ("d", math.inf)],
+                                            "g": [("y", 1)], "h": [("z", 0)],
+                                            "k": [("w", math.inf)]}
+    assert unset_defaults({"m": source}, [source], set()) == ["m.f: c", "m.h: z"]
+    assert unset_defaults({"m": source}, [source], {"f", "h"}) == []
+
+
+def test_src_sets_every_default_it_declares():
+    # A defaulted parameter of a library-internal function that neither
+    # src/ nor bench/ ever passes is a knob that only the tests turn.
+    package = ROOT / "src" / "modrotor"
+    defined = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    exported = read_names((package / "__init__.py").read_text(encoding="utf-8"), exports=True)
+    callers = [path.read_text(encoding="utf-8")
+               for top in ("src", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert unset_defaults(defined, callers, exported) == []

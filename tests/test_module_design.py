@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import re
 from functools import partial
 
@@ -340,6 +341,53 @@ def test_positive_definite_rule_matches_eigenvalues():
             with pytest.raises(ValueError, match="positive definite"):
                 _with_inertia(module, inertia)
     assert outcomes == {True, False}
+
+
+def _power_of_two_definite(inertia):
+    """Whether the symmetric ``inertia`` is positive definite, by numpy's
+    eigenvalues of it scaled by the power of two (exact) that brings its
+    largest entry near 1."""
+    scale = -math.frexp(float(np.abs(inertia).max()))[1]
+    return bool(np.linalg.eigvalsh(np.ldexp(inertia, scale)).min() > 0.0)
+
+
+def test_positive_definite_rule_holds_at_extreme_magnitudes():
+    # Exactly symmetric matrices with eigenvalues of either sign between
+    # 0.01 and 1 in size, scaled by 1e+-175 to 1e+-300, where products of
+    # entries leave float range.
+    rng = np.random.default_rng(47)
+    module = build_r_module()
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        evals = rng.choice([-1.0, 1.0], size=3, p=[0.3, 0.7]) * rng.uniform(0.01, 1.0, size=3)
+        lower = np.tril(q @ np.diag(evals) @ q.T)
+        exponent = int(rng.integers(175, 301)) * int(rng.choice([-1, 1]))
+        inertia = (lower + np.tril(lower, -1).T) * 10.0 ** exponent
+        definite = _power_of_two_definite(inertia)
+        outcomes[definite] += 1
+        if definite:
+            _with_inertia(module, inertia)
+        else:
+            with pytest.raises(ValueError, match="^inertia tensor must be positive definite"):
+                _with_inertia(module, inertia)
+    assert min(outcomes.values()) > 200
+
+
+@pytest.mark.parametrize("inertia, definite", [
+    # Eigenvalues -1, 1 and 3 (times 1e-200): the squared coupling underflows.
+    (1e-200 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]), False),
+    # Eigenvalues 0.5, 1 and 1.5 (times 1e160): the squared coupling overflows.
+    (1e160 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]), True),
+    # Definite, though numpy's eigenvalues of it are not all positive.
+    (np.diag([1e-300, 1.0, 1e300]), True),
+], ids=["indefinite_1e-200", "definite_1e160", "diag_1e-300_1e300"])
+def test_positive_definite_rule_on_extreme_inertias(inertia, definite):
+    if definite:
+        assert build_r_module(inertia=inertia).inertia.tobytes() == inertia.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^inertia tensor must be positive definite"):
+            build_r_module(inertia=inertia)
 
 
 # ---------------------------------------------------------------- module values
