@@ -23,17 +23,19 @@ pseudoinverse. Each step is then one product giving the exact minimum-norm
 thrusts, clamped to the motor range.
 
 :meth:`Controller._law` is the control law's one kernel, which the closed
-loop calls on each step: it reads a state's 18 floats and the sample's
-float tuples, runs the law on Python floats, which avoids the per-call cost
-of numpy on 3-vectors and 3x3 matrices, and uses numpy only for the
-allocation product; the clamp and the saturation test run on the resulting
-floats, and it returns floats. :meth:`Controller.step` is a thin wrapper
-that builds the whole ``ControlOutput`` from them. Float arithmetic
-overflows to inf and NaN without warnings, so the kernel checks the
-commanded acceleration and wrench for finiteness and raises
-ControlDegeneracyError; the sample's attitude is a finite rotation already.
-So the output's ``Wrench`` skips re-validation, by the rule in
-:mod:`modrotor.lazy`.
+loop calls on each step: it reads a state's 18 floats, the sample's float
+tuples and the gains' diagonal floats, runs the law on Python floats, which
+avoids the per-call cost of numpy on 3-vectors and 3x3 matrices, and uses
+numpy only for the allocation product, inside the ``np.errstate`` its
+callers enter (:meth:`Controller.step` on each call, the closed loop once
+per run); the clamp and the saturation test run on the resulting floats,
+and it returns floats. :meth:`Controller.step` is a thin wrapper that
+builds the whole ``ControlOutput`` from them. Float arithmetic overflows to
+inf and NaN without warnings, so the kernel checks the commanded
+acceleration and wrench for finiteness, and the minimum-norm thrusts when
+the clamp changed one, raising ControlDegeneracyError; the sample's
+attitude is a finite rotation already. So the output's ``Wrench`` skips
+re-validation, by the rule in :mod:`modrotor.lazy`.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState, _floats_of
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import POSITIVE, checked, finite_array, read_only, unchecked
+from .lazy import checked, finite_array, read_only, unchecked
 from .module_design import Wrench
-from .so3 import I3, cross3, matmul3
+from .so3 import cross3, matmul3
 from .structure import StructureModel, _rank_of
 from .trajectory import TrajectorySample
 
@@ -62,36 +64,32 @@ _EPS_CROSS = 1e-6
 class Gains:
     """Diagonal PD gains: k_pos/k_vel on position, k_rot/k_ang on attitude.
 
-    Each takes a scalar, three diagonal entries or a diagonal 3x3 matrix,
-    finite with a positive diagonal, and is kept as a read-only 3x3 matrix.
-    A positive finite Python float passes every check, so it skips them:
-    its matrix is value * I, which holds the bits of the filled diagonal.
+    Each takes a number, three diagonal entries or a diagonal 3x3 matrix,
+    finite with a positive diagonal; every form is checked by
+    :func:`~modrotor.lazy.finite_array` and kept as the tuple of its three
+    diagonal floats, the floats the control law reads.
     The defaults are tuned so every supported structure converges well
     inside the underactuated position-through-attitude cascade.
     """
 
-    k_pos: np.ndarray = 12.0
-    k_vel: np.ndarray = 6.0
-    k_rot: np.ndarray = 200.0
-    k_ang: np.ndarray = 20.0
+    k_pos: tuple[float, float, float] = 12.0
+    k_vel: tuple[float, float, float] = 6.0
+    k_rot: tuple[float, float, float] = 200.0
+    k_ang: tuple[float, float, float] = 20.0
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-            value = getattr(self, name)
-            if type(value) is float and POSITIVE[0] <= value <= POSITIVE[1]:
-                mat = value * I3
-            else:
-                mat = finite_array(name, value, None)
-                if mat.shape in ((), (3,)):
-                    diag, mat = mat, np.zeros((3, 3))
-                    mat.flat[::4] = diag
-                entries = mat.ravel().tolist()
-                if mat.shape != (3, 3) or any(entries[1:4] + entries[5:8]):
-                    raise ValueError(f"{name} must be a diagonal 3x3 matrix")
-                if min(entries[::4]) <= 0.0:
-                    raise ValueError(f"{name} diagonal entries must be positive")
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+            gain = finite_array(name, getattr(self, name), None)
+            entries = gain.ravel().tolist()
+            if gain.shape == ():
+                entries *= 3
+            elif gain.shape == (3, 3) and not any(entries[1:4] + entries[5:8]):
+                entries = entries[::4]
+            elif gain.shape != (3,):
+                raise ValueError(f"{name} must be a diagonal 3x3 matrix")
+            if min(entries) <= 0.0:
+                raise ValueError(f"{name} diagonal entries must be positive")
+            object.__setattr__(self, name, tuple(entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +114,6 @@ class ControlOutput:
     saturated: bool
     desired_attitude: np.ndarray
     mode: str
-
-
-def _diag(gain: np.ndarray) -> tuple[float, float, float]:
-    """The diagonal of a 3x3 gain matrix, as floats."""
-    return tuple(gain.ravel().tolist()[::4])
 
 
 def _unit_cross(a, b, message: str):
@@ -184,15 +177,14 @@ class Controller:
     """Closed-loop controller bound to one structure.
 
     The mode follows the structure's force-block rank and fixes the
-    desired attitude's construction. ``reduced_map`` holds
-    the rows ``rows`` of the thrust-frame map [r_sf^T A_f; A_tau] that the
-    mode commands, and ``pinv`` its pseudoinverse; both are fixed at
-    construction, together with the floats the step reads (gain diagonals,
-    r_sf, inertia, mass), so an instance is cheap to call every step and
-    safe to share read-only. Construction takes one SVD of the reduced map:
-    its singular values give the rank test, and ``pinv`` is formed from the
-    same factors by numpy's ``pinv`` formula, which drops no singular value
-    the rank test keeps.
+    desired attitude's construction. ``reduced_map`` holds the rows ``rows``
+    of the thrust-frame map [r_sf^T A_f; A_tau] that the mode commands, and
+    ``pinv`` its pseudoinverse; both are fixed at construction, together
+    with the floats the step reads (r_sf, inertia, mass), so an instance is
+    cheap to call every step and safe to share read-only. Construction takes
+    one SVD of the reduced map: its singular values give the rank test, and
+    ``pinv`` is formed from the same factors by numpy's ``pinv`` formula,
+    which drops no singular value the rank test keeps.
     """
 
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
@@ -220,15 +212,13 @@ class Controller:
         # The floats each step reads; the force mask is 1.0 on the
         # thrust-frame force components the mode commands.
         self._force_mask = tuple(float(i in rows) for i in range(3))
-        self._k_pos, self._k_vel, self._k_rot, self._k_ang = (
-            _diag(k) for k in (self.gains.k_pos, self.gains.k_vel, self.gains.k_rot, self.gains.k_ang)
-        )
         self._r_sf = tuple(structure.r_sf.ravel().tolist())
         self._mass, self._inertia, _ = structure._rigid_body
         self._f_max = tuple(structure.f_max.tolist())
 
     def step(self, state: RigidState, sample: TrajectorySample) -> ControlOutput:
-        u, u_raw, saturated, force, torque, r_wf_d = self._law(_floats_of(state), sample)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, u_raw, saturated, force, torque, r_wf_d = self._law(_floats_of(state), sample)
         u_raw.setflags(write=False)
         return ControlOutput(
             u=read_only(u), u_raw=u_raw, saturated=saturated, mode=self.mode,
@@ -244,7 +234,7 @@ class Controller:
         rx, ry, rz, vx, vy, vz, *r_ws, wx, wy, wz = y
         r_d, v_d, a_d = sample.r_d, sample.v_d, sample.a_d
         # PD on position and velocity error plus gravity and acceleration feed-forward.
-        k_pos, k_vel = self._k_pos, self._k_vel
+        k_pos, k_vel = self.gains.k_pos, self.gains.k_vel
         ax = k_pos[0] * (r_d[0] - rx) + k_vel[0] * (v_d[0] - vx) + a_d[0]
         ay = k_pos[1] * (r_d[1] - ry) + k_vel[1] * (v_d[1] - vy) + a_d[1]
         az = k_pos[2] * (r_d[2] - rz) + k_vel[2] * (v_d[2] - vz) + self.gravity + a_d[2]
@@ -262,7 +252,7 @@ class Controller:
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = matmul3(
             r_wf_d[0::3] + r_wf_d[1::3] + r_wf_d[2::3], r_wf)
         ox, oy, oz = sample.omega_d
-        k_rot, k_ang = self._k_rot, self._k_ang
+        k_rot, k_ang = self.gains.k_rot, self.gains.k_ang
         alx = -k_rot[0] * (0.5 * (m7 - m5)) - k_ang[0] * (wx - (m0 * ox + m3 * oy + m6 * oz))
         aly = -k_rot[1] * (0.5 * (m2 - m6)) - k_ang[1] * (wy - (m1 * ox + m4 * oy + m7 * oz))
         alz = -k_rot[2] * (0.5 * (m3 - m1)) - k_ang[2] * (wz - (m2 * ox + m5 * oy + m8 * oz))
@@ -296,7 +286,14 @@ class Controller:
 
         u_raw = self.pinv.dot(self._select_rows((fx, fy, fz, *torque)))
         raw = u_raw.tolist()
-        # np.clip(u_raw, 0, f_max) entry by entry, -0.0 included.
-        u = [0.0 if x <= 0.0 else (high if x > high else x) for x, high in zip(raw, self._f_max)]
-        saturated = u != raw and max(map(abs, map(sub, u, raw))) > 1e-12
+        # np.clip(u_raw, 0, f_max) entry by entry, -0.0 included; NaN becomes
+        # 0.0, so every entry that is not finite differs from its clamp.
+        u = [0.0 if not x > 0.0 else (high if x > high else x) for x, high in zip(raw, self._f_max)]
+        saturated = False
+        if u != raw:
+            if not all(map(math.isfinite, raw)):
+                raise ControlDegeneracyError(
+                    "minimum-norm thrusts are not finite: u_raw = ({}) N".format(
+                        ", ".join(f"{x:.3e}" for x in raw)))
+            saturated = max(map(abs, map(sub, u, raw))) > 1e-12
         return u, u_raw, saturated, force, torque, r_wf_d

@@ -46,7 +46,9 @@ def _euler_zyx(r) -> tuple[float, float, float]:
 def initial_state_from_sample(structure: StructureModel, sample: TrajectorySample) -> RigidState:
     """State matching the trajectory start: thrust frame aligned with its target."""
     r_ws = sample.r_wf_d @ structure.r_sf.T
-    omega = structure.r_sf @ sample.omega_d
+    # A rate that overflows in the body frame is RigidState's to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = structure.r_sf @ sample.omega_d
     return RigidState(r=sample.r_d, v=sample.v_d, r_ws=r_ws, omega=omega)
 
 

@@ -1,14 +1,15 @@
 """Shared fixtures: the reference structures used throughout the suite,
-and two helpers over the private kernels that tests read."""
+two helpers over the private kernels that tests read, and one input whose
+thrusts overflow."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modrotor import ModulePlacement, assemble, build_r_module
+from modrotor import Gains, ModulePlacement, RigidState, assemble, build_r_module, hover
 from modrotor.dynamics import GRAVITY, _derivative
-from modrotor.so3 import rodrigues
+from modrotor.so3 import rodrigues, rot_x
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -35,6 +36,16 @@ def accelerations(structure, state, u, gravity=GRAVITY):
                     state.r_ws.ravel().tolist(), (fx / mass, fy / mass, fz / mass), torque,
                     inertia, inertia_inv, gravity)
     return np.array(k[0:3]), np.array(k[6:9])
+
+
+def overflowing_allocation():
+    """(structure, gains, state, trajectory) whose first step's commanded
+    wrench is finite but whose minimum-norm thrusts overflow to +-inf: a
+    heavy module, a huge attitude gain and a rolled start."""
+    module = build_r_module(beta=0.2, inertia=np.diag([1e3] * 3))
+    state = RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=rot_x(0.5), omega=np.zeros(3))
+    return (assemble([ModulePlacement(module=module)]), Gains(k_rot=1e305), state,
+            hover((0.0, 0.0, 0.7)))
 
 
 def make_flat():

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from modrotor import (AssemblyError, ConfigError, Gains, ModrotorError, SimParams, parse_config,
-                      rectangle)
+from modrotor import (AssemblyError, ConfigError, Gains, ModrotorError, SimParams, build_r_module,
+                      parse_config, rectangle)
 from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
                              TrajectoryConfig, _read_ini)
 from conftest import CONFIG_DIR, ROOT
@@ -310,7 +310,10 @@ def test_rectangle_fixed_is_the_level_rectangle():
 
 
 def test_omitted_sections_take_the_library_defaults():
+    # A bare module section builds build_r_module's default module, the
+    # cached instance itself, so ModuleConfig's defaults are the library's.
     cfg = parse_config("[module.1]\n")
+    assert cfg.to_structure().placements[0].module is build_r_module()
     gains, want = cfg.to_gains(), Gains()
     for f in dataclasses.fields(Gains):
         np.testing.assert_array_equal(getattr(gains, f.name), getattr(want, f.name), f.name)

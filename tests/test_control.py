@@ -21,7 +21,7 @@ from modrotor.structure import _thrust_frame
 from modrotor.so3 import E1, E3, rot_x, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
 
-from conftest import _oracle_is_rotation, accelerations, exp_map
+from conftest import _oracle_is_rotation, accelerations, exp_map, overflowing_allocation
 
 G = 9.81
 
@@ -418,15 +418,7 @@ def test_gains_validation():
     with pytest.raises(ValueError):
         Gains(k_pos=np.ones((3, 3)), k_vel=1.0, k_rot=1.0, k_ang=1.0)
     g = Gains(k_pos=(1.0, 2.0, 3.0), k_vel=1.0, k_rot=1.0, k_ang=1.0)
-    np.testing.assert_array_equal(np.diag(g.k_pos), [1.0, 2.0, 3.0])
-
-
-def test_gains_are_read_only_matrices():
-    # Each form of a gain is kept as a 3x3 matrix that cannot be written to.
-    g = Gains(k_pos=2.0, k_vel=(1.0, 2.0, 3.0), k_rot=np.diag([4.0, 5.0, 6.0]))
-    for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-        gain = getattr(g, name)
-        assert gain.shape == (3, 3) and not gain.flags.writeable, name
+    assert g.k_pos == (1.0, 2.0, 3.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -440,8 +432,8 @@ def test_gains_reject_non_finite(name, value, form):
         Gains(**{name: gain})
 
 
-def _general_path_calls(monkeypatch):
-    """The values the general path of Gains checks, recorded as it runs."""
+def _checked_values(monkeypatch):
+    """The values Gains passes to finite_array, recorded as it runs."""
     seen = []
 
     def recorded(name, value, shape):
@@ -452,31 +444,31 @@ def _general_path_calls(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("value", [5e-324, 1.0, 1.7976931348623157e308])
-def test_gains_float_path_matches_general_path(value, monkeypatch):
-    # A positive finite Python float skips the array checks; its matrix has
-    # the bits the general path gives the same value as a 0-d array, and
-    # the three-entry and matrix forms agree with it.
-    seen = _general_path_calls(monkeypatch)
-    fast = Gains(k_pos=value, k_vel=value, k_rot=value, k_ang=value)
-    assert seen == []
-    for general in (np.array(value), np.float64(value), [value] * 3, np.diag([value] * 3)):
-        slow = Gains(k_pos=general)
-        assert seen[-1] is general
-        assert slow.k_pos.tobytes() == fast.k_pos.tobytes()
-        assert slow.k_pos.dtype == fast.k_pos.dtype and slow.k_pos.shape == (3, 3)
+@pytest.mark.parametrize("value, want", [
+    (2.5, (2.5,) * 3),
+    (5e-324, (5e-324,) * 3),
+    (1.7976931348623157e308, (1.7976931348623157e308,) * 3),
+    (2, (2.0,) * 3),
+    (True, (1.0,) * 3),
+    (np.float64(0.1), (0.1,) * 3),
+    (np.float32(0.1), (float(np.float32(0.1)),) * 3),
+    (np.array(3.0), (3.0,) * 3),
+    ([1, 2.5, 3e-300], (1.0, 2.5, 3e-300)),
+    (np.array([4.0, 5.0, 6.0]), (4.0, 5.0, 6.0)),
+    (np.diag([4.0, 5.0, 6.0]), (4.0, 5.0, 6.0)),
+    ([[7, -0.0, 0], [0, 8, 0], [0.0, 0, 9]], (7.0, 8.0, 9.0)),
+], ids=["float", "tiny", "max", "int", "bool", "float64", "float32", "0d_array", "entries",
+        "vector", "matrix", "matrix_signed_zero"])
+def test_gains_keep_every_form_as_its_diagonal_floats(value, want, monkeypatch):
+    # Every form takes the one path, finite_array included, and is kept as
+    # the tuple of its three diagonal floats: the floats the law reads.
+    seen = _checked_values(monkeypatch)
+    g = Gains(k_pos=value, k_vel=value, k_rot=value, k_ang=value)
+    assert seen == [value] * 4
     for name in ("k_pos", "k_vel", "k_rot", "k_ang"):
-        gain = getattr(fast, name)
-        assert not gain.flags.writeable and gain.flags.c_contiguous
-        assert not np.signbit(gain).any()
-
-
-@pytest.mark.parametrize("value", [2, True, np.float64(2.0), np.array(2.0), np.float32(2.0)])
-def test_gains_other_scalars_take_the_general_path(value, monkeypatch):
-    want = Gains(k_rot=float(value)).k_rot
-    seen = _general_path_calls(monkeypatch)
-    assert Gains(k_rot=value).k_rot.tobytes() == want.tobytes()
-    assert seen == [value]
+        gain = getattr(g, name)
+        assert type(gain) is tuple and all(type(x) is float for x in gain), name
+        assert np.array(gain).tobytes() == np.array(want).tobytes(), name
 
 
 @pytest.mark.parametrize("value, message", [
@@ -487,10 +479,41 @@ def test_gains_other_scalars_take_the_general_path(value, monkeypatch):
     (float("nan"), "k_ang must be a finite array, got nan"),
     (float("inf"), "k_ang must be a finite array, got inf"),
     (float("-inf"), "k_ang must be a finite array, got -inf"),
+    ((1.0, 0.0, 1.0), "k_ang diagonal entries must be positive"),
+    (np.diag([1.0, 1.0, -0.0]), "k_ang diagonal entries must be positive"),
+    ((1.0, 2.0), "k_ang must be a diagonal 3x3 matrix"),
+    ([[1.0]], "k_ang must be a diagonal 3x3 matrix"),
+    (np.ones((3, 3)), "k_ang must be a diagonal 3x3 matrix"),
+    (np.eye(4), "k_ang must be a diagonal 3x3 matrix"),
+    ("a", "k_ang must be a finite array, got 'a'"),
 ])
-def test_gains_float_path_rejects_what_the_general_path_rejects(value, message):
+def test_gains_rejections_keep_their_messages(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Gains(k_ang=value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_thrusts_raise_control_degeneracy():
+    # The wrench is finite, but the allocation product overflows: the step
+    # names the thrusts, with no warning, instead of returning infinities.
+    structure, gains, state, trajectory = overflowing_allocation()
+    with pytest.raises(ControlDegeneracyError, match=re.escape(
+            "minimum-norm thrusts are not finite: u_raw = (-inf, inf, -inf, inf) N")):
+        Controller(structure, gains).step(state, trajectory(0.0))
+
+
+def test_nan_thrust_raises_control_degeneracy(flat_structure):
+    # A NaN entry differs from its clamp, so it is caught even when no other
+    # entry needs clamping; the zero torque row times inf makes it here.
+    ctrl = Controller(flat_structure)
+    state, sample = level_state(r=(0, 0, 0.7)), still_sample(r=(0, 0, 0.7))
+    assert not ctrl.step(state, sample).saturated
+    pinv = ctrl.pinv.copy()
+    pinv[0] = (0.0, np.inf, 0.0, 0.0)
+    ctrl.pinv = pinv
+    with pytest.raises(ControlDegeneracyError,
+                       match=r"^minimum-norm thrusts are not finite: u_raw = \(nan, "):
+        ctrl.step(state, sample)
 
 
 def test_attitude_accel_signs(quad_tilt_structure):
@@ -530,7 +553,9 @@ def _oracle_step(ctrl, state, sample):
     """The numpy ``Controller.step`` that the float kernel replaced:
     (u_raw, u, saturated, desired attitude, body force, torque)."""
     structure, gains = ctrl.structure, ctrl.gains
-    a_r = (gains.k_pos @ (sample.r_d - state.r) + gains.k_vel @ (sample.v_d - state.v)
+    k_pos, k_vel, k_rot, k_ang = (np.diag(k) for k in (gains.k_pos, gains.k_vel, gains.k_rot,
+                                                         gains.k_ang))
+    a_r = (k_pos @ (sample.r_d - state.r) + k_vel @ (sample.v_d - state.v)
            + ctrl.gravity * E3 + sample.a_d)
     x_d = sample.r_wf_d[:, 0]
     if ctrl.mode == "4dof":
@@ -544,7 +569,7 @@ def _oracle_step(ctrl, state, sample):
     skew = r_wf_d.T @ r_wf - r_wf.T @ r_wf_d
     e_rot = 0.5 * np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
     e_omega = state.omega - r_wf.T @ r_wf_d @ sample.omega_d
-    alpha = -gains.k_rot @ e_rot - gains.k_ang @ e_omega
+    alpha = -k_rot @ e_rot - k_ang @ e_omega
     inertia, omega = structure.inertia, state.omega
     torque = inertia @ alpha + _oracle_cross(omega, inertia @ omega)
     mask = np.isin(np.arange(3), ctrl.rows).astype(float)

@@ -322,8 +322,8 @@ def test_module_inertia_validation(inertia, message):
 
 
 def test_positive_definite_rule_matches_eigenvalues():
-    # The LDL^T pivot test accepts exactly the symmetric matrices whose
-    # eigenvalues are all positive, away from the boundary.
+    # numpy's Cholesky factorization accepts exactly the symmetric matrices
+    # whose eigenvalues are all positive, away from the boundary.
     rng = np.random.default_rng(31)
     module = build_r_module()
     outcomes = set()

@@ -21,8 +21,8 @@ from modrotor import (
 )
 from modrotor.sim import euler_zyx
 from modrotor.so3 import rot_x, rot_y, rot_z, rotation_angle
-from modrotor.trajectory import helix
-from conftest import CONFIG_DIR, exp_map
+from modrotor.trajectory import TrajectorySample, helix
+from conftest import CONFIG_DIR, exp_map, overflowing_allocation
 
 
 def test_euler_zyx_roundtrip():
@@ -117,8 +117,10 @@ def test_closed_loop_enters_errstate_once(flat_structure, monkeypatch):
         entries.append(kwargs)
         return errstate(*args, **kwargs)
 
+    trajectory = hover((0.0, 0.0, 0.7))
+    state0 = initial_state_from_sample(flat_structure, trajectory(0.0))
     monkeypatch.setattr(np, "errstate", counted)
-    result = run_closed_loop(flat_structure, hover((0.0, 0.0, 0.7)),
+    result = run_closed_loop(flat_structure, trajectory, state0=state0,
                              params=SimParams(dt=0.01, duration=2.0))
     assert result.t.size == 200
     assert entries == [{"over": "ignore", "invalid": "ignore"}]
@@ -152,6 +154,30 @@ def test_non_finite_command_aborts_with_timestep(all_structures):
                 with pytest.raises(SimulationError, match="t=0.000000"):
                     run_closed_loop(structure, lambda t, s=sample: s, state0=state0,
                                     params=SimParams(dt=0.01, duration=0.05))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_thrusts_abort_at_the_first_step():
+    # The controller names the overflowing thrusts before any are flown, so
+    # the run stops at step 0, not steps later in the integrator.
+    structure, gains, state0, trajectory = overflowing_allocation()
+    with pytest.raises(SimulationError, match=r"^run aborted at t=0\.000000 s \(step 0\): "
+                       r"minimum-norm thrusts are not finite"):
+        run_closed_loop(structure, trajectory, gains, state0=state0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_initial_rate_past_float_range_is_rejected_by_the_state():
+    # A finite target rate whose body-frame rate overflows: RigidState
+    # rejects it with its own message, and numpy warns of nothing.
+    structure = parse_config((CONFIG_DIR / "experiment1.cfg").read_text()).to_structure()
+    sample = TrajectorySample(t=0.0, r_d=np.zeros(3), v_d=np.zeros(3), a_d=np.zeros(3),
+                              omega_d=np.array([1.7e308, 0.0, 1.7e308]))
+    message = r"^omega must be a finite array of shape \(3,\), got \[inf, "
+    with pytest.raises(ValueError, match=message):
+        initial_state_from_sample(structure, sample)
+    with pytest.raises(ValueError, match=message):
+        run_closed_loop(structure, lambda t: sample, params=SimParams(dt=0.01, duration=0.02))
 
 
 def test_deterministic_across_runs(pitch_pair_structure):
