@@ -18,13 +18,14 @@ than roundoff; it is polar re-orthonormalized once per step. Thrust is held
 constant across a step, so the body force and torque are computed once per
 step with one matrix product.
 
-The step kernel, ``_advance``, is one straight-line pass on named Python
-floats, which avoids the per-call cost of numpy on 3-vectors and 3x3
-matrices: each stage hands ``_derivative`` the nine floats it reads (v, phi,
-omega), the position is integrated once at the end, and the Rodrigues
-rotation and the polar pass follow. It takes a state as its 18 floats (r, v,
-r_ws row-major, omega) with the structure's mass and inertia floats,
-converted once per structure, and returns the next state's 18 floats. Float
+The step kernel, ``_advance``, works on named Python floats, which avoids
+the per-call cost of numpy on 3-vectors and 3x3 matrices: one loop body
+runs the four stages, each taking the in-step (v, phi, omega) to their
+rates and adding them to running sums, the position is integrated once at
+the end, and the Rodrigues rotation and the polar pass follow. It takes a
+state as its 18 floats (r, v, r_ws row-major, omega) with the structure's
+mass and inertia floats, converted once per structure, and returns the next
+state's 18 floats. Float
 arithmetic overflows to inf and NaN without warnings, and the kernel checks
 its result for finiteness, raising IntegrationError; its one numpy call, the
 thrust product, runs inside the ``np.errstate(over="ignore",
@@ -111,51 +112,6 @@ class SimParams:
         object.__setattr__(self, "duration", duration)
 
 
-def _derivative(vx, vy, vz, px, py, pz, wx, wy, wz, r_ws0, force, torque, inertia, inertia_inv,
-                gravity):
-    """Newton-Euler derivative of the in-step (v, phi, omega), nine floats
-    each way, where phi is the rotation increment, so the attitude is
-    r_ws0 @ rodrigues(*phi). ``force`` is per unit mass; matrices are row-major.
-    """
-    fx, fy, fz = force
-    if px == 0.0 and py == 0.0 and pz == 0.0:
-        dpx, dpy, dpz = wx, wy, wz
-    else:
-        # Body force rotated by rodrigues(*phi), ahead of r_ws0 below.
-        e0, e1, e2, e3, e4, e5, e6, e7, e8 = rodrigues(px, py, pz)
-        fx, fy, fz = (
-            e0 * fx + e1 * fy + e2 * fz,
-            e3 * fx + e4 * fy + e5 * fz,
-            e6 * fx + e7 * fy + e8 * fz,
-        )
-        # Rotation-increment kinematics: the correction terms keep the
-        # update fourth-order accurate for finite increments.
-        cx, cy, cz = py * wz - pz * wy, pz * wx - px * wz, px * wy - py * wx
-        dpx = wx + 0.5 * cx + _TWELFTH * (py * cz - pz * cy)
-        dpy = wy + 0.5 * cy + _TWELFTH * (pz * cx - px * cz)
-        dpz = wz + 0.5 * cz + _TWELFTH * (px * cy - py * cx)
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r_ws0
-    ax = r0 * fx + r1 * fy + r2 * fz
-    ay = r3 * fx + r4 * fy + r5 * fz
-    az = r6 * fx + r7 * fy + r8 * fz - gravity
-    # Euler's equation: I_S^-1 (torque - omega x I_S omega).
-    i0, i1, i2, i3, i4, i5, i6, i7, i8 = inertia
-    hx = i0 * wx + i1 * wy + i2 * wz
-    hy = i3 * wx + i4 * wy + i5 * wz
-    hz = i6 * wx + i7 * wy + i8 * wz
-    tx, ty, tz = torque
-    gx = tx - (wy * hz - wz * hy)
-    gy = ty - (wz * hx - wx * hz)
-    gz = tz - (wx * hy - wy * hx)
-    j0, j1, j2, j3, j4, j5, j6, j7, j8 = inertia_inv
-    return (
-        ax, ay, az, dpx, dpy, dpz,
-        j0 * gx + j1 * gy + j2 * gz,
-        j3 * gx + j4 * gy + j5 * gz,
-        j6 * gx + j7 * gy + j8 * gz,
-    )
-
-
 def step(structure: StructureModel, state: RigidState, u: np.ndarray, dt: float,
          gravity: float = GRAVITY) -> RigidState:
     """Advance one step of length ``dt`` > 0 with the 4n finite thrusts ``u``
@@ -171,44 +127,67 @@ def _advance(structure, y, u, dt: float, gravity: float) -> tuple[float, ...]:
     that are checked already, inside the caller's ``np.errstate`` (see the
     module docstring); the next state's 18 floats."""
     rx, ry, rz, vx, vy, vz, *r_ws0, wx, wy, wz = y
-    mass, inertia, inertia_inv = structure._rigid_body
-    fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
-    force = (fx / mass, fy / mass, fz / mass)
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r_ws0
+    mass, (i0, i1, i2, i3, i4, i5, i6, i7, i8), (j0, j1, j2, j3, j4, j5, j6, j7, j8) = (
+        structure._rigid_body)
+    fx, fy, fz, tx, ty, tz = structure.thrust_map.dot(u).tolist()
+    fx, fy, fz = fx / mass, fy / mass, fz / mass
 
-    # Stage inputs are y0 + h k in its float operations, down to the 0.0 + h q
-    # on phi's zero start, as the run CSV records their bits. a: linear
-    # acceleration, q: phi rate, b: angular acceleration.
+    # Each stage takes the in-step (v, phi, omega) to their rates (a, q, b):
+    # a linear acceleration, q the rate of the rotation increment phi, so
+    # the attitude is r_ws0 @ rodrigues(*phi), b angular acceleration. Stage
+    # inputs are y0 + h k in its float operations, down to the 0.0 + h q on
+    # phi's zero start, as the run CSV records their bits; the d sums are
+    # k1 + 2 k2 + 2 k3 + k4, with dr summing the stage velocities.
     half = 0.5 * dt
-    ax1, ay1, az1, qx1, qy1, qz1, bx1, by1, bz1 = _derivative(
-        vx, vy, vz, 0.0, 0.0, 0.0, wx, wy, wz, r_ws0, force, torque, inertia, inertia_inv, gravity)
-    vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
-    ax2, ay2, az2, qx2, qy2, qz2, bx2, by2, bz2 = _derivative(
-        vx2, vy2, vz2, 0.0 + half * qx1, 0.0 + half * qy1, 0.0 + half * qz1,
-        wx + half * bx1, wy + half * by1, wz + half * bz1,
-        r_ws0, force, torque, inertia, inertia_inv, gravity)
-    vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
-    ax3, ay3, az3, qx3, qy3, qz3, bx3, by3, bz3 = _derivative(
-        vx3, vy3, vz3, 0.0 + half * qx2, 0.0 + half * qy2, 0.0 + half * qz2,
-        wx + half * bx2, wy + half * by2, wz + half * bz2,
-        r_ws0, force, torque, inertia, inertia_inv, gravity)
-    vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
-    ax4, ay4, az4, qx4, qy4, qz4, bx4, by4, bz4 = _derivative(
-        vx4, vy4, vz4, 0.0 + dt * qx3, 0.0 + dt * qy3, 0.0 + dt * qz3,
-        wx + dt * bx3, wy + dt * by3, wz + dt * bz3,
-        r_ws0, force, torque, inertia, inertia_inv, gravity)
+    svx, svy, svz, spx, spy, spz, swx, swy, swz = vx, vy, vz, 0.0, 0.0, 0.0, wx, wy, wz
+    for weight, h in ((None, half), (2.0, half), (2.0, dt), (1.0, None)):
+        if spx == 0.0 and spy == 0.0 and spz == 0.0:
+            ex, ey, ez = fx, fy, fz
+            qx, qy, qz = swx, swy, swz
+        else:
+            # Body force rotated by rodrigues(*phi), ahead of r_ws0 below.
+            e0, e1, e2, e3, e4, e5, e6, e7, e8 = rodrigues(spx, spy, spz)
+            ex = e0 * fx + e1 * fy + e2 * fz
+            ey = e3 * fx + e4 * fy + e5 * fz
+            ez = e6 * fx + e7 * fy + e8 * fz
+            # Rotation-increment kinematics: the correction terms keep the
+            # update fourth-order accurate for finite increments.
+            cx, cy, cz = spy * swz - spz * swy, spz * swx - spx * swz, spx * swy - spy * swx
+            qx = swx + 0.5 * cx + _TWELFTH * (spy * cz - spz * cy)
+            qy = swy + 0.5 * cy + _TWELFTH * (spz * cx - spx * cz)
+            qz = swz + 0.5 * cz + _TWELFTH * (spx * cy - spy * cx)
+        ax = r0 * ex + r1 * ey + r2 * ez
+        ay = r3 * ex + r4 * ey + r5 * ez
+        az = r6 * ex + r7 * ey + r8 * ez - gravity
+        # Euler's equation: I_S^-1 (torque - omega x I_S omega).
+        hx = i0 * swx + i1 * swy + i2 * swz
+        hy = i3 * swx + i4 * swy + i5 * swz
+        hz = i6 * swx + i7 * swy + i8 * swz
+        gx = tx - (swy * hz - swz * hy)
+        gy = ty - (swz * hx - swx * hz)
+        gz = tz - (swx * hy - swy * hx)
+        bx = j0 * gx + j1 * gy + j2 * gz
+        by = j3 * gx + j4 * gy + j5 * gz
+        bz = j6 * gx + j7 * gy + j8 * gz
+        if weight is None:
+            drx, dry, drz, dvx, dvy, dvz = svx, svy, svz, ax, ay, az
+            dpx, dpy, dpz, dwx, dwy, dwz = qx, qy, qz, bx, by, bz
+        else:
+            drx, dry, drz = drx + weight * svx, dry + weight * svy, drz + weight * svz
+            dvx, dvy, dvz = dvx + weight * ax, dvy + weight * ay, dvz + weight * az
+            dpx, dpy, dpz = dpx + weight * qx, dpy + weight * qy, dpz + weight * qz
+            dwx, dwy, dwz = dwx + weight * bx, dwy + weight * by, dwz + weight * bz
+        if h is None:
+            break
+        svx, svy, svz = vx + h * ax, vy + h * ay, vz + h * az
+        spx, spy, spz = 0.0 + h * qx, 0.0 + h * qy, 0.0 + h * qz
+        swx, swy, swz = wx + h * bx, wy + h * by, wz + h * bz
     sixth = dt / 6.0
-    y1 = (rx + sixth * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
-          ry + sixth * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
-          rz + sixth * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
-          vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-          vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
-          vz + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4))
-    phi = (0.0 + sixth * (qx1 + 2.0 * qx2 + 2.0 * qx3 + qx4),
-           0.0 + sixth * (qy1 + 2.0 * qy2 + 2.0 * qy3 + qy4),
-           0.0 + sixth * (qz1 + 2.0 * qz2 + 2.0 * qz3 + qz4))
-    omega1 = (wx + sixth * (bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4),
-              wy + sixth * (by1 + 2.0 * by2 + 2.0 * by3 + by4),
-              wz + sixth * (bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4))
+    y1 = (rx + sixth * drx, ry + sixth * dry, rz + sixth * drz,
+          vx + sixth * dvx, vy + sixth * dvy, vz + sixth * dvz)
+    phi = (0.0 + sixth * dpx, 0.0 + sixth * dpy, 0.0 + sixth * dpz)
+    omega1 = (wx + sixth * dwx, wy + sixth * dwy, wz + sixth * dwz)
     if not all(map(math.isfinite, y1 + phi + omega1)):
         raise IntegrationError("integration produced non-finite values (|v|="
                                f"{math.hypot(vx, vy, vz):.3e}, |omega|="

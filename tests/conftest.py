@@ -1,6 +1,5 @@
 """Shared fixtures: the reference structures used throughout the suite,
-two helpers over the private kernels that tests read, and one input whose
-thrusts overflow."""
+the numpy oracles that tests share, and one input whose thrusts overflow."""
 
 from pathlib import Path
 
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 
 from modrotor import Gains, ModulePlacement, RigidState, assemble, build_r_module, hover
-from modrotor.dynamics import GRAVITY, _derivative
-from modrotor.so3 import rodrigues, rot_x
+from modrotor.dynamics import GRAVITY
+from modrotor.so3 import E3, rodrigues, rot_x
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -27,15 +26,18 @@ def _oracle_is_rotation(r, tol=1e-9):
     return bool(np.linalg.norm(r @ r.T - np.eye(3)) < tol and abs(np.linalg.det(r) - 1.0) < tol)
 
 
-def accelerations(structure, state, u, gravity=GRAVITY):
-    """Linear (world) and angular (body) acceleration of ``state`` under the
-    thrusts ``u``: the integrator's derivative at a zero rotation increment."""
-    mass, inertia, inertia_inv = structure._rigid_body
-    fx, fy, fz, *torque = structure.thrust_map.dot(u).tolist()
-    k = _derivative(*state.v.tolist(), 0.0, 0.0, 0.0, *state.omega.tolist(),
-                    state.r_ws.ravel().tolist(), (fx / mass, fy / mass, fz / mass), torque,
-                    inertia, inertia_inv, gravity)
-    return np.array(k[0:3]), np.array(k[6:9])
+def _oracle_cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def accelerations(structure, r_ws, omega, u, gravity=GRAVITY):
+    """Linear (world) and angular (body) acceleration at attitude ``r_ws``
+    and body rate ``omega`` under the thrusts ``u``: Newton-Euler in numpy."""
+    r_ddot = r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
+    torque = structure.torque_map @ u
+    omega_dot = structure.inertia_inv @ (torque - _oracle_cross(omega, structure.inertia @ omega))
+    return r_ddot, omega_dot
 
 
 def overflowing_allocation():

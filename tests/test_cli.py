@@ -1,5 +1,6 @@
 import configparser
 import csv
+import importlib
 import io
 from dataclasses import fields, replace
 
@@ -11,7 +12,7 @@ from modrotor import (actuation_ellipsoid, check_balanced, numerical_rank, parse
 from modrotor.config import _SECTIONS, ModuleConfig
 from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _fixed, main, write_run_csv
 from modrotor.so3 import rotation_angle
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, ROOT
 from test_layout_properties import _draw_cells
 
 
@@ -337,6 +338,16 @@ def test_simulate_deterministic_output(capsys, tmp_path):
         )
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_output_digest_is_reproducible(monkeypatch):
+    # tools/output_digest.py compares two checkouts' outputs; each run of a
+    # group writes in a fresh temporary directory, and its digest must not
+    # depend on that directory.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    output_digest = importlib.import_module("output_digest")
+    first = output_digest.config_digest(CONFIG_DIR / "flat.cfg")
+    assert output_digest.config_digest(CONFIG_DIR / "flat.cfg") == first
 
 
 def _reference_run_csv(result, structure, out_path):

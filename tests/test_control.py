@@ -21,7 +21,8 @@ from modrotor.structure import _thrust_frame
 from modrotor.so3 import E1, E3, rot_x, rot_y, rot_z
 from modrotor.trajectory import TrajectorySample
 
-from conftest import _oracle_is_rotation, accelerations, exp_map, overflowing_allocation
+from conftest import (_oracle_cross, _oracle_is_rotation, accelerations, exp_map,
+                      overflowing_allocation)
 
 G = 9.81
 
@@ -333,7 +334,7 @@ class TestAllocate6:
         state = level_state(r_ws=quad_tilt_structure.r_sf.T)
         out = Controller(quad_tilt_structure).step(state, still_sample(a_r=a_cmd))
         assert not out.saturated
-        rdd, wdd = accelerations(quad_tilt_structure, state, out.u_raw, G)
+        rdd, wdd = accelerations(quad_tilt_structure, state.r_ws, state.omega, out.u_raw, G)
         np.testing.assert_allclose(rdd, a_cmd - G * E3, atol=1e-9)
         np.testing.assert_allclose(wdd, np.zeros(3), atol=1e-9)
 
@@ -526,11 +527,6 @@ def test_attitude_accel_signs(quad_tilt_structure):
                            gains=gains)
     np.testing.assert_allclose(tau, i_s @ [-0.5, -0.4, 0.0] + np.cross(omega, i_s @ omega),
                                rtol=1e-12, atol=1e-15)
-
-
-def _oracle_cross(a, b):
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _oracle_frame(a_r, second, first_is_x):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from modrotor import IntegrationError, RigidState, SimParams, step
-from modrotor.dynamics import _advance, _floats_of
+from modrotor.dynamics import GRAVITY, _advance, _floats_of
 from modrotor.so3 import E3, matmul3, rodrigues, rot_z
 
-from conftest import accelerations, exp_map
+from conftest import _oracle_cross, accelerations, exp_map
 
 
 def level_state(r=(0, 0, 0), v=(0, 0, 0), omega=(0, 0, 0)):
@@ -29,7 +29,7 @@ def top_closed_form(inertia, omega0, r_ws0, t):
 
 
 def test_free_fall_acceleration(flat_structure):
-    rdd, wdd = accelerations(flat_structure, level_state(), np.zeros(4))
+    rdd, wdd = accelerations(flat_structure, np.eye(3), np.zeros(3), np.zeros(4))
     np.testing.assert_allclose(rdd, -9.81 * E3, atol=0)
     np.testing.assert_array_equal(wdd, np.zeros(3))
 
@@ -37,7 +37,7 @@ def test_free_fall_acceleration(flat_structure):
 def test_hover_thrust_balances_gravity(flat_structure):
     g = 9.81
     u = np.full(4, flat_structure.total_mass * g / 4.0)
-    rdd, wdd = accelerations(flat_structure, level_state(), u, gravity=g)
+    rdd, wdd = accelerations(flat_structure, np.eye(3), np.zeros(3), u, gravity=g)
     np.testing.assert_allclose(rdd, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(wdd, np.zeros(3), atol=1e-12)
 
@@ -48,12 +48,9 @@ def test_tilted_module_needs_counter_tilt_to_hover(tilt10_structure):
     # vertical, so hover takes exactly weight / 4 per rotor.
     g = 9.81
     u = np.full(4, tilt10_structure.total_mass * g / 4.0)
-    level = level_state()
-    rdd_level, _ = accelerations(tilt10_structure, level, u, gravity=g)
+    rdd_level, _ = accelerations(tilt10_structure, np.eye(3), np.zeros(3), u, gravity=g)
     assert abs(rdd_level[0]) > 0.1
-    counter = RigidState(r=np.zeros(3), v=np.zeros(3),
-                         r_ws=tilt10_structure.r_sf.T, omega=np.zeros(3))
-    rdd, _ = accelerations(tilt10_structure, counter, u, gravity=g)
+    rdd, _ = accelerations(tilt10_structure, tilt10_structure.r_sf.T, np.zeros(3), u, gravity=g)
     np.testing.assert_allclose(rdd, np.zeros(3), atol=1e-12)
 
 
@@ -216,23 +213,12 @@ def test_state_holds_read_only_copies_of_its_arrays():
 # the float-level kernel: same stages, same Rodrigues formula, same polar pass.
 
 
-def _oracle_cross(a, b):
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-
-
 def _oracle_exp_map(v):
     angle = np.linalg.norm(v)
     k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
     if angle < 1e-8:
         return np.eye(3) + k + 0.5 * (k @ k)
     return np.eye(3) + (np.sin(angle) / angle) * k + ((1.0 - np.cos(angle)) / angle**2) * (k @ k)
-
-
-def _oracle_newton_euler(structure, r_ws, omega, u, gravity):
-    r_ddot = r_ws @ (structure.force_map @ u) / structure.total_mass - gravity * E3
-    torque = structure.torque_map @ u
-    omega_dot = structure.inertia_inv @ (torque - _oracle_cross(omega, structure.inertia @ omega))
-    return r_ddot, omega_dot
 
 
 def _oracle_derivative(structure, r_ws0, v, phi, omega, u, gravity):
@@ -242,7 +228,7 @@ def _oracle_derivative(structure, r_ws0, v, phi, omega, u, gravity):
         r_ws = r_ws0 @ _oracle_exp_map(phi)
         phi_dot = (omega + 0.5 * _oracle_cross(phi, omega)
                    + (1.0 / 12.0) * _oracle_cross(phi, _oracle_cross(phi, omega)))
-    r_ddot, omega_dot = _oracle_newton_euler(structure, r_ws, omega, u, gravity)
+    r_ddot, omega_dot = accelerations(structure, r_ws, omega, u, gravity)
     return v, r_ddot, phi_dot, omega_dot
 
 
@@ -283,14 +269,8 @@ def test_step_matches_numpy_oracle(all_structures):
                 np.testing.assert_allclose(getattr(got, name), want, rtol=0, atol=1e-13,
                                            err_msg=name)
 
-            r_ddot, omega_dot = accelerations(structure, state, u, gravity)
-            want_r_ddot, want_omega_dot = _oracle_newton_euler(
-                structure, state.r_ws, state.omega, u, gravity)
-            np.testing.assert_allclose(r_ddot, want_r_ddot, rtol=1e-14, atol=1e-13)
-            np.testing.assert_allclose(omega_dot, want_omega_dot, rtol=1e-14, atol=1e-13)
 
-
-# The list-based kernel that the unrolled ``_advance`` replaced, kept as it
+# The list-based kernel that ``_advance``'s stage loop replaced, kept as it
 # was: a bitwise oracle. The run CSV records the kernel's bits, so the
 # rewrite must keep every float operation and its order, down to the sign of
 # a zero.
@@ -398,9 +378,19 @@ def test_kernel_matches_list_kernel_bit_for_bit(all_structures):
             want = _list_advance(structure, state, u, dt, gravity)
             assert _bits(got) == _bits(want), f"{name} case {case}: {got} != {want}"
 
-            k = _list_derivative(_list_start(state), *_list_step_model(structure, state, u, gravity))
-            r_ddot, omega_dot = accelerations(structure, state, u, gravity)
-            assert _bits([*r_ddot, *omega_dot]) == _bits([*k[3:6], *k[9:12]]), f"{name} case {case}"
+        # Rest states under uniform hover thrust, as every flight starts. On
+        # flat and tilt10 that thrust has exactly zero torque, so phi stays
+        # zero and all four stages take the phi = 0 branch.
+        u = np.full(4 * structure.n, structure.total_mass * GRAVITY / (4 * structure.n))
+        if name in ("flat", "tilt10"):
+            assert structure.thrust_map.dot(u)[3:].tolist() == [0.0, 0.0, 0.0]
+        for omega in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)):
+            for r_ws in (np.eye(3), structure.r_sf.T):
+                for dt in (1e-3, 2e-2):
+                    state = RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=r_ws, omega=omega)
+                    got = _advance(structure, _floats_of(state), u, dt, GRAVITY)
+                    want = _list_advance(structure, state, u, dt, GRAVITY)
+                    assert _bits(got) == _bits(want), f"{name} at rest: {got} != {want}"
 
 
 def test_state_and_params_validation(flat_structure):

@@ -1,0 +1,127 @@
+"""Print one sha256 per group of modrotor's command-line outputs.
+
+Usage, from the root of a checkout:
+
+    python3 tools/output_digest.py
+
+Run it in each of two checkouts, each in its own process, and diff what it
+prints: an empty diff means the two trees write the same bytes. The groups:
+
+    <name>.cfg   for each configs/*.cfg: check, ellipsoid --out (stdout and
+                 polygon CSV) and the full simulate (stdout and run CSV)
+    sweep        check on the layouts that bench/sweep.generate_layouts
+                 draws for seeds 1-10
+    contract     check and, where the case flies, a 0.01 s simulate (with
+                 its run CSV) on each case of tests/test_cli._contract_variants
+
+Each command adds its exit code, stdout and stderr to its group's hash, and
+an escaped exception adds its type and message. Every command reads and
+writes in a temporary directory whose path is taken out of what it prints,
+so checkouts in different directories compare. Like bench/run.py, it exits
+with code 2 when modrotor cannot be imported from the checkout's src.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SWEEP_SEEDS = range(1, 11)
+
+
+def _run(digest, work: Path, *args: str) -> None:
+    """Run the CLI on ``args`` and add what it returned and printed to
+    ``digest``, with ``work``'s path taken out."""
+    from modrotor.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except Exception as exc:  # noqa: BLE001 - an escape is an output too
+            code = f"{type(exc).__name__}: {exc}"
+    prefix = f"{work}/"
+    for part in (args[0], str(code), out.getvalue(), err.getvalue()):
+        digest.update(part.replace(prefix, "").encode() + b"\0")
+
+
+def _add_file(digest, path: Path) -> None:
+    digest.update(path.read_bytes() if path.exists() else b"<missing>")
+    digest.update(b"\0")
+    path.unlink(missing_ok=True)
+
+
+def config_digest(path: Path) -> str:
+    """check, ellipsoid with its polygon CSV and the full simulate with its
+    run CSV, on a copy of one config file."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        config, polygon, run_csv = work / path.name, work / "polygon.csv", work / "run.csv"
+        config.write_bytes(path.read_bytes())
+        _run(digest, work, "check", "--config", str(config))
+        _run(digest, work, "ellipsoid", "--config", str(config), "--out", str(polygon))
+        _add_file(digest, polygon)
+        _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv))
+        _add_file(digest, run_csv)
+    return digest.hexdigest()
+
+
+def sweep_digest() -> str:
+    """check on each layout of the design sweep's seeds 1-10."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from sweep import POOL_SIZE, generate_layouts
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        work, config = Path(tmp), Path(tmp) / "layout.cfg"
+        for seed in SWEEP_SEEDS:
+            for layout in generate_layouts(seed, POOL_SIZE):
+                config.write_text(layout.text)
+                _run(digest, work, "check", "--config", str(config))
+    return digest.hexdigest()
+
+
+def contract_digest() -> str:
+    """check, and a short simulate where the case flies, on each
+    config-contract case of the test suite."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_cli import _contract_variants
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        config, run_csv = work / "variant.cfg", work / "run.csv"
+        for name, text, simulate in _contract_variants():
+            digest.update(name.encode() + b"\0")
+            config.write_text(text)
+            _run(digest, work, "check", "--config", str(config))
+            if simulate:
+                _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv),
+                     "--duration", "0.01")
+                _add_file(digest, run_csv)
+    return digest.hexdigest()
+
+
+def main() -> int:
+    if len(sys.argv) > 1:
+        print("usage: python3 tools/output_digest.py (takes no options)", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import _import_library
+
+    _import_library()
+    for config in sorted((ROOT / "configs").glob("*.cfg")):
+        print(config.name, config_digest(config), flush=True)
+    print("sweep", sweep_digest(), flush=True)
+    print("contract", contract_digest(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
