@@ -29,9 +29,10 @@ avoids the per-call cost of numpy on 3-vectors and 3x3 matrices, and uses
 numpy only for the allocation product, inside the ``np.errstate`` its
 callers enter (:meth:`Controller.step` on each call, the closed loop once
 per run); the clamp and the saturation test run on the resulting floats,
-and it returns floats. :meth:`Controller.step` is a thin wrapper that
-builds the whole ``ControlOutput`` from them. Float arithmetic overflows to
-inf and NaN without warnings, so the kernel checks the commanded
+and it returns floats, the thrust-frame attitude and attitude error the
+closed loop records among them. :meth:`Controller.step` is a thin wrapper
+that builds the whole ``ControlOutput`` from them. Float arithmetic
+overflows to inf and NaN without warnings, so the kernel checks the commanded
 acceleration and wrench for finiteness, and the minimum-norm thrusts when
 the clamp changed one, raising ControlDegeneracyError; the sample's
 attitude is a finite rotation already. So the output's ``Wrench`` skips
@@ -50,7 +51,7 @@ from .dynamics import GRAVITY, RigidState, _floats_of
 from .errors import AllocationError, ControlDegeneracyError
 from .lazy import checked, finite_array, read_only, unchecked
 from .module_design import Wrench
-from .so3 import cross3, matmul3
+from .so3 import _angle_of_trace, cross3, matmul3
 from .structure import StructureModel, _rank_of
 from .trajectory import TrajectorySample
 
@@ -218,7 +219,8 @@ class Controller:
 
     def step(self, state: RigidState, sample: TrajectorySample) -> ControlOutput:
         with np.errstate(over="ignore", invalid="ignore"):
-            u, u_raw, saturated, force, torque, r_wf_d = self._law(_floats_of(state), sample)
+            u, u_raw, saturated, force, torque, r_wf_d, _, _ = self._law(
+                _floats_of(state), sample)
         u_raw.setflags(write=False)
         return ControlOutput(
             u=read_only(u), u_raw=u_raw, saturated=saturated, mode=self.mode,
@@ -229,8 +231,9 @@ class Controller:
     def _law(self, y, sample: TrajectorySample):
         """The control law on a state's 18 floats ``y`` (see
         :func:`~modrotor.dynamics._floats_of`): the clamped thrusts as a list,
-        the minimum-norm thrusts as an array, the saturation flag, and the
-        commanded force, torque and row-major attitude as float tuples."""
+        the minimum-norm thrusts as an array, the saturation flag, the
+        commanded force, torque and row-major attitude as float tuples, and
+        the row-major thrust-frame attitude R_wf and its angle to that one."""
         rx, ry, rz, vx, vy, vz, *r_ws, wx, wy, wz = y
         r_d, v_d, a_d = sample.r_d, sample.v_d, sample.a_d
         # PD on position and velocity error plus gravity and acceleration feed-forward.
@@ -296,4 +299,5 @@ class Controller:
                     "minimum-norm thrusts are not finite: u_raw = ({}) N".format(
                         ", ".join(f"{x:.3e}" for x in raw)))
             saturated = max(map(abs, map(sub, u, raw))) > 1e-12
-        return u, u_raw, saturated, force, torque, r_wf_d
+        # M's trace sums trace(R_d^T R_wf) as so3.rotation_angle does, bit for bit.
+        return u, u_raw, saturated, force, torque, r_wf_d, r_wf, _angle_of_trace(m0 + m4 + m8)

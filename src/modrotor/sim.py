@@ -9,10 +9,12 @@ saturation flag.
 The loop passes Python floats between private kernels: it reads each
 trajectory sample's float tuples, hands the state's 18 floats to the
 control law (``Controller._law``) and its thrusts to the integrator
-(``dynamics._advance``), and computes each step's record from those floats,
-written as one row of preallocated numpy storage. It builds no
-``ControlOutput`` and no per-step ``RigidState``, only the final state, and
-enters the ``np.errstate`` the integrator needs once, around all its steps.
+(``dynamics._advance``), and writes each step's record, with the
+thrust-frame attitude and attitude error the law computed, as one row of
+preallocated numpy storage; the loop takes no attitude product of its own.
+It builds no ``ControlOutput`` and no per-step ``RigidState``, only the
+final state, and enters the ``np.errstate`` the integrator needs once,
+around all its steps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .control import Controller, Gains
 from .dynamics import RigidState, SimParams, _advance, _floats_of, _state_of
 from .errors import ModrotorError, SimulationError
 from .lazy import checked, shown
-from .so3 import angle_between
 from .structure import StructureModel
 from .trajectory import TrajectorySample
 
@@ -101,6 +102,13 @@ class RunResult:
         return values
 
 
+def _sample_at(trajectory, t: float) -> TrajectorySample:
+    if not isinstance(sample := trajectory(t), TrajectorySample):
+        raise ValueError(f"trajectory must return a TrajectorySample, got {shown(sample)} "
+                         f"at t={t:.6f} s")
+    return sample
+
+
 def run_closed_loop(
     structure: StructureModel,
     trajectory,
@@ -111,11 +119,13 @@ def run_closed_loop(
     """Track ``trajectory`` (a callable of time) for the configured duration.
 
     A duration of more steps than numpy can store raises SimulationError
-    before the first step.
+    before the first step; a sample that is not a TrajectorySample raises
+    ValueError naming its time.
     """
     params = params if params is not None else SimParams()
     controller = Controller(structure, gains, params.gravity)
-    state = state0 if state0 is not None else initial_state_from_sample(structure, trajectory(0.0))
+    state = state0 if state0 is not None else initial_state_from_sample(
+        structure, _sample_at(trajectory, 0.0))
 
     n_u = 4 * structure.n
     try:
@@ -127,7 +137,6 @@ def run_closed_loop(
         raise SimulationError(
             f"cannot store {params.duration / params.dt:.3g} steps of dt={params.dt} s: {exc}"
         ) from None
-    r_sf = structure.r_sf
     dt, gravity = params.dt, params.gravity
     law, y = controller._law, _floats_of(state)
 
@@ -135,18 +144,14 @@ def run_closed_loop(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = k * dt
-            sample = trajectory(t)
+            sample = _sample_at(trajectory, t)
             try:
-                u, _, sat[k], _, _, r_wf_d = law(y, sample)
+                u, _, sat[k], _, _, _, r_wf, att_err = law(y, sample)
                 r, r_d = y[0:3], sample.r_d
-                # numpy's product, not so3.matmul3: its BLAS kernel rounds
-                # near-cancelling entries differently, and the CSV records them.
-                r_wf = np.array(y[6:15]).reshape(3, 3).dot(r_sf).ravel().tolist()
                 # A list, not a tuple: a two-module row has 20 entries, and
                 # CPython 3.11 parks spent 20-item tuples on a free list it never
                 # draws from (0.4 MB more peak memory).
-                rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r),
-                           angle_between(r_wf, r_wf_d), *u]
+                rows[k] = [t, *r, *r_d, *_euler_zyx(r_wf), math.dist(r_d, r), att_err, *u]
                 y = _advance(structure, y, u, dt, gravity)
             except ModrotorError as exc:
                 raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc

@@ -123,15 +123,9 @@ def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:
     if rb is None:
         (a0, _, _), (_, a4, _), (_, _, a8) = ra.tolist()
         return _angle_of_trace(a0 + a4 + a8)
-    return angle_between(ra.ravel().tolist(), rb.ravel().tolist())
-
-
-def angle_between(a, b) -> float:
-    """Geodesic angle in radians between two rotations given as row-major
-    9-sequences of floats."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    # trace(a^T b), summed column by column like the matrix product.
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = ra.ravel().tolist()
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = rb.ravel().tolist()
+    # trace(ra^T rb), summed column by column like the matrix product.
     return _angle_of_trace((a0 * b0 + a3 * b3 + a6 * b6) + (a1 * b1 + a4 * b4 + a7 * b7)
                            + (a2 * b2 + a5 * b5 + a8 * b8))
 

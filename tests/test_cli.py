@@ -342,12 +342,13 @@ def test_simulate_deterministic_output(capsys, tmp_path):
 
 def test_output_digest_is_reproducible(monkeypatch):
     # tools/output_digest.py compares two checkouts' outputs; each run of a
-    # group writes in a fresh temporary directory, and its digest must not
-    # depend on that directory.
+    # group writes in a fresh temporary directory, and neither of its
+    # digests, command output and run CSV, may depend on that directory.
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     output_digest = importlib.import_module("output_digest")
-    first = output_digest.config_digest(CONFIG_DIR / "flat.cfg")
-    assert output_digest.config_digest(CONFIG_DIR / "flat.cfg") == first
+    outputs, run_csvs = output_digest.config_digest(CONFIG_DIR / "flat.cfg")
+    assert outputs != run_csvs
+    assert output_digest.config_digest(CONFIG_DIR / "flat.cfg") == (outputs, run_csvs)
 
 
 def _reference_run_csv(result, structure, out_path):

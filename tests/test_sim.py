@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from modrotor import (
     step,
 )
 from modrotor.sim import euler_zyx
-from modrotor.so3 import rot_x, rot_y, rot_z, rotation_angle
+from modrotor.so3 import matmul3, rot_x, rot_y, rot_z, rotation_angle
 from modrotor.trajectory import TrajectorySample, helix
 from conftest import CONFIG_DIR, exp_map, overflowing_allocation
 
@@ -180,6 +181,33 @@ def test_initial_rate_past_float_range_is_rejected_by_the_state():
         run_closed_loop(structure, lambda t: sample, params=SimParams(dt=0.01, duration=0.02))
 
 
+@pytest.mark.parametrize("value", [(0, 0, 1), None, {"r_d": (0.0, 0.0, 1.0)}],
+                         ids=["tuple", "None", "dict"])
+@pytest.mark.parametrize("given_state", [False, True], ids=["sampled_state", "given_state"])
+def test_sample_of_the_wrong_type_is_named(flat_structure, value, given_state):
+    # Every sample the run reads must be a TrajectorySample, the t = 0 one
+    # for the initial state included; anything else is named with its time.
+    hold = hover((0.0, 0.0, 1.0))
+    state0 = initial_state_from_sample(flat_structure, hold(0.0)) if given_state else None
+    params = SimParams(dt=0.01, duration=0.05)
+    message = (r"^trajectory must return a TrajectorySample, got "
+               + re.escape(repr(value)) + r" at t=0\.000000 s$")
+    with pytest.raises(ValueError, match=message):
+        run_closed_loop(flat_structure, lambda t: value, params=params, state0=state0)
+    # A later sample is checked too, and a subclass passes.
+    with pytest.raises(ValueError, match=r"at t=0\.030000 s$"):
+        run_closed_loop(flat_structure, lambda t: hold(t) if t < 0.025 else value,
+                        params=params, state0=state0)
+
+    class Sample(TrajectorySample):
+        pass
+
+    subclassed = Sample(t=0.0, r_d=(0.0, 0.0, 1.0), v_d=(0.0, 0.0, 0.0), a_d=(0.0, 0.0, 0.0))
+    got = run_closed_loop(flat_structure, lambda t: subclassed, params=params, state0=state0)
+    want = run_closed_loop(flat_structure, hold, params=params, state0=state0)
+    assert got.u.tobytes() == want.u.tobytes()
+
+
 def test_deterministic_across_runs(pitch_pair_structure):
     traj = hover((0.0, 0.0, 0.7))
     kw = dict(params=SimParams(dt=0.005, duration=1.0))
@@ -195,7 +223,10 @@ def test_run_matches_hand_loop_of_public_calls(name):
     # run_closed_loop hands floats between private kernels; a loop of the
     # public calls that reads the public array fields must give the same run
     # bit for bit, on every config: both samplers, ranks 1 to 3. Two seconds
-    # take experiment3 past its first saturated step.
+    # take experiment3 past its first saturated step. The run records the
+    # thrust-frame attitude the control law formed with matmul3, so the hand
+    # loop forms it the same way; numpy's product (BLAS rounds near-cancelling
+    # entries differently) stays an oracle within stated bounds.
     config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
     structure, trajectory, gains = config.to_structure(), config.to_trajectory(), config.to_gains()
     params = replace(config.to_sim_params(), duration=2.0)
@@ -203,20 +234,29 @@ def test_run_matches_hand_loop_of_public_calls(name):
 
     controller = Controller(structure, gains, params.gravity)
     state = initial_state_from_sample(structure, trajectory(0.0))
-    records = []
+    r_sf = structure.r_sf.ravel().tolist()
+    records, numpy_records = [], []
     for k in range(result.t.size):
         t = k * params.dt
         sample = trajectory(t)
         out = controller.step(state, sample)
-        r_wf = state.r_ws @ structure.r_sf
+        r_wf = np.array(matmul3(state.r_ws.ravel().tolist(), r_sf)).reshape(3, 3)
         records.append((t, *state.r, *sample.r_d, *euler_zyx(r_wf), math.dist(sample.r_d, state.r),
                         rotation_angle(r_wf, out.desired_attitude), *out.u, out.saturated))
+        r_np = state.r_ws @ structure.r_sf
+        numpy_records.append((*euler_zyx(r_np), rotation_angle(r_np, out.desired_attitude)))
         state = step(structure, state, out.u, params.dt, params.gravity)
 
     expected = np.array(records)
     got = np.column_stack([result.t, result.pos, result.pos_des, result.euler_f, result.pos_err,
                            result.att_err, result.u, result.saturated])
     assert got.tobytes() == expected.tobytes()
+    # The largest departures from numpy's record over these 2 s flights were
+    # 1.11e-16 rad (yaw/pitch/roll) and 5.27e-14 rad (att_err), both on
+    # experiment1; the bounds leave a margin of 4x.
+    numpy_records = np.array(numpy_records)
+    assert np.abs(result.euler_f - numpy_records[:, :3]).max() <= 4.44e-16
+    assert np.abs(result.att_err - numpy_records[:, 3]).max() <= 2.1e-13
     for field in ("r", "v", "r_ws", "omega"):
         assert getattr(result.final_state, field).tobytes() == getattr(state, field).tobytes()
     assert result.saturated.any() == (name == "experiment3")

@@ -1,4 +1,4 @@
-"""Print one sha256 per group of modrotor's command-line outputs.
+"""Print two sha256 digests per group of modrotor's command-line outputs.
 
 Usage, from the root of a checkout:
 
@@ -15,9 +15,11 @@ prints: an empty diff means the two trees write the same bytes. The groups:
                  its run CSV) on each case of tests/test_cli._contract_variants
 
 Each command adds its exit code, stdout and stderr to its group's hash, and
-an escaped exception adds its type and message. Every command reads and
-writes in a temporary directory whose path is taken out of what it prints,
-so checkouts in different directories compare. Like bench/run.py, it exits
+an escaped exception adds its type and message. The run CSVs go to a second
+hash, printed as ``<name>.cfg run-csv`` and ``contract run-csv``, so a
+change that moves only recorded values shows apart from command output.
+Every command reads and writes in a temporary directory whose path is taken
+out of what it prints, so checkouts in different directories compare. Like bench/run.py, it exits
 with code 2 when modrotor cannot be imported from the checkout's src.
 """
 
@@ -56,10 +58,10 @@ def _add_file(digest, path: Path) -> None:
     path.unlink(missing_ok=True)
 
 
-def config_digest(path: Path) -> str:
-    """check, ellipsoid with its polygon CSV and the full simulate with its
-    run CSV, on a copy of one config file."""
-    digest = hashlib.sha256()
+def config_digest(path: Path) -> tuple[str, str]:
+    """check, ellipsoid with its polygon CSV and the full simulate, then the
+    simulate's run CSV, on a copy of one config file."""
+    digest, csv_digest = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         config, polygon, run_csv = work / path.name, work / "polygon.csv", work / "run.csv"
@@ -68,8 +70,8 @@ def config_digest(path: Path) -> str:
         _run(digest, work, "ellipsoid", "--config", str(config), "--out", str(polygon))
         _add_file(digest, polygon)
         _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv))
-        _add_file(digest, run_csv)
-    return digest.hexdigest()
+        _add_file(csv_digest, run_csv)
+    return digest.hexdigest(), csv_digest.hexdigest()
 
 
 def sweep_digest() -> str:
@@ -87,25 +89,26 @@ def sweep_digest() -> str:
     return digest.hexdigest()
 
 
-def contract_digest() -> str:
+def contract_digest() -> tuple[str, str]:
     """check, and a short simulate where the case flies, on each
-    config-contract case of the test suite."""
+    config-contract case of the test suite; then the run CSVs."""
     sys.path.insert(0, str(ROOT / "tests"))
     from test_cli import _contract_variants
 
-    digest = hashlib.sha256()
+    digest, csv_digest = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         config, run_csv = work / "variant.cfg", work / "run.csv"
         for name, text, simulate in _contract_variants():
             digest.update(name.encode() + b"\0")
+            csv_digest.update(name.encode() + b"\0")
             config.write_text(text)
             _run(digest, work, "check", "--config", str(config))
             if simulate:
                 _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv),
                      "--duration", "0.01")
-                _add_file(digest, run_csv)
-    return digest.hexdigest()
+                _add_file(csv_digest, run_csv)
+    return digest.hexdigest(), csv_digest.hexdigest()
 
 
 def main() -> int:
@@ -117,9 +120,13 @@ def main() -> int:
 
     _import_library()
     for config in sorted((ROOT / "configs").glob("*.cfg")):
-        print(config.name, config_digest(config), flush=True)
+        outputs, run_csvs = config_digest(config)
+        print(config.name, outputs, flush=True)
+        print(config.name, "run-csv", run_csvs, flush=True)
     print("sweep", sweep_digest(), flush=True)
-    print("contract", contract_digest(), flush=True)
+    outputs, run_csvs = contract_digest()
+    print("contract", outputs, flush=True)
+    print("contract run-csv", run_csvs, flush=True)
     return 0
 
 
