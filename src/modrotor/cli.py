@@ -7,7 +7,6 @@ runtime simulation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -25,10 +24,6 @@ from .so3 import rotation_angle
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _fixed(value: float, sign: str = "") -> str:
@@ -110,24 +105,27 @@ def cmd_ellipsoid(config: StructureConfig, out_path: str | None) -> int:
     if out_path is not None:
         polygon = ellipsoid_xz_polygon(structure)
         with open(out_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x_n", "z_n"])
-            for x, z in polygon:
-                writer.writerow([_fmt(x), _fmt(z)])
+            handle.write("x_n,z_n\r\n")
+            handle.writelines("%.17g,%.17g\r\n" % (x, z) for x, z in polygon.tolist())
         print(f"wrote xz projection to {out_path}")
     return EXIT_OK
 
 
 def write_run_csv(result: RunResult, structure: StructureModel, out_path: str) -> None:
-    """One row per step; floats carry 17 significant digits for regression."""
-    n_u = 4 * structure.n
+    """One row per step; floats carry 17 significant digits for regression.
+    The thrust columns are counted from ``result.u``; a ``structure`` with a
+    different rotor count raises ValueError before the file is opened."""
+    n_u = result.u.shape[1]
+    if 4 * structure.n != n_u:
+        raise ValueError(f"structure must have {n_u} rotors, one per thrust column of "
+                         f"result.u, got {4 * structure.n}")
     header = (
         ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m",
          "yaw_rad", "pitch_rad", "roll_rad", "pos_err_m"]
         + [f"u{k + 1:02d}_n" for k in range(n_u)]
         + ["saturated"]
     )
-    # One format per row, as csv.writer lays out _fmt's strings: comma
+    # One format per row, the ellipsoid polygon's cell rule: comma
     # separated, CRLF line ends, nothing to quote. The 0/1 flag is appended
     # outside the format, so the 11 + 4n floats never make a 20-item tuple:
     # CPython 3.11 parks those on a free list it never draws from (0.4 MB

@@ -12,6 +12,7 @@ from modrotor import (actuation_ellipsoid, check_balanced, numerical_rank, parse
 from modrotor.config import _SECTIONS, ModuleConfig
 from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _fixed, main, write_run_csv
 from modrotor.so3 import rotation_angle
+from modrotor.structure import ellipsoid_xz_polygon
 from conftest import CONFIG_DIR, ROOT
 from test_layout_properties import _draw_cells
 
@@ -376,6 +377,26 @@ def _reference_run_csv(result, structure, out_path):
             )
 
 
+def _reference_polygon_csv(polygon, out_path):
+    """The CSV writer that formats each numpy element; the reference for
+    ``ellipsoid --out``."""
+    with open(out_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x_n", "z_n"])
+        for x, z in polygon:
+            writer.writerow([format(x, ".17g"), format(z, ".17g")])
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.stem)
+def test_polygon_csv_matches_reference_writer(path, tmp_path, capsys):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    code, _, err = run_cli(["ellipsoid", "--config", str(path), "--out", str(got)], capsys)
+    assert code == EXIT_OK, err
+    _reference_polygon_csv(ellipsoid_xz_polygon(parse_config(path.read_text()).to_structure()),
+                           want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_run_csv_matches_reference_writer(tmp_path):
     for name in ("experiment1", "experiment2", "experiment3"):
         config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
@@ -391,6 +412,26 @@ def test_run_csv_matches_reference_writer(tmp_path):
             _reference_run_csv(run, structure, tmp_path / "want.csv")
             got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
             assert got == want, name
+
+
+def test_run_csv_rejects_a_structure_of_another_rotor_count(tmp_path):
+    runs = {}
+    for name in ("experiment1", "experiment2"):
+        config = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+        config = replace(config, sim=replace(config.sim, duration_s=0.02))
+        structure = config.to_structure()
+        runs[name] = (run_closed_loop(structure, config.to_trajectory(), config.to_gains(),
+                                      config.to_sim_params()), structure)
+    out = tmp_path / "run.csv"
+    out.write_bytes(b"kept\r\n")
+    for run_of, structure_of, rotors, got in (("experiment2", "experiment1", 8, 4),
+                                              ("experiment1", "experiment2", 4, 8)):
+        message = (f"structure must have {rotors} rotors, one per thrust column of "
+                   f"result.u, got {got}")
+        with pytest.raises(ValueError) as info:
+            write_run_csv(runs[run_of][0], runs[structure_of][1], str(out))
+        assert str(info.value) == message
+        assert out.read_bytes() == b"kept\r\n"
 
 
 def test_simulate_rejects_bad_duration(capsys, tmp_path):

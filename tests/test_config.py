@@ -1,12 +1,13 @@
 import configparser
 import dataclasses
+import inspect
 import re
 
 import numpy as np
 import pytest
 
-from modrotor import (AssemblyError, ConfigError, Gains, ModrotorError, SimParams, build_r_module,
-                      parse_config, rectangle)
+from modrotor import (AssemblyError, ConfigError, Gains, ModrotorError, PropellerSpec, SimParams,
+                      build_r_module, parse_config, rectangle)
 from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
                              TrajectoryConfig, _read_ini)
 from conftest import CONFIG_DIR, ROOT
@@ -320,6 +321,21 @@ def test_omitted_sections_take_the_library_defaults():
     params, want = cfg.to_sim_params(), SimParams()
     for f in dataclasses.fields(SimParams):
         assert getattr(params, f.name) == getattr(want, f.name), f.name
+
+
+def test_module_defaults_agree_in_every_copy():
+    # The default module is written out three times: ModuleConfig's fields,
+    # build_r_module's signature and PropellerSpec's rotor fields.
+    config = {f.name: f.default for f in dataclasses.fields(ModuleConfig)}
+    builder = {name: p.default for name, p in inspect.signature(build_r_module).parameters.items()}
+    rotor = {f.name: f.default for f in dataclasses.fields(PropellerSpec)}
+    for config_key, builder_key, want in (("mass_kg", "mass", 0.135), ("base_m", "base", 0.12),
+                                          ("height_m", "height", 0.06),
+                                          ("alpha_deg", "alpha", 0.0), ("beta_deg", "beta", 0.0),
+                                          ("k_f", "k_f", 1.0), ("k_m", "k_m", 0.006),
+                                          ("f_max_n", "f_max", 2.0)):
+        assert config[config_key] == builder[builder_key] == want, config_key
+    assert (rotor["k_f"], rotor["k_m"], rotor["f_max"]) == (1.0, 0.006, 2.0)
 
 
 def test_config_dataclass_equality_is_by_value():

@@ -1,9 +1,10 @@
-"""No module in src/ or tests/ imports a name it never reads, parsing a
-config imports no standard library INI reader, and src/ builds instances
-without their checks, fills an instance's ``__dict__`` by hand, and checks
-the arrays callers pass in, in one place only. No module-level array in
-src/ can be written, src/ defines nothing that only the tests read, and no
-default of a function src/ keeps to itself is one that only the tests set.
+"""No module in src/, tests/ or tools/ imports a name it never reads,
+parsing a config imports no standard library INI reader, and src/ builds
+instances without their checks, fills an instance's ``__dict__`` by hand,
+and checks the arrays callers pass in, in one place only. No module-level
+array in src/ can be written, src/ defines nothing that only the tests
+read, and no default of a function src/ keeps to itself is one that only
+the tests set.
 
 The project depends on no linter, so each file is read with ``ast``: every
 name an import binds must be read somewhere in the same file. A package's
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
+SOURCES = sorted(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py")
                  if path.name != "__init__.py")
 
 
