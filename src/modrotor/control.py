@@ -117,22 +117,15 @@ class ControlOutput:
     mode: str
 
 
-def _unit_cross(a, b, message: str):
-    """Unit vector along a x b; raises ControlDegeneracyError(message) when
-    a and b are too close to parallel to define it."""
-    cx, cy, cz = cross3(a, b)
-    norm = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if norm <= _EPS_CROSS:
+def _unit(v, eps: float = _EPS_THRUST,
+          message: str = "desired acceleration too small to define a thrust direction"):
+    """Unit vector along v; raises ControlDegeneracyError(message) when
+    |v| <= eps. The defaults are the thrust direction's."""
+    x, y, z = v
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm <= eps:
         raise ControlDegeneracyError(message)
-    return (cx / norm, cy / norm, cz / norm)
-
-
-def _thrust_direction(a):
-    ax, ay, az = a
-    norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm <= _EPS_THRUST:
-        raise ControlDegeneracyError("desired acceleration too small to define a thrust direction")
-    return (ax / norm, ay / norm, az / norm)
+    return (x / norm, y / norm, z / norm)
 
 
 def _columns(x, y, z) -> tuple[float, ...]:
@@ -145,17 +138,18 @@ def _columns(x, y, z) -> tuple[float, ...]:
 def _attitude_4dof(a, target):
     """The z-axis carries a; the x-axis is the target's heading, the
     horizontal part of its x-axis, projected onto the plane normal to a."""
-    z = _thrust_direction(a)
-    y = _unit_cross(z, (target[0], target[3], 0.0), "thrust direction aligned with the heading")
+    z = _unit(a)
+    y = _unit(cross3(z, (target[0], target[3], 0.0)), _EPS_CROSS,
+              "thrust direction aligned with the heading")
     return _columns(cross3(y, z), y, z)
 
 
 def _attitude_5dof(a, target):
     """The x-axis is the target's, so its yaw and pitch hold exactly; the
     thrust direction is projected into the remaining free plane."""
-    z_c = _thrust_direction(a)
+    z_c = _unit(a)
     x = (target[0], target[3], target[6])
-    y = _unit_cross(z_c, x, "thrust direction aligned with the commanded x-axis")
+    y = _unit(cross3(z_c, x), _EPS_CROSS, "thrust direction aligned with the commanded x-axis")
     return _columns(x, y, cross3(x, y))
 
 

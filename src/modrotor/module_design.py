@@ -141,7 +141,27 @@ class ModuleSpec:
     @cached_property
     def _balance(self) -> BalanceReport:
         """:func:`check_balanced`'s report."""
-        return _balance_report(self)
+        rotors = self._rotors
+        positions, axes, spins = rotors[:, :3], rotors[:, 3:6], rotors[:, 6:7]
+        # A caller's module may hold positions near float range; their moments
+        # overflow to inf, which is a residual like any other.
+        with np.errstate(over="ignore", invalid="ignore"):
+            torque_from_forces = np.cross(positions, axes).sum(axis=0)
+        torque_from_drag = (spins * axes).sum(axis=0)
+        force_sum = axes.sum(axis=0)
+        gain = float(np.linalg.norm(force_sum))
+        axis = force_sum / gain if gain > _TOL else np.zeros(3)
+        target = self.tilt[:, 2]
+        parallel = (
+            gain > _TOL
+            and np.linalg.norm(np.cross(axis, target)) < _TOL
+            and axis @ target > 0.0
+        )
+        balanced = parallel and np.abs([torque_from_forces, torque_from_drag]).max() < _TOL
+        for arr in (torque_from_forces, torque_from_drag, axis):
+            arr.setflags(write=False)
+        return BalanceReport(torque_from_forces=torque_from_forces, torque_from_drag=torque_from_drag,
+                             total_force_axis=axis, thrust_gain=gain, is_balanced=bool(balanced))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,28 +267,3 @@ def check_balanced(module: ModuleSpec) -> BalanceReport:
     call returns it. Report arrays are read-only.
     """
     return module._balance
-
-
-def _balance_report(module: ModuleSpec) -> BalanceReport:
-    """A new :func:`check_balanced` report of ``module``."""
-    rotors = module._rotors
-    positions, axes, spins = rotors[:, :3], rotors[:, 3:6], rotors[:, 6:7]
-    # A caller's module may hold positions near float range; their moments
-    # overflow to inf, which is a residual like any other.
-    with np.errstate(over="ignore", invalid="ignore"):
-        torque_from_forces = np.cross(positions, axes).sum(axis=0)
-    torque_from_drag = (spins * axes).sum(axis=0)
-    force_sum = axes.sum(axis=0)
-    gain = float(np.linalg.norm(force_sum))
-    axis = force_sum / gain if gain > _TOL else np.zeros(3)
-    target = module.tilt[:, 2]
-    parallel = (
-        gain > _TOL
-        and np.linalg.norm(np.cross(axis, target)) < _TOL
-        and axis @ target > 0.0
-    )
-    balanced = parallel and np.abs([torque_from_forces, torque_from_drag]).max() < _TOL
-    for arr in (torque_from_forces, torque_from_drag, axis):
-        arr.setflags(write=False)
-    return BalanceReport(torque_from_forces=torque_from_forces, torque_from_drag=torque_from_drag,
-                         total_force_axis=axis, thrust_gain=gain, is_balanced=bool(balanced))

@@ -1,8 +1,13 @@
 """Rotation-group utilities shared across the package.
 
-Rotations are plain 3x3 numpy arrays acting on column vectors; angles are
-radians. Matrices are used everywhere instead of quaternions so the algebra
-stays directly readable against the dynamics and control expressions.
+Rotations are 3x3 matrices acting on column vectors; angles are radians.
+``rot_x``, ``rot_y``, ``rot_z``, ``is_rotation`` and ``rotation_angle``
+work on numpy arrays. The helpers of the per-step kernels work on Python
+floats instead: ``rodrigues``, ``rot_y_flat`` and ``rot_z_flat`` return a
+matrix as its nine row-major floats, ``matmul3`` multiplies two such
+row-major sequences and ``cross3`` crosses two 3-float sequences. Matrices
+are used instead of quaternions so the algebra stays directly readable
+against the dynamics and control expressions.
 """
 
 from __future__ import annotations
@@ -120,12 +125,10 @@ def is_rotation(r: np.ndarray) -> bool:
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray | None = None) -> float:
     """Geodesic angle in radians between two rotations (rb defaults to identity)."""
-    if rb is None:
-        (a0, _, _), (_, a4, _), (_, _, a8) = ra.tolist()
-        return _angle_of_trace(a0 + a4 + a8)
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = ra.ravel().tolist()
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = rb.ravel().tolist()
-    # trace(ra^T rb), summed column by column like the matrix product.
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = (I3 if rb is None else rb).ravel().tolist()
+    # trace(ra^T rb), summed column by column like the matrix product; with
+    # the identity, each column's sum is ra's diagonal entry for a finite ra.
     return _angle_of_trace((a0 * b0 + a3 * b3 + a6 * b6) + (a1 * b1 + a4 * b4 + a7 * b7)
                            + (a2 * b2 + a5 * b5 + a8 * b8))
 

@@ -144,17 +144,6 @@ def _smoothstep_deriv(x: float) -> float:
     return 30.0 * x**2 * (1.0 - x) ** 2
 
 
-@dataclass(frozen=True)
-class _Phase:
-    """One straight run or corner blend; vectors are float 3-tuples."""
-
-    start: float
-    duration: float
-    p0: tuple
-    v_in: tuple
-    dv: tuple | None  # v_out - v_in on a corner blend, None on a straight
-
-
 def _axpy(a: float, x, y) -> tuple[float, float, float]:
     """y + a x, entry by entry."""
     return (y[0] + a * x[0], y[1] + a * x[1], y[2] + a * x[2])
@@ -162,7 +151,9 @@ def _axpy(a: float, x, y) -> tuple[float, float, float]:
 
 def _rect_schedule(speed: float, altitude: float) -> tuple:
     """Phase table for one counterclockwise lap, starting mid bottom edge:
-    the phases, their start times and the lap time."""
+    the phases, each (start, duration, p0, v_in, dv) with dv = v_out - v_in
+    on a corner blend and None on a straight run, their start times and the
+    lap time."""
     speed, altitude = checked("speed", speed, POSITIVE), checked("altitude", altitude)
     shrink = speed * RECT_BLEND  # straight length consumed by each corner
     if shrink >= RECT_WIDTH:
@@ -181,15 +172,15 @@ def _rect_schedule(speed: float, altitude: float) -> tuple:
     for leg in range(4):
         run = rest[leg]
         v, v_next = velocities[leg], velocities[(leg + 1) % 4]
-        phases.append(_Phase(t, run / speed, p, v, None))
+        phases.append((t, run / speed, p, v, None))
         p = _axpy(run, dirs[leg], p)
         t += run / speed
-        phases.append(_Phase(t, RECT_BLEND, p, v, tuple(b - a for a, b in zip(v, v_next))))
+        phases.append((t, RECT_BLEND, p, v, tuple(b - a for a, b in zip(v, v_next))))
         p = _axpy(0.5 * RECT_BLEND, tuple(a + b for a, b in zip(v, v_next)), p)
         t += RECT_BLEND
-    phases.append(_Phase(t, rest[4] / speed, p, velocities[0], None))
+    phases.append((t, rest[4] / speed, p, velocities[0], None))
     t += rest[4] / speed
-    return tuple(phases), tuple(ph.start for ph in phases), t
+    return tuple(phases), tuple(phase[0] for phase in phases), t
 
 
 def rectangle(
@@ -210,18 +201,17 @@ def rectangle(
     def sample(t: float) -> TrajectorySample:
         t = checked("t", t, NON_NEGATIVE)
         tau = t % period
-        ph = phases[bisect_right(starts, tau) - 1]
-        dt = tau - ph.start
-        if ph.dv is None:
-            r_d, v_d, a_d = _axpy(dt, ph.v_in, ph.p0), ph.v_in, _ZERO3
+        start, duration, p0, v_in, dv = phases[bisect_right(starts, tau) - 1]
+        dt = tau - start
+        r_lin = _axpy(dt, v_in, p0)
+        if dv is None:
+            r_d, v_d, a_d = r_lin, v_in, _ZERO3
         else:
-            x = dt / ph.duration
-            duration, (dx, dy, dz) = ph.duration, ph.dv
-            r_lin = _axpy(dt, ph.v_in, ph.p0)
+            x, (dx, dy, dz) = dt / duration, dv
             s_int, s, s_deriv = _smoothstep_int(x), _smoothstep(x), _smoothstep_deriv(x)
             r_d = (r_lin[0] + dx * duration * s_int, r_lin[1] + dy * duration * s_int,
                    r_lin[2] + dz * duration * s_int)
-            v_d = _axpy(s, ph.dv, ph.v_in)
+            v_d = _axpy(s, dv, v_in)
             a_d = (dx * s_deriv / duration, dy * s_deriv / duration, dz * s_deriv / duration)
         return unchecked(TrajectorySample, t=t, r_d=r_d, v_d=v_d, a_d=a_d, omega_d=_ZERO3,
                          _attitude=attitude)

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import importlib
 import io
 from dataclasses import fields, replace
@@ -7,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import modrotor
 from modrotor import (actuation_ellipsoid, check_balanced, numerical_rank, parse_config,
                       run_closed_loop)
 from modrotor.config import _SECTIONS, ModuleConfig
@@ -343,13 +345,44 @@ def test_simulate_deterministic_output(capsys, tmp_path):
 
 def test_output_digest_is_reproducible(monkeypatch):
     # tools/output_digest.py compares two checkouts' outputs; each run of a
-    # group writes in a fresh temporary directory, and neither of its
-    # digests, command output and run CSV, may depend on that directory.
+    # group writes in a fresh temporary directory, and none of its digests,
+    # command output, run CSV and in-process RunResult, may depend on that
+    # directory or on an earlier run.
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     output_digest = importlib.import_module("output_digest")
-    outputs, run_csvs = output_digest.config_digest(CONFIG_DIR / "flat.cfg")
-    assert outputs != run_csvs
-    assert output_digest.config_digest(CONFIG_DIR / "flat.cfg") == (outputs, run_csvs)
+    digests = output_digest.config_digest(CONFIG_DIR / "flat.cfg")
+    assert len(digests) == 3 and len(set(digests)) == 3
+    assert output_digest.config_digest(CONFIG_DIR / "flat.cfg") == digests
+
+
+def test_output_digest_sees_every_run_result_bit(monkeypatch):
+    # The run-result digest covers what the run CSV and the summary leave
+    # out: one ulp of one att_err entry or of the final state moves it.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    output_digest = importlib.import_module("output_digest")
+    text = (CONFIG_DIR / "flat.cfg").read_text(encoding="utf-8") + "[sim]\nduration_s = 0.01\n"
+    fly = modrotor.run_closed_loop
+
+    def digest_with(change):
+        monkeypatch.setattr(modrotor, "run_closed_loop",
+                            lambda *args, **kwargs: change(fly(*args, **kwargs)))
+        digest = hashlib.sha256()
+        output_digest._add_run_result(digest, text)
+        return digest.hexdigest()
+
+    def nudge_att_err(result):
+        att_err = result.att_err.copy()
+        att_err[3] = np.nextafter(att_err[3], 1.0)
+        return replace(result, att_err=att_err)
+
+    def nudge_final_state(result):
+        state = result.final_state
+        return replace(result, final_state=replace(state, omega=np.nextafter(state.omega, 1.0)))
+
+    same = digest_with(lambda result: result)
+    assert digest_with(lambda result: result) == same
+    assert digest_with(nudge_att_err) != same
+    assert digest_with(nudge_final_state) != same
 
 
 def _reference_run_csv(result, structure, out_path):

@@ -672,3 +672,24 @@ def test_design_path_makes_at_most_three_svds(all_structures, monkeypatch):
         actuation_ellipsoid(rebuilt)
         Controller(rebuilt)
         assert len(calls) <= 3, f"{name}: {len(calls)} SVDs: {calls}"
+
+
+def test_degeneracy_thresholds_and_messages():
+    # Each unit vector a desired attitude needs raises, with its own
+    # message, at a norm of 1e-6 and is formed just above it.
+    level = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    too_small = "desired acceleration too small to define a thrust direction"
+    cases = [
+        (control._attitude_4dof, lambda n: ((0.0, 0.0, n), level), too_small),
+        (control._attitude_5dof, lambda n: ((0.0, 0.0, n), level), too_small),
+        (control._attitude_4dof, lambda n: ((0.0, 0.0, 1.0), (n, 0.0, 0.0, 0.0, 1.0, 0.0,
+                                                               0.0, 0.0, 1.0)),
+         "thrust direction aligned with the heading"),
+        (control._attitude_5dof, lambda n: ((0.0, 0.0, 1.0), (n, 0.0, 0.0, 0.0, 1.0, 0.0,
+                                                               1.0, 0.0, 0.0)),
+         "thrust direction aligned with the commanded x-axis"),
+    ]
+    for attitude, inputs, message in cases:
+        with pytest.raises(ControlDegeneracyError, match=f"^{re.escape(message)}$"):
+            attitude(*inputs(1e-6))
+        assert len(attitude(*inputs(np.nextafter(1e-6, 1.0)))) == 9

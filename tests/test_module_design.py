@@ -556,7 +556,7 @@ def test_caller_arrays_are_copied():
         np.testing.assert_array_equal(held.inertia, m.inertia)
         np.testing.assert_array_equal(held.tilt, m.tilt)
     assert check_balanced(module) is report and report.is_balanced
-    assert module_design._balance_report(module).is_balanced
+    assert dataclasses.replace(module)._balance.is_balanced
 
 
 def test_wrench_keeps_read_only_copies_of_3_vectors():
@@ -576,7 +576,7 @@ def test_balance_report_is_computed_once_per_module():
     m = build_r_module(alpha=0.1, beta=0.4)
     report = check_balanced(m)
     assert check_balanced(m) is report
-    fresh = module_design._balance_report(m)
+    fresh = dataclasses.replace(m)._balance
     assert fresh is not report
     for f in dataclasses.fields(fresh):
         np.testing.assert_array_equal(getattr(report, f.name), getattr(fresh, f.name))

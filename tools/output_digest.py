@@ -1,4 +1,4 @@
-"""Print two sha256 digests per group of modrotor's command-line outputs.
+"""Print sha256 digests of modrotor's command-line outputs and flights.
 
 Usage, from the root of a checkout:
 
@@ -18,6 +18,11 @@ Each command adds its exit code, stdout and stderr to its group's hash, and
 an escaped exception adds its type and message. The run CSVs go to a second
 hash, printed as ``<name>.cfg run-csv`` and ``contract run-csv``, so a
 change that moves only recorded values shows apart from command output.
+Each config gets a third hash, printed as ``<name>.cfg run-result``: its
+full flight flown in process by ``run_closed_loop``, with every array of
+the ``RunResult`` and of its final state byte for byte. The run CSV has no
+``att_err`` column and no final state, and the summary prints only the
+last ``att_err``, to 9 decimals.
 Every command reads and writes in a temporary directory whose path is taken
 out of what it prints, so checkouts in different directories compare. Like bench/run.py, it exits
 with code 2 when modrotor cannot be imported from the checkout's src.
@@ -26,6 +31,7 @@ with code 2 when modrotor cannot be imported from the checkout's src.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -58,10 +64,33 @@ def _add_file(digest, path: Path) -> None:
     path.unlink(missing_ok=True)
 
 
-def config_digest(path: Path) -> tuple[str, str]:
+def _add_run_result(digest, text: str) -> None:
+    """Fly the full flight of config ``text`` by ``run_closed_loop`` and add
+    the bytes of every ``RunResult`` array and of the final state's arrays
+    to ``digest``; an escaped exception adds its type and message."""
+    import numpy as np
+    from modrotor import parse_config, run_closed_loop
+
+    try:
+        config = parse_config(text)
+        result = run_closed_loop(config.to_structure(), config.to_trajectory(),
+                                 gains=config.to_gains(), params=config.to_sim_params())
+    except Exception as exc:  # noqa: BLE001 - an escape is an output too
+        digest.update(f"{type(exc).__name__}: {exc}".encode() + b"\0")
+        return
+    for record in (result, result.final_state):
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if isinstance(value, np.ndarray):
+                digest.update(f"{field.name} {value.dtype} {value.shape}\0".encode())
+                digest.update(value.tobytes())
+
+
+def config_digest(path: Path) -> tuple[str, str, str]:
     """check, ellipsoid with its polygon CSV and the full simulate, then the
-    simulate's run CSV, on a copy of one config file."""
-    digest, csv_digest = hashlib.sha256(), hashlib.sha256()
+    simulate's run CSV, on a copy of one config file; then the full flight's
+    ``RunResult``."""
+    digest, csv_digest, result_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         config, polygon, run_csv = work / path.name, work / "polygon.csv", work / "run.csv"
@@ -71,7 +100,8 @@ def config_digest(path: Path) -> tuple[str, str]:
         _add_file(digest, polygon)
         _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv))
         _add_file(csv_digest, run_csv)
-    return digest.hexdigest(), csv_digest.hexdigest()
+    _add_run_result(result_digest, path.read_text(encoding="utf-8"))
+    return digest.hexdigest(), csv_digest.hexdigest(), result_digest.hexdigest()
 
 
 def sweep_digest() -> str:
@@ -120,9 +150,10 @@ def main() -> int:
 
     _import_library()
     for config in sorted((ROOT / "configs").glob("*.cfg")):
-        outputs, run_csvs = config_digest(config)
+        outputs, run_csvs, run_result = config_digest(config)
         print(config.name, outputs, flush=True)
         print(config.name, "run-csv", run_csvs, flush=True)
+        print(config.name, "run-result", run_result, flush=True)
     print("sweep", sweep_digest(), flush=True)
     outputs, run_csvs = contract_digest()
     print("contract", outputs, flush=True)
