@@ -24,6 +24,7 @@ from .so3 import rotation_angle
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+_CSV_BLOCK_ROWS = 1024  # rows a CSV writer holds as Python floats at once
 
 
 def _fixed(value: float, sign: str = "") -> str:
@@ -104,40 +105,45 @@ def cmd_ellipsoid(config: StructureConfig, out_path: str | None) -> int:
         print(f"axis {i + 1}: sigma={_fixed(sigmas[i])} direction={_fmt_vec(direction)}")
     if out_path is not None:
         polygon = ellipsoid_xz_polygon(structure)
-        with open(out_path, "w", newline="") as handle:
-            handle.write("x_n,z_n\r\n")
-            handle.writelines("%.17g,%.17g\r\n" % (x, z) for x, z in polygon.tolist())
+        _write_csv(out_path, ["x_n", "z_n"], polygon, ["\r\n"] * len(polygon))
         print(f"wrote xz projection to {out_path}")
     return EXIT_OK
 
 
+def _write_csv(out_path: str, header: list[str], table: np.ndarray, ends) -> None:
+    """``header`` and a row per row of the float ``table`` as CSV: cells
+    ``%.17g``, comma separated; the header ends in CRLF, each row in the next
+    of ``ends``. Rows become Python floats _CSV_BLOCK_ROWS at a time."""
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    ends = iter(ends)
+    with open(out_path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            handle.writelines(row_format % tuple(row) + end for row, end in
+                              zip(table[start:start + _CSV_BLOCK_ROWS].tolist(), ends))
+
+
 def write_run_csv(result: RunResult, structure: StructureModel, out_path: str) -> None:
     """One row per step; floats carry 17 significant digits for regression.
-    The thrust columns are counted from ``result.u``; a ``structure`` with a
-    different rotor count raises ValueError before the file is opened."""
+    The thrust columns are counted from ``result.u``. A ``structure`` with a
+    different rotor count, or columns of different lengths, raise ValueError
+    before the file is opened."""
     n_u = result.u.shape[1]
     if 4 * structure.n != n_u:
         raise ValueError(f"structure must have {n_u} rotors, one per thrust column of "
                          f"result.u, got {4 * structure.n}")
-    header = (
-        ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m",
-         "yaw_rad", "pitch_rad", "roll_rad", "pos_err_m"]
-        + [f"u{k + 1:02d}_n" for k in range(n_u)]
-        + ["saturated"]
-    )
-    # One format per row, the ellipsoid polygon's cell rule: comma
-    # separated, CRLF line ends, nothing to quote. The 0/1 flag is appended
-    # outside the format, so the 11 + 4n floats never make a 20-item tuple:
-    # CPython 3.11 parks those on a free list it never draws from (0.4 MB
-    # after 2000 rows of a two-module structure).
-    row_format = ",".join(["%.17g"] * (len(header) - 1))
-    columns = (result.t, result.pos, result.pos_des, result.euler_f, result.pos_err, result.u,
-               result.saturated)
-    with open(out_path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        for t, pos, pos_des, euler, pos_err, u, saturated in zip(*(c.tolist() for c in columns)):
-            flag = ",1\r\n" if saturated else ",0\r\n"
-            handle.write(row_format % (t, *pos, *pos_des, *euler, pos_err, *u) + flag)
+    header = ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m", "yaw_rad", "pitch_rad",
+              "roll_rad", "pos_err_m", *(f"u{k + 1:02d}_n" for k in range(n_u)), "saturated"]
+    names = ("t", "pos", "pos_des", "euler_f", "pos_err", "u", "saturated")
+    lengths = [len(getattr(result, name)) for name in names]
+    if len(set(lengths)) > 1:
+        raise ValueError("result columns must each hold one row per step, got lengths "
+                         + ", ".join(f"{name}={n}" for name, n in zip(names, lengths)))
+    # The 0/1 flag rides in the line end: 11 + 4n floats never make a 20-item
+    # tuple, which CPython 3.11 parks on a free list it never draws from.
+    ends = map((",0\r\n", ",1\r\n").__getitem__, result.saturated.tolist())
+    table = np.column_stack([getattr(result, name) for name in names[:-1]])
+    _write_csv(out_path, header, table, ends)
 
 
 def cmd_simulate(config: StructureConfig, out_path: str) -> int:

@@ -194,15 +194,18 @@ def _advance(structure, y, u, dt: float, gravity: float) -> tuple[float, ...]:
                                f"{math.hypot(wx, wy, wz):.3e}, dt={dt})")
 
     r_ws1 = matmul3(r_ws0, rodrigues(*phi))
-    # One symmetric orthogonalization pass, r_ws1 (1.5 I - 0.5 r_ws1^T r_ws1);
-    # the exponential update drifts by roundoff only, so this keeps R on the
-    # rotation group indefinitely.
-    transposed = r_ws1[0::3] + r_ws1[1::3] + r_ws1[2::3]
-    g0, g1, g2, g3, g4, g5, g6, g7, g8 = matmul3(transposed, r_ws1)
+    # One symmetric orthogonalization pass, r_ws1 (1.5 I - 0.5 G) with the
+    # Gram matrix G = r_ws1^T r_ws1, its six distinct entries summed in
+    # matmul3's order (a * b is b * a bit for bit); the exponential update
+    # drifts by roundoff only, so this keeps R on the rotation group.
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = r_ws1
+    g0, g1 = s0 * s0 + s3 * s3 + s6 * s6, s0 * s1 + s3 * s4 + s6 * s7
+    g2, g4 = s0 * s2 + s3 * s5 + s6 * s8, s1 * s1 + s4 * s4 + s7 * s7
+    g5, g8 = s1 * s2 + s4 * s5 + s7 * s8, s2 * s2 + s5 * s5 + s8 * s8
     r_ws1 = matmul3(r_ws1, (
         1.5 - 0.5 * g0, -0.5 * g1, -0.5 * g2,
-        -0.5 * g3, 1.5 - 0.5 * g4, -0.5 * g5,
-        -0.5 * g6, -0.5 * g7, 1.5 - 0.5 * g8,
+        -0.5 * g1, 1.5 - 0.5 * g4, -0.5 * g5,
+        -0.5 * g2, -0.5 * g5, 1.5 - 0.5 * g8,
     ))
     if not all(map(math.isfinite, r_ws1)):
         raise IntegrationError(f"attitude update overflowed (|phi|={math.hypot(*phi):.3e}, "

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib
 import io
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,10 +13,12 @@ import modrotor
 from modrotor import (actuation_ellipsoid, check_balanced, numerical_rank, parse_config,
                       run_closed_loop)
 from modrotor.config import _SECTIONS, ModuleConfig
+from modrotor.dynamics import RigidState
 from modrotor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _fixed, main, write_run_csv
+from modrotor.sim import RunResult
 from modrotor.so3 import rotation_angle
 from modrotor.structure import ellipsoid_xz_polygon
-from conftest import CONFIG_DIR, ROOT
+from conftest import CONFIG_DIR, ROOT, make_quad_tilt, make_tilt10
 from test_layout_properties import _draw_cells
 
 
@@ -465,6 +468,61 @@ def test_run_csv_rejects_a_structure_of_another_rotor_count(tmp_path):
             write_run_csv(runs[run_of][0], runs[structure_of][1], str(out))
         assert str(info.value) == message
         assert out.read_bytes() == b"kept\r\n"
+
+
+def _seeded_run(steps, n_modules, seed=0):
+    """A caller-built RunResult of ``steps`` rows of seeded floats, spread
+    over 1e-9..1e9 in magnitude with some signed zeros, and random flags."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(steps, 12 + 4 * n_modules)) * 10.0 ** rng.integers(-9, 10, (steps, 1))
+    rows[rng.random(rows.shape) < 0.02] = -0.0
+    state = RigidState(r=np.zeros(3), v=np.zeros(3), r_ws=np.eye(3), omega=np.zeros(3))
+    return RunResult(t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
+                     pos_err=rows[:, 10], att_err=rows[:, 11], u=rows[:, 12:],
+                     saturated=rng.random(steps) < 0.3, final_state=state)
+
+
+@pytest.mark.parametrize("steps", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("make_structure", [make_tilt10, make_quad_tilt],
+                         ids=["one_module", "four_modules"])
+def test_run_csv_matches_reference_writer_across_row_blocks(steps, make_structure, tmp_path):
+    # The writer turns rows into floats 1024 at a time: each row is written
+    # once, in order, with its own flag, on both sides of each block edge.
+    structure = make_structure()
+    run = _seeded_run(steps, structure.n, seed=steps)
+    write_run_csv(run, structure, str(tmp_path / "got.csv"))
+    _reference_run_csv(run, structure, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("short", ["u", "saturated"])
+def test_run_csv_rejects_columns_of_different_lengths(short, tmp_path):
+    # zip or the row ends would write only the shortest column's rows.
+    structure = make_tilt10()
+    run = _seeded_run(10, 1)
+    run = replace(run, **{short: getattr(run, short)[:4]})
+    out = tmp_path / "run.csv"
+    out.write_bytes(b"kept\r\n")
+    lengths = ", ".join(f"{name}={4 if name == short else 10}" for name in
+                        ("t", "pos", "pos_des", "euler_f", "pos_err", "u", "saturated"))
+    with pytest.raises(ValueError) as info:
+        write_run_csv(run, structure, str(out))
+    assert str(info.value) == f"result columns must each hold one row per step, got lengths {lengths}"
+    assert out.read_bytes() == b"kept\r\n"
+
+
+def test_run_csv_memory_does_not_grow_with_the_run(tmp_path):
+    # 15,000 rows of 16 thrusts: the float table itself is 3.2 MB; Python
+    # floats of every row at once would be about 17 MB.
+    structure = make_quad_tilt()
+    run = _seeded_run(15_000, structure.n)
+    tracemalloc.start()
+    try:
+        write_run_csv(run, structure, str(tmp_path / "run.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, peak
 
 
 def test_simulate_rejects_bad_duration(capsys, tmp_path):
