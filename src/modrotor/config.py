@@ -49,7 +49,6 @@ class ModuleConfig:
     height_m: float = 0.06
     alpha_deg: float = 0.0
     beta_deg: float = 0.0
-    k_f: float = 1.0
     k_m: float = 0.006
     f_max_n: float = 2.0
     grid_col: int = 0
@@ -122,16 +121,19 @@ def _built(where: str, build, *args, **kwargs):
 
 
 def _placement(m: ModuleConfig) -> ModulePlacement:
+    """``m``'s placement; its tilts and inertia triple take the text rules."""
+    inertia = m.inertia_diag_kgm2
+    if inertia is not None:
+        inertia = np.diag(_triple("inertia_diag_kgm2", inertia, inertia))
     module = build_r_module(
         mass=m.mass_kg,
         base=m.base_m,
         height=m.height_m,
-        alpha=math.radians(checked("alpha_deg", m.alpha_deg)),
-        beta=math.radians(checked("beta_deg", m.beta_deg)),
-        k_f=m.k_f,
+        alpha=math.radians(checked("alpha_deg", m.alpha_deg, _BOUNDS["alpha_deg"])),
+        beta=math.radians(checked("beta_deg", m.beta_deg, _BOUNDS["beta_deg"])),
         k_m=m.k_m,
         f_max=m.f_max_n,
-        inertia=np.diag(m.inertia_diag_kgm2) if m.inertia_diag_kgm2 else None,
+        inertia=inertia,
     )
     return ModulePlacement(
         module=module,
@@ -147,8 +149,6 @@ _TRAJECTORIES = {
     "helix": lambda tr: helix,
     "rectangle": lambda tr: rectangle(math.radians(checked("pitch_hold_deg", tr.pitch_hold_deg)),
                                       tr.speed_mps, tr.altitude_m),
-    # The level rectangle: pitch_hold_deg does not apply.
-    "rectangle_fixed": lambda tr: rectangle(0.0, tr.speed_mps, tr.altitude_m),
 }
 
 
@@ -164,7 +164,7 @@ def _builder(kind):
 # listed (grid_col, grid_row) is left to ModulePlacement.
 _BOUNDS = {
     **dict.fromkeys(
-        ("mass_kg", "base_m", "height_m", "k_f", "f_max_n", "k_pos", "k_vel", "k_rot",
+        ("mass_kg", "base_m", "height_m", "f_max_n", "k_pos", "k_vel", "k_rot",
          "k_ang", "dt_s", "duration_s", "speed_mps", "altitude_m", "inertia_diag_kgm2"),
         POSITIVE,
     ),
@@ -197,10 +197,20 @@ def _convert(type_name: str, raw: str, key: str):
         if key in _BOUNDS:
             checked(key, value, _BOUNDS[key])
         return value
-    parts = raw.split(",")
+    return _triple(key, [part.strip() for part in raw.split(",")], raw)
+
+
+def _triple(key: str, parts, value) -> tuple[float, float, float]:
+    """The three entries of ``parts``, each within ``key``'s bound, as
+    floats; otherwise a ValueError naming ``key`` that shows ``value``, the
+    input ``parts`` came from."""
+    try:
+        parts = list(parts)
+    except TypeError:  # a number or a 0-d array is not three of them
+        parts = ()
     if len(parts) != 3:
-        raise ValueError(f"{key} must be three numbers, got {raw!r}")
-    return tuple(checked(key, part.strip(), _BOUNDS[key]) for part in parts)
+        raise ValueError(f"{key} must be three numbers, got {shown(value)}")
+    return tuple(checked(key, part, _BOUNDS[key]) for part in parts)
 
 
 def _parse_section(cls, section, where: str):

@@ -49,7 +49,7 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState, _floats_of
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import checked, finite_array, read_only, unchecked
+from .lazy import checked, finite_array, read_only, shown, unchecked
 from .module_design import Wrench
 from .so3 import _angle_of_trace, cross3, matmul3
 from .structure import StructureModel, _rank_of
@@ -86,10 +86,10 @@ class Gains:
                 entries *= 3
             elif gain.shape == (3, 3) and not any(entries[1:4] + entries[5:8]):
                 entries = entries[::4]
-            elif gain.shape != (3,):
-                raise ValueError(f"{name} must be a diagonal 3x3 matrix")
-            if min(entries) <= 0.0:
-                raise ValueError(f"{name} diagonal entries must be positive")
+            if gain.shape not in ((), (3,), (3, 3)) or len(entries) != 3 or min(entries) <= 0.0:
+                raise ValueError(f"{name} must be a positive number, three positive entries or "
+                                 "a diagonal 3x3 matrix with a positive diagonal, "
+                                 f"got {shown(getattr(self, name))}")
             object.__setattr__(self, name, tuple(entries))
 
 

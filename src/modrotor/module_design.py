@@ -41,20 +41,18 @@ class PropellerSpec:
     position: rotor location in the module frame, m
     orientation: rotor frame in the module frame; thrust acts along its z-axis
     spin: +1 or -1, sign of the drag torque about the thrust axis
-    k_f / k_m: thrust and drag coefficients; only the ratio k_m/k_f enters
-        the torque model
+    k_m: drag moment about the thrust axis per newton of thrust, m
     f_max: thrust ceiling, N
 
     ``position`` must be a finite 3-vector and ``orientation`` a rotation;
-    ``spin`` is kept as the int 1 or -1; ``k_f`` and ``f_max`` must be
-    positive and ``k_m`` non-negative, all finite. A bad field raises
-    ValueError naming it. Both arrays are kept as read-only copies.
+    ``spin`` is kept as the int 1 or -1; ``f_max`` must be positive and
+    ``k_m`` non-negative, both finite. A bad field raises ValueError naming
+    it. Both arrays are kept as read-only copies.
     """
 
     position: np.ndarray
     orientation: np.ndarray
     spin: int
-    k_f: float = 1.0
     k_m: float = 0.006
     f_max: float = 2.0
 
@@ -65,13 +63,8 @@ class PropellerSpec:
         if spin not in (1.0, -1.0):
             raise ValueError(f"spin must be +1 or -1, got {shown(self.spin)}")
         object.__setattr__(self, "spin", int(spin))
-        for name, bound in (("k_f", POSITIVE), ("k_m", NON_NEGATIVE), ("f_max", POSITIVE)):
+        for name, bound in (("k_m", NON_NEGATIVE), ("f_max", POSITIVE)):
             object.__setattr__(self, name, checked(name, getattr(self, name), bound))
-
-    @property
-    def drag_ratio(self) -> float:
-        """Torque per unit thrust about the rotor axis, m."""
-        return self.k_m / self.k_f
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +123,10 @@ class ModuleSpec:
     @cached_property
     def _rotors(self) -> np.ndarray:
         """Read-only 4 x 9 table, a row per rotor: position (columns 0-2) and
-        thrust axis (3-5) in the module frame, spin, k_m / k_f and f_max."""
+        thrust axis (3-5) in the module frame, spin, k_m and f_max."""
         props = self.propellers
         axes = (np.array([p.orientation for p in props]) @ E3).tolist()
-        table = np.array([[*p.position.tolist(), *axis, p.spin, p.drag_ratio, p.f_max]
+        table = np.array([[*p.position.tolist(), *axis, p.spin, p.k_m, p.f_max]
                           for p, axis in zip(props, axes)])
         table.setflags(write=False)
         return table
@@ -170,7 +163,7 @@ class BalanceReport:
 
     torque_from_forces: net moment of the four unit thrusts, N*m
     torque_from_drag: spin-weighted sum of the four thrust axes (the drag
-        torque up to the k_m/k_f factor)
+        torque up to the k_m factor)
     total_force_axis: unit direction of the summed thrust, zero if degenerate
     thrust_gain: magnitude of the summed thrust vector (4 for a shared-tilt module)
 
@@ -194,7 +187,6 @@ def build_r_module(
     height: float = 0.06,
     alpha: float = 0.0,
     beta: float = 0.0,
-    k_f: float = 1.0,
     k_m: float = 0.006,
     f_max: float = 2.0,
     inertia: np.ndarray | None = None,
@@ -205,7 +197,7 @@ def build_r_module(
     counterclockwise from front-right, all with the same orientation. Inertia
     defaults to the solid-cuboid model but can be overridden.
 
-    The inputs are checked in the order base, alpha, beta, k_f, k_m, f_max,
+    The inputs are checked in the order base, alpha, beta, k_m, f_max,
     mass, height, inertia; the first bad one raises a ValueError naming
     it. The rotors and the module are built through the public
     ``PropellerSpec`` and ``ModuleSpec`` constructors and their checks.
@@ -219,20 +211,20 @@ def build_r_module(
     that raises is never kept, so a bad input raises the same error on
     every call.
     """
-    scalars = (mass, base, height, alpha, beta, k_f, k_m, f_max)
+    scalars = (mass, base, height, alpha, beta, k_m, f_max)
     if inertia is None and {*map(type, scalars)} == {float}:
-        return _kept_module(struct.pack("<8d", *scalars))
+        return _kept_module(struct.pack("<7d", *scalars))
     return _build_module(*scalars, inertia)
 
 
 @lru_cache(maxsize=256)
 def _kept_module(key: bytes) -> ModuleSpec:
-    """The module of :func:`build_r_module`'s eight float arguments, packed
+    """The module of :func:`build_r_module`'s seven float arguments, packed
     bit for bit in ``key``."""
-    return _build_module(*struct.unpack("<8d", key))
+    return _build_module(*struct.unpack("<7d", key))
 
 
-def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None) -> ModuleSpec:
+def _build_module(mass, base, height, alpha, beta, k_m, f_max, inertia=None) -> ModuleSpec:
     """A new module from :func:`build_r_module`'s arguments, checked in its
     order: the constructors check all but the inputs they are built from."""
     base = checked("base", base, POSITIVE)  # first: the rotor positions are built from it
@@ -242,7 +234,7 @@ def _build_module(mass, base, height, alpha, beta, k_f, k_m, f_max, inertia=None
     alpha, beta = checked("alpha", alpha, TILT), checked("beta", beta, TILT)
     orientation = rot_y(beta) @ rot_x(alpha)
     props = tuple(PropellerSpec(position=(x, y, 0.0), orientation=orientation, spin=spin,
-                                k_f=k_f, k_m=k_m, f_max=f_max)
+                                k_m=k_m, f_max=f_max)
                   for x, y, spin in ((d, -d, 1), (d, d, -1), (-d, d, 1), (-d, -d, -1)))
     mass, height = checked("mass", mass, POSITIVE), checked("height", height, POSITIVE)
     if inertia is None:

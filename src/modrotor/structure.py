@@ -75,7 +75,7 @@ class StructureModel:
     and bottom row blocks. ``r_sf`` rotates the thrust frame into {S};
     ``force_sigmas`` holds the singular values of the force block in
     descending order. ``rank_f``, ``force_sigmas``, ``r_sf`` and
-    :func:`actuation_ellipsoid` all read the force block's one full SVD.
+    :func:`actuation_ellipsoid` all read the force block's one SVD.
     """
 
     placements: tuple[ModulePlacement, ...]
@@ -217,13 +217,14 @@ def assemble(placements) -> StructureModel:
     ``matmul`` each, and the torque columns p x a take np.cross's
     arithmetic. Finiteness and sign tests run on floats. Two SVDs: the
     torque block's singular values (its rank must be 3) and the force
-    block's full SVD, the one source of ``force_sigmas``, ``rank_f``, the
-    thrust frame and :func:`actuation_ellipsoid`. Every output has the
-    bits of the per-module loop it replaces. A module whose k_m / k_f
-    overflows, a total mass that overflows, or a total inertia that does,
-    as for modules placed far apart, raises AssemblyError before the rank
-    tests; a rank-deficient torque block, from degenerate geometry or a
-    huge but finite k_m / k_f, raises it naming the largest k_m / k_f.
+    block's SVD without its unused right factor, the one source of
+    ``force_sigmas``, ``rank_f``, the thrust frame and
+    :func:`actuation_ellipsoid`. Every output has the bits of the
+    per-module loop it replaces. A total mass that overflows, or a total
+    inertia that does, as for modules placed far apart, raises
+    AssemblyError before the rank tests; a rank-deficient torque block, from
+    degenerate geometry or a huge but finite k_m, raises it naming the
+    largest k_m.
     """
     placements = tuple(placements)
     if not placements:
@@ -241,13 +242,7 @@ def assemble(placements) -> StructureModel:
             raise AssemblyError(f"modules {seen[cell] + 1} and {idx + 1} both occupy grid "
                                 f"cell {cell}")
         seen[cell] = idx
-        table = pl.module._rotors
-        # Each of k_m and k_f is finite, but their ratio can overflow; an
-        # infinite drag would turn the torque rows to inf and NaN.
-        if not all(map(math.isfinite, table[:, 7].tolist())):
-            raise AssemblyError(f"module {idx + 1} has a drag ratio k_m / k_f beyond "
-                                "float range")
-        tables.append(table)
+        tables.append(pl.module._rotors)
 
     masses = np.array([pl.module.mass for pl in placements])
     grid_pos = np.array([[pl.grid_offset[0] * base, pl.grid_offset[1] * base, 0.0] for pl in placements])
@@ -291,10 +286,10 @@ def assemble(placements) -> StructureModel:
 
     if _rank_of(np.linalg.svd(a[3:], compute_uv=False)) != 3:
         raise AssemblyError("torque block is rank-deficient; module geometry is degenerate, "
-                            f"or the largest k_m / k_f ({tables[:, :, 7].max():.3e} m) "
+                            f"or the largest k_m ({tables[:, :, 7].max():.3e} m) "
                             "swamps the rotor arms")
 
-    u, sigmas, _ = np.linalg.svd(a[:3])
+    u, sigmas, _ = np.linalg.svd(a[:3], full_matrices=False)
     rank_f = _rank_of(sigmas)
     r_sf = _thrust_frame(a[:3], rank_f, (u, sigmas))
 
@@ -322,7 +317,7 @@ def actuation_ellipsoid(structure: StructureModel) -> tuple[np.ndarray, np.ndarr
     Returns (sigmas, axes) with sigmas descending and axes as columns, sign
     normalized so each axis's largest component is positive. The image of
     the unit thrust ball under the force map is the ellipsoid with semi-axis
-    sigmas[i] along axes[:, i]. Both come from the force block's full SVD,
+    sigmas[i] along axes[:, i]. Both come from the force block's SVD,
     which :func:`assemble` took once; this call makes none of its own. The
     sign rule runs on floats: a column's lead is its first entry of largest
     magnitude, as ``np.argmax`` picks it, and a column is flipped by

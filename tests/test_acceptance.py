@@ -206,7 +206,7 @@ def test_criterion_8_rectangle_with_pitch_hold(fixtures):
     report("criterion 8: rectangle with independent pitch hold", ok, "; ".join(details))
 
 
-def test_criterion_9_rectangle_fixed_attitude(fixtures):
+def test_criterion_9_level_rectangle_attitude(fixtures):
     duration = TRANSIENT_S + _rect_schedule(RECT_SPEED, RECT_ALTITUDE)[2]
     res = run_closed_loop(fixtures["quad_tilt"], rectangle(),
                           params=SimParams(dt=0.001, duration=duration))

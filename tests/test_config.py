@@ -1,15 +1,16 @@
 import configparser
 import dataclasses
 import inspect
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 from modrotor import (AssemblyError, ConfigError, Gains, ModrotorError, PropellerSpec, SimParams,
-                      build_r_module, parse_config, rectangle)
-from modrotor.config import (GainsConfig, ModuleConfig, SimConfig, StructureConfig,
-                             TrajectoryConfig, _read_ini)
+                      build_r_module, parse_config)
+from modrotor.config import (_TRAJECTORIES, GainsConfig, ModuleConfig, SimConfig,
+                             StructureConfig, TrajectoryConfig, _read_ini)
 from conftest import CONFIG_DIR, ROOT
 from test_cli import _contract_variants
 
@@ -46,7 +47,7 @@ def test_bench_experiment_fixture_parses():
     assert len(cfg.modules) == 4
     tilts = {(m.alpha_deg, m.beta_deg) for m in cfg.modules}
     assert tilts == {(0.0, 30.0), (0.0, -30.0), (30.0, 0.0), (-30.0, 0.0)}
-    assert cfg.trajectory.kind == "rectangle_fixed"
+    assert cfg.trajectory.kind == "rectangle" and cfg.trajectory.pitch_hold_deg == 0.0
     structure = cfg.to_structure()
     assert structure.rank_f == 3
 
@@ -196,7 +197,7 @@ def test_missing_modules_rejected():
 EVERY_KEY = {
     "module.1": {
         "mass_kg": 0.2, "base_m": 0.15, "height_m": 0.05, "alpha_deg": -20.0,
-        "beta_deg": 15.0, "k_f": 1.5, "k_m": 0.01, "f_max_n": 3.0, "grid_col": -1,
+        "beta_deg": 15.0, "k_m": 0.01, "f_max_n": 3.0, "grid_col": -1,
         "grid_row": 2, "yaw_quarter_turns": 3, "inertia_diag_kgm2": (0.001, 0.002, 0.003),
     },
     "gains": {"k_pos": 7.5, "k_vel": 3.0, "k_rot": 150.0, "k_ang": 10.0},
@@ -223,7 +224,7 @@ def test_every_key_lands_in_its_field():
               "trajectory": cfg.trajectory}
     defaults = {"module.1": ModuleConfig(), "gains": GainsConfig(), "sim": SimConfig(),
                 "trajectory": TrajectoryConfig()}
-    assert sum(map(len, EVERY_KEY.values())) == 27
+    assert sum(map(len, EVERY_KEY.values())) == 26
     for name, keys in EVERY_KEY.items():
         assert set(keys) == {f.name for f in dataclasses.fields(defaults[name])}, name
         for key, value in keys.items():
@@ -292,22 +293,21 @@ def test_trajectory_kinds_build():
         ("hover", "hover_z_m = 1.0"),
         ("helix", ""),
         ("rectangle", "pitch_hold_deg = -5"),
-        ("rectangle_fixed", "speed_mps = 0.2"),
     ]:
         cfg = parse_config(f"[module.1]\n\n[trajectory]\nkind = {kind}\n{extra}\n")
         sample = cfg.to_trajectory()(2.0)
         assert np.all(np.isfinite(sample.r_d))
 
 
-def test_rectangle_fixed_is_the_level_rectangle():
-    # The pitch hold does not apply to the level rectangle.
-    cfg = parse_config("[module.1]\n\n[trajectory]\nkind = rectangle_fixed\n"
-                       "pitch_hold_deg = -5\nspeed_mps = 0.2\n")
-    trajectory = cfg.to_trajectory()
-    for t in (0.0, 2.0, 7.5):
-        got, want = trajectory(t), rectangle(speed=0.2)(t)
-        assert (got.r_d, got.v_d, got.a_d) == (want.r_d, want.v_d, want.a_d)
-        np.testing.assert_array_equal(got.r_wf_d, np.eye(3))
+def test_every_trajectory_kind_samples_its_own_path():
+    # Each kind, at the section's defaults, flies something no other kind
+    # does: no second name for one sampler.
+    samples = {kind: [_TRAJECTORIES[kind](TrajectoryConfig(kind=kind))(t)
+                      for t in (0.5, 2.0, 7.5)] for kind in _TRAJECTORIES}
+    for first, second in itertools.combinations(samples, 2):
+        assert any(not np.array_equal(getattr(a, name), getattr(b, name))
+                   for a, b in zip(samples[first], samples[second])
+                   for name in ("r_d", "v_d", "a_d", "r_wf_d", "omega_d")), (first, second)
 
 
 def test_omitted_sections_take_the_library_defaults():
@@ -332,10 +332,9 @@ def test_module_defaults_agree_in_every_copy():
     for config_key, builder_key, want in (("mass_kg", "mass", 0.135), ("base_m", "base", 0.12),
                                           ("height_m", "height", 0.06),
                                           ("alpha_deg", "alpha", 0.0), ("beta_deg", "beta", 0.0),
-                                          ("k_f", "k_f", 1.0), ("k_m", "k_m", 0.006),
-                                          ("f_max_n", "f_max", 2.0)):
+                                          ("k_m", "k_m", 0.006), ("f_max_n", "f_max", 2.0)):
         assert config[config_key] == builder[builder_key] == want, config_key
-    assert (rotor["k_f"], rotor["k_m"], rotor["f_max"]) == (1.0, 0.006, 2.0)
+    assert (rotor["k_m"], rotor["f_max"]) == (0.006, 2.0)
 
 
 def test_config_dataclass_equality_is_by_value():
@@ -347,7 +346,7 @@ def test_config_dataclass_equality_is_by_value():
 # Values a caller may put in a field of a config built in code, which no
 # parsing has checked.
 _CODE_EDGES = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e308, "a")
-_KINDS = ("hover", "helix", "rectangle", "rectangle_fixed")
+_KINDS = ("hover", "helix", "rectangle")
 
 
 def _code_variants():
@@ -404,13 +403,15 @@ def test_unknown_kind_never_flies(kind):
 
 
 @pytest.mark.parametrize("section, change, builder, message", [
-    ("gains", {"k_pos": -1.0}, "to_gains", r"gains: k_pos diagonal entries must be positive"),
+    ("gains", {"k_pos": -1.0}, "to_gains",
+     r"gains: k_pos must be a positive number, three positive entries or a diagonal 3x3 matrix "
+     r"with a positive diagonal, got -1.0"),
     ("sim", {"dt_s": 0.0}, "to_sim_params", r"sim: dt must be positive and finite, got 0.0"),
     ("trajectory", {"hover_x_m": float("nan")}, "to_trajectory",
      r"trajectory: r0 must be a finite array of shape \(3,\), got \(nan, 0.0, 0.7\)"),
     ("trajectory", {"kind": "rectangle", "altitude_m": float("nan")}, "to_trajectory",
      r"trajectory: altitude must be finite, got nan"),
-    ("trajectory", {"kind": "rectangle_fixed", "speed_mps": 5.0}, "to_trajectory",
+    ("trajectory", {"kind": "rectangle", "speed_mps": 5.0}, "to_trajectory",
      r"trajectory: speed must be below 1.2 for the 0.5 s corner blend, got 5.0"),
 ])
 def test_code_built_errors_name_section_and_field(section, change, builder, message):
@@ -420,3 +421,55 @@ def test_code_built_errors_name_section_and_field(section, change, builder, mess
         config, **{section: dataclasses.replace(getattr(config, section), **change)})
     with pytest.raises(ConfigError, match=rf"^{message}$"):
         getattr(config, builder)()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"alpha_deg": 100.0}, "alpha_deg must be within [-90, 90], got 100.0"),
+    ({"beta_deg": -90.5}, "beta_deg must be within [-90, 90], got -90.5"),
+    ({"inertia_diag_kgm2": 5.0}, "inertia_diag_kgm2 must be three numbers, got 5.0"),
+    ({"inertia_diag_kgm2": (1.0, 2.0)}, "inertia_diag_kgm2 must be three numbers, got (1.0, 2.0)"),
+    ({"inertia_diag_kgm2": ()}, "inertia_diag_kgm2 must be three numbers, got ()"),
+    ({"inertia_diag_kgm2": (1e-3, -2e-3, 3e-3)},
+     "inertia_diag_kgm2 must be positive and finite, got -0.002"),
+])
+def test_code_built_module_keys_take_the_text_rules(change, message):
+    # A module config built in code gets the degree bound and the
+    # three-positive-numbers rule that its keys get in text, named as keys.
+    config = dataclasses.replace(parse_config(MINIMAL),
+                                 modules=(dataclasses.replace(ModuleConfig(), **change),))
+    with pytest.raises(ConfigError, match="^" + re.escape(f"module.1: {message}") + "$"):
+        config.to_structure()
+
+
+@pytest.mark.parametrize("triple", [np.array([1e-3, 2e-3, 3e-3]), [1e-3, 2e-3, 3e-3],
+                                    (np.float64(1e-3), 2e-3, 3e-3)],
+                         ids=["array", "list", "numpy_float"])
+def test_code_built_inertia_triple_takes_any_sequence(triple):
+    # Three positive numbers in any sequence build the module the text
+    # "0.001, 0.002, 0.003" builds, bit for bit.
+    text = parse_config("[module.1]\ninertia_diag_kgm2 = 0.001, 0.002, 0.003\n")
+    config = dataclasses.replace(text, modules=(ModuleConfig(inertia_diag_kgm2=triple),))
+    want = text.to_structure().placements[0].module.inertia
+    assert config.to_structure().placements[0].module.inertia.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 0.5,
+                                   90.0, 100.0, 1e300])
+@pytest.mark.parametrize("key", ["mass_kg", "base_m", "height_m", "alpha_deg", "beta_deg", "k_m",
+                                 "f_max_n"])
+def test_code_built_module_key_fares_as_its_text(key, value):
+    # A number set on a ModuleConfig in code is accepted exactly when the
+    # same number in text is, builds the same bits when it is, and is
+    # rejected with the same error type and bound when it is not.
+    def outcome(build):
+        try:
+            structure = build()
+        except ModrotorError as exc:
+            bound = str(exc).partition(" must be ")[2].partition(", got ")[0]
+            return type(exc), bound or str(exc)
+        return structure.thrust_map.tobytes(), structure.inertia.tobytes()
+
+    text = outcome(lambda: parse_config(f"[module.1]\n{key} = {value!r}\n").to_structure())
+    code = outcome(lambda: dataclasses.replace(
+        parse_config(MINIMAL), modules=(ModuleConfig(**{key: value}),)).to_structure())
+    assert code == text

@@ -472,20 +472,26 @@ def test_gains_keep_every_form_as_its_diagonal_floats(value, want, monkeypatch):
         assert np.array(gain).tobytes() == np.array(want).tobytes(), name
 
 
+# Every accepted form of a gain, as a rejection lists them.
+_FORMS = ("k_ang must be a positive number, three positive entries or a diagonal 3x3 matrix "
+          "with a positive diagonal, got ")
+
+
 @pytest.mark.parametrize("value, message", [
-    (-0.0, "k_ang diagonal entries must be positive"),
-    (0.0, "k_ang diagonal entries must be positive"),
-    (-1.0, "k_ang diagonal entries must be positive"),
-    (-5e-324, "k_ang diagonal entries must be positive"),
+    (-0.0, _FORMS + "-0.0"),
+    (0.0, _FORMS + "0.0"),
+    (-1.0, _FORMS + "-1.0"),
+    (-5e-324, _FORMS + "-5e-324"),
     (float("nan"), "k_ang must be a finite array, got nan"),
     (float("inf"), "k_ang must be a finite array, got inf"),
     (float("-inf"), "k_ang must be a finite array, got -inf"),
-    ((1.0, 0.0, 1.0), "k_ang diagonal entries must be positive"),
-    (np.diag([1.0, 1.0, -0.0]), "k_ang diagonal entries must be positive"),
-    ((1.0, 2.0), "k_ang must be a diagonal 3x3 matrix"),
-    ([[1.0]], "k_ang must be a diagonal 3x3 matrix"),
-    (np.ones((3, 3)), "k_ang must be a diagonal 3x3 matrix"),
-    (np.eye(4), "k_ang must be a diagonal 3x3 matrix"),
+    ((1.0, 0.0, 1.0), _FORMS + "(1.0, 0.0, 1.0)"),
+    (np.diag([1.0, 1.0, -0.0]), _FORMS + "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -0.0]]"),
+    ((1.0, 2.0), _FORMS + "(1.0, 2.0)"),
+    ([[1.0]], _FORMS + "[[1.0]]"),
+    (np.ones((3, 3)), _FORMS + "[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]"),
+    (np.eye(4), _FORMS + str(np.eye(4).tolist())),
+    ([[1.0, 2.0, 3.0]], _FORMS + "[[1.0, 2.0, 3.0]]"),
     ("a", "k_ang must be a finite array, got 'a'"),
 ])
 def test_gains_rejections_keep_their_messages(value, message):
@@ -649,7 +655,7 @@ def test_non_finite_command_raises_degeneracy_error(all_structures):
 
 def test_design_path_makes_at_most_three_svds(all_structures, monkeypatch):
     # assemble takes the torque block's singular values and the force
-    # block's full SVD, which rank_f, force_sigmas, the thrust frame and
+    # block's SVD, which rank_f, force_sigmas, the thrust frame and
     # actuation_ellipsoid share; Controller takes its rank test and its
     # pseudoinverse from one more.
     calls = []

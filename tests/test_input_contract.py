@@ -104,7 +104,7 @@ ROWS = {
     "ModuleSpec": Row(ModuleSpec, _module_kwargs, ("mass", "base", "height"), ("inertia", "tilt")),
     "PropellerSpec": Row(PropellerSpec, lambda: dict(position=[0.03, -0.03, 0.0],
                                                      orientation=np.eye(3), spin=1),
-                         ("spin", "k_f", "k_m", "f_max"), ("position", "orientation")),
+                         ("spin", "k_m", "f_max"), ("position", "orientation")),
     "RigidState": Row(RigidState, lambda: _record_kwargs(_state()),
                       arrays=("r", "v", "r_ws", "omega")),
     "RunResult": Row(RunResult, lambda: _record_kwargs(_run_result()),
@@ -123,7 +123,7 @@ ROWS = {
                             ("t",), ("r_d", "v_d", "a_d", "r_wf_d", "omega_d")),
     "Wrench": Row(Wrench, lambda: dict(force=np.zeros(3), torque=np.zeros(3)),
                   arrays=("force", "torque")),
-    "build_r_module": Row(build_r_module, dict, ("mass", "base", "height", "alpha", "beta", "k_f",
+    "build_r_module": Row(build_r_module, dict, ("mass", "base", "height", "alpha", "beta",
                                                  "k_m", "f_max"), ("inertia",),
                           derived={"base": "inertia", "height": "inertia"}),
     "helix": Row(helix, lambda: dict(t=1.0), ("t",)),
@@ -205,8 +205,8 @@ def test_every_numeric_argument_is_used_or_named(row_name, arg, value_name, valu
 # step's. Each edge value is accepted or rejected with exactly
 # "<argument> must be <bound>, got <value>", the message the helpers gave.
 _BOUND_OF = {
-    **dict.fromkeys((("build_r_module", arg) for arg in ("mass", "base", "height", "k_f",
-                                                         "f_max")), "positive and finite"),
+    **dict.fromkeys((("build_r_module", arg) for arg in ("mass", "base", "height", "f_max")),
+                    "positive and finite"),
     ("build_r_module", "k_m"): "non-negative and finite",
     ("build_r_module", "alpha"): "within [-pi/2, pi/2]",
     ("build_r_module", "beta"): "within [-pi/2, pi/2]",

@@ -169,7 +169,7 @@ def _oracle_assemble(placements):
             p = d + r_m @ prop.position
             axis = r_m @ (prop.orientation @ E3)
             a[:3, k] = axis
-            a[3:, k] = np.cross(p, axis) + prop.spin * prop.drag_ratio * axis
+            a[3:, k] = np.cross(p, axis) + prop.spin * prop.k_m * axis
             f_max[k] = prop.f_max
     rank_f = numerical_rank(a[:3])
     u, s, _ = np.linalg.svd(a[:3])

@@ -129,7 +129,7 @@ def test_module_wrench_uniform_flat():
 
 def test_module_wrench_alternating_pairs_spin_torque():
     # Opposite rotor pairs give the same lift but mirrored drag torque:
-    # spins (+, -, +, -) so [1,0,1,0] picks +2 k_m/k_f and [0,1,0,1] -2.
+    # spins (+, -, +, -) so [1,0,1,0] picks +2 k_m and [0,1,0,1] -2 k_m.
     m = build_r_module()
     w13 = module_wrench(m, [1.0, 0.0, 1.0, 0.0])
     w24 = module_wrench(m, [0.0, 1.0, 0.0, 1.0])
@@ -171,8 +171,6 @@ def test_module_spec_validation():
                    propellers=tuple(bad_spins), tilt=m.tilt)
     with pytest.raises(ValueError):
         PropellerSpec(position=np.zeros(3), orientation=np.eye(3), spin=2)
-    with pytest.raises(ValueError):
-        PropellerSpec(position=np.zeros(3), orientation=np.eye(3), spin=1, k_f=0.0)
 
 
 @pytest.mark.parametrize("offset, mirrored", [(0.0, True), (5e-13, True), (5e-12, False),
@@ -194,7 +192,6 @@ def test_mirrored_pairs_within_1e12(offset, mirrored):
 @pytest.mark.parametrize("field, value", [
     ("mass", float("nan")), ("mass", float("inf")), ("mass", -0.1),
     ("base", float("nan")), ("height", float("inf")),
-    ("k_f", float("nan")), ("k_f", 0.0),
     ("k_m", float("nan")), ("k_m", float("inf")), ("k_m", -0.001),
     ("f_max", float("nan")), ("f_max", float("inf")), ("f_max", 0.0),
     ("height", float("nan")), ("height", -1.0),
@@ -220,14 +217,14 @@ def test_build_r_module_names_bad_inertia(inertia, message):
         build_r_module(inertia=inertia)
 
 
-_BAD_INPUTS = {"base": float("nan"), "alpha": 2.0, "beta": -2.0, "k_f": 0.0, "k_m": -1.0,
+_BAD_INPUTS = {"base": float("nan"), "alpha": 2.0, "beta": -2.0, "k_m": -1.0,
                "f_max": float("inf"), "mass": float("nan"), "height": -1.0, "inertia": np.eye(2)}
 
 
 @pytest.mark.parametrize("first", list(_BAD_INPUTS))
 def test_build_r_module_reports_the_first_bad_input(first):
     # With this input and every one after it bad, the error names this one:
-    # base, alpha, beta, k_f, k_m, f_max, mass, height, then inertia.
+    # base, alpha, beta, k_m, f_max, mass, height, then inertia.
     names = list(_BAD_INPUTS)
     bad = {name: _BAD_INPUTS[name] for name in names[names.index(first):]}
     with pytest.raises(ValueError, match=rf"^{first} "):
@@ -265,7 +262,7 @@ def build_draws(seed, count):
         override = base < 1e-150 or i % 2 == 0
         yield dict(
             mass=10.0 ** rng.uniform(-3, 3), base=base, height=10.0 ** rng.uniform(-3, 1),
-            alpha=alpha, beta=beta, k_f=10.0 ** rng.uniform(-2, 2),
+            alpha=alpha, beta=beta,
             k_m=0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-4, -1), f_max=10.0 ** rng.uniform(-1, 2),
             inertia=np.diag(10.0 ** rng.uniform(-6, 2, size=3)) if override else None,
         )
@@ -277,10 +274,10 @@ def test_built_modules_pass_the_public_constructors():
     for kwargs in build_draws(14, 400):
         m = build_r_module(**kwargs)
         for p in m.propellers:
-            PropellerSpec(position=p.position, orientation=p.orientation, spin=p.spin, k_f=p.k_f,
-                          k_m=p.k_m, f_max=p.f_max)
+            PropellerSpec(position=p.position, orientation=p.orientation, spin=p.spin, k_m=p.k_m,
+                          f_max=p.f_max)
             assert p.orientation.tobytes() == m.tilt.tobytes()
-            assert (p.k_f, p.k_m, p.f_max) == (kwargs["k_f"], kwargs["k_m"], kwargs["f_max"])
+            assert (p.k_m, p.f_max) == (kwargs["k_m"], kwargs["f_max"])
         ModuleSpec(mass=m.mass, inertia=m.inertia, base=m.base, height=m.height,
                    propellers=m.propellers, tilt=m.tilt)
         assert (m.mass, m.base, m.height) == (kwargs["mass"], kwargs["base"], kwargs["height"])
@@ -288,7 +285,18 @@ def test_built_modules_pass_the_public_constructors():
 
 
 def test_zero_drag_coefficient_accepted():
-    assert build_r_module(k_m=0.0).propellers[0].drag_ratio == 0.0
+    assert build_r_module(k_m=0.0).propellers[0].k_m == 0.0
+
+
+def test_k_m_alone_sets_the_drag():
+    # Thrusts are the inputs, so a rotor's drag moment per newton is k_m
+    # itself: there is no thrust coefficient to divide it by, and the rotor
+    # table holds k_m's own bits.
+    with pytest.raises(TypeError, match="k_f"):
+        build_r_module(k_f=1.0)
+    with pytest.raises(TypeError, match="k_f"):
+        PropellerSpec(position=np.zeros(3), orientation=np.eye(3), spin=1, k_f=1.0)
+    assert build_r_module(k_m=0.1 + 0.2)._rotors[:, 7].tolist() == [0.1 + 0.2] * 4
 
 
 @pytest.mark.parametrize("position", [
@@ -407,7 +415,7 @@ def _memo_corpus():
         kwargs = dict(mass=10.0 ** rng.uniform(-3, 3), base=10.0 ** rng.uniform(-300, 200),
                       height=10.0 ** rng.uniform(-3, 1), alpha=float(alpha),
                       beta=beta if i % 3 == 0 else float(beta),
-                      k_f=10.0 ** rng.uniform(-2, 2), k_m=0.0 if i % 5 == 0 else 0.006,
+                      k_m=0.0 if i % 5 == 0 else 0.006,
                       f_max=10.0 ** rng.uniform(-1, 2))
         if i % 4 == 1:  # one scalar out of range
             name = list(kwargs)[rng.integers(len(kwargs))]
@@ -532,7 +540,7 @@ def test_module_and_report_arrays_are_read_only(make):
 def _rebuilt(module):
     """``module`` rebuilt through the public constructors from writable copies."""
     props = tuple(PropellerSpec(position=p.position.copy(), orientation=p.orientation.copy(),
-                                spin=p.spin, k_f=p.k_f, k_m=p.k_m, f_max=p.f_max)
+                                spin=p.spin, k_m=p.k_m, f_max=p.f_max)
                   for p in module.propellers)
     return ModuleSpec(mass=module.mass, inertia=module.inertia.copy(), base=module.base,
                       height=module.height, propellers=props, tilt=module.tilt.copy())

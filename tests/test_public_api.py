@@ -103,8 +103,8 @@ def test_build_r_module_keeps_its_signature_and_help():
     from modrotor import build_r_module
 
     signature = ("(mass: 'float' = 0.135, base: 'float' = 0.12, height: 'float' = 0.06, "
-                 "alpha: 'float' = 0.0, beta: 'float' = 0.0, k_f: 'float' = 1.0, "
-                 "k_m: 'float' = 0.006, f_max: 'float' = 2.0, "
+                 "alpha: 'float' = 0.0, beta: 'float' = 0.0, k_m: 'float' = 0.006, "
+                 "f_max: 'float' = 2.0, "
                  "inertia: 'np.ndarray | None' = None) -> 'ModuleSpec'")
     assert str(inspect.signature(build_r_module)) == signature
     assert not hasattr(build_r_module, "__wrapped__")

@@ -131,8 +131,8 @@ def test_rectangle_velocity_integrates_to_position():
     np.testing.assert_allclose(travelled, np.zeros(3), atol=1e-6)
 
 
-def test_rectangle_fixed_attitude_is_identity():
-    # The default pitch hold is level; config kind "rectangle_fixed" flies it.
+def test_level_rectangle_attitude_is_identity():
+    # The default pitch hold is level; experiment3's rectangle flies it.
     for t in np.linspace(0, 25, 60):
         s = rectangle()(t)
         np.testing.assert_array_equal(s.r_wf_d, np.eye(3))

@@ -14,6 +14,12 @@ prints: an empty diff means the two trees write the same bytes. The groups:
     contract     check and, where the case flies, a 0.01 s simulate (with
                  its run CSV) on each case of tests/test_cli._contract_variants
 
+The contract digests are preceded by ``contract cases <n>``, the number of
+cases hashed. Dropping or adding cases moves both contract digests as
+surely as a changed output does; an unchanged count says the digests moved
+because outputs did, and a changed one says to compare the cases named in
+both trees instead.
+
 Each command adds its exit code, stdout and stderr to its group's hash, and
 an escaped exception adds its type and message. The run CSVs go to a second
 hash, printed as ``<name>.cfg run-csv`` and ``contract run-csv``, so a
@@ -119,9 +125,9 @@ def sweep_digest() -> str:
     return digest.hexdigest()
 
 
-def contract_digest() -> tuple[str, str]:
-    """check, and a short simulate where the case flies, on each
-    config-contract case of the test suite; then the run CSVs."""
+def contract_digest() -> tuple[int, str, str]:
+    """The number of config-contract cases of the test suite; check, and a
+    short simulate where the case flies, on each; then the run CSVs."""
     sys.path.insert(0, str(ROOT / "tests"))
     from test_cli import _contract_variants
 
@@ -129,7 +135,8 @@ def contract_digest() -> tuple[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         config, run_csv = work / "variant.cfg", work / "run.csv"
-        for name, text, simulate in _contract_variants():
+        cases = 0
+        for cases, (name, text, simulate) in enumerate(_contract_variants(), start=1):
             digest.update(name.encode() + b"\0")
             csv_digest.update(name.encode() + b"\0")
             config.write_text(text)
@@ -138,7 +145,7 @@ def contract_digest() -> tuple[str, str]:
                 _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv),
                      "--duration", "0.01")
                 _add_file(csv_digest, run_csv)
-    return digest.hexdigest(), csv_digest.hexdigest()
+    return cases, digest.hexdigest(), csv_digest.hexdigest()
 
 
 def main() -> int:
@@ -155,7 +162,8 @@ def main() -> int:
         print(config.name, "run-csv", run_csvs, flush=True)
         print(config.name, "run-result", run_result, flush=True)
     print("sweep", sweep_digest(), flush=True)
-    outputs, run_csvs = contract_digest()
+    cases, outputs, run_csvs = contract_digest()
+    print("contract cases", cases, flush=True)
     print("contract", outputs, flush=True)
     print("contract run-csv", run_csvs, flush=True)
     return 0
