@@ -38,14 +38,14 @@ def _fmt_vec(v) -> str:
 
 
 def _load_config(path: str) -> StructureConfig:
-    """The config at ``path``; text that is not UTF-8 is a ConfigError naming
-    the file and the offset of the first byte that does not decode."""
+    """The config at ``path`` less one leading byte-order mark; text not UTF-8
+    is a ConfigError naming the file and the offset of its first bad byte."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at "
                           f"offset {exc.start} ({exc.reason})") from None
-    return parse_config(text)
+    return parse_config(text.removeprefix("\ufeff"))
 
 
 def _frame_summary(r_sf: np.ndarray) -> str:
@@ -125,24 +125,20 @@ def _write_csv(out_path: str, header: list[str], table: np.ndarray, ends) -> Non
 
 def write_run_csv(result: RunResult, structure: StructureModel, out_path: str) -> None:
     """One row per step; floats carry 17 significant digits for regression.
-    The thrust columns are counted from ``result.u``. A ``structure`` with a
-    different rotor count, or columns of different lengths, raise ValueError
-    before the file is opened."""
+    The thrust columns are counted from ``result.u``; a ``structure`` with a
+    different rotor count raises ValueError before the file is opened."""
     n_u = result.u.shape[1]
     if 4 * structure.n != n_u:
         raise ValueError(f"structure must have {n_u} rotors, one per thrust column of "
                          f"result.u, got {4 * structure.n}")
     header = ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m", "yaw_rad", "pitch_rad",
               "roll_rad", "pos_err_m", *(f"u{k + 1:02d}_n" for k in range(n_u)), "saturated"]
-    names = ("t", "pos", "pos_des", "euler_f", "pos_err", "u", "saturated")
-    lengths = [len(getattr(result, name)) for name in names]
-    if len(set(lengths)) > 1:
-        raise ValueError("result columns must each hold one row per step, got lengths "
-                         + ", ".join(f"{name}={n}" for name, n in zip(names, lengths)))
     # The 0/1 flag rides in the line end: 11 + 4n floats never make a 20-item
-    # tuple, which CPython 3.11 parks on a free list it never draws from.
-    ends = map((",0\r\n", ",1\r\n").__getitem__, result.saturated.tolist())
-    table = np.column_stack([getattr(result, name) for name in names[:-1]])
+    # tuple, which CPython 3.11 parks on a free list it never draws from. As
+    # bools, flags a caller gave as 0.0/1.0 index the pair too.
+    ends = map((",0\r\n", ",1\r\n").__getitem__, np.asarray(result.saturated, bool).tolist())
+    table = np.column_stack([result.t, result.pos, result.pos_des, result.euler_f,
+                             result.pos_err, result.u])
     _write_csv(out_path, header, table, ends)
 
 

@@ -165,7 +165,7 @@ def _builder(kind):
 _BOUNDS = {
     **dict.fromkeys(
         ("mass_kg", "base_m", "height_m", "f_max_n", "k_pos", "k_vel", "k_rot",
-         "k_ang", "dt_s", "duration_s", "speed_mps", "altitude_m", "inertia_diag_kgm2"),
+         "k_ang", "dt_s", "duration_s", "speed_mps", "inertia_diag_kgm2"),
         POSITIVE,
     ),
     "k_m": NON_NEGATIVE,

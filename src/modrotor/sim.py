@@ -20,14 +20,14 @@ around all its steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .control import Controller, Gains
 from .dynamics import RigidState, SimParams, _advance, _floats_of, _state_of
 from .errors import ModrotorError, SimulationError
-from .lazy import checked, shown
+from .lazy import checked, shown, unchecked
 from .structure import StructureModel
 from .trajectory import TrajectorySample
 
@@ -59,9 +59,9 @@ class RunResult:
 
     euler_f rows hold (yaw, pitch, roll) of the thrust frame in the world;
     att_err is the angle between the thrust frame and its commanded target.
-    A summary of a result with no samples raises a ValueError naming the
-    empty field, and a position-error summary of a result whose ``t`` and
-    ``pos_err`` differ in length one naming both.
+    The eight columns hold one row per step, at least one, and saturated
+    only 0/1 flags; a caller's result that breaks this raises a ValueError
+    when it is built, naming every column's row count or the first bad flag.
     """
 
     t: np.ndarray
@@ -74,6 +74,17 @@ class RunResult:
     saturated: np.ndarray
     final_state: RigidState
 
+    def __post_init__(self):
+        names = [f.name for f in fields(self)][:-1]  # all but final_state
+        rows = [(np.shape(getattr(self, name)) or (0,))[0] for name in names]
+        if len(set(rows)) > 1 or rows[0] == 0:
+            raise ValueError("result columns must each hold one row per step, got lengths "
+                             + ", ".join(map("{}={}".format, names, rows)))
+        for k, flag in enumerate(np.array(self.saturated, dtype=object).flat):
+            if flag not in (0, 1):
+                raise ValueError(f"saturated must hold only 0/1 flags, got {shown(flag)} "
+                                 f"at entry {k}")
+
     def rms_pos_err(self, t_min: float = 0.0) -> float:
         return float(np.sqrt(np.mean(self._pos_err_from(t_min) ** 2)))
 
@@ -81,25 +92,16 @@ class RunResult:
         return float(np.max(self._pos_err_from(t_min)))
 
     def _pos_err_from(self, t_min) -> np.ndarray:
-        t_min, last = checked("t_min", t_min), float(self._samples("t")[-1])
+        t_min, last = checked("t_min", t_min), float(self.t[-1])
         if t_min > last:
             raise ValueError(f"t_min must be at most the last sample time {last}, got {t_min}")
-        t, err = np.shape(self.t), np.shape(self.pos_err)
-        if err[:len(t)] != t:
-            raise ValueError(f"t and pos_err must hold the same samples, got shapes {t} and {err}")
         return self.pos_err[self.t >= t_min]
 
     def saturation_fraction(self) -> float:
-        return float(np.mean(self._samples("saturated")))
+        return float(np.mean(self.saturated))
 
     def final_att_err(self) -> float:
-        return float(self._samples("att_err")[-1])
-
-    def _samples(self, name: str) -> np.ndarray:
-        values = getattr(self, name)
-        if np.size(values) == 0:
-            raise ValueError(f"{name} must be a non-empty array, got {shown(values)}")
-        return values
+        return float(self.att_err[-1])
 
 
 def _sample_at(trajectory, t: float) -> TrajectorySample:
@@ -156,8 +158,9 @@ def run_closed_loop(
             except ModrotorError as exc:
                 raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
 
-    return RunResult(
-        t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
+    # The loop built every column, one row per step, so the record rule holds.
+    return unchecked(
+        RunResult, t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
         pos_err=rows[:, 10], att_err=rows[:, 11], u=rows[:, 12:], saturated=sat,
         final_state=_state_of(y),
     )

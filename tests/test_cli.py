@@ -282,6 +282,40 @@ def test_config_that_is_not_utf8_exits_validation(command, data, offset, byte, t
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "ellipsoid", "simulate"])
+def test_config_with_a_leading_byte_order_mark_reads_as_without(command, tmp_path, capsys):
+    # Some Windows editors save UTF-8 text behind a byte-order mark.
+    text = (CONFIG_DIR / "tilted_pair.cfg").read_bytes()
+    results = []
+    for name, data in (("plain.cfg", text), ("marked.cfg", b"\xef\xbb\xbf" + text)):
+        cfg, out_csv = tmp_path / name, tmp_path / "out.csv"
+        cfg.write_bytes(data)
+        args = [command, "--config", str(cfg)]
+        if command != "check":
+            args += ["--out", str(out_csv)]
+        if command == "simulate":
+            args += ["--duration", "0.01"]
+        code, out, err = run_cli(args, capsys)
+        results.append((code, out, err, out_csv.read_bytes() if out_csv.exists() else None))
+        out_csv.unlink(missing_ok=True)
+    assert results[0][0] == EXIT_OK and results[1] == results[0]
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xef\xbb\xbf\xef\xbb\xbf[module.1]\n",
+     "syntax error: line 1: '\\ufeff[module.1]' comes before any [section] header"),
+    (b"[module.1]\n\xef\xbb\xbf[sim]\n",
+     "syntax error: line 2: '\\ufeff[sim]' is not 'key = value' or 'key: value'"),
+    (b"[module.1]\n\xef\xbb\xbfmass_kg = 0.2\n", "module.1: unknown key(s) ['\\ufeffmass_kg']"),
+], ids=["second_leading_mark", "mark_before_a_section", "mark_before_a_key"])
+def test_byte_order_mark_anywhere_else_is_config_text(data, message, tmp_path, capsys):
+    # Only one leading mark is dropped; any other is text the grammar rejects.
+    cfg = tmp_path / "marked.cfg"
+    cfg.write_bytes(data)
+    code, out, err = run_cli(["check", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
 def test_ellipsoid_flat_single_direction(capsys, tmp_path):
     out_csv = tmp_path / "ellipse.csv"
     code, out, _ = run_cli(
@@ -504,18 +538,48 @@ def test_run_csv_matches_reference_writer_across_row_blocks(steps, make_structur
 
 @pytest.mark.parametrize("short", ["u", "saturated"])
 def test_run_csv_rejects_columns_of_different_lengths(short, tmp_path):
-    # zip or the row ends would write only the shortest column's rows.
+    # Such a result cannot be built, so no writer meets one: zip or the row
+    # ends would write only the shortest column's rows.
     structure = make_tilt10()
     run = _seeded_run(10, 1)
-    run = replace(run, **{short: getattr(run, short)[:4]})
     out = tmp_path / "run.csv"
     out.write_bytes(b"kept\r\n")
     lengths = ", ".join(f"{name}={4 if name == short else 10}" for name in
-                        ("t", "pos", "pos_des", "euler_f", "pos_err", "u", "saturated"))
+                        ("t", "pos", "pos_des", "euler_f", "pos_err", "att_err", "u", "saturated"))
     with pytest.raises(ValueError) as info:
-        write_run_csv(run, structure, str(out))
+        write_run_csv(replace(run, **{short: getattr(run, short)[:4]}), structure, str(out))
     assert str(info.value) == f"result columns must each hold one row per step, got lengths {lengths}"
     assert out.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize("flag, shown", [(0.5, "0.5"), (2, "2"), (np.nan, "nan"), ("a", "'a'")])
+def test_run_result_rejects_flags_other_than_0_and_1(flag, shown, tmp_path):
+    # Built directly or by replace, the result raises at construction, so
+    # the writer never opens out_path for it.
+    run = _seeded_run(10, 1)
+    saturated = [False] * 3 + [flag] + [True] * 6
+    message = f"saturated must hold only 0/1 flags, got {shown} at entry 3"
+    with pytest.raises(ValueError) as info:
+        RunResult(**{**vars(run), "saturated": saturated})
+    assert str(info.value) == message
+    out = tmp_path / "run.csv"
+    out.write_bytes(b"kept\r\n")
+    with pytest.raises(ValueError) as info:
+        write_run_csv(replace(run, saturated=np.array(saturated, dtype=object)), make_tilt10(),
+                      str(out))
+    assert str(info.value) == message
+    assert out.read_bytes() == b"kept\r\n"
+
+
+def test_run_csv_writes_any_form_of_0_1_flags_alike(tmp_path):
+    # Flags given as bools, ints or floats are one record, written alike.
+    structure, run = make_tilt10(), _seeded_run(10, 1)
+    written = set()
+    for flags in (run.saturated, run.saturated.astype(int), run.saturated.astype(float),
+                  run.saturated.tolist()):
+        write_run_csv(replace(run, saturated=flags), structure, str(tmp_path / "run.csv"))
+        written.add((tmp_path / "run.csv").read_bytes())
+    assert len(written) == 1
 
 
 def test_run_csv_memory_does_not_grow_with_the_run(tmp_path):
@@ -624,13 +688,15 @@ _SIMULATED_SECTIONS = ("gains", "sim", "trajectory")
 
 def _contract_variants():
     """(name, config text, simulate too) for each key of each fixture config
-    set to each value; a module key goes to one seeded module section."""
-    rng = np.random.default_rng(11)
+    set to each value; a module key goes to one module section drawn by a
+    seed of the config's and the key's names, so adding or dropping a key
+    moves no other key's section."""
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         original = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         original.read_string(path.read_text())
         modules = [s for s in original.sections() if s.startswith("module.")]
-        targets = [(modules[rng.integers(len(modules))], f.name) for f in fields(ModuleConfig)]
+        targets = [(modules[np.random.default_rng(list(f"{path.name} {f.name}".encode()))
+                            .integers(len(modules))], f.name) for f in fields(ModuleConfig)]
         targets += [(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)]
         for section, key in targets:
             for value in _EXTREMES + _RANGE_ENDS.get(key, ()):

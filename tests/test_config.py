@@ -299,6 +299,27 @@ def test_trajectory_kinds_build():
         assert np.all(np.isfinite(sample.r_d))
 
 
+@pytest.mark.parametrize("value", ["-0.5", "0", "1e-300", "1e300", "-1e300", "nan", "inf",
+                                   "-inf", "1e400", "a"])
+def test_path_altitudes_take_one_rule(value):
+    # The rectangle's altitude and the hover height are both a position on
+    # the world z axis, which the samplers take anywhere finite: text
+    # accepts and rejects the same values for both, by the same rule.
+    def outcome(kind, key):
+        try:
+            config = parse_config(f"[module.1]\n\n[trajectory]\nkind = {kind}\n{key} = {value}\n")
+            return config.to_trajectory()(0.0).r_d[2]
+        except ConfigError as exc:
+            return str(exc).replace(key, "<key>")
+
+    rectangle, hover = outcome("rectangle", "altitude_m"), outcome("hover", "hover_z_m")
+    assert rectangle == hover
+    if value in ("nan", "inf", "-inf", "1e400", "a"):
+        assert rectangle == f"trajectory: <key> must be finite, got {value!r}"
+    else:
+        assert rectangle == float(value)
+
+
 def test_every_trajectory_kind_samples_its_own_path():
     # Each kind, at the section's defaults, flies something no other kind
     # does: no second name for one sampler.

@@ -303,23 +303,27 @@ def test_checked_numbers_are_kept_as_floats():
                                             ("final_att_err", "att_err"),
                                             ("saturation_fraction", "saturated")])
 def test_empty_run_result_summaries_name_the_empty_field(summary, field):
-    # A caller-built result with no samples: a named ValueError, not an
-    # IndexError or a "Mean of empty slice" warning and NaN.
+    # A caller-built result with no samples raises when it is built, naming
+    # each column's row count, so no summary meets it: not an IndexError or
+    # a "Mean of empty slice" warning and NaN.
     kwargs = _record_kwargs(_run_result())
-    empty = RunResult(**{name: value[:0] if isinstance(value, np.ndarray) else value
-                         for name, value in kwargs.items()})
-    with pytest.raises(ValueError, match=rf"^{field} must be a non-empty array, got \[\]$"):
-        getattr(empty, summary)()
+    empty = {name: value[:0] if isinstance(value, np.ndarray) else value
+             for name, value in kwargs.items()}
+    with pytest.raises(ValueError, match=rf"^result columns must each hold one row per step, "
+                                         rf"got lengths .*(?<!\w){field}=0(,|$)"):
+        getattr(RunResult(**empty), summary)()
 
 
 @pytest.mark.parametrize("summary", ["rms_pos_err", "max_pos_err"])
 @pytest.mark.parametrize("cut", ["t", "pos_err"])
 def test_run_result_summaries_name_t_and_pos_err_of_different_lengths(summary, cut):
-    # A caller-built result whose t and pos_err differ in length: a named
-    # ValueError, not numpy's IndexError from the boolean mask.
+    # A caller-built result whose t and pos_err differ in length raises when
+    # it is built, so no summary meets numpy's IndexError from the mask.
     kwargs = _record_kwargs(_run_result())
     kwargs[cut] = kwargs[cut][:-1]
-    shapes = f"{kwargs['t'].shape} and {kwargs['pos_err'].shape}"
-    with pytest.raises(ValueError, match=rf"^t and pos_err must hold the same samples, "
-                                         rf"got shapes {re.escape(shapes)}$"):
+    lengths = ", ".join(f"{name}={len(value)}" for name, value in kwargs.items()
+                        if name != "final_state")
+    assert f"{cut}=1," in lengths and "=2," in lengths
+    with pytest.raises(ValueError, match=rf"^result columns must each hold one row per step, "
+                                         rf"got lengths {re.escape(lengths)}$"):
         getattr(RunResult(**kwargs), summary)()

@@ -12,13 +12,14 @@ prints: an empty diff means the two trees write the same bytes. The groups:
     sweep        check on the layouts that bench/sweep.generate_layouts
                  draws for seeds 1-10
     contract     check and, where the case flies, a 0.01 s simulate (with
-                 its run CSV) on each case of tests/test_cli._contract_variants
+                 its run CSV) on each case of tests/test_cli._contract_variants,
+                 one group per fixture config the cases are drawn from
 
-The contract digests are preceded by ``contract cases <n>``, the number of
-cases hashed. Dropping or adding cases moves both contract digests as
-surely as a changed output does; an unchanged count says the digests moved
-because outputs did, and a changed one says to compare the cases named in
-both trees instead.
+Each config's contract digests are preceded by ``contract <name>.cfg
+cases <n>``, the number of its cases hashed. Dropping or adding cases moves
+both of its contract digests as surely as a changed output does; an
+unchanged count says the digests moved because outputs did, and a changed
+one says to compare the cases named in both trees instead.
 
 Each command adds its exit code, stdout and stderr to its group's hash, and
 an escaped exception adds its type and message. The run CSVs go to a second
@@ -125,18 +126,21 @@ def sweep_digest() -> str:
     return digest.hexdigest()
 
 
-def contract_digest() -> tuple[int, str, str]:
-    """The number of config-contract cases of the test suite; check, and a
-    short simulate where the case flies, on each; then the run CSVs."""
+def contract_digests() -> dict:
+    """For each fixture config, the number of config-contract cases of the
+    test suite drawn from it; check, and a short simulate where the case
+    flies, on each; then the run CSVs."""
     sys.path.insert(0, str(ROOT / "tests"))
     from test_cli import _contract_variants
 
-    digest, csv_digest = hashlib.sha256(), hashlib.sha256()
+    groups = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         config, run_csv = work / "variant.cfg", work / "run.csv"
-        cases = 0
-        for cases, (name, text, simulate) in enumerate(_contract_variants(), start=1):
+        for name, text, simulate in _contract_variants():
+            fixture = name.split(" ", 1)[0]
+            cases, digest, csv_digest = groups.get(fixture, (0, hashlib.sha256(), hashlib.sha256()))
+            groups[fixture] = cases + 1, digest, csv_digest
             digest.update(name.encode() + b"\0")
             csv_digest.update(name.encode() + b"\0")
             config.write_text(text)
@@ -145,7 +149,8 @@ def contract_digest() -> tuple[int, str, str]:
                 _run(digest, work, "simulate", "--config", str(config), "--out", str(run_csv),
                      "--duration", "0.01")
                 _add_file(csv_digest, run_csv)
-    return cases, digest.hexdigest(), csv_digest.hexdigest()
+    return {name: (cases, digest.hexdigest(), csv_digest.hexdigest())
+            for name, (cases, digest, csv_digest) in groups.items()}
 
 
 def main() -> int:
@@ -162,10 +167,10 @@ def main() -> int:
         print(config.name, "run-csv", run_csvs, flush=True)
         print(config.name, "run-result", run_result, flush=True)
     print("sweep", sweep_digest(), flush=True)
-    cases, outputs, run_csvs = contract_digest()
-    print("contract cases", cases, flush=True)
-    print("contract", outputs, flush=True)
-    print("contract run-csv", run_csvs, flush=True)
+    for name, (cases, outputs, run_csvs) in contract_digests().items():
+        print("contract", name, "cases", cases, flush=True)
+        print("contract", name, outputs, flush=True)
+        print("contract", name, "run-csv", run_csvs, flush=True)
     return 0
 
 
