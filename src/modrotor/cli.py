@@ -127,7 +127,7 @@ def write_run_csv(result: RunResult, structure: StructureModel, out_path: str) -
     """One row per step; floats carry 17 significant digits for regression.
     The thrust columns are counted from ``result.u``; a ``structure`` with a
     different rotor count raises ValueError before the file is opened."""
-    n_u = result.u.shape[1]
+    n_u = np.shape(result.u)[1]
     if 4 * structure.n != n_u:
         raise ValueError(f"structure must have {n_u} rotors, one per thrust column of "
                          f"result.u, got {4 * structure.n}")

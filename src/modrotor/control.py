@@ -17,26 +17,16 @@ z axes, then body torque) the rotors must realize:
 * three directions (6 DOF): the full wrench, position and attitude
   decoupled; the desired attitude is R_d.
 
-:class:`Controller` builds the 6 x 4n thrust-frame map once, keeps the rows
-of its mode and stores that reduced map with its Moore-Penrose
-pseudoinverse. Each step is then one product giving the exact minimum-norm
-thrusts, clamped to the motor range.
-
-:meth:`Controller._law` is the control law's one kernel, which the closed
-loop calls on each step: it reads a state's 18 floats, the sample's float
-tuples and the gains' diagonal floats, runs the law on Python floats, which
-avoids the per-call cost of numpy on 3-vectors and 3x3 matrices, and uses
-numpy only for the allocation product, inside the ``np.errstate`` its
-callers enter (:meth:`Controller.step` on each call, the closed loop once
-per run); the clamp and the saturation test run on the resulting floats,
-and it returns floats, the thrust-frame attitude and attitude error the
-closed loop records among them. :meth:`Controller.step` is a thin wrapper
-that builds the whole ``ControlOutput`` from them. Float arithmetic
-overflows to inf and NaN without warnings, so the kernel checks the commanded
-acceleration and wrench for finiteness, and the minimum-norm thrusts when
-the clamp changed one, raising ControlDegeneracyError; the sample's
-attitude is a finite rotation already. So the output's ``Wrench`` skips
-re-validation, by the rule in :mod:`modrotor.lazy`.
+:meth:`Controller._law`, the control law's one kernel, reads a state's 18
+floats, the sample's float tuples and the gains' diagonal floats and runs the
+law on Python floats, which avoids numpy's per-call cost on 3-vectors and 3x3
+matrices, up to the commanded wrench that :meth:`Controller._allocate` turns
+into thrusts; :meth:`Controller.step` builds the whole ``ControlOutput`` from
+the returned floats. Float arithmetic overflows to inf and NaN without
+warnings, so the kernel checks the commanded acceleration and wrench for
+finiteness, raising ControlDegeneracyError; the sample's attitude is a finite
+rotation already. So the output's ``Wrench`` skips re-validation, by the rule
+in :mod:`modrotor.lazy`.
 """
 
 from __future__ import annotations
@@ -281,7 +271,22 @@ class Controller:
                 "torque = ({:.3e}, {:.3e}, {:.3e}) N*m".format(*force, *torque)
             )
 
-        u_raw = self.pinv.dot(self._select_rows((fx, fy, fz, *torque)))
+        u, u_raw, saturated = self._allocate((fx, fy, fz, *torque))
+        # M's trace sums trace(R_d^T R_wf) as so3.rotation_angle does, bit for bit.
+        return u, u_raw, saturated, force, torque, r_wf_d, r_wf, _angle_of_trace(m0 + m4 + m8)
+
+    def _allocate(self, wrench):
+        """The one thrust allocation of every mode: the clamped thrusts as a
+        list, the minimum-norm thrusts as an array and the saturation flag
+        for the thrust-frame ``wrench`` (fx, fy, fz, tx, ty, tz).
+
+        ``pinv`` times the mode's rows of the wrench gives the exact
+        minimum-norm thrusts, numpy's one product of the step, run inside
+        the ``np.errstate`` of :meth:`step` or the closed loop. The clamp to
+        [0, f_max] and the saturation test (a thrust moved by more than
+        1e-12 N) run on its floats; a thrust that is not finite differs
+        from its clamp and raises ControlDegeneracyError."""
+        u_raw = self.pinv.dot(self._select_rows(wrench))
         raw = u_raw.tolist()
         # np.clip(u_raw, 0, f_max) entry by entry, -0.0 included; NaN becomes
         # 0.0, so every entry that is not finite differs from its clamp.
@@ -293,5 +298,4 @@ class Controller:
                     "minimum-norm thrusts are not finite: u_raw = ({}) N".format(
                         ", ".join(f"{x:.3e}" for x in raw)))
             saturated = max(map(abs, map(sub, u, raw))) > 1e-12
-        # M's trace sums trace(R_d^T R_wf) as so3.rotation_angle does, bit for bit.
-        return u, u_raw, saturated, force, torque, r_wf_d, r_wf, _angle_of_trace(m0 + m4 + m8)
+        return u, u_raw, saturated

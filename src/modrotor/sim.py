@@ -59,9 +59,10 @@ class RunResult:
 
     euler_f rows hold (yaw, pitch, roll) of the thrust frame in the world;
     att_err is the angle between the thrust frame and its commanded target.
-    The eight columns hold one row per step, at least one, and saturated
-    only 0/1 flags; a caller's result that breaks this raises a ValueError
-    when it is built, naming every column's row count or the first bad flag.
+    The eight columns hold one row per step, at least one: pos, pos_des and
+    euler_f 3 floats a row, u 4k thrusts (k >= 1), the rest one value, and
+    saturated only 0/1 flags. A caller's result that breaks this raises a
+    ValueError naming the row counts, the column or the flag when it is built.
     """
 
     t: np.ndarray
@@ -76,10 +77,20 @@ class RunResult:
 
     def __post_init__(self):
         names = [f.name for f in fields(self)][:-1]  # all but final_state
-        rows = [(np.shape(getattr(self, name)) or (0,))[0] for name in names]
+        shapes = [np.shape(getattr(self, name)) for name in names]
+        rows = [(shape or (0,))[0] for shape in shapes]
         if len(set(rows)) > 1 or rows[0] == 0:
             raise ValueError("result columns must each hold one row per step, got lengths "
                              + ", ".join(map("{}={}".format, names, rows)))
+        for name, shape in zip(names, shapes):
+            if name == "u":
+                want, bad = "(rows, 4k), k >= 1", len(shape) != 2 or not shape[1] or shape[1] % 4
+            elif name in ("pos", "pos_des", "euler_f"):
+                want, bad = "(rows, 3)", shape[1:] != (3,)
+            else:
+                want, bad = "(rows,)", len(shape) != 1
+            if bad:
+                raise ValueError(f"{name} must have shape {want}, got {shape}")
         for k, flag in enumerate(np.array(self.saturated, dtype=object).flat):
             if flag not in (0, 1):
                 raise ValueError(f"saturated must hold only 0/1 flags, got {shown(flag)} "

@@ -3,6 +3,8 @@ import csv
 import hashlib
 import importlib
 import io
+import re
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -399,6 +401,30 @@ def test_output_digest_is_reproducible(monkeypatch):
     assert output_digest.config_digest(CONFIG_DIR / "flat.cfg") == digests
 
 
+def test_output_digest_names_the_blas_core_first(monkeypatch, capsys):
+    # Two digests compare only under one BLAS core, so the first line names
+    # the core numpy's OpenBLAS runs, or says "unknown" when numpy carries
+    # no such library or it has no core-name symbol.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    output_digest = importlib.import_module("output_digest")
+    monkeypatch.setattr(sys, "argv", ["output_digest.py"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(output_digest, "config_digest", lambda path: ("a", "b", "c"))
+    monkeypatch.setattr(output_digest, "sweep_digest", lambda: "d")
+    monkeypatch.setattr(output_digest, "contract_digests", dict)
+    assert output_digest.main() == 0
+    first, second = capsys.readouterr().out.splitlines()[:2]
+    assert re.fullmatch(r"blas-core \w+", first) and first == f"blas-core {output_digest.blas_core()}"
+    assert second.endswith(".cfg a")
+
+    def no_library(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    for loader in (no_library, lambda path: object()):
+        monkeypatch.setattr(output_digest.ctypes, "CDLL", loader)
+        assert output_digest.blas_core() == "unknown"
+
+
 def test_output_digest_sees_every_run_result_bit(monkeypatch):
     # The run-result digest covers what the run CSV and the summary leave
     # out: one ulp of one att_err entry or of the final state moves it.
@@ -569,6 +595,47 @@ def test_run_result_rejects_flags_other_than_0_and_1(flag, shown, tmp_path):
                       str(out))
     assert str(info.value) == message
     assert out.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize("column, cut, want, got", [
+    ("pos", np.s_[:, :2], "(rows, 3)", "(10, 2)"),
+    ("pos_des", np.s_[:, 0], "(rows, 3)", "(10,)"),
+    ("euler_f", np.s_[:, :, None], "(rows, 3)", "(10, 3, 1)"),
+    ("u", np.s_[:, 0], "(rows, 4k), k >= 1", "(10,)"),
+    ("u", np.s_[:, :0], "(rows, 4k), k >= 1", "(10, 0)"),
+    ("u", np.s_[:, :3], "(rows, 4k), k >= 1", "(10, 3)"),
+    ("t", np.s_[:, None], "(rows,)", "(10, 1)"),
+    ("pos_err", np.s_[:, None], "(rows,)", "(10, 1)"),
+    ("att_err", np.s_[:, None], "(rows,)", "(10, 1)"),
+    ("saturated", np.s_[:, None], "(rows,)", "(10, 1)"),
+])
+def test_run_result_rejects_columns_of_another_width(column, cut, want, got, tmp_path):
+    # Rows of the right count but not of the column's width raise when the
+    # result is built, by a direct build or a replace, so the writer never
+    # meets them: not an IndexError, and no row shorter than the header.
+    run = _seeded_run(10, 1)
+    value = getattr(run, column)[cut]
+    message = f"{column} must have shape {want}, got {got}"
+    with pytest.raises(ValueError) as info:
+        RunResult(**{**vars(run), column: value})
+    assert str(info.value) == message
+    out = tmp_path / "run.csv"
+    out.write_bytes(b"kept\r\n")
+    with pytest.raises(ValueError) as info:
+        write_run_csv(replace(run, **{column: value}), make_tilt10(), str(out))
+    assert str(info.value) == message
+    assert out.read_bytes() == b"kept\r\n"
+
+
+def test_run_csv_writes_lists_of_rows_as_their_arrays(tmp_path):
+    # A caller's columns given as nested lists are the same record as the
+    # arrays they hold, and write the same bytes.
+    structure, run = make_quad_tilt(), _seeded_run(10, 4)
+    write_run_csv(run, structure, str(tmp_path / "array.csv"))
+    as_lists = {f.name: getattr(run, f.name).tolist() for f in fields(run)[:-1]}
+    write_run_csv(RunResult(**as_lists, final_state=run.final_state), structure,
+                  str(tmp_path / "list.csv"))
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
 
 
 def test_run_csv_writes_any_form_of_0_1_flags_alike(tmp_path):

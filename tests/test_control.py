@@ -638,6 +638,47 @@ def test_saturation_flag_follows_clamp_distance(pitch_pair_structure, excess, sa
     assert out.saturated is saturated
 
 
+def test_allocate_is_the_clamped_minimum_norm_solve(all_structures):
+    # The allocation alone, on seeded thrust-frame wrenches about hover and
+    # far from it, and on both signed zeros: the minimum-norm product, its
+    # np.clip to [0, f_max] and the 1e-12 N saturation test, bit for bit.
+    rng = np.random.default_rng(36)
+    for name, structure in all_structures.items():
+        ctrl = Controller(structure)
+        hover = structure.total_mass * G
+        wrenches = [(0.0,) * 6, (-0.0,) * 6]
+        for _ in range(100):
+            scale = float(rng.choice([0.02, 1.0]))
+            force = hover * (E3 + rng.normal(size=3) * scale)
+            wrenches.append((*force, *(rng.normal(size=3) * scale * hover * 0.05)))
+        flags = []
+        for wrench in wrenches:
+            u, u_raw, saturated = ctrl._allocate(wrench)
+            want_raw = ctrl.pinv.dot(np.array(wrench)[ctrl.rows])
+            want = np.clip(want_raw, 0.0, structure.f_max)
+            for got, expected in ((u_raw, want_raw), (np.array(u), want)):
+                np.testing.assert_array_equal(got, expected, err_msg=name)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(expected), err_msg=name)
+            assert type(u) is list and type(saturated) is bool, name
+            assert saturated == (np.max(np.abs(want - want_raw)) > 1e-12), name
+            if not saturated:
+                assert u == u_raw.tolist(), name
+            flags.append(saturated)
+        assert 10 <= sum(flags) <= len(flags) - 10, (name, sum(flags))
+        # A product that is not finite raises, naming every entry; inf
+        # against inf in one sum makes NaN. Like its callers, the test runs
+        # it inside the errstate that silences numpy's warnings.
+        for bad in (np.nan, np.inf, -np.inf, 1e308):
+            wrench = (0.0, 0.0, bad, bad, -bad, bad)
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = ctrl.pinv.dot(np.array(wrench)[ctrl.rows])
+                assert not np.isfinite(raw).all(), (name, bad)
+                with pytest.raises(ControlDegeneracyError) as info:
+                    ctrl._allocate(wrench)
+            assert str(info.value) == "minimum-norm thrusts are not finite: u_raw = ({}) N".format(
+                ", ".join(f"{x:.3e}" for x in raw.tolist())), (name, bad)
+
+
 def test_non_finite_command_raises_degeneracy_error(all_structures):
     # An overflowing gyroscopic torque and an acceleration whose magnitude
     # overflows: a named ControlDegeneracyError, with no numpy warning.

@@ -232,8 +232,21 @@ def _perturbed(module, rng):
                       height=module.height, propellers=tuple(props), tilt=module.tilt)
 
 
+def _off_plane_module():
+    """A balanced module whose rotors sit 3 cm above and below the centre of
+    mass's z = 0 plane, each mirrored through the centre, at one shared tilt
+    about both axes: the p_z terms of the rotor torques are not zero."""
+    module = build_r_module(alpha=0.4, beta=0.3)
+    props = tuple(dataclasses.replace(p, position=p.position + (0.0, 0.0, h))
+                  for p, h in zip(module.propellers, (0.03, -0.03, -0.03, 0.03)))
+    return dataclasses.replace(module, propellers=props)
+
+
 def test_assemble_matches_per_rotor_oracle(layouts, all_structures):
-    structures = list(layouts) + list(all_structures.values())
+    off_plane = _off_plane_module()
+    assert check_balanced(off_plane).is_balanced
+    structures = list(layouts) + list(all_structures.values()) + [
+        assemble([ModulePlacement(off_plane), ModulePlacement(off_plane, (1, 0), 1)])]
     rng = np.random.default_rng(2023)
     for idx, structure in enumerate(structures):
         for name, want in _oracle_assemble(structure.placements).items():

@@ -80,7 +80,10 @@ def test_is_rotation_matches_numpy_oracle():
 @pytest.mark.parametrize("r", [
     np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.diag([1.0, 1.0, -np.inf]),
     np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.eye(2), [[1, 0], [0, 1, 0]], "eye",
-    np.eye(3)[:, :, None], np.eye(3).ravel(),
-], ids=["nan", "inf", "-inf", "reflection", "2I", "2x2", "ragged", "string", "3x3x1", "9"])
+    np.eye(3)[:, :, None], np.eye(3).ravel(), np.diag([1 + 6e-10, 1, 1]),
+], ids=["nan", "inf", "-inf", "reflection", "2I", "2x2", "ragged", "string", "3x3x1", "9",
+        "stretched"])
 def test_is_rotation_rejects_non_rotations(r):
+    # "stretched" is off by a Frobenius residual of 1.2e-9, just past the
+    # 1e-9 bound, while its determinant is within 1e-9 of 1.
     assert is_rotation(r) is False

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -105,11 +107,15 @@ def test_rectangle_builds_its_lap_schedule_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_rectangle_too_fast_is_rejected_when_built():
+@pytest.mark.parametrize("speed", [2.0, 1.2])
+def test_rectangle_too_fast_is_rejected_when_built(speed):
     # The rounded corners need the speed below 1.2 m/s; no sampler is made.
-    with pytest.raises(ValueError, match=r"^speed must be below 1\.2 for the 0\.5 s corner "
-                                         r"blend, got 2\.0$"):
-        rectangle(speed=2.0)
+    # At 1.2 m/s the blends eat the whole 0.6 m edge, exactly, and no straight
+    # run is left; one ulp slower still builds.
+    with pytest.raises(ValueError, match=rf"^speed must be below 1\.2 for the 0\.5 s corner "
+                                         rf"blend, got {re.escape(repr(speed))}$"):
+        rectangle(speed=speed)
+    rectangle(speed=math.nextafter(1.2, 0.0))
 
 
 def test_rectangle_cruise_acceleration_zero():

@@ -5,7 +5,11 @@ Usage, from the root of a checkout:
     python3 tools/output_digest.py
 
 Run it in each of two checkouts, each in its own process, and diff what it
-prints: an empty diff means the two trees write the same bytes. The groups:
+prints: an empty diff means the two trees write the same bytes. The first
+line, ``blas-core <name>``, names the kernel that numpy's OpenBLAS picked
+when it loaded (``unknown`` when numpy carries no OpenBLAS that can say).
+The SVDs and products behind the digests give other bits under another
+core, so compare two digests only when this line is the same. The groups:
 
     <name>.cfg   for each configs/*.cfg: check, ellipsoid --out (stdout and
                  polygon CSV) and the full simulate (stdout and run CSV)
@@ -38,6 +42,7 @@ with code 2 when modrotor cannot be imported from the checkout's src.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -47,6 +52,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP_SEEDS = range(1, 11)
+
+
+def blas_core() -> str:
+    """The OpenBLAS core in use, read by ``scipy_openblas_get_corename64_``
+    from the library in numpy's ``numpy.libs``, or ``unknown`` when that
+    library or symbol is missing. Loading the library numpy already loaded
+    returns the same handle, so the name is the one this process runs."""
+    import numpy as np
+
+    for library in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return (corename() or b"unknown").decode()
+    return "unknown"
 
 
 def _run(digest, work: Path, *args: str) -> None:
@@ -161,6 +183,7 @@ def main() -> int:
     from run import _import_library
 
     _import_library()
+    print("blas-core", blas_core(), flush=True)
     for config in sorted((ROOT / "configs").glob("*.cfg")):
         outputs, run_csvs, run_result = config_digest(config)
         print(config.name, outputs, flush=True)
