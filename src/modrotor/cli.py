@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import StructureConfig, parse_config
+from .config import StructureConfig, _built, parse_config
 from .errors import ConfigError, ModrotorError, SimulationError
 from .module_design import check_balanced
 from .sim import RunResult, run_closed_loop
@@ -127,16 +127,15 @@ def write_run_csv(result: RunResult, structure: StructureModel, out_path: str) -
     """One row per step; floats carry 17 significant digits for regression.
     The thrust columns are counted from ``result.u``; a ``structure`` with a
     different rotor count raises ValueError before the file is opened."""
-    n_u = np.shape(result.u)[1]
+    n_u = result.u.shape[1]
     if 4 * structure.n != n_u:
         raise ValueError(f"structure must have {n_u} rotors, one per thrust column of "
                          f"result.u, got {4 * structure.n}")
     header = ["t_s", "x_m", "y_m", "z_m", "xd_m", "yd_m", "zd_m", "yaw_rad", "pitch_rad",
               "roll_rad", "pos_err_m", *(f"u{k + 1:02d}_n" for k in range(n_u)), "saturated"]
     # The 0/1 flag rides in the line end: 11 + 4n floats never make a 20-item
-    # tuple, which CPython 3.11 parks on a free list it never draws from. As
-    # bools, flags a caller gave as 0.0/1.0 index the pair too.
-    ends = map((",0\r\n", ",1\r\n").__getitem__, np.asarray(result.saturated, bool).tolist())
+    # tuple, which CPython 3.11 parks on a free list it never draws from.
+    ends = map((",0\r\n", ",1\r\n").__getitem__, result.saturated.tolist())
     table = np.column_stack([result.t, result.pos, result.pos_des, result.euler_f,
                              result.pos_err, result.u])
     _write_csv(out_path, header, table, ends)
@@ -195,10 +194,10 @@ def main(argv=None) -> int:
             return cmd_check(config)
         if args.command == "ellipsoid":
             return cmd_ellipsoid(config, args.out)
-        # Unchecked here: to_sim_params rejects an unusable value by its field name.
+        # An override takes its key's rule: "sim: dt_s must be ..." if rejected.
         overrides = {key: value for key, value in (("duration_s", args.duration),
                                                    ("dt_s", args.dt)) if value is not None}
-        config = replace(config, sim=replace(config.sim, **overrides))
+        config = replace(config, sim=_built("sim", replace, config.sim, **overrides))
         return cmd_simulate(config, args.out)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,11 +6,12 @@ their unit in the name; angles are degrees in the file and radians in code.
 Each section is one of the dataclasses below, and its fields are the only
 definition of the section's keys, their types and their defaults: a key the
 file leaves out takes the field's default. Unknown sections or keys are
-rejected. A number goes through :func:`~modrotor.lazy.checked` against its
-key's bound in ``_BOUNDS``, and ``kind`` must be a key of ``_TRAJECTORIES``;
-the rest, overlapping grid cells included, is checked by the library when
-the ``to_*`` builders run. A value rejected by either is a ConfigError
-``<section>: <message>`` whose message names the field.
+rejected. Each key has one rule, ``_convert``, for text and for a record's
+fields: a number goes through :func:`~modrotor.lazy.checked` against its
+key's bound in ``_BOUNDS``, and ``kind`` must be a key of ``_TRAJECTORIES``.
+The rest, overlapping grid cells included, is checked by the ``to_*``
+builders. A value they or the parser reject is a ConfigError ``<section>:
+<message>``; a record built with a bad field raises the rule's ValueError.
 
 The grammar is the standard library INI reader's default one, without
 interpolation or default merging (``[DEFAULT]`` is just an unknown section).
@@ -42,8 +43,17 @@ from .structure import ModulePlacement, StructureModel, assemble
 from .trajectory import RECT_ALTITUDE, RECT_SPEED, TrajectorySample, helix, hover, rectangle
 
 
+class _Record:
+    """A section record: each field not at its default is kept as ``_convert`` returns it."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if (value := getattr(self, f.name)) is not f.default:
+                object.__setattr__(self, f.name, _convert(f.type, value, f.name))
+
+
 @dataclass(frozen=True)
-class ModuleConfig:
+class ModuleConfig(_Record):
     mass_kg: float = 0.135
     base_m: float = 0.12
     height_m: float = 0.06
@@ -58,7 +68,7 @@ class ModuleConfig:
 
 
 @dataclass(frozen=True)
-class GainsConfig:
+class GainsConfig(_Record):
     k_pos: float = Gains.k_pos
     k_vel: float = Gains.k_vel
     k_rot: float = Gains.k_rot
@@ -66,14 +76,14 @@ class GainsConfig:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     dt_s: float = SimParams.dt
     gravity_mps2: float = SimParams.gravity
     duration_s: float = SimParams.duration
 
 
 @dataclass(frozen=True)
-class TrajectoryConfig:
+class TrajectoryConfig(_Record):
     kind: str = "hover"
     pitch_hold_deg: float = 0.0
     speed_mps: float = RECT_SPEED
@@ -92,6 +102,17 @@ class StructureConfig:
     sim: SimConfig = SimConfig()
     trajectory: TrajectoryConfig = TrajectoryConfig()
 
+    def __post_init__(self):
+        """The modules as a tuple; a field not of its record type is a ValueError."""
+        modules = self.modules
+        if not isinstance(modules, (tuple, list)) or not all(
+                isinstance(m, ModuleConfig) for m in modules):
+            raise ValueError(f"modules must be a tuple of ModuleConfig, got {shown(modules)}")
+        object.__setattr__(self, "modules", tuple(modules))
+        for name, cls in _SECTIONS.items():
+            if not isinstance(value := getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {shown(value)}")
+
     def to_structure(self) -> StructureModel:
         """The assembled structure; a module the library rejects, such as one
         whose inertia overflows or whose grid offset is beyond float range,
@@ -108,7 +129,7 @@ class StructureConfig:
         return _built("sim", SimParams, dt=s.dt_s, gravity=s.gravity_mps2, duration=s.duration_s)
 
     def to_trajectory(self) -> Callable[[float], TrajectorySample]:
-        return _built("trajectory", lambda tr: _builder(tr.kind)(tr), self.trajectory)
+        return _built("trajectory", _TRAJECTORIES[self.trajectory.kind], self.trajectory)
 
 
 def _built(where: str, build, *args, **kwargs):
@@ -121,53 +142,29 @@ def _built(where: str, build, *args, **kwargs):
 
 
 def _placement(m: ModuleConfig) -> ModulePlacement:
-    """``m``'s placement; its tilts and inertia triple take the text rules."""
-    inertia = m.inertia_diag_kgm2
-    if inertia is not None:
-        inertia = np.diag(_triple("inertia_diag_kgm2", inertia, inertia))
     module = build_r_module(
-        mass=m.mass_kg,
-        base=m.base_m,
-        height=m.height_m,
-        alpha=math.radians(checked("alpha_deg", m.alpha_deg, _BOUNDS["alpha_deg"])),
-        beta=math.radians(checked("beta_deg", m.beta_deg, _BOUNDS["beta_deg"])),
-        k_m=m.k_m,
-        f_max=m.f_max_n,
-        inertia=inertia,
-    )
-    return ModulePlacement(
-        module=module,
-        grid_offset=(m.grid_col, m.grid_row),
-        yaw_quarter_turns=m.yaw_quarter_turns,
-    )
+        mass=m.mass_kg, base=m.base_m, height=m.height_m, alpha=math.radians(m.alpha_deg),
+        beta=math.radians(m.beta_deg), k_m=m.k_m, f_max=m.f_max_n,
+        inertia=None if m.inertia_diag_kgm2 is None else np.diag(m.inertia_diag_kgm2))
+    return ModulePlacement(module=module, grid_offset=(m.grid_col, m.grid_row),
+                           yaw_quarter_turns=m.yaw_quarter_turns)
 
 
 # Each trajectory kind and the sampler it flies, built from the section.
 _TRAJECTORIES = {
     "hover": lambda tr: hover((tr.hover_x_m, tr.hover_y_m, tr.hover_z_m),
-                              yaw0=math.radians(checked("hover_yaw_deg", tr.hover_yaw_deg))),
+                              yaw0=math.radians(tr.hover_yaw_deg)),
     "helix": lambda tr: helix,
-    "rectangle": lambda tr: rectangle(math.radians(checked("pitch_hold_deg", tr.pitch_hold_deg)),
-                                      tr.speed_mps, tr.altitude_m),
+    "rectangle": lambda tr: rectangle(math.radians(tr.pitch_hold_deg), tr.speed_mps, tr.altitude_m),
 }
-
-
-def _builder(kind):
-    """``_TRAJECTORIES[kind]``; a ValueError naming ``kind`` if it is not a key."""
-    if isinstance(kind, str) and kind in _TRAJECTORIES:
-        return _TRAJECTORIES[kind]
-    raise ValueError(f"kind must be one of {tuple(_TRAJECTORIES)}, got {shown(kind)}")
 
 
 # The bound, in lazy.checked's form, on a key's number or on each part of
 # its triple; a float key not listed must be finite, and an int key not
 # listed (grid_col, grid_row) is left to ModulePlacement.
 _BOUNDS = {
-    **dict.fromkeys(
-        ("mass_kg", "base_m", "height_m", "f_max_n", "k_pos", "k_vel", "k_rot",
-         "k_ang", "dt_s", "duration_s", "speed_mps", "inertia_diag_kgm2"),
-        POSITIVE,
-    ),
+    **dict.fromkeys(("mass_kg", "base_m", "height_m", "f_max_n", "k_pos", "k_vel", "k_rot",
+                     "k_ang", "dt_s", "duration_s", "speed_mps", "inertia_diag_kgm2"), POSITIVE),
     "k_m": NON_NEGATIVE,
     **dict.fromkeys(("alpha_deg", "beta_deg"), (-90.0, 90.0, "within [-90, 90]")),
     "yaw_quarter_turns": QUARTERS,
@@ -181,31 +178,29 @@ _KEY_TYPES = {cls: {f.name: f.type for f in fields(cls)}
 _DEFAULTS = {cls: {f.name: f.default for f in fields(cls)} for cls in _KEY_TYPES}
 
 
-def _convert(type_name: str, raw: str, key: str):
-    """``raw`` as the field's declared type, float, int, str or a number
-    triple, within the key's bound; otherwise a ValueError naming ``key``."""
+def _convert(type_name: str, value, key: str):
+    """``value``, text or a caller's value, as the field's declared type
+    within the key's bound: a float; an int, from a plain ``int`` (not a
+    bool) or its text; a key of ``_TRAJECTORIES``; or a number triple,
+    from text or any three numbers. Otherwise a ValueError naming ``key``."""
     if type_name == "float":
-        return checked(key, raw, _BOUNDS.get(key, FINITE))
+        return checked(key, value, _BOUNDS.get(key, FINITE))
     if type_name == "str":
-        _builder(raw)
-        return raw
+        if isinstance(value, str) and value in _TRAJECTORIES:
+            return value
+        raise ValueError(f"kind must be one of {tuple(_TRAJECTORIES)}, got {shown(value)}")
     if type_name == "int":
         try:
-            value = int(raw)
+            if type(value) not in (int, str):  # a bool, float or numpy int is not one
+                raise ValueError
+            number = int(value)
         except ValueError:
-            raise ValueError(f"{key} must be an integer, got {raw!r}") from None
+            raise ValueError(f"{key} must be an integer, got {shown(value)}") from None
         if key in _BOUNDS:
-            checked(key, value, _BOUNDS[key])
-        return value
-    return _triple(key, [part.strip() for part in raw.split(",")], raw)
-
-
-def _triple(key: str, parts, value) -> tuple[float, float, float]:
-    """The three entries of ``parts``, each within ``key``'s bound, as
-    floats; otherwise a ValueError naming ``key`` that shows ``value``, the
-    input ``parts`` came from."""
+            checked(key, number, _BOUNDS[key])
+        return number
     try:
-        parts = list(parts)
+        parts = [p.strip() for p in value.split(",")] if isinstance(value, str) else list(value)
     except TypeError:  # a number or a 0-d array is not three of them
         parts = ()
     if len(parts) != 3:
@@ -216,11 +211,11 @@ def _triple(key: str, parts, value) -> tuple[float, float, float]:
 def _parse_section(cls, section, where: str):
     """An instance of the dataclass ``cls`` from the keys ``section`` sets;
     the dataclass supplies the default of every key the section leaves out.
-    The section dataclasses check nothing themselves and every value is
-    checked here, so the instance is built with :func:`~modrotor.lazy.unchecked`."""
+    Each value read is converted here by its key's rule, the one the
+    record's constructor would apply, so the instance is built with
+    :func:`~modrotor.lazy.unchecked`."""
     types = _KEY_TYPES[cls]
-    unknown = section.keys() - types.keys()
-    if unknown:
+    if unknown := section.keys() - types.keys():
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
     values = _built(where, lambda: {key: _convert(types[key], raw, key)
                                     for key, raw in section.items()})
@@ -309,10 +304,7 @@ def parse_config(text: str) -> StructureConfig:
         modules.append(_parse_section(ModuleConfig, parsed[module_sections[idx]],
                                       f"module.{idx}"))
 
-    sections = {
-        name: _parse_section(cls, parsed[name], name)
-        for name, cls in _SECTIONS.items()
-        if name in parsed
-    }
+    sections = {name: _parse_section(cls, parsed[name], name)
+                for name, cls in _SECTIONS.items() if name in parsed}
     return StructureConfig(modules=tuple(modules), **sections)
 

@@ -62,7 +62,8 @@ class RunResult:
     The eight columns hold one row per step, at least one: pos, pos_des and
     euler_f 3 floats a row, u 4k thrusts (k >= 1), the rest one value, and
     saturated only 0/1 flags. A caller's result that breaks this raises a
-    ValueError naming the row counts, the column or the flag when it is built.
+    ValueError naming the row counts, the column or the flag when it is built;
+    otherwise each column is converted once, to bools or floats (float64 kept).
     """
 
     t: np.ndarray
@@ -77,12 +78,18 @@ class RunResult:
 
     def __post_init__(self):
         names = [f.name for f in fields(self)][:-1]  # all but final_state
-        shapes = [np.shape(getattr(self, name)) for name in names]
-        rows = [(shape or (0,))[0] for shape in shapes]
+        columns = []
+        for name in names:
+            try:
+                columns.append(np.asarray(getattr(self, name)))
+            except ValueError:  # numpy's "inhomogeneous shape"
+                raise ValueError(f"{name} must hold rows of equal length") from None
+        rows = [(c.shape or (0,))[0] for c in columns]
         if len(set(rows)) > 1 or rows[0] == 0:
             raise ValueError("result columns must each hold one row per step, got lengths "
                              + ", ".join(map("{}={}".format, names, rows)))
-        for name, shape in zip(names, shapes):
+        for name, column in zip(names, columns):
+            shape = column.shape
             if name == "u":
                 want, bad = "(rows, 4k), k >= 1", len(shape) != 2 or not shape[1] or shape[1] % 4
             elif name in ("pos", "pos_des", "euler_f"):
@@ -91,10 +98,16 @@ class RunResult:
                 want, bad = "(rows,)", len(shape) != 1
             if bad:
                 raise ValueError(f"{name} must have shape {want}, got {shape}")
-        for k, flag in enumerate(np.array(self.saturated, dtype=object).flat):
-            if flag not in (0, 1):
-                raise ValueError(f"saturated must hold only 0/1 flags, got {shown(flag)} "
-                                 f"at entry {k}")
+            if name != "saturated":
+                if column.dtype.kind not in "biuf":
+                    raise ValueError(f"{name} must hold numbers, got dtype {column.dtype}")
+                object.__setattr__(self, name, np.asarray(column, float))  # no copy of float64
+        flags = columns[-1] if columns[-1].dtype.kind in "biuf" else np.array(self.saturated, object)
+        if (bad := (flags != 0) & (flags != 1)).any():
+            k = int(bad.argmax())
+            raise ValueError(f"saturated must hold only 0/1 flags, got "
+                             f"{shown(flags.ravel()[k:k + 1].tolist()[0])} at entry {k}")
+        object.__setattr__(self, "saturated", flags.astype(bool, copy=False))
 
     def rms_pos_err(self, t_min: float = 0.0) -> float:
         return float(np.sqrt(np.mean(self._pos_err_from(t_min) ** 2)))

@@ -67,6 +67,22 @@ def test_every_fixture_config_passes_check(capsys):
         assert "UNBALANCED" not in out
 
 
+def test_check_reports_unbalanced_modules_and_exits_validation(monkeypatch, capsys):
+    # A config can describe only shared-tilt modules, which balance; with
+    # the balance check reporting otherwise, check marks each module
+    # UNBALANCED, prints the rest of its report unchanged and exits 2.
+    args = ["check", "--config", str(CONFIG_DIR / "experiment2.cfg")]
+    _, balanced, _ = run_cli(args, capsys)
+    real = modrotor.cli.check_balanced
+    monkeypatch.setattr(modrotor.cli, "check_balanced",
+                        lambda module: replace(real(module), is_balanced=False))
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_VALIDATION
+    assert balanced.count(": balanced ") == 2
+    assert out == balanced.replace(": balanced ", ": UNBALANCED ")
+    assert err == "error: structure contains unbalanced modules\n"
+
+
 def test_check_bad_config_exits_validation(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     # A value the parser rejects, modules whose inertia overflows to inf or
@@ -638,6 +654,54 @@ def test_run_csv_writes_lists_of_rows_as_their_arrays(tmp_path):
     assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
 
 
+@pytest.mark.parametrize("column, make, message", [
+    ("u", lambda run: run.u.astype(str), r"u must hold numbers, got dtype <U\d+"),
+    ("pos", lambda run: [[1.0, 2.0, 3.0], [1.0, 2.0], *run.pos[2:].tolist()],
+     "pos must hold rows of equal length"),
+    ("att_err", lambda run: [None] * 10, "att_err must hold numbers, got dtype object"),
+])
+def test_run_result_rejects_columns_that_are_not_numbers(column, make, message, tmp_path):
+    # Text and ragged rows raise a ValueError naming the column when the
+    # result is built, directly or by replace, so the writer never truncates
+    # out_path for them.
+    run = _seeded_run(10, 1)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        RunResult(**{**vars(run), column: make(run)})
+    out = tmp_path / "run.csv"
+    out.write_bytes(b"kept\r\n")
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        write_run_csv(replace(run, **{column: make(run)}), make_tilt10(), str(out))
+    assert out.read_bytes() == b"kept\r\n"
+
+
+def test_run_result_summaries_read_list_columns_as_arrays():
+    # Columns given as lists are converted once, so the summaries read the
+    # same floats they read from the arrays.
+    run = replace(_seeded_run(10, 1), t=np.arange(10) * 0.1)
+    as_lists = RunResult(**{f.name: getattr(run, f.name).tolist() for f in fields(run)[:-1]},
+                         final_state=run.final_state)
+    for summary, args in (("rms_pos_err", ()), ("rms_pos_err", (0.35,)), ("max_pos_err", ()),
+                          ("max_pos_err", (0.35,)), ("saturation_fraction", ()),
+                          ("final_att_err", ())):
+        assert getattr(as_lists, summary)(*args) == getattr(run, summary)(*args), summary
+
+
+def test_run_result_keeps_float64_columns_without_a_copy():
+    # A flight's columns are float64 views of one table and bool flags; the
+    # result keeps them as given, so building it costs no memory. Flags of
+    # another type become bools.
+    run, rows = _seeded_run(10, 1), np.zeros((10, 16))
+    columns = dict(t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
+                   pos_err=rows[:, 10], att_err=rows[:, 11], u=rows[:, 12:])
+    kept = RunResult(**{**vars(run), **columns})
+    for name, column in columns.items():
+        assert getattr(kept, name) is column and np.shares_memory(getattr(kept, name), rows), name
+    flags = np.array(run.saturated)
+    assert RunResult(**{**vars(run), "saturated": flags}).saturated is flags
+    as_ints = RunResult(**{**vars(run), "saturated": flags.astype(int)}).saturated
+    assert as_ints.dtype == bool and np.array_equal(as_ints, flags)
+
+
 def test_run_csv_writes_any_form_of_0_1_flags_alike(tmp_path):
     # Flags given as bools, ints or floats are one record, written alike.
     structure, run = make_tilt10(), _seeded_run(10, 1)
@@ -671,6 +735,22 @@ def test_simulate_rejects_bad_duration(capsys, tmp_path):
     )
     assert code == EXIT_VALIDATION
     assert "duration" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0"], "sim: dt_s must be positive and finite, got 0.0"),
+    (["--dt", "nan"], "sim: dt_s must be positive and finite, got nan"),
+    (["--duration", "-3"], "sim: duration_s must be positive and finite, got -3.0"),
+    (["--duration", "inf", "--dt", "0.01"], "sim: duration_s must be positive and finite, got inf"),
+])
+def test_simulate_overrides_take_their_keys_rule(flags, message, capsys, tmp_path):
+    # --dt and --duration set [sim] dt_s and duration_s, and a rejected one
+    # is named by its key, as in text, before anything is flown or written.
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(["simulate", "--config", str(CONFIG_DIR / "flat.cfg"),
+                              "--out", str(out_csv), *flags], capsys)
+    assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+    assert not out_csv.exists()
 
 
 def test_simulate_runtime_failure_exit_code(capsys, tmp_path):

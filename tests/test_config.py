@@ -364,80 +364,142 @@ def test_config_dataclass_equality_is_by_value():
     assert a == b and isinstance(a, StructureConfig)
 
 
-# Values a caller may put in a field of a config built in code, which no
-# parsing has checked.
+# Values a caller may put in a field of a config built in code.
 _CODE_EDGES = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e308, "a")
 _KINDS = ("hover", "helix", "rectangle")
+_RECORDS = {"module.1": ModuleConfig, "gains": GainsConfig, "sim": SimConfig,
+            "trajectory": TrajectoryConfig}
 
 
 def _code_variants():
-    """(name, config, its builder's name) for each field of each section
-    set to each edge value; a trajectory field under each kind."""
-    base = parse_config(MINIMAL)
+    """(name, section, {field: value}, its builder's name) for each field of
+    each section set to each edge value; a trajectory field under each kind."""
     for f in dataclasses.fields(ModuleConfig):
         values = _CODE_EDGES
         if f.name == "inertia_diag_kgm2":
             values += tuple((1e-3, x, 1e-3) for x in _CODE_EDGES)
         for value in values:
-            module = dataclasses.replace(ModuleConfig(), **{f.name: value})
-            yield (f"module {f.name}={value}", dataclasses.replace(base, modules=(module,)),
-                   "to_structure")
+            yield f"module {f.name}={value}", "module.1", {f.name: value}, "to_structure"
     for section, builder in (("gains", "to_gains"), ("sim", "to_sim_params")):
-        for f in dataclasses.fields(getattr(base, section)):
+        for f in dataclasses.fields(_RECORDS[section]):
             for value in _CODE_EDGES:
-                changed = dataclasses.replace(getattr(base, section), **{f.name: value})
-                yield (f"{section} {f.name}={value}",
-                       dataclasses.replace(base, **{section: changed}), builder)
+                yield f"{section} {f.name}={value}", section, {f.name: value}, builder
     fields = [f.name for f in dataclasses.fields(TrajectoryConfig) if f.name != "kind"]
     for kind in _KINDS + _CODE_EDGES + ("helx",):
         for name, value in [(None, None)] + [(n, v) for n in fields for v in _CODE_EDGES]:
-            changed = TrajectoryConfig(kind=kind, **({} if name is None else {name: value}))
-            yield (f"trajectory kind={kind} {name}={value}",
-                   dataclasses.replace(base, trajectory=changed), "to_trajectory")
+            changes = {"kind": kind, **({} if name is None else {name: value})}
+            yield (f"trajectory kind={kind} {name}={value}", "trajectory", changes,
+                   "to_trajectory")
+
+
+def _code_config(section, changes) -> StructureConfig:
+    """The minimal config with ``section`` built in code from ``changes``."""
+    record = _RECORDS[section](**changes)
+    if section == "module.1":
+        return dataclasses.replace(parse_config(MINIMAL), modules=(record,))
+    return dataclasses.replace(parse_config(MINIMAL), **{section: record})
+
+
+def _text_config(section, changes) -> StructureConfig:
+    """The minimal config with ``changes`` written as ``section``'s text."""
+    keys = "".join(f"{key} = {_ini_value(value)}\n" for key, value in changes.items())
+    return parse_config(MINIMAL + (keys if section == "module.1" else f"\n[{section}]\n{keys}"))
+
+
+def _bytes_of(value) -> tuple:
+    """The bytes a builder's value holds: a structure's thrust map and
+    inertia, every field of a Gains or SimParams, and a sampler's samples."""
+    if callable(value):  # a trajectory sampler
+        return tuple(np.asarray(getattr(value(t), name)).tobytes() for t in (0.0, 1.0, 7.5)
+                     for name in ("r_d", "v_d", "a_d", "r_wf_d", "omega_d"))
+    if hasattr(value, "thrust_map"):
+        return value.thrust_map.tobytes(), value.inertia.tobytes()
+    return tuple(np.asarray(getattr(value, f.name)).tobytes() for f in dataclasses.fields(value))
+
+
+def _outcome(make_config, rejection, builder):
+    """What a config gives: ``("rule", bound)`` when ``make_config`` raises
+    ``rejection``, the bound being its message between the key and ", got";
+    the ModrotorError the builder or a sample raises, by type and message;
+    or the bytes of the builder's value. Any other exception escapes."""
+    try:
+        config = make_config()
+    except rejection as exc:
+        return "rule", re.sub(r"^[\w.]+: ", "", str(exc)).partition(", got ")[0]
+    try:
+        return _bytes_of(getattr(config, builder)())
+    except ModrotorError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_configs_built_in_code_build_or_raise_config_errors():
-    # A config built in code skips the parser's checks; each to_* builder
-    # still returns a value (a sampler that samples) or raises a
-    # ModrotorError, never another exception or a warning, and an unknown
-    # kind never flies.
-    failures, flown = [], set()
-    for name, config, builder in _code_variants():
-        try:
-            value = getattr(config, builder)()
-            if builder == "to_trajectory":
-                value(1.0)
-                flown.add(config.trajectory.kind)
-        except ModrotorError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - any other escape is a failure
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+    # Each key has one rule, however its value arrives: a record built in
+    # code accepts a value exactly when the same value in text is accepted,
+    # builds the same bytes when it is, and otherwise raises ValueError at
+    # construction naming the key with the text path's bound. A record that
+    # built gives a value or a ModrotorError from every builder, never
+    # another exception or a warning, and an unknown kind never flies.
+    failures, flown, rejected = [], set(), 0
+    for name, section, changes, builder in _code_variants():
+        code = _outcome(lambda: _code_config(section, changes), ValueError, builder)
+        text = _outcome(lambda: _text_config(section, changes), ConfigError, builder)
+        if code != text:
+            failures.append(f"{name}: code {str(code)[:100]} != text {str(text)[:100]}")
+        if code[0] == "rule":
+            rejected += 1
+            if code[1].split(" ", 1)[0] not in changes:
+                failures.append(f"{name}: {code[1]!r} names no key it was given")
+        elif builder == "to_trajectory" and isinstance(code[0], bytes):
+            flown.add(changes["kind"])
     assert not failures, "\n".join(failures)
     assert flown == set(_KINDS)
+    assert rejected > 500, rejected
+
+
+@pytest.mark.parametrize("field, value", [
+    ("modules", None), ("modules", ModuleConfig()), ("modules", (GainsConfig(),)),
+    ("modules", "module.1"), ("gains", None), ("gains", SimConfig()), ("sim", GainsConfig()),
+    ("trajectory", "hover"),
+])
+def test_structure_config_fields_must_be_their_records(field, value):
+    # A field that is not its record raises ValueError naming the field, so
+    # no builder meets an AttributeError; modules given as a list are kept
+    # as a tuple.
+    config = parse_config(MINIMAL)
+    with pytest.raises(ValueError, match=rf"^{field} must be a "):
+        dataclasses.replace(config, **{field: value})
+    listed = dataclasses.replace(config, modules=[ModuleConfig(), ModuleConfig(grid_col=1)])
+    assert type(listed.modules) is tuple and listed.to_structure().n == 2
 
 
 @pytest.mark.parametrize("kind", ["helx", "", "Hover", float("nan"), 0, None, ["hover"]])
 def test_unknown_kind_never_flies(kind):
-    config = dataclasses.replace(parse_config(MINIMAL), trajectory=TrajectoryConfig(kind=kind))
-    with pytest.raises(ConfigError, match=r"^trajectory: kind must be one of \('hover', "):
-        config.to_trajectory()
+    # An unknown kind is rejected when the record is built, directly or by
+    # replace, so no config holds one.
+    for build in (lambda: TrajectoryConfig(kind=kind),
+                  lambda: dataclasses.replace(TrajectoryConfig(), kind=kind)):
+        with pytest.raises(ValueError, match=r"^kind must be one of \('hover', "):
+            build()
 
 
 @pytest.mark.parametrize("section, change, builder, message", [
-    ("gains", {"k_pos": -1.0}, "to_gains",
-     r"gains: k_pos must be a positive number, three positive entries or a diagonal 3x3 matrix "
-     r"with a positive diagonal, got -1.0"),
-    ("sim", {"dt_s": 0.0}, "to_sim_params", r"sim: dt must be positive and finite, got 0.0"),
-    ("trajectory", {"hover_x_m": float("nan")}, "to_trajectory",
-     r"trajectory: r0 must be a finite array of shape \(3,\), got \(nan, 0.0, 0.7\)"),
-    ("trajectory", {"kind": "rectangle", "altitude_m": float("nan")}, "to_trajectory",
-     r"trajectory: altitude must be finite, got nan"),
+    ("gains", {"k_pos": -1.0}, None, r"k_pos must be positive and finite, got -1.0"),
+    ("sim", {"dt_s": 0.0}, None, r"dt_s must be positive and finite, got 0.0"),
+    ("trajectory", {"hover_x_m": float("nan")}, None, r"hover_x_m must be finite, got nan"),
+    ("trajectory", {"kind": "rectangle", "altitude_m": float("nan")}, None,
+     r"altitude_m must be finite, got nan"),
     ("trajectory", {"kind": "rectangle", "speed_mps": 5.0}, "to_trajectory",
      r"trajectory: speed must be below 1.2 for the 0.5 s corner blend, got 5.0"),
 ])
 def test_code_built_errors_name_section_and_field(section, change, builder, message):
-    # Every builder maps a rejected value the same way: "<section>: <message>".
+    # A value its key's rule rejects raises ValueError naming the key when
+    # the record is built; one only the library rejects raises, from the
+    # builder, the one form of a config error: "<section>: <message>".
     config = parse_config(MINIMAL)
+    if builder is None:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            dataclasses.replace(getattr(config, section), **change)
+        return
     config = dataclasses.replace(
         config, **{section: dataclasses.replace(getattr(config, section), **change)})
     with pytest.raises(ConfigError, match=rf"^{message}$"):
@@ -452,14 +514,26 @@ def test_code_built_errors_name_section_and_field(section, change, builder, mess
     ({"inertia_diag_kgm2": ()}, "inertia_diag_kgm2 must be three numbers, got ()"),
     ({"inertia_diag_kgm2": (1e-3, -2e-3, 3e-3)},
      "inertia_diag_kgm2 must be positive and finite, got -0.002"),
+    ({"grid_col": True}, "grid_col must be an integer, got True"),
+    ({"grid_row": 1.0}, "grid_row must be an integer, got 1.0"),
+    ({"yaw_quarter_turns": 4}, "yaw_quarter_turns must be 0, 1, 2 or 3, got 4"),
 ])
 def test_code_built_module_keys_take_the_text_rules(change, message):
     # A module config built in code gets the degree bound and the
-    # three-positive-numbers rule that its keys get in text, named as keys.
-    config = dataclasses.replace(parse_config(MINIMAL),
-                                 modules=(dataclasses.replace(ModuleConfig(), **change),))
-    with pytest.raises(ConfigError, match="^" + re.escape(f"module.1: {message}") + "$"):
-        config.to_structure()
+    # three-positive-numbers rule that its keys get in text, named as keys,
+    # when it is built, directly or by replace.
+    for build in (lambda: ModuleConfig(**change),
+                  lambda: dataclasses.replace(ModuleConfig(), **change)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build()
+
+
+def test_code_built_int_keys_take_an_int_or_its_text():
+    # As in text, an integer key takes an int or the text of one, and the
+    # record keeps the int.
+    module = ModuleConfig(grid_col="-2", grid_row=10**400, yaw_quarter_turns="3")
+    assert (module.grid_col, module.grid_row, module.yaw_quarter_turns) == (-2, 10**400, 3)
+    assert type(module.grid_col) is int and type(module.yaw_quarter_turns) is int
 
 
 @pytest.mark.parametrize("triple", [np.array([1e-3, 2e-3, 3e-3]), [1e-3, 2e-3, 3e-3],
@@ -480,17 +554,9 @@ def test_code_built_inertia_triple_takes_any_sequence(triple):
                                  "f_max_n"])
 def test_code_built_module_key_fares_as_its_text(key, value):
     # A number set on a ModuleConfig in code is accepted exactly when the
-    # same number in text is, builds the same bits when it is, and is
-    # rejected with the same error type and bound when it is not.
-    def outcome(build):
-        try:
-            structure = build()
-        except ModrotorError as exc:
-            bound = str(exc).partition(" must be ")[2].partition(", got ")[0]
-            return type(exc), bound or str(exc)
-        return structure.thrust_map.tobytes(), structure.inertia.tobytes()
-
-    text = outcome(lambda: parse_config(f"[module.1]\n{key} = {value!r}\n").to_structure())
-    code = outcome(lambda: dataclasses.replace(
-        parse_config(MINIMAL), modules=(ModuleConfig(**{key: value}),)).to_structure())
+    # same number in text is, and builds the same bits when it is. The rule
+    # rejects it with the same bound in both: as a ConfigError when text is
+    # parsed, as a ValueError when the record is built.
+    code = _outcome(lambda: _code_config("module.1", {key: value}), ValueError, "to_structure")
+    text = _outcome(lambda: _text_config("module.1", {key: value}), ConfigError, "to_structure")
     assert code == text

@@ -740,3 +740,10 @@ def test_degeneracy_thresholds_and_messages():
         with pytest.raises(ControlDegeneracyError, match=f"^{re.escape(message)}$"):
             attitude(*inputs(1e-6))
         assert len(attitude(*inputs(np.nextafter(1e-6, 1.0)))) == 9
+
+
+def test_controller_rejects_a_force_rank_without_a_mode(flat_structure):
+    # Modes exist for force-block ranks 1, 2 and 3 only; a structure of
+    # another rank, here one built by replace, has no control law.
+    with pytest.raises(AllocationError, match="^unsupported force-block rank 0$"):
+        Controller(replace(flat_structure, rank_f=0))

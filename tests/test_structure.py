@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,7 @@ from modrotor import (
     actuation_ellipsoid,
     assemble,
     build_r_module,
+    check_balanced,
     helix,
     numerical_rank,
     rectangle,
@@ -305,6 +307,25 @@ def test_thrust_frame_degenerate_inputs():
     cols = np.column_stack([E3, E3, -E3, E3])
     with pytest.raises(AssemblyError, match="^rank-1 structure with mismatched rotor force axes"):
         _thrust_frame(cols, 1, np.linalg.svd(cols)[:2])
+
+
+def test_opposed_horizontal_modules_are_a_mismatched_rank_one_structure():
+    # Two balanced modules thrusting along -y and +y, their rotors 3 cm above
+    # and below the centre of mass's plane so the torque block has full
+    # rank: the force span is one axis that no sign rule can orient (no
+    # uniform thrust, no z or x component), and half the rotors push
+    # against it.
+    def off_plane(alpha):
+        module = build_r_module(alpha=alpha)
+        np.testing.assert_allclose(module.tilt, rot_x(alpha), atol=1e-15)
+        return dataclasses.replace(module, propellers=tuple(
+            dataclasses.replace(p, position=p.position + (0.0, 0.0, h))
+            for p, h in zip(module.propellers, (0.03, -0.03, -0.03, 0.03))))
+
+    modules = [off_plane(np.pi / 2), off_plane(-np.pi / 2)]
+    assert all(check_balanced(m).is_balanced for m in modules)
+    with pytest.raises(AssemblyError, match="^rank-1 structure with mismatched rotor force axes"):
+        assemble([ModulePlacement(modules[0]), ModulePlacement(modules[1], (1, 0))])
 
 
 @pytest.mark.parametrize("grid_offset", [(float("inf"), 0), (float("nan"), 0),
