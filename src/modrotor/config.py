@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,6 +74,10 @@ class GainsConfig(_Record):
     k_vel: float = Gains.k_vel
     k_rot: float = Gains.k_rot
     k_ang: float = Gains.k_ang
+
+    @cached_property
+    def _gains(self) -> Gains:  # one per record; configs without [gains] share the default
+        return Gains(k_pos=self.k_pos, k_vel=self.k_vel, k_rot=self.k_rot, k_ang=self.k_ang)
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,7 @@ class StructureConfig:
                          for n, m in enumerate(self.modules, start=1)])
 
     def to_gains(self) -> Gains:
-        g = self.gains
-        return _built("gains", Gains, k_pos=g.k_pos, k_vel=g.k_vel, k_rot=g.k_rot, k_ang=g.k_ang)
+        return self.gains._gains
 
     def to_sim_params(self) -> SimParams:
         s = self.sim
@@ -183,12 +187,16 @@ def _convert(type_name: str, value, key: str):
     within the key's bound: a float; an int, from a plain ``int`` (not a
     bool) or its text; a key of ``_TRAJECTORIES``; or a number triple,
     from text or any three numbers. Otherwise a ValueError naming ``key``."""
-    if type_name == "float":
-        return checked(key, value, _BOUNDS.get(key, FINITE))
     if type_name == "str":
         if isinstance(value, str) and value in _TRAJECTORIES:
             return value
         raise ValueError(f"kind must be one of {tuple(_TRAJECTORIES)}, got {shown(value)}")
+    if isinstance(value, str) and not (value.isascii() and "_" not in value):
+        # int() and float() would also read other scripts' digits and '_' digit groups.
+        rule = {"float": _BOUNDS.get(key, FINITE)[2], "int": "an integer"}.get(type_name)
+        raise ValueError(f"{key} must be {rule or 'three numbers'}, got {shown(value)}")
+    if type_name == "float":
+        return checked(key, value, _BOUNDS.get(key, FINITE))
     if type_name == "int":
         try:
             if type(value) not in (int, str):  # a bool, float or numpy int is not one
@@ -205,7 +213,7 @@ def _convert(type_name: str, value, key: str):
         parts = ()
     if len(parts) != 3:
         raise ValueError(f"{key} must be three numbers, got {shown(value)}")
-    return tuple(checked(key, part, _BOUNDS[key]) for part in parts)
+    return tuple(_convert("float", part, key) for part in parts)
 
 
 def _parse_section(cls, section, where: str):

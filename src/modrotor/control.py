@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter, sub
 
 import numpy as np
@@ -164,12 +165,10 @@ class Controller:
     The mode follows the structure's force-block rank and fixes the
     desired attitude's construction. ``reduced_map`` holds the rows ``rows``
     of the thrust-frame map [r_sf^T A_f; A_tau] that the mode commands, and
-    ``pinv`` its pseudoinverse; both are fixed at construction, together
-    with the floats the step reads (r_sf, inertia, mass), so an instance is
-    cheap to call every step and safe to share read-only. Construction takes
-    one SVD of the reduced map: its singular values give the rank test, and
-    ``pinv`` is formed from the same factors by numpy's ``pinv`` formula,
-    which drops no singular value the rank test keeps.
+    ``pinv`` its pseudoinverse, all three read-only, with the floats the
+    step reads (r_sf, inertia, mass), so an instance is cheap to call every
+    step and safe to share. ``pinv`` is formed on first read from the rank
+    test's SVD by numpy's formula, which drops no value that test keeps.
     """
 
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
@@ -181,25 +180,28 @@ class Controller:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")
         self.mode, rows, self._desired_attitude = _MODE_ROWS[structure.rank_f]
         self.rows = np.array(rows)
-        self.reduced_map = np.concatenate((structure.r_sf.T @ structure.force_map,
-                                           structure.torque_map)).take(self.rows, 0)
-        u, s, vt = np.linalg.svd(self.reduced_map, full_matrices=False)
-        if _rank_of(s) < len(rows):
+        self.rows.setflags(write=False)
+        self.reduced_map = read_only(np.concatenate((structure.r_sf.T @ structure.force_map,
+                                                     structure.torque_map)).take(rows, 0))
+        self._svd = np.linalg.svd(self.reduced_map, full_matrices=False)
+        if _rank_of(self._svd[1]) < len(rows):
             raise AllocationError(
                 f"{self.mode} control needs the {len(rows)} commanded wrench rows "
                 "to be independent; the reduced thrust map is rank-deficient"
             )
-        # np.linalg.pinv(reduced_map) from the same SVD, with numpy's own
-        # formula, so the result has the same bits: the rank test above
-        # leaves every singular value above any cutoff pinv would apply.
-        self.pinv = np.matmul(vt.T, np.multiply((1 / s)[:, None], u.T))
         self._select_rows = itemgetter(*rows)
         # The floats each step reads; the force mask is 1.0 on the
         # thrust-frame force components the mode commands.
         self._force_mask = tuple(float(i in rows) for i in range(3))
         self._r_sf = tuple(structure.r_sf.ravel().tolist())
-        self._mass, self._inertia, _ = structure._rigid_body
+        self._mass = float(structure.total_mass)
+        self._inertia = tuple(structure.inertia.ravel().tolist())
         self._f_max = tuple(structure.f_max.tolist())
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        u, s, vt = self._svd  # np.linalg.pinv(reduced_map), bit for bit
+        return read_only(np.matmul(vt.T, np.multiply((1 / s)[:, None], u.T)))
 
     def step(self, state: RigidState, sample: TrajectorySample) -> ControlOutput:
         with np.errstate(over="ignore", invalid="ignore"):

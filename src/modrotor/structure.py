@@ -75,7 +75,8 @@ class StructureModel:
     and bottom row blocks. ``r_sf`` rotates the thrust frame into {S};
     ``force_sigmas`` holds the singular values of the force block in
     descending order. ``rank_f``, ``force_sigmas``, ``r_sf`` and
-    :func:`actuation_ellipsoid` all read the force block's one SVD.
+    :func:`actuation_ellipsoid` all read the force block's one SVD;
+    ``inertia_inv``, read by the integrator only, is built on first read.
     """
 
     placements: tuple[ModulePlacement, ...]
@@ -86,7 +87,6 @@ class StructureModel:
     r_sf: np.ndarray
     force_sigmas: np.ndarray
     f_max: np.ndarray
-    inertia_inv: np.ndarray
     # Left singular vectors of the force block, read by actuation_ellipsoid.
     _force_axes: np.ndarray = field(repr=False)
 
@@ -95,9 +95,12 @@ class StructureModel:
         return len(self.placements)
 
     @cached_property
+    def inertia_inv(self) -> np.ndarray:
+        return read_only(np.linalg.inv(self.inertia))
+
+    @cached_property
     def _rigid_body(self) -> tuple:
-        """Total mass, inertia and its inverse (row-major float tuples), as
-        every control and dynamics step reads them; converted once."""
+        """Total mass, inertia and its inverse, as the floats every dynamics step reads."""
         return (float(self.total_mass), tuple(self.inertia.ravel().tolist()),
                 tuple(self.inertia_inv.ravel().tolist()))
 
@@ -293,8 +296,7 @@ def assemble(placements) -> StructureModel:
     rank_f = _rank_of(sigmas)
     r_sf = _thrust_frame(a[:3], rank_f, (u, sigmas))
 
-    inertia_inv = np.linalg.inv(inertia)
-    for arr in (a, f_max, inertia, sigmas, r_sf, inertia_inv, u):
+    for arr in (a, f_max, inertia, sigmas, r_sf, u):
         arr.setflags(write=False)
     return unchecked(
         StructureModel,
@@ -306,7 +308,6 @@ def assemble(placements) -> StructureModel:
         r_sf=r_sf,
         force_sigmas=sigmas,
         f_max=f_max,
-        inertia_inv=inertia_inv,
         _force_axes=u,
     )
 

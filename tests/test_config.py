@@ -517,6 +517,8 @@ def test_code_built_errors_name_section_and_field(section, change, builder, mess
     ({"grid_col": True}, "grid_col must be an integer, got True"),
     ({"grid_row": 1.0}, "grid_row must be an integer, got 1.0"),
     ({"yaw_quarter_turns": 4}, "yaw_quarter_turns must be 0, 1, 2 or 3, got 4"),
+    ({"inertia_diag_kgm2": (1e-3, "1_0", 3e-3)},
+     "inertia_diag_kgm2 must be positive and finite, got '1_0'"),
 ])
 def test_code_built_module_keys_take_the_text_rules(change, message):
     # A module config built in code gets the degree bound and the
@@ -560,3 +562,77 @@ def test_code_built_module_key_fares_as_its_text(key, value):
     code = _outcome(lambda: _code_config("module.1", {key: value}), ValueError, "to_structure")
     text = _outcome(lambda: _text_config("module.1", {key: value}), ConfigError, "to_structure")
     assert code == text
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid_col = ٣", "module.1: grid_col must be an integer, got '٣'"),
+    ("yaw_quarter_turns = 0_1", "module.1: yaw_quarter_turns must be an integer, got '0_1'"),
+    ("mass_kg = 0_0.2", "module.1: mass_kg must be positive and finite, got '0_0.2'"),
+    ("beta_deg = １０", "module.1: beta_deg must be within [-90, 90], got '１０'"),
+    ("inertia_diag_kgm2 = 1e-3, 1_0, 1e-3",
+     "module.1: inertia_diag_kgm2 must be three numbers, got '1e-3, 1_0, 1e-3'"),
+], ids=["arabic_indic_digit", "int_underscore", "float_underscore", "full_width_digits",
+        "triple_underscore"])
+def test_number_text_is_ascii_without_underscores(line, message):
+    # int() and float() also read other scripts' digits and '_' between
+    # digits; config number text takes neither, in a file or in code.
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config(f"[module.1]\n{line}\n")
+    key, _, value = line.partition(" = ")
+    with pytest.raises(ValueError, match="^" + re.escape(message.split(": ", 1)[1]) + "$"):
+        ModuleConfig(**{key: value})
+
+
+def _spelt_otherwise(text: str, form: str) -> str:
+    """``text`` with its first digit group led by ``0_``, or with every
+    digit in Arabic-Indic script: forms int() and float() still read."""
+    if form == "underscore":
+        return re.sub(r"\d", lambda m: "0_" + m[0], text, count=1)
+    return re.sub(r"\d", lambda m: chr(0x0660 + int(m[0])), text)
+
+
+_NUMBER_KEYS = [(section, key) for section, keys in EVERY_KEY.items() for key in keys
+                if key != "kind"]
+
+
+@pytest.mark.parametrize("form", ["underscore", "arabic_indic"])
+@pytest.mark.parametrize("section, key", _NUMBER_KEYS,
+                         ids=[f"{section}-{key}" for section, key in _NUMBER_KEYS])
+def test_every_number_key_takes_only_ascii_text(section, key, form):
+    # Each number key has the one rule, in a file and in code: text that
+    # int() or float() would read as the key's valid value is still rejected
+    # when it holds '_' or a non-ASCII digit, named by the key's own wording.
+    valid = _ini_value(EVERY_KEY[section][key])
+    text = _spelt_otherwise(valid, form)
+    reads = [int(p) if isinstance(EVERY_KEY[section][key], int) else float(p)
+             for p in text.split(",")]
+    assert reads == [float(p) for p in valid.split(",")], text  # only the rule rejects it
+    got = f", got {text!r}"
+    with pytest.raises(ConfigError) as from_text:
+        _text_config(section, {key: text})
+    assert str(from_text.value).startswith(f"{section}: {key} must be ")
+    assert str(from_text.value).endswith(got)
+    with pytest.raises(ValueError) as from_code:
+        _RECORDS[section](**{key: text})
+    assert str(from_code.value) == str(from_text.value).split(": ", 1)[1]
+
+
+def test_plain_number_text_still_parses():
+    config = parse_config("[module.1]\nmass_kg = 1e-3\ngrid_col = +2\nbeta_deg = -30\n"
+                          "inertia_diag_kgm2 =  1e-3 ,2e-3,  3e-3  \n\n[gains]\nk_pos = .5\n")
+    module = config.modules[0]
+    assert (module.mass_kg, module.grid_col, module.beta_deg) == (1e-3, 2, -30.0)
+    assert module.inertia_diag_kgm2 == (1e-3, 2e-3, 3e-3) and config.gains.k_pos == 0.5
+    assert ModuleConfig(mass_kg=" 0.2 ", grid_row=" -1 ").mass_kg == 0.2
+
+
+def test_gains_are_built_once_per_gains_record():
+    # Every config without a [gains] section holds the default record and
+    # shares its one Gains; another record builds its own.
+    bare, other = parse_config(MINIMAL), parse_config((CONFIG_DIR / "experiment1.cfg").read_text())
+    assert bare.to_gains() is other.to_gains() is bare.to_gains()
+    tuned = dataclasses.replace(bare, gains=GainsConfig(k_pos=3.0))
+    assert tuned.to_gains().k_pos == (3.0, 3.0, 3.0) and tuned.to_gains() is tuned.to_gains()
+    parsed = parse_config("[module.1]\n\n[gains]\nk_vel = 4\n")
+    assert parsed.to_gains() is parsed.to_gains() is not bare.to_gains()
+    assert parsed.to_gains().k_vel == (4.0, 4.0, 4.0)

@@ -509,6 +509,15 @@ def test_overflowing_thrusts_raise_control_degeneracy():
         Controller(structure, gains).step(state, trajectory(0.0))
 
 
+@pytest.mark.parametrize("name", ["rows", "reduced_map", "pinv"])
+def test_controller_arrays_are_read_only(all_structures, name):
+    # A write would change every later step's allocation; pinv, built on a
+    # step's first read, is read-only when it is built.
+    for structure in all_structures.values():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(Controller(structure), name)[0] = 1
+
+
 def test_nan_thrust_raises_control_degeneracy(flat_structure):
     # A NaN entry differs from its clamp, so it is caught even when no other
     # entry needs clamping; the zero torque row times inf makes it here.

@@ -117,7 +117,7 @@ ROWS = {
     "SimParams": Row(SimParams, dict, ("dt", "gravity", "duration")),
     "StructureModel": Row(StructureModel, lambda: _record_kwargs(_structure()), ("total_mass",
                           "rank_f"), ("inertia", "thrust_map", "r_sf", "force_sigmas", "f_max",
-                                      "inertia_inv", "_force_axes"), checks=False),
+                                      "_force_axes"), checks=False),
     "TrajectorySample": Row(TrajectorySample, lambda: dict(t=0.0, r_d=np.zeros(3),
                                                            v_d=np.zeros(3), a_d=np.zeros(3)),
                             ("t",), ("r_d", "v_d", "a_d", "r_wf_d", "omega_d")),

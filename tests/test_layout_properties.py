@@ -15,6 +15,7 @@ to the numpy forms their float paths replaced.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ from modrotor.so3 import E3, rot_x, rot_z
 from modrotor.structure import StructureModel, _thrust_frame, ellipsoid_xz_polygon, numerical_rank
 from test_module_design import build_draws
 from test_structure import RANK1_CASES, TIED_LAYOUTS
+from conftest import ROOT
+
+sys.path.insert(0, str(ROOT / "bench"))
+from harness import NoTracer, design_calls  # noqa: E402
+from sweep import generate_layouts  # noqa: E402
 
 TILT_DEG = (-30.0, -10.0, 0.0, 10.0, 30.0)
 LAYOUTS = 300
@@ -421,6 +427,22 @@ def test_design_calls_match_numpy_oracle(layouts, all_structures):
             _assert_same_bits(got, want, f"structure {idx}: ellipsoid")
         _assert_same_bits(ellipsoid_xz_polygon(structure), _oracle_polygon(structure),
                           f"structure {idx}: polygon")
+
+
+def test_design_calls_leave_flight_only_values_unbuilt():
+    # The benchmark's design calls never build the inverse inertia or pinv,
+    # which only a flight reads. Each first read builds it read-only, with
+    # the bits of the eager build it replaces.
+    designs = [design_calls(layout.text, NoTracer()) for layout in generate_layouts(1, 24)]
+    assert {design.structure.rank_f for design in designs} == {1, 2, 3}
+    for idx, design in enumerate(designs):
+        structure, ctrl = design.structure, design.controller
+        assert "inertia_inv" not in vars(structure) and "pinv" not in vars(ctrl), idx
+        _assert_same_bits(structure.inertia_inv, np.linalg.inv(structure.inertia),
+                          f"layout {idx}: inertia_inv")
+        _assert_same_bits(ctrl.pinv, _oracle_allocation(structure)[1], f"layout {idx}: pinv")
+        assert not structure.inertia_inv.flags.writeable and not ctrl.pinv.flags.writeable
+        assert structure.inertia_inv is structure.inertia_inv and ctrl.pinv is ctrl.pinv
 
 
 @pytest.mark.parametrize("columns", [

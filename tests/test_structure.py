@@ -184,6 +184,20 @@ def test_structure_arrays_are_read_only(all_structures):
             assert not getattr(structure, name).flags.writeable, name
 
 
+def test_inertia_inverse_follows_the_inertia(tilt10_structure):
+    # inertia_inv is built from inertia on first read, never given: a copy
+    # with another inertia inverts that one, not the original's cached inverse.
+    structure = tilt10_structure
+    assert structure.inertia_inv is structure.inertia_inv
+    inertia = np.diag([1e-3, 2e-3, 4e-3])
+    copy = dataclasses.replace(structure, inertia=inertia)
+    assert "inertia_inv" not in vars(copy)
+    np.testing.assert_array_equal(copy.inertia_inv, np.linalg.inv(inertia))
+    assert not copy.inertia_inv.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        structure.inertia_inv = np.eye(3)
+
+
 def test_single_module_inertia_passthrough(flat_structure):
     np.testing.assert_allclose(
         flat_structure.inertia,
