@@ -6,8 +6,9 @@ their unit in the name; angles are degrees in the file and radians in code.
 Each section is one of the dataclasses below, and its fields are the only
 definition of the section's keys, their types and their defaults: a key the
 file leaves out takes the field's default. Unknown sections or keys are
-rejected. Each key has one rule, ``_convert``, for text and for a record's
-fields: a number goes through :func:`~modrotor.lazy.checked` against its
+rejected. The parser passes the raw text to the record's constructor, so a
+key has one rule, ``_convert``, in text and code, applied in declaration
+order: a number goes through :func:`~modrotor.lazy.checked` against its
 key's bound in ``_BOUNDS``, and ``kind`` must be a key of ``_TRAJECTORIES``.
 The rest, overlapping grid cells included, is checked by the ``to_*``
 builders. A value they or the parser reject is a ConfigError ``<section>:
@@ -38,7 +39,7 @@ import numpy as np
 from .control import Gains
 from .dynamics import SimParams
 from .errors import ConfigError
-from .lazy import FINITE, NON_NEGATIVE, POSITIVE, QUARTERS, checked, shown, unchecked
+from .lazy import FINITE, NON_NEGATIVE, POSITIVE, QUARTERS, checked, of_type, shown
 from .module_design import build_r_module
 from .structure import ModulePlacement, StructureModel, assemble
 from .trajectory import RECT_ALTITUDE, RECT_SPEED, TrajectorySample, helix, hover, rectangle
@@ -48,7 +49,7 @@ class _Record:
     """A section record: each field not at its default is kept as ``_convert`` returns it."""
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in type(self).__dataclass_fields__.values():
             if (value := getattr(self, f.name)) is not f.default:
                 object.__setattr__(self, f.name, _convert(f.type, value, f.name))
 
@@ -115,8 +116,7 @@ class StructureConfig:
             raise ValueError(f"modules must be a tuple of ModuleConfig, got {shown(modules)}")
         object.__setattr__(self, "modules", tuple(modules))
         for name, cls in _SECTIONS.items():
-            if not isinstance(value := getattr(self, name), cls):
-                raise ValueError(f"{name} must be a {cls.__name__}, got {shown(value)}")
+            of_type(name, getattr(self, name), cls)
 
     def to_structure(self) -> StructureModel:
         """The assembled structure; a module the library rejects, such as one
@@ -176,10 +176,6 @@ _BOUNDS = {
 
 # The optional sections, each named after its StructureConfig field.
 _SECTIONS = {f.name: type(f.default) for f in fields(StructureConfig) if f.name != "modules"}
-# Each section dataclass's keys with their declared types, and with their defaults.
-_KEY_TYPES = {cls: {f.name: f.type for f in fields(cls)}
-              for cls in (ModuleConfig, *_SECTIONS.values())}
-_DEFAULTS = {cls: {f.name: f.default for f in fields(cls)} for cls in _KEY_TYPES}
 
 
 def _convert(type_name: str, value, key: str):
@@ -217,17 +213,12 @@ def _convert(type_name: str, value, key: str):
 
 
 def _parse_section(cls, section, where: str):
-    """An instance of the dataclass ``cls`` from the keys ``section`` sets;
-    the dataclass supplies the default of every key the section leaves out.
-    Each value read is converted here by its key's rule, the one the
-    record's constructor would apply, so the instance is built with
-    :func:`~modrotor.lazy.unchecked`."""
-    types = _KEY_TYPES[cls]
-    if unknown := section.keys() - types.keys():
+    """An instance of the dataclass ``cls``, built by its constructor from the
+    raw text of the keys ``section`` sets; the dataclass supplies the default
+    of every key the section leaves out."""
+    if unknown := section.keys() - cls.__dataclass_fields__.keys():
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    values = _built(where, lambda: {key: _convert(types[key], raw, key)
-                                    for key, raw in section.items()})
-    return unchecked(cls, **{**_DEFAULTS[cls], **values})
+    return _built(where, cls, **section)
 
 
 _INLINE_COMMENT = re.compile(r"\s#")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import GRAVITY, RigidState, _floats_of
 from .errors import AllocationError, ControlDegeneracyError
-from .lazy import checked, finite_array, read_only, shown, unchecked
+from .lazy import checked, finite_array, of_type, read_only, shown, unchecked
 from .module_design import Wrench
 from .so3 import _angle_of_trace, cross3, matmul3
 from .structure import StructureModel, _rank_of
@@ -173,8 +173,8 @@ class Controller:
 
     def __init__(self, structure: StructureModel, gains: Gains | None = None,
                  gravity: float = GRAVITY):
-        self.structure = structure
-        self.gains = gains if gains is not None else Gains()
+        self.structure = of_type("structure", structure, StructureModel)
+        self.gains = of_type("gains", gains, Gains) if gains is not None else Gains()
         self.gravity = checked("gravity", gravity)
         if structure.rank_f not in _MODE_ROWS:
             raise AllocationError(f"unsupported force-block rank {structure.rank_f}")

@@ -1,12 +1,13 @@
 """Instances built unchecked and the checks on caller input.
 
-One rule covers validation: values the library builds from inputs it has
-already checked skip re-validation through :func:`unchecked`; values from
-callers always go through the constructor and its checks. A number goes
-through :func:`checked`, an array through :func:`finite_array` and a
-rotation through :func:`rotation`. Each returns floats or raises one form
-of ValueError, "<name> must be <rule>, got <value>", with the value shown by
-:func:`shown`, which never raises.
+One rule covers validation: every record goes through its constructor and
+its checks, except the values a per-step kernel builds from checked inputs
+(the samples, the integrator's state, the step's ``Wrench``), which skip
+them through :func:`unchecked`. A number goes through :func:`checked`, a
+record argument through :func:`of_type`, an array through
+:func:`finite_array` and a rotation through :func:`rotation`. Each returns
+its value or raises one form of ValueError, "<name> must be <rule>, got
+<value>", with the value shown by :func:`shown`, which never raises.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ QUARTERS = (0.0, 3.0, "0, 1, 2 or 3")  # ModulePlacement also rejects non-intege
 
 def unchecked(cls, **fields):
     """An instance of ``cls`` holding ``fields``, made without running
-    ``__init__`` or ``__post_init__``: for values the library built from
-    inputs it has already checked."""
+    ``__init__`` or ``__post_init__``: for the values a per-step kernel
+    builds from inputs it has already checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -47,6 +48,13 @@ def checked(name: str, value, bound=FINITE) -> float:
     if bound[0] <= x <= bound[1]:
         return x
     raise ValueError(f"{name} must be {bound[2]}, got {shown(value)}")
+
+
+def of_type(name: str, value, cls):
+    """``value`` if it is a ``cls``; otherwise a ValueError naming ``name``."""
+    if isinstance(value, cls):
+        return value
+    raise ValueError(f"{name} must be a {cls.__name__}, got {shown(value)}")
 
 
 def finite_array(name: str, value, shape: tuple | None) -> np.ndarray:

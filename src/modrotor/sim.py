@@ -27,7 +27,7 @@ import numpy as np
 from .control import Controller, Gains
 from .dynamics import RigidState, SimParams, _advance, _floats_of, _state_of
 from .errors import ModrotorError, SimulationError
-from .lazy import checked, shown, unchecked
+from .lazy import checked, of_type, shown
 from .structure import StructureModel
 from .trajectory import TrajectorySample
 
@@ -144,14 +144,16 @@ def run_closed_loop(
 ) -> RunResult:
     """Track ``trajectory`` (a callable of time) for the configured duration.
 
-    A duration of more steps than numpy can store raises SimulationError
-    before the first step; a sample that is not a TrajectorySample raises
-    ValueError naming its time.
+    An argument not of its type raises ValueError before the first sample; a
+    duration of more steps than numpy can store raises SimulationError before
+    the first step; a sample that is not a TrajectorySample raises ValueError
+    naming its time.
     """
     params = params if params is not None else SimParams()
+    of_type("params", params, SimParams)
     controller = Controller(structure, gains, params.gravity)
-    state = state0 if state0 is not None else initial_state_from_sample(
-        structure, _sample_at(trajectory, 0.0))
+    state = of_type("state0", state0, RigidState) if state0 is not None else (
+        initial_state_from_sample(structure, _sample_at(trajectory, 0.0)))
 
     n_u = 4 * structure.n
     try:
@@ -182,9 +184,8 @@ def run_closed_loop(
             except ModrotorError as exc:
                 raise SimulationError(f"run aborted at t={t:.6f} s (step {k}): {exc}") from exc
 
-    # The loop built every column, one row per step, so the record rule holds.
-    return unchecked(
-        RunResult, t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
+    return RunResult(
+        t=rows[:, 0], pos=rows[:, 1:4], pos_des=rows[:, 4:7], euler_f=rows[:, 7:10],
         pos_err=rows[:, 10], att_err=rows[:, 11], u=rows[:, 12:], saturated=sat,
         final_state=_state_of(y),
     )

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError
-from .lazy import QUARTERS, checked, finite_array, read_only, shown, unchecked
+from .lazy import QUARTERS, checked, finite_array, read_only, shown
 from .module_design import ModuleSpec
 from .so3 import E1, E2, E3, I3, cross3, rot_z
 
@@ -298,8 +298,7 @@ def assemble(placements) -> StructureModel:
 
     for arr in (a, f_max, inertia, sigmas, r_sf, u):
         arr.setflags(write=False)
-    return unchecked(
-        StructureModel,
+    return StructureModel(
         placements=placements,
         total_mass=total_mass,
         inertia=inertia,

@@ -617,6 +617,26 @@ def test_every_number_key_takes_only_ascii_text(section, key, form):
     assert str(from_code.value) == str(from_text.value).split(": ", 1)[1]
 
 
+@pytest.mark.parametrize("section, changes", [
+    ("module.1", {"base_m": "-1", "mass_kg": "-1"}),
+    ("gains", {"k_vel": "-1", "k_pos": "-1"}),
+    ("sim", {"duration_s": "-1", "dt_s": "-1"}),
+    ("trajectory", {"speed_mps": "-1", "pitch_hold_deg": "nan"}),
+], ids=["module", "gains", "sim", "trajectory"])
+def test_text_and_code_name_the_same_of_two_bad_keys(section, changes):
+    # Two bad keys, set in the reverse of their declaration order, in a file
+    # and as the same text in code: both name the key the record declares
+    # first, with one message.
+    first = next(key for key in _RECORDS[section].__dataclass_fields__ if key in changes)
+    assert first == list(changes)[-1]
+    with pytest.raises(ConfigError) as from_text:
+        _text_config(section, changes)
+    with pytest.raises(ValueError) as from_code:
+        _code_config(section, changes)
+    assert str(from_text.value) == f"{section}: {from_code.value}"
+    assert str(from_code.value).startswith(f"{first} must be ")
+
+
 def test_plain_number_text_still_parses():
     config = parse_config("[module.1]\nmass_kg = 1e-3\ngrid_col = +2\nbeta_deg = -30\n"
                           "inertia_diag_kgm2 =  1e-3 ,2e-3,  3e-3  \n\n[gains]\nk_pos = .5\n")

@@ -16,6 +16,7 @@ from modrotor import (
     assemble,
 )
 from modrotor import control
+from modrotor.config import GainsConfig
 from modrotor.lazy import finite_array
 from modrotor.structure import _thrust_frame
 from modrotor.so3 import E1, E3, rot_x, rot_y, rot_z
@@ -756,3 +757,17 @@ def test_controller_rejects_a_force_rank_without_a_mode(flat_structure):
     # another rank, here one built by replace, has no control law.
     with pytest.raises(AllocationError, match="^unsupported force-block rank 0$"):
         Controller(replace(flat_structure, rank_f=0))
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("structure", "x"), ("structure", None), ("gains", GainsConfig()), ("gains", {}),
+], ids=["structure-str", "structure-None", "gains-GainsConfig", "gains-dict"])
+def test_controller_arguments_must_be_their_records(flat_structure, argument, value):
+    # A structure that is not a StructureModel, or gains that are not a
+    # Gains (a config's GainsConfig included), is named when the controller
+    # is built, not by an AttributeError or TypeError in its first step.
+    kinds = {"structure": "StructureModel", "gains": "Gains"}
+    arguments = {"structure": flat_structure, argument: value}
+    message = f"{argument} must be a {kinds[argument]}, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Controller(**arguments)

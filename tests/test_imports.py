@@ -1,7 +1,8 @@
 """No module in src/, tests/ or tools/ imports a name it never reads,
 parsing a config imports no standard library INI reader, and src/ builds
 instances without their checks, fills an instance's ``__dict__`` by hand,
-and checks the arrays callers pass in, in one place only. No module-level
+and checks the arrays callers pass in, in one place only; only the per-step
+kernels build a record without its checks. No module-level
 array in src/ can be written, src/ defines nothing that only the tests
 read, and no default of a function src/ keeps to itself is one that only
 the tests set.
@@ -162,6 +163,34 @@ def test_only_lazy_unchecked_skips_the_checks():
             for path in sorted((ROOT / "src").rglob("*.py"))}
     assert {path: owners for path, owners in uses.items() if owners} == {
         "src/modrotor/lazy.py": ["unchecked"]}
+
+
+def unchecked_owners(source: str) -> list[str]:
+    """:func:`owners` of each read of ``unchecked``, bare or as an attribute;
+    importing or defining it is not a read."""
+    return owners(source, lambda node: (
+        (isinstance(node, ast.Name) and node.id == "unchecked" and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "unchecked")))
+
+
+def test_unchecked_uses_are_found():
+    source = ("from .lazy import unchecked\nmake = unchecked\ndef unchecked_of(x):\n"
+              "    def inner():\n        return lazy.unchecked(x)\n"
+              "    return unchecked(x, y=1), inner\nunchecked = None\n")
+    assert unchecked_owners(source) == ["<module>", "inner", "unchecked_of"]
+
+
+def test_only_per_step_kernels_build_unchecked_records():
+    # lazy.unchecked is only for the values a per-step kernel builds: the
+    # trajectory samples, the integrator's state and the step's Wrench.
+    # Every other record, the library's own included, is built by its
+    # constructor and takes its checks.
+    uses = {path.relative_to(ROOT).as_posix(): unchecked_owners(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path: owners for path, owners in uses.items() if owners} == {
+        "src/modrotor/control.py": ["step"],
+        "src/modrotor/dynamics.py": ["_state_of"],
+        "src/modrotor/trajectory.py": ["sample", "helix", "sample"]}
 
 
 def test_instance_dict_uses_are_found():

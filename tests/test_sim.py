@@ -20,6 +20,7 @@ from modrotor import (
     run_closed_loop,
     step,
 )
+from modrotor.config import GainsConfig, SimConfig
 from modrotor.sim import euler_zyx
 from modrotor.so3 import matmul3, rot_x, rot_y, rot_z, rotation_angle
 from modrotor.trajectory import TrajectorySample, helix
@@ -206,6 +207,28 @@ def test_sample_of_the_wrong_type_is_named(flat_structure, value, given_state):
     got = run_closed_loop(flat_structure, lambda t: subclassed, params=params, state0=state0)
     want = run_closed_loop(flat_structure, hold, params=params, state0=state0)
     assert got.u.tobytes() == want.u.tobytes()
+
+
+@pytest.mark.parametrize("argument, value, kind", [
+    ("structure", "x", "StructureModel"),
+    ("gains", GainsConfig(), "Gains"),
+    ("gains", {}, "Gains"),
+    ("params", {}, "SimParams"),
+    ("params", SimConfig(), "SimParams"),
+    ("state0", (0,) * 18, "RigidState"),
+], ids=["structure", "gains-GainsConfig", "gains-dict", "params-dict", "params-SimConfig",
+        "state0-tuple"])
+def test_run_arguments_must_be_their_records(flat_structure, argument, value, kind):
+    # Each record argument of the wrong type is named before the first
+    # sample is drawn, not by an error in the middle of the run.
+    drawn = []
+    hold = hover((0.0, 0.0, 1.0))
+    arguments = {"structure": flat_structure, "params": SimParams(dt=0.01, duration=0.05),
+                 argument: value}
+    message = f"{argument} must be a {kind}, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        run_closed_loop(trajectory=lambda t: drawn.append(t) or hold(t), **arguments)
+    assert drawn == []
 
 
 def test_deterministic_across_runs(pitch_pair_structure):
